@@ -2,13 +2,12 @@
 
 Subcommands: ``trace``, ``decay``, ``observability``, ``spectrum``,
 ``ingham``.  Global flags: ``--config <path>`` (JSON, see config module),
-``--out <dir>``, ``--seed <int>`` (overrides the config seeds),
-``--threads <int>`` (parallel study cells).
+``--out <dir>``, ``--seed <int>`` (overrides the config seeds).
 
 Exit codes: 0 success, 1 I/O failure, 2 config error, 3 numerical
 diagnostic failure (energy-identity violation, non-finite states).
 
-Outputs are written atomically (temp file + rename).  CSV floats carry 17
+Outputs are written atomically (unique temp file + rename).  CSV floats carry 17
 significant digits; JSON uses sorted keys and shortest round-trip floats,
 so identical config + seed gives byte-identical files.
 """
@@ -65,10 +64,17 @@ def _jsonable(obj):
 
 
 def _atomic_write(path: str, text: str) -> None:
-    tmp = path + ".tmp"
-    with open(tmp, "w", encoding="utf-8", newline="") as fh:
-        fh.write(text)
-    os.replace(tmp, path)
+    # a fresh random name per call (created exclusively, so it respects the
+    # umask unlike mkstemp's 0600) keeps concurrent runs from colliding
+    tmp = f"{path}.{os.urandom(8).hex()}.tmp"
+    fh = open(tmp, "x", encoding="utf-8", newline="")
+    try:
+        with fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
 def _write_json(path: str, payload) -> None:
@@ -90,7 +96,7 @@ def _dt_list(cfg: ExperimentConfig) -> list:
 # -- subcommands -----------------------------------------------------------
 
 
-def cmd_trace(cfg: ExperimentConfig, out: str, seed, threads: int) -> int:
+def cmd_trace(cfg: ExperimentConfig, out: str, seed) -> int:
     sys_ = build_system(cfg.system)
     z0 = build_init(cfg.init, sys_, seed)
     scheme = SchemeConfig(
@@ -135,7 +141,7 @@ def cmd_trace(cfg: ExperimentConfig, out: str, seed, threads: int) -> int:
     return 0 if trace.identity_ok else 3
 
 
-def cmd_decay(cfg: ExperimentConfig, out: str, seed, threads: int) -> int:
+def cmd_decay(cfg: ExperimentConfig, out: str, seed) -> int:
     prefix = os.path.join(out, cfg.output.prefix)
     st = cfg.study
     if st.synthetic_exponent is not None:
@@ -170,7 +176,6 @@ def cmd_decay(cfg: ExperimentConfig, out: str, seed, threads: int) -> int:
         viscosity=cfg.scheme.viscosity,
         damping=cfg.scheme.damping,
         solve_tol=cfg.scheme.solve_tol,
-        threads=threads,
     )
     _write_json(
         prefix + "_decay.json",
@@ -179,7 +184,7 @@ def cmd_decay(cfg: ExperimentConfig, out: str, seed, threads: int) -> int:
     return 0
 
 
-def cmd_observability(cfg: ExperimentConfig, out: str, seed, threads: int) -> int:
+def cmd_observability(cfg: ExperimentConfig, out: str, seed) -> int:
     sys_ = build_system(cfg.system)
     st = cfg.study
     study = observability_constant_study(
@@ -192,7 +197,6 @@ def cmd_observability(cfg: ExperimentConfig, out: str, seed, threads: int) -> in
         t_star=st.t_star,
         viscosity=cfg.scheme.viscosity,
         solve_tol=cfg.scheme.solve_tol,
-        threads=threads,
     )
     prefix = os.path.join(out, cfg.output.prefix)
     _write_json(
@@ -202,7 +206,7 @@ def cmd_observability(cfg: ExperimentConfig, out: str, seed, threads: int) -> in
     return 0
 
 
-def cmd_spectrum(cfg: ExperimentConfig, out: str, seed, threads: int) -> int:
+def cmd_spectrum(cfg: ExperimentConfig, out: str, seed) -> int:
     sys_ = build_system(cfg.system)
     report = audit_spectrum(
         sys_, beta=cfg.study.beta, dt=_scheme_dt(cfg), delta=cfg.study.delta
@@ -220,7 +224,7 @@ def cmd_spectrum(cfg: ExperimentConfig, out: str, seed, threads: int) -> int:
     return 0
 
 
-def cmd_ingham(cfg: ExperimentConfig, out: str, seed, threads: int) -> int:
+def cmd_ingham(cfg: ExperimentConfig, out: str, seed) -> int:
     sys_ = build_system(cfg.system)
     st = cfg.study
     use_seed = st.seed if seed is None else seed
@@ -283,7 +287,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", required=True, help="path to a JSON experiment config")
         p.add_argument("--out", default=".", help="output directory")
         p.add_argument("--seed", type=int, default=None, help="override config seeds")
-        p.add_argument("--threads", type=int, default=1, help="parallel study cells")
     return parser
 
 
@@ -292,7 +295,7 @@ def main(argv=None) -> int:
     try:
         cfg = load_config(args.config)
         os.makedirs(args.out, exist_ok=True)
-        return _COMMANDS[args.command](cfg, args.out, args.seed, args.threads)
+        return _COMMANDS[args.command](cfg, args.out, args.seed)
     except ConfigError as exc:
         print(f"config error: {exc}", file=_sys.stderr)
         return 2

@@ -11,7 +11,7 @@ Schema (all blocks optional except ``system``; defaults in parentheses):
       "scheme": {
         "dt": float | null, "dt_list": [..] | null, "t_final": float (10.0),
         "viscosity": bool (true), "damping": bool (true),
-        "solve_tol": float (1e-13)
+        "solve_tol": float (1e-13)        # identity audit: 10 * solve_tol * E0
       },
       "init": {
         "kind": "single_mode" | "random" | "cluster_pair" | "highpass",
@@ -26,7 +26,7 @@ Schema (all blocks optional except ``system``; defaults in parentheses):
         "uniformity_factor": float (4.0), "exponent_floor": float (0.7),
         "synthetic_exponent": float | null
       },
-      "output": {"prefix": str ("run"), "formats": ["csv", "json"]}
+      "output": {"prefix": str ("run")}
     }
 
 Unknown keys are rejected so typos fail loudly.  ``parse -> serialize ->
@@ -104,7 +104,6 @@ class StudyBlock:
 @dataclass
 class OutputBlock:
     prefix: str = "run"
-    formats: list = field(default_factory=lambda: ["csv", "json"])
 
 
 @dataclass

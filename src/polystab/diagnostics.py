@@ -14,18 +14,21 @@ The quantities measured here are the ones the stability theory rests on:
 * the extremal sequence of the discrete decay recursion
   ``e_{k+1} + C e_{k+1}^{2+alpha} = e_k`` as an independent oracle for the
   polynomial rate 1/(alpha+1).
+
+Every trajectory is stepped by ``SchemeSolver.iterate_raw`` and audited:
+a per-step energy-identity residual above ``10 * solve_tol * E0`` of its
+column raises DiagnosticFailure.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import DiagnosticFailure, DomainError
-from .modal import ModalState, ModalSystem, norm_domain, pair_norm_sq
+from .modal import ModalState, ModalSystem, norm_domain
 from .schemes import EnergyTrace, SchemeConfig, factorize, substep_count
 from .spectra import check_gap, cluster_partition
 
@@ -102,36 +105,45 @@ class ObservabilityReport:
     n_steps: int
 
 
+def _audited(steps, solve_tol: float):
+    """Pass kernel steps through, auditing the per-step energy identity.
+
+    Raises DiagnosticFailure when a column's residual exceeds
+    ``10 * solve_tol * E0`` of that column.
+    """
+    for s in steps:
+        if s.k == 0:
+            tol = 10.0 * solve_tol * s.energy_prev
+        if np.any(s.identity_residual > tol):
+            raise DiagnosticFailure(
+                f"energy identity residual above 10 * solve_tol * E0 at step {s.k}"
+            )
+        yield s
+
+
 def _observability_sums(sys, X0, beta, dt, T_star, viscosity, solve_tol):
     """Per-column (damp, visc1, visc2, weak) sums of the conservative run.
 
     The observation uses the system's damping Gram even though the
-    dynamics are undamped; the viscosity sums are accumulated only when
-    the viscous stage actually runs.
+    dynamics are undamped; the viscosity sums vanish when the viscous stage
+    is off.  The functional charges ``dt^6 ||A^2 u||^2`` where the energy
+    identity charges half of it, hence ``2 * visc2``.
     """
-    n = sys.n
     X0 = np.atleast_2d(np.asarray(X0, dtype=float))
-    if X0.shape[0] != 2 * n:
+    if X0.shape[0] != 2 * sys.n:
         X0 = X0.T
-    weak = pair_norm_sq(sys, X0[:n], X0[n:], beta)
     cfg = SchemeConfig(
         dt=dt, t_final=max(T_star, dt), viscosity=viscosity, damping=False, solve_tol=solve_tol
     )
-    solver = factorize(sys, cfg)
-    l = substep_count(T_star, dt)
-    m = X0.shape[1]
-    damp = np.zeros(m)
-    visc1 = np.zeros(m)
-    visc2 = np.zeros(m)
-    eta = sys.eta[:, None]
-    for _, x, zt, zn in solver.iterate_raw(X0, l + 1, damped=False):
-        mb = 0.5 * (x[n:] + zt[n:])
-        damp += dt * np.einsum("im,im->m", mb, sys.damp_gram @ mb)
-        if viscosity:
-            a, b = zn[:n], zn[n:]
-            visc1 += dt**3 * (np.sum(eta**2 * a**2, axis=0) + np.sum(eta * b**2, axis=0))
-            visc2 += dt**6 * (np.sum(eta**3 * a**2, axis=0) + np.sum(eta**2 * b**2, axis=0))
-    return damp, visc1, visc2, weak, l + 1
+    nsteps = substep_count(T_star, dt) + 1
+    damp, visc1, visc2 = np.zeros((3, X0.shape[1]))
+    for s in _audited(factorize(sys, cfg).iterate_raw(X0, nsteps, beta=beta), solve_tol):
+        if s.k == 0:
+            weak = s.weak_sq_prev
+        damp += s.observed_damp
+        visc1 += s.visc1
+        visc2 += 2.0 * s.visc2
+    return damp, visc1, visc2, weak, nsteps
 
 
 def observability_functional(
@@ -202,7 +214,6 @@ def observability_constant_study(
     t_star: float | None = None,
     viscosity: bool = True,
     solve_tol: float = 1e-13,
-    threads: int = 1,
 ) -> ObservabilityStudy:
     """Minimum observability ratios over random draws, per time step.
 
@@ -240,12 +251,7 @@ def observability_constant_study(
             n_lowpass_active=int(np.count_nonzero(active)),
         )
 
-    dt_list = list(dt_list)
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            cells = tuple(pool.map(run_cell, dt_list))
-    else:
-        cells = tuple(run_cell(dt) for dt in dt_list)
+    cells = tuple(run_cell(dt) for dt in dt_list)
     return ObservabilityStudy(
         beta=beta,
         delta=delta,
@@ -326,21 +332,15 @@ def high_freq_contraction(
     """
     _check_high(sys, u0_high, cutoff)
     x0 = u0_high.stacked()[:, None]
-    n = sys.n
-    w0 = float(pair_norm_sq(sys, x0[:n], x0[n:], beta)[0])
-    if w0 == 0.0:
+    if not np.any(x0):
         return np.empty(0)
     delta = dt * cutoff
     bound = 1.0 / (1.0 + 2.0 * dt * delta**2)
     cfg = SchemeConfig(dt=dt, t_final=max(steps * dt, dt), viscosity=True, damping=False,
                        solve_tol=solve_tol)
-    solver = factorize(sys, cfg)
     ratios = np.empty(steps)
-    prev = w0
-    for k, _, _, zn in solver.iterate_raw(x0, steps, damped=False):
-        cur = float(pair_norm_sq(sys, zn[:n], zn[n:], beta)[0])
-        ratios[k] = cur / prev
-        prev = cur
+    for s in _audited(factorize(sys, cfg).iterate_raw(x0, steps, beta=beta), solve_tol):
+        ratios[s.k] = s.weak_sq[0] / s.weak_sq_prev[0]
     if np.any(ratios > bound + 1e-12):
         worst = float(np.max(ratios))
         raise DiagnosticFailure(
@@ -518,7 +518,6 @@ def uniform_decay_study(
     viscosity: bool = True,
     damping: bool = True,
     solve_tol: float = 1e-13,
-    threads: int = 1,
 ) -> DecayStudy:
     """Sweep the damped scheme over dt and fit the polynomial envelope.
 
@@ -547,12 +546,11 @@ def uniform_decay_study(
     def run_cell(dt: float) -> DecayCell:
         cfg = SchemeConfig(dt=dt, t_final=T, viscosity=viscosity, damping=damping,
                            solve_tol=solve_tol)
-        solver = factorize(sys, cfg)
         nsteps = substep_count(T, dt) + 1
         E = np.empty((nsteps + 1, X0.shape[1]))
-        E[0] = solver._energy_cols(X0)
-        for k, _, _, zn in solver.iterate_raw(X0, nsteps):
-            E[k + 1] = solver._energy_cols(zn)
+        for s in _audited(factorize(sys, cfg).iterate_raw(X0, nsteps), solve_tol):
+            E[s.k] = s.energy_prev
+            E[s.k + 1] = s.energy
         t = np.arange(nsteps + 1) * dt
         mask = (t >= fit_window[0]) & (t <= fit_window[1])
         p0 = 1.0 / (1.0 + 2.0 * beta)
@@ -567,13 +565,8 @@ def uniform_decay_study(
         env = decay_fit(synthetic_trace(t, E.max(axis=1), 1.0, beta), beta, fit_window)
         return DecayCell(dt=dt, member_fits=tuple(fits), envelope=env)
 
-    dt_list = list(dt_list)
     try:
-        if threads > 1:
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                cells = tuple(pool.map(run_cell, dt_list))
-        else:
-            cells = tuple(run_cell(dt) for dt in dt_list)
+        cells = tuple(run_cell(dt) for dt in dt_list)
     except DomainError:
         return DecayStudy(
             beta=beta,

@@ -37,29 +37,40 @@ which satisfy the exact per-step identity
     E(z+) + visc1 + visc2 + damp = E(z),
 
 so the residual of that identity is a direct measure of linear-solver
-error.  ``run`` telescopes the identity over a whole trajectory.
+error.  One generator advances every trajectory and computes these terms
+for each column; ``run``, the ``step_*`` methods and ``iterate_raw`` read
+its per-step records, and ``run`` telescopes the identity over the whole
+trajectory.
 
-The midpoint stage couples modes only through ``D``; when damping is
-inactive (or ``D = 0``) the stage is solved exactly per mode by the 2x2
-closed form, otherwise a dense LU factorization of the full 2n x 2n stage
-matrix is precomputed once and reused, with one step of iterative
-refinement whenever the relative residual exceeds ``solve_tol``.
+The midpoint stage ``(I - hG) y = (I + hG) x`` with ``h = dt/2`` is
+solved through the Schur complement on the velocity block:
+
+    r_a = a + h b,    r_b = b - h eta a - h D b,
+    K y_b = r_b - h eta r_a,    K = I + h^2 diag(eta) + h D,
+    y_a = r_a + h y_b.
+
+``K`` is symmetric positive definite.  With damping active it is
+Cholesky-factored once per solver; otherwise it is diagonal and the solve
+is a division, the exact per-mode Cayley map.  ``solve_tol`` only sets the
+audit tolerance ``10 * solve_tol * E0`` of the per-step identity.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 import scipy.linalg
 
 from .errors import DomainError, NonFiniteStateError
-from .modal import ModalState, ModalSystem, pair_norm_sq
+from .modal import ModalState, ModalSystem
 
 __all__ = [
     "SchemeConfig",
     "StepRecord",
+    "RawStep",
     "EnergyTrace",
     "SchemeSolver",
     "factorize",
@@ -70,7 +81,11 @@ __all__ = [
 
 @dataclass(frozen=True)
 class SchemeConfig:
-    """Time step, horizon and stage switches for one scheme configuration."""
+    """Time step, horizon and stage switches for one scheme configuration.
+
+    ``solve_tol`` sets the identity audit: every step's residual must stay
+    within ``10 * solve_tol * E0``.
+    """
 
     dt: float
     t_final: float
@@ -167,8 +182,34 @@ class EnergyTrace:
         return float(self.energy[-1])
 
 
+class RawStep(NamedTuple):
+    """One step of a (2n, m) column batch with its per-column accounting.
+
+    ``x`` is the state x_k, ``z_tilde`` the midpoint stage and ``z_next``
+    the state x_{k+1}.  ``energy`` and ``weak_sq`` (the squared pair norm on
+    the ``-beta`` scale) belong to x_{k+1}, the ``*_prev`` fields to x_k.
+    ``damp`` is the dissipative output of the stepped generator (zero
+    without damping); ``observed_damp`` is the same form evaluated with the
+    system's damping Gram regardless.
+    """
+
+    k: int
+    x: np.ndarray
+    z_tilde: np.ndarray
+    z_next: np.ndarray
+    energy_prev: np.ndarray
+    energy: np.ndarray
+    weak_sq_prev: np.ndarray
+    weak_sq: np.ndarray
+    visc1: np.ndarray
+    visc2: np.ndarray
+    damp: np.ndarray
+    observed_damp: np.ndarray
+    identity_residual: np.ndarray
+
+
 class SchemeSolver:
-    """Precomputed stage factorizations for one (system, config) pair.
+    """Precomputed stage factorization for one (system, config) pair.
 
     Immutable after construction; one instance can serve many trajectories
     (including batched column states) concurrently.
@@ -177,37 +218,29 @@ class SchemeSolver:
     def __init__(self, sys: ModalSystem, cfg: SchemeConfig):
         self.sys = sys
         self.cfg = cfg
-        n = sys.n
         dt = cfg.dt
-        h = 0.5 * dt
         eta = sys.eta
-
-        # Exact per-mode Cayley coefficients of the undamped midpoint stage.
-        den = 1.0 + h * h * eta
-        self._c_aa = ((1.0 - h * h * eta) / den)[:, None]
-        self._c_ab = (2.0 * h / den)[:, None]
-        self._c_ba = (-2.0 * h * eta / den)[:, None]
+        self._h = 0.5 * dt
+        self._h_eta = (self._h * eta)[:, None]
 
         # Diagonal resolvent of the viscosity stage, both blocks.
         vf = 1.0 / (1.0 + dt**3 * eta)
         self.visc_factor = vf
         self._vf2 = np.concatenate([vf, vf])[:, None]
 
-        self._damping_active = cfg.damping and bool(np.any(sys.damp_gram != 0.0))
-        self._lu = None
-        if self._damping_active:
-            self._lu = scipy.linalg.lu_factor(
-                self.stage1_matrix(damped=True), check_finite=False
-            )
-
-    # -- assembly -----------------------------------------------------
+        # Schur complement K of the midpoint stage: diagonal without damping.
+        self._has_gram = bool(np.any(sys.damp_gram != 0.0))
+        self._k_diag_inv = (1.0 / (1.0 + self._h**2 * eta))[:, None]
+        self._k_chol = None
+        if cfg.damping and self._has_gram:
+            K = np.diag(1.0 + self._h**2 * eta) + self._h * sys.damp_gram
+            self._k_chol = scipy.linalg.cho_factor(K, check_finite=False)
 
     def stage1_matrix(self, damped: bool | None = None) -> np.ndarray:
         """Assemble the dense midpoint stage matrix I - (dt/2) G."""
         if damped is None:
             damped = self.cfg.damping
-        n = self.sys.n
-        h = 0.5 * self.cfg.dt
+        n, h = self.sys.n, self._h
         M = np.eye(2 * n)
         M[:n, n:] -= h * np.eye(n)
         M[n:, :n] += h * np.diag(self.sys.eta)
@@ -215,83 +248,77 @@ class SchemeSolver:
             M[n:, n:] += h * self.sys.damp_gram
         return M
 
-    # -- raw stepping on (2n, m) column batches ------------------------
-
-    def _apply_generator(self, x: np.ndarray, damped: bool) -> np.ndarray:
-        n = self.sys.n
-        a, b = x[:n], x[n:]
-        gb = -self.sys.eta[:, None] * a
-        if damped and self._damping_active:
-            gb = gb - self.sys.damp_gram @ b
-        return np.concatenate([b, gb])
+    # -- the stepping kernel ---------------------------------------------
 
     def _stage1(self, x: np.ndarray, damped: bool) -> np.ndarray:
-        n = self.sys.n
-        if damped and self._damping_active:
-            h = 0.5 * self.cfg.dt
-            rhs = x + h * self._apply_generator(x, True)
-            y = scipy.linalg.lu_solve(self._lu, rhs, check_finite=False)
-            # one refinement pass when the residual exceeds solve_tol
-            for _ in range(2):
-                r = rhs - (y - h * self._apply_generator(y, True))
-                if np.linalg.norm(r) <= self.cfg.solve_tol * np.linalg.norm(rhs):
-                    break
-                y = y + scipy.linalg.lu_solve(self._lu, r, check_finite=False)
-            return y
+        """Solve (I - hG) y = (I + hG) x for a (2n, m) batch."""
+        n, h = self.sys.n, self._h
         a, b = x[:n], x[n:]
-        return np.concatenate(
-            [self._c_aa * a + self._c_ab * b, self._c_ba * a + self._c_aa * b]
-        )
-
-    def _step_raw(self, x: np.ndarray, damped: bool, viscous: bool):
-        zt = self._stage1(x, damped)
-        zn = zt * self._vf2 if viscous else zt
-        if not np.all(np.isfinite(zn)):
-            raise NonFiniteStateError("time step produced non-finite state")
-        return zt, zn
-
-    def _energy_cols(self, x: np.ndarray) -> np.ndarray:
-        n = self.sys.n
-        eta = self.sys.eta[:, None]
-        return 0.5 * (np.sum(eta * x[:n] ** 2, axis=0) + np.sum(x[n:] ** 2, axis=0))
-
-    def _terms_cols(self, x, zt, zn, damped: bool, viscous: bool):
-        """Dissipation terms and identity residual, per column."""
-        n = self.sys.n
-        dt = self.cfg.dt
-        eta = self.sys.eta[:, None]
-        mb = 0.5 * (x[n:] + zt[n:])
-        observed = dt * np.einsum("im,im->m", mb, self.sys.damp_gram @ mb)
-        damp = observed if (damped and self._damping_active) else np.zeros(x.shape[1])
-        if viscous:
-            a, b = zn[:n], zn[n:]
-            az_sq = np.sum(eta**2 * a**2, axis=0) + np.sum(eta * b**2, axis=0)
-            a2z_sq = np.sum(eta**3 * a**2, axis=0) + np.sum(eta**2 * b**2, axis=0)
-            visc1 = dt**3 * az_sq
-            visc2 = 0.5 * dt**6 * a2z_sq
+        r_a = a + h * b
+        r_b = b - self._h_eta * a
+        if damped:
+            r_b -= h * (self.sys.damp_gram @ b)
+        s = r_b - self._h_eta * r_a
+        if damped:
+            y_b = scipy.linalg.cho_solve(self._k_chol, s, check_finite=False)
         else:
-            visc1 = np.zeros(x.shape[1])
-            visc2 = np.zeros(x.shape[1])
-        resid = np.abs(
-            self._energy_cols(zn) + visc1 + visc2 + damp - self._energy_cols(x)
-        )
-        return damp, visc1, visc2, resid, observed
+            y_b = s * self._k_diag_inv
+        return np.concatenate([r_a + h * y_b, y_b])
+
+    def _weights(self, viscous: bool, beta: float) -> np.ndarray:
+        """Rows E, visc1, visc2, weak norm: each is ``row @ x**2``."""
+        eta = self.sys.eta
+        e_ab = np.concatenate([eta, np.ones_like(eta)])
+        c = np.zeros(2 * eta.size)  # dt^3 |A^2|: dt^3 eta on both blocks
+        if viscous:
+            c = np.float64(self.cfg.dt) ** 3 * np.concatenate([eta, eta])
+        return np.array([
+            0.5 * e_ab,
+            c * e_ab,
+            0.5 * c**2 * e_ab,
+            np.concatenate([eta ** (-2.0 * beta), eta ** (-2.0 * beta - 1.0)]),
+        ])
+
+    def _steps(self, x: np.ndarray, n_steps: int, damped: bool, viscous: bool,
+               beta: float = 0.0):
+        """Advance a (2n, m) batch ``n_steps`` times, yielding a RawStep each.
+
+        The per-step identity residual is
+        ``|E(x_{k+1}) + visc1 + visc2 + damp - E(x_k)|``.
+        """
+        n, dt = self.sys.n, self.cfg.dt
+        damped = damped and self._k_chol is not None
+        W = self._weights(viscous, beta)
+        e_prev, _, _, w_prev = W @ x**2
+        zero = np.zeros(x.shape[1])
+        for k in range(n_steps):
+            zt = self._stage1(x, damped)
+            zn = zt * self._vf2 if viscous else zt
+            if not np.all(np.isfinite(zn)):
+                raise NonFiniteStateError("time step produced non-finite state")
+            e, v1, v2, w = W @ zn**2
+            observed = zero
+            if self._has_gram:
+                mb = 0.5 * (x[n:] + zt[n:])
+                observed = dt * np.einsum("im,im->m", mb, self.sys.damp_gram @ mb)
+            damp = observed if damped else zero
+            resid = np.abs(e + v1 + v2 + damp - e_prev)
+            yield RawStep(k, x, zt, zn, e_prev, e, w_prev, w, v1, v2, damp, observed, resid)
+            x, e_prev, w_prev = zn, e, w
 
     # -- public one-step API -------------------------------------------
 
     def _record(self, z: ModalState, k: int, damped: bool) -> StepRecord:
-        x = z.stacked()[:, None]
-        zt, zn = self._step_raw(x, damped, self.cfg.viscosity)
-        damp, v1, v2, resid, obs = self._terms_cols(x, zt, zn, damped, self.cfg.viscosity)
+        s = next(self._steps(z.stacked()[:, None], 1, damped, self.cfg.viscosity))
         return StepRecord(
             k=k,
-            z_tilde=ModalState.from_stacked(zt[:, 0]),
-            z_next=ModalState.from_stacked(zn[:, 0]),
-            damp_term=float(damp[0]),
-            visc1=float(v1[0]),
-            visc2=float(v2[0]),
-            identity_residual=float(resid[0]),
-            observed_damp=float(obs[0]),
+            z_tilde=ModalState.from_stacked(s.z_tilde[:, 0]),
+            z_next=ModalState.from_stacked(s.z_next[:, 0]),
+            damp_term=float(s.damp[0]),
+            visc1=float(s.visc1[0]),
+            visc2=float(s.visc2[0]),
+            identity_residual=float(s.identity_residual[0]),
+            observed_damp=float(s.observed_damp[0]),
         )
 
     def step_viscous_damped(self, z: ModalState, k: int = 0) -> StepRecord:
@@ -304,9 +331,8 @@ class SchemeSolver:
 
     def step_midpoint(self, y: ModalState) -> ModalState:
         """One pure midpoint step (no damping, no viscosity)."""
-        x = y.stacked()[:, None]
-        zt, zn = self._step_raw(x, damped=False, viscous=False)
-        return ModalState.from_stacked(zn[:, 0])
+        s = next(self._steps(y.stacked()[:, None], 1, damped=False, viscous=False))
+        return ModalState.from_stacked(s.z_next[:, 0])
 
     # -- trajectories ----------------------------------------------------
 
@@ -319,41 +345,18 @@ class SchemeSolver:
         returned trace, not raised.
         """
         cfg = self.cfg
-        l = substep_count(cfg.t_final, cfg.dt)
-        nsteps = l + 1
-        x = z0.stacked()[:, None]
+        nsteps = substep_count(cfg.t_final, cfg.dt) + 1
+        x0 = z0.stacked()[:, None]
+        rows = []
+        for s in self._steps(x0, nsteps, cfg.damping, cfg.viscosity, beta):
+            rows.append((s.energy_prev[0], s.weak_sq_prev[0], s.damp[0], s.visc1[0],
+                         s.visc2[0], s.identity_residual[0], s.observed_damp[0]))
+        energy, weak_sq, damp, visc1, visc2, resid, observed = np.array(rows).T
+        energy = np.append(energy, s.energy[0])
+        eta = self.sys.eta
+        domain_sq0 = float(np.sum(eta**2 * z0.a**2) + np.sum(eta * z0.b**2))
 
-        energy = np.empty(nsteps + 1)
-        weak_sq = np.empty(nsteps + 1)
-        damp = np.empty(nsteps)
-        visc1 = np.empty(nsteps)
-        visc2 = np.empty(nsteps)
-        resid = np.empty(nsteps)
-        observed = np.empty(nsteps)
-
-        n = self.sys.n
-        energy[0] = self._energy_cols(x)[0]
-        weak_sq[0] = pair_norm_sq(self.sys, x[:n], x[n:], beta)[0]
-        domain_sq0 = float(
-            np.sum(self.sys.eta**2 * x[:n, 0] ** 2) + np.sum(self.sys.eta * x[n:, 0] ** 2)
-        )
-
-        for k in range(nsteps):
-            zt, zn = self._step_raw(x, cfg.damping, cfg.viscosity)
-            d, v1, v2, r, o = self._terms_cols(x, zt, zn, cfg.damping, cfg.viscosity)
-            damp[k], visc1[k], visc2[k], resid[k], observed[k] = (
-                d[0],
-                v1[0],
-                v2[0],
-                r[0],
-                o[0],
-            )
-            x = zn
-            energy[k + 1] = self._energy_cols(x)[0]
-            weak_sq[k + 1] = pair_norm_sq(self.sys, x[:n], x[n:], beta)[0]
-
-        e0 = energy[0]
-        step_tol = 10.0 * cfg.solve_tol * e0
+        step_tol = 10.0 * cfg.solve_tol * energy[0]
         tel_resid = abs(
             (energy[0] - energy[-1])
             - (math.fsum(damp) + math.fsum(visc1) + math.fsum(visc2))
@@ -367,7 +370,7 @@ class SchemeSolver:
             beta=beta,
             t=np.arange(nsteps + 1) * cfg.dt,
             energy=energy,
-            weak_sq=weak_sq,
+            weak_sq=np.append(weak_sq, s.weak_sq[0]),
             damp=damp,
             visc1=visc1,
             visc2=visc2,
@@ -379,26 +382,22 @@ class SchemeSolver:
             telescope_tol=tel_tol,
             identity_ok=identity_ok,
             monotone_ok=monotone_ok,
-            final_state=ModalState.from_stacked(x[:, 0]),
+            final_state=ModalState.from_stacked(s.z_next[:, 0]),
         )
 
-    def iterate_raw(self, x0: np.ndarray, n_steps: int, damped: bool | None = None):
-        """Yield ``(k, x_k, z_tilde, x_{k+1})`` over a batched trajectory.
+    def iterate_raw(self, x0: np.ndarray, n_steps: int, beta: float = 0.0):
+        """Yield one ``RawStep`` per step of a batched trajectory.
 
-        ``x0`` is a (2n, m) column batch; viscosity follows the config.
+        ``x0`` is a (2n, m) column batch or a 2n vector; damping and
+        viscosity follow the config, ``beta`` sets the weak-norm scale.
         Used by the diagnostics studies to run many draws in lockstep.
         """
-        if damped is None:
-            damped = self.cfg.damping
         x = np.array(x0, dtype=float)
         if x.ndim == 1:
             x = x[:, None]
-        for k in range(n_steps):
-            zt, zn = self._step_raw(x, damped, self.cfg.viscosity)
-            yield k, x, zt, zn
-            x = zn
+        return self._steps(x, n_steps, self.cfg.damping, self.cfg.viscosity, beta)
 
 
 def factorize(sys: ModalSystem, cfg: SchemeConfig) -> SchemeSolver:
-    """Precompute the stage factorizations for a scheme configuration."""
+    """Precompute the stage factorization for a scheme configuration."""
     return SchemeSolver(sys, cfg)

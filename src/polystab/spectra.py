@@ -195,15 +195,11 @@ class GapAudit:
     gamma1: float  # candidate constant for the 2-separated condition
 
 
-def check_gap(sys: ModalSystem, kind: str = "both") -> GapAudit:
+def check_gap(sys: ModalSystem) -> GapAudit:
     """Measure the pairwise and 2-separated gaps of the stored frequencies.
 
-    Single-frequency families report +inf by convention.  ``kind`` is
-    accepted for interface compatibility ("pairwise", "weak2" or "both");
-    both statistics are always computed.
+    Single-frequency families report +inf by convention.
     """
-    if kind not in ("pairwise", "weak2", "both"):
-        raise DomainError(f"unknown gap kind {kind!r}")
     mu = np.sort(sys.mu)
     pairwise = float(np.min(np.diff(mu))) if mu.size >= 2 else math.inf
     weak2 = float(np.min(mu[2:] - mu[:-2])) if mu.size >= 3 else math.inf

@@ -41,6 +41,12 @@ class TestConfig:
         with pytest.raises(ConfigError):
             ExperimentConfig.from_dict({"systems": {}})
 
+    def test_output_formats_key_rejected(self):
+        bad = base_trace_config()
+        bad["output"]["formats"] = ["csv", "json"]
+        with pytest.raises(ConfigError):
+            ExperimentConfig.from_dict(bad)
+
     def test_missing_dt_rejected(self):
         bad = base_trace_config()
         del bad["scheme"]["dt"]
@@ -97,6 +103,21 @@ class TestTraceCommand:
         e0 = float(rows[0][2])
         for row in rows:
             assert float(row[7]) <= 10.0 * 1e-13 * e0
+
+    def test_stale_temp_path_does_not_block_writes(self, tmp_path):
+        # a leftover directory at the old fixed temp name must not collide
+        (tmp_path / "t_summary.json.tmp").mkdir()
+        cfg_path = write_config(tmp_path / "c.json", base_trace_config())
+        assert main(["trace", "--config", cfg_path, "--out", str(tmp_path)]) == 0
+        assert json.loads((tmp_path / "t_summary.json").read_text())["identity_ok"] is True
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "c.json", "t_summary.json", "t_summary.json.tmp", "t_trace.csv"]
+
+    def test_failed_write_removes_temp_file(self, tmp_path):
+        (tmp_path / "t_trace.csv").mkdir()
+        cfg_path = write_config(tmp_path / "c.json", base_trace_config())
+        assert main(["trace", "--config", cfg_path, "--out", str(tmp_path)]) == 1
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["c.json", "t_trace.csv"]
 
     def test_conservative_run_energy_constant(self, tmp_path):
         payload = base_trace_config(viscosity=False, damping=False)
@@ -201,6 +222,18 @@ class TestDecayCommand:
         data = json.loads((tmp_path / "d_decay.json").read_text())
         assert data["study"]["verdict"] == "non-uniform"
 
+    def test_identity_audit_failure_exits_3(self, tmp_path):
+        # no rounding residual fits under 10 * 1e-300 * E0
+        payload = {
+            "system": {"type": "coupled_waves", "alpha": 0.5, "gamma": 1.0, "k_max": 4},
+            "scheme": {"dt_list": [0.05], "t_final": 4.0, "solve_tol": 1e-300},
+            "study": {"t_star": 4.0, "T": 4.0},
+            "output": {"prefix": "d"},
+        }
+        p = write_config(tmp_path / "c.json", payload)
+        assert main(["decay", "--config", str(p), "--out", str(tmp_path)]) == 3
+        assert not (tmp_path / "d_decay.json").exists()
+
     def test_synthetic_self_test_echoes_exponent(self, tmp_path):
         payload = {
             "system": {"type": "coupled_waves", "k_max": 2},
@@ -237,8 +270,7 @@ class TestObservabilityCommand:
             "output": {"prefix": "o"},
         }
         p = write_config(tmp_path / "c.json", payload)
-        assert main(["observability", "--config", str(p), "--out", str(tmp_path),
-                     "--threads", "2"]) == 0
+        assert main(["observability", "--config", str(p), "--out", str(tmp_path)]) == 0
         study = json.loads((tmp_path / "o_observability.json").read_text())["study"]
         assert study["gamma"] > 0 and study["gamma1"] > 0
         assert study["delta"] == 1.0

@@ -7,6 +7,7 @@ import pytest
 from helpers import scalar_observability_sums
 
 from polystab import (
+    DiagnosticFailure,
     DomainError,
     ExampleParams,
     ModalState,
@@ -127,15 +128,6 @@ class TestObservabilityStudy:
         assert study.route == "clustered"
         for cell in study.cells:
             assert cell.cutoff == pytest.approx(study.delta / cell.dt)
-
-    def test_threads_do_not_change_results(self):
-        sys_ = build_coupled_waves(ExampleParams(0.5, 1.0, 8))
-        a = observability_constant_study(sys_, 0.0, [0.05, 0.02], 10, 3, t_star=2.0)
-        b = observability_constant_study(sys_, 0.0, [0.05, 0.02], 10, 3, t_star=2.0,
-                                         threads=2)
-        for ca, cb in zip(a.cells, b.cells):
-            assert ca.min_ratio == cb.min_ratio
-            assert ca.min_ratio_lowpass == cb.min_ratio_lowpass
 
 
 class TestInverseInequality:
@@ -296,6 +288,31 @@ class TestUniformDecayStudy:
 
         for label, st in worst_case_family(sys_):
             assert norm_domain(sys_, st) == pytest.approx(1.0, rel=1e-12)
+
+
+class TestIdentityAudit:
+    # solve_tol = 1e-300 leaves no room for any rounding residual
+    def test_decay_study_raises(self):
+        sys_ = build_coupled_waves(ExampleParams(0.5, 1.0, 4))
+        with pytest.raises(DiagnosticFailure):
+            uniform_decay_study(sys_, 0.0, [0.05], T=4.0, t_star=4.0, solve_tol=1e-300)
+
+    def test_observability_paths_raise(self):
+        sys_ = build_coupled_waves(ExampleParams(0.5, 1.0, 4))
+        rng = np.random.default_rng(1)
+        u0 = ModalState(rng.standard_normal(8), rng.standard_normal(8))
+        with pytest.raises(DiagnosticFailure):
+            observability_functional(sys_, u0, 0.0, 0.05, 2.0, solve_tol=1e-300)
+        with pytest.raises(DiagnosticFailure):
+            observability_constant_study(sys_, 0.0, [0.05], 4, 0, t_star=2.0,
+                                         solve_tol=1e-300)
+
+    def test_zero_state_passes(self):
+        # residual 0 <= 0: the audit passes and the zero-state check fires
+        sys_ = build_coupled_waves(ExampleParams(0.5, 1.0, 4))
+        with pytest.raises(DomainError):
+            observability_functional(sys_, ModalState.zero(8), 0.0, 0.05, 2.0,
+                                     solve_tol=1e-300)
 
 
 class TestLemma31:

@@ -5,6 +5,8 @@ import math
 import numpy as np
 import pytest
 from helpers import scalar_two_stage_step
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from polystab import (
     DomainError,
@@ -114,6 +116,50 @@ class TestStepHandValues:
             assert rec.z_tilde.b[j] == pytest.approx(bt, rel=1e-13)
             assert rec.z_next.a[j] == pytest.approx(an, rel=1e-13)
             assert rec.z_next.b[j] == pytest.approx(bn, rel=1e-13)
+
+
+class TestStageSolveProperty:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(1, 8),
+        gram=st.sampled_from(["dense", "zero"]),
+        log_dt=st.floats(-3.0, -1.0),
+        log_scale=st.floats(-2.0, 1.0),
+    )
+    def test_matches_dense_stage_solve(self, seed, n, gram, log_dt, log_scale):
+        rng = np.random.default_rng(seed)
+        eta = np.sort(10.0 ** rng.uniform(-4.0, 4.0, n))
+        if n >= 2:
+            eta[[0, -1]] = 1e-4, 1e4  # eta spans 8 decades
+        D = None
+        if gram == "dense":
+            R = 10.0**log_scale * rng.standard_normal((n, rng.integers(1, n + 1)))
+            D = R @ R.T
+            D = 0.5 * (D + D.T)
+        sys_ = ModalSystem.from_eta(eta, damp_gram=D)
+        cfg = SchemeConfig(dt=10.0**log_dt, t_final=1.0)
+        sol = factorize(sys_, cfg)
+
+        def e_norm(v):
+            return math.sqrt(np.sum(eta * v[:n] ** 2) + np.sum(v[n:] ** 2))
+
+        z = random_state(rng, n)
+        e0 = energy(sys_, z)
+        M = sol.stage1_matrix(damped=True)
+        for _ in range(3):
+            x = z.stacked()
+            ref = np.linalg.solve(M, (2.0 * np.eye(2 * n) - M) @ x)
+            rec = sol.step_viscous_damped(z)
+            assert e_norm(rec.z_tilde.stacked() - ref) <= 1e-12 * e_norm(x)
+            m = 0.5 * (z.b + rec.z_tilde.b)
+            a, b = rec.z_next.a, rec.z_next.b
+            lhs = (energy(sys_, rec.z_next) + cfg.dt * float(m @ sys_.damp_gram @ m)
+                   + cfg.dt**3 * float(np.sum(eta**2 * a**2) + np.sum(eta * b**2))
+                   + 0.5 * cfg.dt**6 * float(np.sum(eta**3 * a**2) + np.sum(eta**2 * b**2)))
+            assert abs(lhs - energy(sys_, z)) <= 10 * cfg.solve_tol * e0
+            assert rec.identity_residual <= 10 * cfg.solve_tol * e0
+            z = rec.z_next
 
 
 class TestEnergyIdentity:

@@ -34,25 +34,43 @@ Every step records the three dissipation terms
 
 which satisfy the exact per-step identity
 
-    E(z+) + visc1 + visc2 + damp = E(z),
+    E(z+) + visc1 + visc2 + damp = E(z).
 
-so the residual of that identity is a direct measure of linear-solver
-error.  One generator advances every trajectory and computes these terms
-for each column; ``run``, the ``step_*`` methods and ``iterate_raw`` read
-its per-step records, and ``run`` telescopes the identity over the whole
+**Propagator.**  The scheme is linear and time-invariant, so a step is a
+fixed matrix.  In energy coordinates ``x^ = (mu a, b)``, where
+``E = |x^|^2 / 2``, the generator is
+
+    G^ = [[0, diag mu], [-diag mu, -D]],
+
+the midpoint stage is the Cayley map ``S = (I - hG^)^{-1} (I + hG^)`` with
+``h = dt/2`` (orthogonal when ``D = 0``), and one step is ``P = V S`` with
+the diagonal viscosity resolvent ``V``; ``P`` is a contraction.  ``S``
+comes from the Schur complement ``K = I + h^2 diag(eta) + h D`` of the
+stage matrix.  The observed damping of a step from ``x^`` is
+``x^T Q x^ = |L x^|^2`` with ``Q = dt M^T D M``, ``M = ([0 I] + [0 I] S) / 2``
+and ``L = sqrt(dt) D^{1/2} M``, evaluated with the system's Gram even when
+the stepped generator is undamped.
+
+**Mode groups.**  Modes couple only through ``D``, so the connected
+components of the sparsity graph of ``D != 0`` evolve independently
+(``coupled_waves``: 2-mode groups; no damping: singletons; a dense Gram:
+one group).  Groups of one size are stacked, and ``S``, ``P`` and ``L`` are
+built per group by batched numpy calls (one batched solve per size).
+
+**Time blocks.**  A (2n, m) column batch advances B steps at a time.  One
+batched product per group size with the stack ``[P; ...; P^B; L; LP; ...;
+LP^{B-1}]`` gives the next B states and the square roots of the observed
+damping of all B steps.  The energy, visc1, visc2 and ``-beta`` weak-norm
+weights are diagonal in energy coordinates (``1/2``, ``dt^3 eta``,
+``dt^6 eta^2 / 2`` and ``eta^{-2 beta - 1}`` on both blocks), so every
+term of the block is one weight product with the squared stack output.
+B follows from n, the column count and the group sizes (long blocks for
+few columns, single steps for wide batches); it is not a parameter.
+
+The residual of the per-step identity measures how accurately ``P`` and
+``L`` were built; ``solve_tol`` only sets its audit tolerance
+``10 * solve_tol * E0``.  ``run`` telescopes the identity over the whole
 trajectory.
-
-The midpoint stage ``(I - hG) y = (I + hG) x`` with ``h = dt/2`` is
-solved through the Schur complement on the velocity block:
-
-    r_a = a + h b,    r_b = b - h eta a - h D b,
-    K y_b = r_b - h eta r_a,    K = I + h^2 diag(eta) + h D,
-    y_a = r_a + h y_b.
-
-``K`` is symmetric positive definite.  With damping active it is
-Cholesky-factored once per solver; otherwise it is diagonal and the solve
-is a division, the exact per-mode Cayley map.  ``solve_tol`` only sets the
-audit tolerance ``10 * solve_tol * E0`` of the per-step identity.
 """
 
 from __future__ import annotations
@@ -62,7 +80,6 @@ from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
-import scipy.linalg
 
 from .errors import DomainError, NonFiniteStateError
 from .modal import ModalState, ModalSystem
@@ -75,6 +92,7 @@ __all__ = [
     "SchemeSolver",
     "factorize",
     "modal_multiplier",
+    "mode_groups",
     "substep_count",
 ]
 
@@ -183,20 +201,17 @@ class EnergyTrace:
 
 
 class RawStep(NamedTuple):
-    """One step of a (2n, m) column batch with its per-column accounting.
+    """One step of a (2n, m) column batch: per-column accounting of step k.
 
-    ``x`` is the state x_k, ``z_tilde`` the midpoint stage and ``z_next``
-    the state x_{k+1}.  ``energy`` and ``weak_sq`` (the squared pair norm on
-    the ``-beta`` scale) belong to x_{k+1}, the ``*_prev`` fields to x_k.
+    ``energy`` and ``weak_sq`` (the squared pair norm on the ``-beta``
+    scale) belong to the state x_{k+1}, the ``*_prev`` fields to x_k.
     ``damp`` is the dissipative output of the stepped generator (zero
     without damping); ``observed_damp`` is the same form evaluated with the
-    system's damping Gram regardless.
+    system's damping Gram regardless.  Every field is a row of its time
+    block's arrays.
     """
 
     k: int
-    x: np.ndarray
-    z_tilde: np.ndarray
-    z_next: np.ndarray
     energy_prev: np.ndarray
     energy: np.ndarray
     weak_sq_prev: np.ndarray
@@ -208,33 +223,89 @@ class RawStep(NamedTuple):
     identity_residual: np.ndarray
 
 
-class SchemeSolver:
-    """Precomputed stage factorization for one (system, config) pair.
+class _Block(NamedTuple):
+    """Steps k0 .. k0+B-1 of a batch: (B+1, m) state rows, (B, m) step rows."""
 
-    Immutable after construction; one instance can serve many trajectories
-    (including batched column states) concurrently.
+    k0: int
+    energy: np.ndarray
+    weak_sq: np.ndarray
+    visc1: np.ndarray
+    visc2: np.ndarray
+    damp: np.ndarray
+    observed: np.ndarray
+    resid: np.ndarray
+    # energy-coordinate state after the block, one array per group size; it
+    # lives in a work buffer that the next block overwrites
+    state: list
+
+
+class _Groups(NamedTuple):
+    """All mode groups of one size s, stacked: g groups."""
+
+    rows: np.ndarray  # (g, 2s) rows of the stacked modal vector
+    scale: np.ndarray  # (g, 2s, 1) modal -> energy coordinates (mu, then 1)
+    eta: np.ndarray  # (g, 2s) eigenvalue of each row's mode
+    gram: np.ndarray  # (g, s, s) damping Gram of each group
+
+
+def mode_groups(damp_gram) -> list:
+    """Independent mode groups: connected components of ``damp_gram != 0``.
+
+    Returns the groups as ascending index arrays, ordered by smallest mode.
+    Components are found by min-label propagation with pointer jumping.
+    """
+    adj = np.asarray(damp_gram) != 0.0
+    label = np.arange(adj.shape[0])
+    while True:
+        new = np.minimum(label, np.where(adj, label, label.size).min(axis=1))
+        new = new[new]
+        if np.array_equal(new, label):
+            break
+        label = new
+    order = np.argsort(label, kind="stable")
+    return np.split(order, np.flatnonzero(np.diff(label[order])) + 1)
+
+
+def _block_length(n: int, m: int, groups) -> int:
+    """Steps per time block for m columns: ~2^15 state entries per block,
+    at most 64 steps, and at most 2^18 entries in the B powers of P."""
+    b = min(max(2**15 // (2 * n * m), 1), 64)
+    sq = sum(grp.rows.size * grp.rows.shape[1] for grp in groups)
+    return max(1, min(b, 2**18 // sq))
+
+
+class SchemeSolver:
+    """Propagators of one (system, config) pair.
+
+    Construction finds the mode groups and builds the per-group ``S``,
+    ``P`` and ``L`` of the configured stages; other stage combinations and
+    the stacked powers of each block length are built on first use and
+    cached.  One instance can serve many trajectories (including batched
+    column states).
     """
 
     def __init__(self, sys: ModalSystem, cfg: SchemeConfig):
         self.sys = sys
         self.cfg = cfg
-        dt = cfg.dt
-        eta = sys.eta
-        self._h = 0.5 * dt
-        self._h_eta = (self._h * eta)[:, None]
-
+        n, eta = sys.n, sys.eta
+        self._h = 0.5 * cfg.dt
         # Diagonal resolvent of the viscosity stage, both blocks.
-        vf = 1.0 / (1.0 + dt**3 * eta)
-        self.visc_factor = vf
-        self._vf2 = np.concatenate([vf, vf])[:, None]
-
-        # Schur complement K of the midpoint stage: diagonal without damping.
+        self.visc_factor = 1.0 / (1.0 + cfg.dt**3 * eta)
         self._has_gram = bool(np.any(sys.damp_gram != 0.0))
-        self._k_diag_inv = (1.0 / (1.0 + self._h**2 * eta))[:, None]
-        self._k_chol = None
-        if cfg.damping and self._has_gram:
-            K = np.diag(1.0 + self._h**2 * eta) + self._h * sys.damp_gram
-            self._k_chol = scipy.linalg.cho_factor(K, check_finite=False)
+
+        by_size = {}
+        for grp in mode_groups(sys.damp_gram):
+            by_size.setdefault(grp.size, []).append(grp)
+        mu = np.sqrt(eta)
+        self._groups = []
+        for idx in (np.array(by_size[s]) for s in sorted(by_size)):
+            rows = np.concatenate([idx, idx + n], axis=1)
+            scale = np.concatenate([mu[idx], np.ones(idx.shape)], axis=1)[:, :, None]
+            gram = sys.damp_gram[idx[:, :, None], idx[:, None, :]]
+            self._groups.append(_Groups(rows, scale, eta[rows % n], gram))
+        self._props = {}
+        self._stacks = {}
+        self._propagators(cfg.damping and self._has_gram, cfg.viscosity)
 
     def stage1_matrix(self, damped: bool | None = None) -> np.ndarray:
         """Assemble the dense midpoint stage matrix I - (dt/2) G."""
@@ -248,91 +319,160 @@ class SchemeSolver:
             M[n:, n:] += h * self.sys.damp_gram
         return M
 
+    # -- propagators -----------------------------------------------------
+
+    def _propagators(self, damped: bool, viscous: bool) -> list:
+        """Per group size: (S, P, L) in energy coordinates, where
+        ``L = sqrt(dt) D^{1/2} M`` factors the observed-damping form
+        ``Q = L^T L``; L is None when the groups' Gram is zero."""
+        key = (damped, viscous)
+        if key not in self._props:
+            h, dt = self._h, self.cfg.dt
+            out = []
+            for grp in self._groups:
+                g, s = grp.gram.shape[:2]
+                eye = np.broadcast_to(np.eye(s), (g, s, s))
+                hmu = h * grp.scale[:, :s]  # (g, s, 1)
+                K = eye + (h * h * grp.eta[:, :s, None]) * eye
+                if damped:
+                    K = K + h * grp.gram
+                # (I - hG^) S = (I + hG^):  K S_b = [-2h diag(mu), 2I - K],
+                # S_a = [I, h diag(mu)] + h diag(mu) S_b
+                S_b = np.linalg.solve(K, np.concatenate([-2.0 * hmu * eye, 2.0 * eye - K], axis=2))
+                S_a = np.concatenate([eye, hmu * eye], axis=2) + hmu * S_b
+                S = np.concatenate([S_a, S_b], axis=1)
+                vf = 1.0 / (1.0 + dt**3 * grp.eta)
+                P = vf[:, :, None] * S if viscous else S
+                L = None
+                if np.any(grp.gram):
+                    M = 0.5 * (np.concatenate([np.zeros((g, s, s)), eye], axis=2) + S_b)
+                    # rows of D^{1/2} for the eigenvalues above eigh's
+                    # rounding level: the Gram's numerical rank
+                    lam, U = np.linalg.eigh(grp.gram)
+                    r = int(np.max(np.sum(lam > s * np.finfo(float).eps * lam.max(), axis=1)))
+                    root = np.sqrt(dt * np.maximum(lam[:, s - r:], 0.0))[:, :, None]
+                    L = (root * U[:, :, s - r:].transpose(0, 2, 1)) @ M
+                out.append((S, P, L))
+            self._props[key] = out
+        return self._props[key]
+
+    def _power_stacks(self, damped: bool, viscous: bool, B: int) -> list:
+        """Per group size: the (g, r, B, 2s) stack whose rows are P^{j+1}
+        (2s rows) and, with a Gram, L P^j (one more row per rank of the
+        Gram), for j = 0..B-1."""
+        key = (damped, viscous, B)
+        if key not in self._stacks:
+            out = []
+            for _, P, L in self._propagators(damped, viscous):
+                pw = np.empty((B + 1,) + P.shape)
+                pw[0] = np.eye(P.shape[1])
+                for j in range(B):
+                    pw[j + 1] = P @ pw[j]
+                parts = [pw[1:]] if L is None else [pw[1:], L @ pw[:-1]]
+                out.append(np.concatenate(parts, axis=2).transpose(1, 2, 0, 3).copy())
+            self._stacks[key] = out
+        return self._stacks[key]
+
+    def _weights(self, viscous: bool, beta: float, stacks) -> list:
+        """Per group size: (5, g, r) weights of the squared stack rows for
+        E, visc1, visc2 and the weak norm (on the state rows) and the
+        observed damping (on the L rows)."""
+        out = []
+        for grp, st in zip(self._groups, stacks):
+            eta = grp.eta
+            c = self.cfg.dt**3 * eta if viscous else np.zeros_like(eta)
+            w = np.zeros((5,) + st.shape[:2])
+            w[:4, :, : eta.shape[1]] = [np.full_like(eta, 0.5), c, 0.5 * c**2,
+                                        eta ** (-2.0 * beta - 1.0)]
+            w[4, :, eta.shape[1]:] = 1.0
+            out.append(w)
+        return out
+
+    def _to_energy(self, x: np.ndarray) -> list:
+        return [x[grp.rows] * grp.scale for grp in self._groups]
+
+    def _to_modal(self, xs) -> np.ndarray:
+        out = np.empty((2 * self.sys.n, xs[0].shape[-1]))
+        for grp, xg in zip(self._groups, xs):
+            out[grp.rows] = xg / grp.scale
+        return out
+
     # -- the stepping kernel ---------------------------------------------
 
-    def _stage1(self, x: np.ndarray, damped: bool) -> np.ndarray:
-        """Solve (I - hG) y = (I + hG) x for a (2n, m) batch."""
-        n, h = self.sys.n, self._h
-        a, b = x[:n], x[n:]
-        r_a = a + h * b
-        r_b = b - self._h_eta * a
-        if damped:
-            r_b -= h * (self.sys.damp_gram @ b)
-        s = r_b - self._h_eta * r_a
-        if damped:
-            y_b = scipy.linalg.cho_solve(self._k_chol, s, check_finite=False)
-        else:
-            y_b = s * self._k_diag_inv
-        return np.concatenate([r_a + h * y_b, y_b])
-
-    def _weights(self, viscous: bool, beta: float) -> np.ndarray:
-        """Rows E, visc1, visc2, weak norm: each is ``row @ x**2``."""
-        eta = self.sys.eta
-        e_ab = np.concatenate([eta, np.ones_like(eta)])
-        c = np.zeros(2 * eta.size)  # dt^3 |A^2|: dt^3 eta on both blocks
-        if viscous:
-            c = np.float64(self.cfg.dt) ** 3 * np.concatenate([eta, eta])
-        return np.array([
-            0.5 * e_ab,
-            c * e_ab,
-            0.5 * c**2 * e_ab,
-            np.concatenate([eta ** (-2.0 * beta), eta ** (-2.0 * beta - 1.0)]),
-        ])
-
-    def _steps(self, x: np.ndarray, n_steps: int, damped: bool, viscous: bool,
-               beta: float = 0.0):
-        """Advance a (2n, m) batch ``n_steps`` times, yielding a RawStep each.
+    def _blocks(self, x: np.ndarray, n_steps: int, damped: bool, viscous: bool,
+                beta: float = 0.0):
+        """Advance a (2n, m) batch ``n_steps`` times, yielding a _Block per
+        time block.
 
         The per-step identity residual is
-        ``|E(x_{k+1}) + visc1 + visc2 + damp - E(x_k)|``.
+        ``|E(x_{k+1}) + visc1 + visc2 + damp - E(x_k)|``.  A non-finite
+        state or term raises NonFiniteStateError.
         """
-        n, dt = self.sys.n, self.cfg.dt
-        damped = damped and self._k_chol is not None
-        W = self._weights(viscous, beta)
-        e_prev, _, _, w_prev = W @ x**2
-        zero = np.zeros(x.shape[1])
-        for k in range(n_steps):
-            zt = self._stage1(x, damped)
-            zn = zt * self._vf2 if viscous else zt
-            if not np.all(np.isfinite(zn)):
-                raise NonFiniteStateError("time step produced non-finite state")
-            e, v1, v2, w = W @ zn**2
-            observed = zero
-            if self._has_gram:
-                mb = 0.5 * (x[n:] + zt[n:])
-                observed = dt * np.einsum("im,im->m", mb, self.sys.damp_gram @ mb)
-            damp = observed if damped else zero
-            resid = np.abs(e + v1 + v2 + damp - e_prev)
-            yield RawStep(k, x, zt, zn, e_prev, e, w_prev, w, v1, v2, damp, observed, resid)
-            x, e_prev, w_prev = zn, e, w
+        damped = damped and self._has_gram
+        m = x.shape[1]
+        B = max(1, min(_block_length(self.sys.n, m, self._groups), n_steps))
+        stacks = self._power_stacks(damped, viscous, B)
+        W = self._weights(viscous, beta, stacks)
+        xs = self._to_energy(x)
+        prev = sum(w[:4, :, : xg.shape[1]].reshape(4, -1) @ (xg * xg).reshape(-1, m)
+                   for w, xg in zip(W, xs))
+        # Full blocks write into one stack-output and one square buffer per
+        # group size: fresh large temporaries in every block cost page
+        # faults once the allocator returns their memory.  (matmul copies
+        # the state view it reads from its output buffer first.)
+        work = [(np.empty((st.shape[0], st.shape[1] * B, m)),
+                 np.empty((st.shape[0] * st.shape[1], B * m))) for st in stacks]
+        for k0 in range(0, n_steps, B):
+            nb = min(B, n_steps - k0)
+            full = nb == B
+            # E, visc1, visc2, weak of x_{k+1}; observed damping and residual of step k
+            T = np.zeros((6, nb, m))
+            for j, (st, w, xg, (ybuf, sq)) in enumerate(zip(stacks, W, xs, work)):
+                g, r, _, s2 = st.shape
+                y = np.matmul(st[:, :, :nb].reshape(g, r * nb, s2), xg,
+                              out=ybuf if full else None)
+                y2 = np.square(y.reshape(g * r, nb * m), out=sq if full else None)
+                T[:5] += (w.reshape(5, g * r) @ y2).reshape(5, nb, m)
+                xs[j] = y.reshape(g, r, nb, m)[:, :s2, -1]
+            energy = np.concatenate([prev[0][None], T[0]])
+            damp = T[4] if damped else np.zeros((nb, m))
+            T[5] = np.abs(T[0] + T[1] + T[2] + damp - energy[:-1])
+            if not np.isfinite(T).all():
+                raise NonFiniteStateError("time step produced non-finite state or terms")
+            yield _Block(k0, energy, np.concatenate([prev[3][None], T[3]]), T[1], T[2],
+                         damp, T[4], T[5], list(xs))
+            prev = T[:4, -1]
 
     # -- public one-step API -------------------------------------------
 
-    def _record(self, z: ModalState, k: int, damped: bool) -> StepRecord:
-        s = next(self._steps(z.stacked()[:, None], 1, damped, self.cfg.viscosity))
+    def _record(self, z: ModalState, k: int, damped: bool, viscous: bool) -> StepRecord:
+        x = z.stacked()[:, None]
+        b = next(self._blocks(x, 1, damped, viscous))
+        props = self._propagators(damped and self._has_gram, viscous)
+        z_tilde = self._to_modal([S @ xg for (S, _, _), xg in zip(props, self._to_energy(x))])
+        z_next = z_tilde * np.concatenate([self.visc_factor] * 2)[:, None] if viscous else z_tilde
         return StepRecord(
             k=k,
-            z_tilde=ModalState.from_stacked(s.z_tilde[:, 0]),
-            z_next=ModalState.from_stacked(s.z_next[:, 0]),
-            damp_term=float(s.damp[0]),
-            visc1=float(s.visc1[0]),
-            visc2=float(s.visc2[0]),
-            identity_residual=float(s.identity_residual[0]),
-            observed_damp=float(s.observed_damp[0]),
+            z_tilde=ModalState.from_stacked(z_tilde[:, 0]),
+            z_next=ModalState.from_stacked(z_next[:, 0]),
+            damp_term=float(b.damp[0, 0]),
+            visc1=float(b.visc1[0, 0]),
+            visc2=float(b.visc2[0, 0]),
+            identity_residual=float(b.resid[0, 0]),
+            observed_damp=float(b.observed[0, 0]),
         )
 
     def step_viscous_damped(self, z: ModalState, k: int = 0) -> StepRecord:
         """One step of the damped two-stage scheme (honors both config flags)."""
-        return self._record(z, k, damped=self.cfg.damping)
+        return self._record(z, k, self.cfg.damping, self.cfg.viscosity)
 
     def step_viscous_conservative(self, u: ModalState, k: int = 0) -> StepRecord:
         """One step of the conservative two-stage scheme (no damping in stage 1)."""
-        return self._record(u, k, damped=False)
+        return self._record(u, k, False, self.cfg.viscosity)
 
     def step_midpoint(self, y: ModalState) -> ModalState:
         """One pure midpoint step (no damping, no viscosity)."""
-        s = next(self._steps(y.stacked()[:, None], 1, damped=False, viscous=False))
-        return ModalState.from_stacked(s.z_next[:, 0])
+        return self._record(y, 0, False, False).z_next
 
     # -- trajectories ----------------------------------------------------
 
@@ -346,13 +486,18 @@ class SchemeSolver:
         """
         cfg = self.cfg
         nsteps = substep_count(cfg.t_final, cfg.dt) + 1
-        x0 = z0.stacked()[:, None]
-        rows = []
-        for s in self._steps(x0, nsteps, cfg.damping, cfg.viscosity, beta):
-            rows.append((s.energy_prev[0], s.weak_sq_prev[0], s.damp[0], s.visc1[0],
-                         s.visc2[0], s.identity_residual[0], s.observed_damp[0]))
-        energy, weak_sq, damp, visc1, visc2, resid, observed = np.array(rows).T
-        energy = np.append(energy, s.energy[0])
+        blocks = list(self._blocks(z0.stacked()[:, None], nsteps, cfg.damping,
+                                   cfg.viscosity, beta))
+
+        def steps(name):
+            return np.concatenate([getattr(b, name)[:, 0] for b in blocks])
+
+        def states(name):
+            return np.concatenate([getattr(blocks[0], name)[:1, 0]]
+                                  + [getattr(b, name)[1:, 0] for b in blocks])
+
+        energy, damp, visc1, visc2, resid = (
+            states("energy"), steps("damp"), steps("visc1"), steps("visc2"), steps("resid"))
         eta = self.sys.eta
         domain_sq0 = float(np.sum(eta**2 * z0.a**2) + np.sum(eta * z0.b**2))
 
@@ -370,19 +515,19 @@ class SchemeSolver:
             beta=beta,
             t=np.arange(nsteps + 1) * cfg.dt,
             energy=energy,
-            weak_sq=np.append(weak_sq, s.weak_sq[0]),
+            weak_sq=states("weak_sq"),
             damp=damp,
             visc1=visc1,
             visc2=visc2,
             identity_residual=resid,
-            observed_damp=observed,
+            observed_damp=steps("observed"),
             domain_sq0=domain_sq0,
             solve_tol=cfg.solve_tol,
             telescope_residual=tel_resid,
             telescope_tol=tel_tol,
             identity_ok=identity_ok,
             monotone_ok=monotone_ok,
-            final_state=ModalState.from_stacked(s.z_next[:, 0]),
+            final_state=ModalState.from_stacked(self._to_modal(blocks[-1].state)[:, 0]),
         )
 
     def iterate_raw(self, x0: np.ndarray, n_steps: int, beta: float = 0.0):
@@ -390,14 +535,19 @@ class SchemeSolver:
 
         ``x0`` is a (2n, m) column batch or a 2n vector; damping and
         viscosity follow the config, ``beta`` sets the weak-norm scale.
+        Steps are computed a time block at a time and yielded one by one.
         Used by the diagnostics studies to run many draws in lockstep.
         """
         x = np.array(x0, dtype=float)
         if x.ndim == 1:
             x = x[:, None]
-        return self._steps(x, n_steps, self.cfg.damping, self.cfg.viscosity, beta)
+        for b in self._blocks(x, n_steps, self.cfg.damping, self.cfg.viscosity, beta):
+            rows = zip(b.energy[:-1], b.energy[1:], b.weak_sq[:-1], b.weak_sq[1:], b.visc1,
+                       b.visc2, b.damp, b.observed, b.resid)
+            for k, row in enumerate(rows, b.k0):
+                yield RawStep(k, *row)
 
 
 def factorize(sys: ModalSystem, cfg: SchemeConfig) -> SchemeSolver:
-    """Precompute the stage factorization for a scheme configuration."""
+    """Find the mode groups and build the propagators of a scheme configuration."""
     return SchemeSolver(sys, cfg)

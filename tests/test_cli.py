@@ -1,6 +1,10 @@
 """CLI contract: config round-trip, file formats, determinism, exit codes."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -134,6 +138,15 @@ class TestTraceCommand:
         assert (tmp_path / "a" / "t_trace.csv").read_bytes() != (
             tmp_path / "b" / "t_trace.csv"
         ).read_bytes()
+
+
+class TestImports:
+    def test_cli_import_does_not_load_scipy(self):
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p))
+        code = "import polystab.cli; import sys; assert 'scipy' not in sys.modules"
+        assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
 
 
 class TestExitCodes:

@@ -109,6 +109,23 @@ class TestObservabilityStudy:
             ratios.append((damp + v1 + v2) / weak)
         assert study.cells[0].min_ratio == pytest.approx(min(ratios), rel=1e-12)
 
+    def test_lowpass_minimum_matches_per_draw_functional(self):
+        sys_ = build_coupled_waves(ExampleParams(0.5, 1.0, 8))
+        dt, trials = 0.05, 4
+        study = observability_constant_study(
+            sys_, beta=0.0, dt_list=[dt], trials=trials, seed=3, t_star=2.0
+        )
+        cell = study.cells[0]
+        low = sys_.mu <= cell.cutoff
+        ratios = []
+        for child in np.random.SeedSequence(3).spawn(trials):
+            x = np.random.default_rng(child).standard_normal(2 * sys_.n)
+            st = ModalState(np.where(low, x[:sys_.n], 0.0), np.where(low, x[sys_.n:], 0.0))
+            ratios.append(observability_functional(sys_, st, 0.0, dt, 2.0).ratio)
+        assert 0 < np.count_nonzero(low) < sys_.n
+        assert cell.n_lowpass_active == trials
+        assert cell.min_ratio_lowpass == pytest.approx(min(ratios), rel=1e-12)
+
     def test_no_damping_no_viscosity_gives_zero(self):
         sys_ = build_coupled_waves(ExampleParams(0.5, 0.0, 4))
         study = observability_constant_study(

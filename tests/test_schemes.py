@@ -8,6 +8,7 @@ from helpers import scalar_two_stage_step
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from polystab import schemes
 from polystab import (
     DomainError,
     ModalState,
@@ -160,6 +161,97 @@ class TestStageSolveProperty:
             assert abs(lhs - energy(sys_, z)) <= 10 * cfg.solve_tol * e0
             assert rec.identity_residual <= 10 * cfg.solve_tol * e0
             z = rec.z_next
+
+
+class TestModeGroups:
+    def test_coupled_waves_pairs(self):
+        sys_ = build_coupled_waves(ExampleParams(alpha=0.5, gamma=1.0, k_max=8))
+        groups = schemes.mode_groups(sys_.damp_gram)
+        assert [g.tolist() for g in groups] == [[2 * k, 2 * k + 1] for k in range(8)]
+
+    def test_undamped_singletons(self):
+        sys_ = build_coupled_waves(ExampleParams(alpha=0.5, gamma=0.0, k_max=8))
+        groups = schemes.mode_groups(sys_.damp_gram)
+        assert [g.tolist() for g in groups] == [[j] for j in range(16)]
+
+    def test_boundary_system_one_group(self):
+        sys_ = build_boundary_coupled_waves(ExampleParams(alpha=0.5, gamma=1.0, k_max=8))
+        groups = schemes.mode_groups(sys_.damp_gram)
+        assert [g.tolist() for g in groups] == [list(range(16))]
+
+    def test_permuted_blocks_recovered(self):
+        rng = np.random.default_rng(3)
+        sizes = [3, 1, 2, 4, 1]
+        n = sum(sizes)
+        D = np.zeros((n, n))
+        blocks, start = [], 0
+        for s in sizes:
+            R = rng.standard_normal((s, s))
+            D[start:start + s, start:start + s] = R @ R.T
+            blocks.append(set(range(start, start + s)))
+            start += s
+        D[1, :] = D[:, 1] = 0.0  # a zero row splits off a singleton
+        blocks = [{0, 2}, {1}] + blocks[1:]
+        perm = rng.permutation(n)  # new index i holds old mode perm[i]
+        groups = schemes.mode_groups(D[np.ix_(perm, perm)])
+        got = sorted(sorted(int(perm[i]) for i in g) for g in groups)
+        assert got == sorted(sorted(b) for b in blocks)
+        assert all(np.all(np.diff(g) > 0) for g in groups)
+        assert [int(g[0]) for g in groups] == sorted(int(g[0]) for g in groups)
+
+
+class TestBlockedKernelProperty:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        sizes=st.lists(st.integers(1, 4), min_size=1, max_size=4),
+        shape=st.sampled_from(["blocks", "zero_rows", "dense"]),
+        log_dt=st.floats(-3.0, -1.0),
+        m=st.integers(1, 3),
+        extra=st.integers(1, 63),
+    )
+    def test_blocks_match_chained_steps(self, seed, sizes, shape, log_dt, m, extra):
+        rng = np.random.default_rng(seed)
+        n = sum(sizes)
+        eta = np.sort(10.0 ** rng.uniform(-4.0, 4.0, n))
+        if n >= 2:
+            eta[[0, -1]] = 1e-4, 1e4  # eta spans 8 decades
+        if shape == "dense":
+            sizes = [n]
+        D = np.zeros((n, n))
+        start = 0
+        for s in sizes:
+            R = rng.standard_normal((s, rng.integers(1, s + 1)))
+            D[start:start + s, start:start + s] = R @ R.T
+            start += s
+        if shape == "zero_rows":
+            zero = rng.random(n) < 0.4
+            D[zero, :] = D[:, zero] = 0.0
+        perm = rng.permutation(n)
+        sys_ = ModalSystem.from_eta(eta, damp_gram=D[np.ix_(perm, perm)])
+        cfg = SchemeConfig(dt=10.0**log_dt, t_final=1.0)
+        sol = factorize(sys_, cfg)
+        X = rng.standard_normal((2 * n, m))
+        B = schemes._block_length(n, m, sol._groups)
+        n_steps = B + extra if B > 1 else 1 + extra
+        assert B == 1 or n_steps % B != 0
+
+        recs = list(sol.iterate_raw(X, n_steps))
+        assert [r.k for r in recs] == list(range(n_steps))
+        E = np.array([recs[0].energy_prev] + [r.energy for r in recs])
+        e0 = E[0]
+        assert np.all(np.diff(E, axis=0) <= 0.0)
+        assert np.all(np.array([r.identity_residual for r in recs]) <= 10 * cfg.solve_tol * e0)
+        for c in range(m):
+            z = ModalState.from_stacked(X[:, c])
+            for r in recs:
+                rec = sol.step_viscous_damped(z)
+                z = rec.z_next
+                tol = 1e-12 * e0[c]
+                assert abs(r.energy[c] - energy(sys_, z)) <= tol
+                assert abs(r.damp[c] - rec.damp_term) <= tol
+                assert abs(r.visc1[c] - rec.visc1) <= tol
+                assert abs(r.visc2[c] - rec.visc2) <= tol
 
 
 class TestEnergyIdentity:

@@ -25,6 +25,15 @@ The theorems assert the existence of two-sided constants; this module
 appends deterministic adversarial draws (cancelling pairs ``e_i -
 e_{i+1}`` on every adjacent frequency pair), and reports the min/max
 observed ratios as empirical envelopes.  These are estimates, not proofs.
+
+S is ``sigma ||E x||^2`` with the (2J+1, n) sample matrix
+``E = [exp(i omega_k (t + j sigma))]``.  For a batch of more than n
+coefficient vectors it is evaluated as ``sigma ||R x||^2``, where ``R`` is
+the triangular QR factor of ``E``: ``E = Q R`` with orthonormal ``Q`` gives
+``||E x|| = ||R x||``, so no (2J+1)-row product with the batch is formed.
+The Gram matrix ``E* E`` (which would square the conditioning of close
+clusters) is never built.  Q(x) is ``||M x||^2`` with the real cluster
+matrix ``M`` of ``_cluster_matrix``.
 """
 
 from __future__ import annotations
@@ -112,10 +121,21 @@ def _sample_matrix(freqs: np.ndarray, cfg: InghamConfig, t: float) -> np.ndarray
     return np.exp(1j * np.outer(times, freqs))
 
 
+def _sums(E: np.ndarray, X: np.ndarray, sigma: float) -> np.ndarray:
+    """sigma * ||E x||^2 per column x of X.
+
+    With more columns than E has, E is first reduced to its triangular QR
+    factor R (``||E x|| = ||R x||``): O(rows n^2) once instead of O(rows n)
+    per column.  With fewer columns the direct product is cheaper.
+    """
+    if X.shape[1] > E.shape[1]:
+        E = np.linalg.qr(E, mode="r")
+    return sigma * np.sum(np.abs(E @ X) ** 2, axis=0)
+
+
 def _sampled_sums(freqs, X, cfg, t=0.0):
     """sigma * sum_j |sum_k x_k e^{i omega_k (t + j sigma)}|^2 per column."""
-    E = _sample_matrix(freqs, cfg, t)
-    return cfg.sigma * np.sum(np.abs(E @ X) ** 2, axis=0)
+    return _sums(_sample_matrix(freqs, cfg, t), X, cfg.sigma)
 
 
 def ingham_ratio_scalar(freqs, coeffs, cfg: InghamConfig, t: float = 0.0) -> float:
@@ -149,30 +169,40 @@ def _draw_coefficients(freqs: np.ndarray, cfg: InghamConfig) -> np.ndarray:
     active = np.nonzero(mask)[0]
     if active.size == 0:
         raise DomainError("no frequencies inside the support window")
-    X = np.zeros((n, cfg.trials), dtype=complex)
+    order = active[np.argsort(freqs[active])]
+    X = np.zeros((n, cfg.trials + order.size - 1), dtype=complex)
     children = np.random.SeedSequence(cfg.seed).spawn(cfg.trials)
     for i, child in enumerate(children):
         rng = np.random.default_rng(child)
         X[active, i] = rng.standard_normal(active.size) + 1j * rng.standard_normal(
             active.size
         )
-    adversarial = []
-    order = active[np.argsort(freqs[active])]
-    for i, j in zip(order[:-1], order[1:]):
-        col = np.zeros(n, dtype=complex)
-        col[i] = 1.0
-        col[j] = -1.0
-        adversarial.append(col)
-    if adversarial:
-        X = np.concatenate([X, np.stack(adversarial, axis=1)], axis=1)
+    pairs = np.arange(cfg.trials, X.shape[1])
+    X[order[:-1], pairs] = 1.0
+    X[order[1:], pairs] = -1.0
     return X
+
+
+def _draw_sums(freqs: np.ndarray, cfg: InghamConfig):
+    """The draws of ``_draw_coefficients`` and their sampled sums at t = 0.
+
+    Returns ``(X, num)``.  The Gaussian columns and the (at most n - 1)
+    cancelling pairs are summed apart: the Gaussian block goes through the
+    QR factor when it outnumbers the modes, while the pairs always take the
+    direct product, which sums two sample columns exactly and so carries no
+    factorisation error into the near-cancelling sums that set the
+    envelopes.
+    """
+    X = _draw_coefficients(freqs, cfg)
+    E = _sample_matrix(freqs, cfg, 0.0)
+    m = cfg.trials
+    return X, np.concatenate([_sums(E, X[:, :m], cfg.sigma), _sums(E, X[:, m:], cfg.sigma)])
 
 
 def estimate_scalar(freqs, cfg: InghamConfig) -> InghamEstimate:
     """Empirical envelope of the ratio against sum |x_k|^2 at t = 0."""
     freqs = np.asarray(freqs, dtype=float)
-    X = _draw_coefficients(freqs, cfg)
-    num = _sampled_sums(freqs, X, cfg)
+    X, num = _draw_sums(freqs, cfg)
     denom = np.sum(np.abs(X) ** 2, axis=0)
     ratios = num / denom
     return InghamEstimate(
@@ -180,6 +210,25 @@ def estimate_scalar(freqs, cfg: InghamConfig) -> InghamEstimate:
         c_hi=float(np.max(ratios)),
         n_active=int(np.count_nonzero(_support_mask(freqs, cfg))),
     )
+
+
+def _cluster_matrix(freqs: np.ndarray, partition) -> np.ndarray:
+    """Real matrix M with Q(x) = ||M x||^2 for the given cluster partition.
+
+    An isolated mode k gives the row ``e_k``; a 2-cluster (i, j) with gap
+    ``g = omega_j - omega_i`` gives the rows ``e_i + e_j``, ``g e_i`` and
+    ``g e_j``.
+    """
+    eye = np.eye(freqs.size)
+    rows = []
+    for cluster in partition:
+        if len(cluster) == 1:
+            rows.append(eye[cluster[0]])
+        else:
+            i, j = cluster
+            gap = freqs[j] - freqs[i]
+            rows += [eye[i] + eye[j], gap * eye[i], gap * eye[j]]
+    return np.array(rows).reshape(-1, freqs.size)
 
 
 def q_form(freqs, coeffs, gamma1: float | None = None, partition=None) -> float:
@@ -192,18 +241,7 @@ def q_form(freqs, coeffs, gamma1: float | None = None, partition=None) -> float:
         if gamma1 is None:
             raise DomainError("q_form needs gamma1 or an explicit partition")
         partition = cluster_partition(freqs, gamma1)
-    total = 0.0
-    for cluster in partition:
-        if len(cluster) == 1:
-            total += abs(coeffs[cluster[0]]) ** 2
-        else:
-            i, j = cluster
-            gap = freqs[j] - freqs[i]
-            total += (
-                abs(coeffs[i] + coeffs[j]) ** 2
-                + gap**2 * (abs(coeffs[i]) ** 2 + abs(coeffs[j]) ** 2)
-            )
-    return float(total)
+    return float(np.sum(np.abs(_cluster_matrix(freqs, partition) @ coeffs) ** 2))
 
 
 def estimate_clustered(freqs, cfg: InghamConfig, partition=None) -> InghamEstimate:
@@ -215,9 +253,8 @@ def estimate_clustered(freqs, cfg: InghamConfig, partition=None) -> InghamEstima
     freqs = np.asarray(freqs, dtype=float)
     if partition is None:
         partition = cluster_partition(freqs, cfg.gamma)
-    X = _draw_coefficients(freqs, cfg)
-    num = _sampled_sums(freqs, X, cfg)
-    q = np.array([q_form(freqs, X[:, c], partition=partition) for c in range(X.shape[1])])
+    X, num = _draw_sums(freqs, cfg)
+    q = np.sum(np.abs(_cluster_matrix(freqs, partition) @ X) ** 2, axis=0)
     good = q > 0.0
     if not np.any(good):
         raise DomainError("all draws have vanishing Q(x)")

@@ -1,10 +1,13 @@
 """Observability functionals, high-frequency bounds, decay fits, recursion."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from helpers import scalar_observability_sums
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from polystab import (
     DiagnosticFailure,
@@ -367,3 +370,47 @@ class TestLemma31:
             decay_recursion_oracle(C=1.0, alpha=-1.0, E0=1.0, steps=10)
         with pytest.raises(DomainError):
             decay_recursion_oracle(C=1.0, alpha=0.0, E0=0.0, steps=10)
+
+
+def bisect_root(prev, C, p):
+    """Root of x + C x^p = prev, bisected until the bracket stops shrinking."""
+    lo, hi = max(prev - C * prev**p, 0.0), prev
+    while True:
+        mid = 0.5 * (lo + hi)
+        if mid in (lo, hi):
+            return mid
+        if mid + C * mid**p > prev:
+            hi = mid
+        else:
+            lo = mid
+
+
+EPS = np.finfo(float).eps
+
+
+class TestRecursionProperty:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        log_C=st.floats(-6.0, 3.0),
+        log_E0=st.floats(-6.0, 6.0),
+        alpha=st.one_of(st.just(0.0), st.floats(-1.0, 3.0, exclude_min=True)),
+        steps=st.integers(1, 30),
+    )
+    def test_steps_solve_the_recursion(self, log_C, log_E0, alpha, steps):
+        C, E0, p = 10.0**log_C, 10.0**log_E0, 2.0 + alpha
+        with np.errstate(over="ignore"):  # M overflows as alpha -> -1
+            e = decay_recursion_oracle(C=C, alpha=alpha, E0=E0, steps=steps).values
+        for prev, new in zip(e[:-1], e[1:]):
+            prev, new = float(prev), float(new)
+            if alpha == 0.0:
+                exact = Fraction(new) + Fraction(C) * Fraction(new) ** 2 - Fraction(prev)
+                assert abs(exact) <= 4 * EPS * Fraction(prev)
+            else:
+                assert abs(new + C * new**p - prev) <= 1e-13 * prev
+            # strictly decreasing while the decrease C e^p is resolvable
+            # in floating point, never increasing after that
+            if C * prev**p > 8 * EPS * prev:
+                assert new < prev
+            else:
+                assert new <= prev
+        assert e[1] == pytest.approx(bisect_root(float(e[0]), C, p), rel=1e-13)

@@ -5,6 +5,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from polystab import (
     DomainError,
@@ -19,7 +21,14 @@ from polystab import (
     ingham_ratio_scalar,
     q_form,
 )
-from polystab.ingham import _sampled_sums, support_threshold
+from polystab.ingham import (
+    _cluster_matrix,
+    _draw_coefficients,
+    _draw_sums,
+    _sampled_sums,
+    support_threshold,
+)
+from polystab.spectra import cluster_partition
 
 
 def gapped_config(**kw):
@@ -74,6 +83,70 @@ class TestRatioScalar:
             InghamConfig(sigma=0.1, J=4, gamma=2.0)  # J sigma <= pi/gamma
         with pytest.raises(DomainError):
             InghamConfig(sigma=1.0, J=4, gamma=2.0, trials=0)
+
+
+def direct_sums(freqs, X, cfg, t):
+    """sigma * sum_j |(E X)_j|^2 from the full (2J+1, n) sample matrix."""
+    times = t + cfg.sigma * np.arange(-cfg.J, cfg.J + 1)
+    return cfg.sigma * np.sum(np.abs(np.exp(1j * np.outer(times, freqs)) @ X) ** 2, axis=0)
+
+
+class TestSampledSums:
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(6, 40), tall=st.booleans())
+    def test_qr_reduction_matches_direct_sum(self, seed, n, tall):
+        # more columns than modes, so the sums go through the QR factor;
+        # tall: 2J+1 > n and R is square, otherwise 2J+1 < n and R is a
+        # trapezoidal (2J+1, n) block
+        rng = np.random.default_rng(seed)
+        J = int(rng.integers(n // 2 + 1, n + 20)) if tall else int(rng.integers(2, (n - 2) // 2 + 1))
+        assert (2 * J + 1 > n) == tall
+        gamma = 1.0
+        u = 1.0 / J + (1.0 - 1.0 / J) * rng.uniform(0.05, 1.0)  # J sigma > pi / gamma
+        cfg = InghamConfig(sigma=u * math.pi / gamma, J=J, gamma=gamma, trials=1, seed=0)
+        freqs = np.sort(rng.uniform(-math.pi / cfg.sigma, math.pi / cfg.sigma, n))
+        X = rng.standard_normal((n, n + 3)) + 1j * rng.standard_normal((n, n + 3))
+        t = float(rng.uniform(0.1, 10.0))
+        got = _sampled_sums(freqs, X, cfg, t=t)
+        np.testing.assert_allclose(got, direct_sums(freqs, X, cfg, t), rtol=1e-12, atol=0.0)
+
+    def test_draw_sums_pairs_match_direct_sum_exactly(self):
+        # the cancelling pairs never go through the QR factor, even when the
+        # whole draw matrix has more columns than modes
+        sys_ = build_coupled_waves(ExampleParams(1.0, 1.0, 16))
+        cfg = auto_config(sys_.mu, check_gap(sys_).gamma1, trials=30, seed=2)
+        X, num = _draw_sums(sys_.mu, cfg)
+        assert cfg.trials < sys_.mu.size < X.shape[1]
+        assert np.array_equal(num[cfg.trials:], direct_sums(sys_.mu, X[:, cfg.trials:], cfg, 0.0))
+        np.testing.assert_allclose(
+            num[: cfg.trials], direct_sums(sys_.mu, X[:, : cfg.trials], cfg, 0.0),
+            rtol=1e-12, atol=0.0,
+        )
+
+
+class TestDrawCoefficients:
+    def test_matches_explicit_construction(self):
+        freqs = np.array([3.0, -5.0, 1.0, 20.0, -1.0, 7.0, 1.5])
+        cfg = InghamConfig(sigma=math.pi / 10, J=16, gamma=2.0, trials=7, seed=11)
+        assert support_threshold(cfg) < 20.0  # one mode lies outside the window
+        n = freqs.size
+        active = np.nonzero(np.abs(freqs) <= support_threshold(cfg))[0]
+        expect = np.zeros((n, cfg.trials), dtype=complex)
+        for i, child in enumerate(np.random.SeedSequence(cfg.seed).spawn(cfg.trials)):
+            rng = np.random.default_rng(child)
+            expect[active, i] = rng.standard_normal(active.size) + 1j * rng.standard_normal(
+                active.size
+            )
+        order = active[np.argsort(freqs[active])]
+        columns = []
+        for i, j in zip(order[:-1], order[1:]):
+            col = np.zeros(n, dtype=complex)
+            col[i], col[j] = 1.0, -1.0
+            columns.append(col)
+        expect = np.concatenate([expect, np.stack(columns, axis=1)], axis=1)
+        X = _draw_coefficients(freqs, cfg)
+        assert X.dtype == expect.dtype and X.shape == expect.shape
+        assert np.array_equal(X, expect)
 
 
 class TestEstimateScalar:
@@ -167,6 +240,62 @@ class TestQForm:
         for _ in range(100):
             x = rng.standard_normal(3) + 1j * rng.standard_normal(3)
             assert q_form(freqs, x, gamma1=1.0) > 0.0
+
+
+def q_reference(freqs, x, partition):
+    """Q(x) summed cluster by cluster."""
+    total = 0.0
+    for cluster in partition:
+        if len(cluster) == 1:
+            total += abs(x[cluster[0]]) ** 2
+        else:
+            i, j = cluster
+            gap = freqs[j] - freqs[i]
+            total += abs(x[i] + x[j]) ** 2 + gap**2 * (abs(x[i]) ** 2 + abs(x[j]) ** 2)
+    return total
+
+
+class TestClusterMatrix:
+    def test_batched_q_matches_per_column_q_form(self):
+        sys_ = build_coupled_waves(ExampleParams(1.0, 1.0, 12))
+        freqs = np.concatenate([sys_.mu, [sys_.mu[-1] + 40.0]])  # one isolated mode
+        partition = cluster_partition(freqs, check_gap(sys_).gamma1)
+        assert {len(c) for c in partition} == {1, 2}
+        rng = np.random.default_rng(4)
+        X = rng.standard_normal((freqs.size, 25)) + 1j * rng.standard_normal((freqs.size, 25))
+        batched = np.sum(np.abs(_cluster_matrix(freqs, partition) @ X) ** 2, axis=0)
+        per_column = np.array([q_form(freqs, X[:, c], partition=partition) for c in range(25)])
+        reference = np.array([q_reference(freqs, X[:, c], partition) for c in range(25)])
+        np.testing.assert_allclose(batched, per_column, rtol=1e-14, atol=0.0)
+        np.testing.assert_allclose(batched, reference, rtol=1e-14, atol=0.0)
+
+    def test_estimate_uses_q_form_per_draw(self):
+        sys_ = build_coupled_waves(ExampleParams(1.0, 1.0, 8))
+        gamma1 = check_gap(sys_).gamma1
+        cfg = auto_config(sys_.mu, gamma1, trials=40, seed=9)
+        partition = cluster_partition(sys_.mu, gamma1)
+        X, num = _draw_sums(sys_.mu, cfg)
+        q = np.array([q_form(sys_.mu, X[:, c], partition=partition) for c in range(X.shape[1])])
+        est = estimate_clustered(sys_.mu, cfg)
+        assert est.c_lo == pytest.approx(float(np.min(num / q)), rel=1e-14)
+        assert est.c_hi == pytest.approx(float(np.max(num / q)), rel=1e-14)
+
+    def test_conventions_of_q_form_and_cluster_seminorm(self):
+        # q_form charges g^2 (|x_k|^2 + |x_{k+1}|^2); cluster_seminorm
+        # charges g^2 ||x_{k+1}||^2.  Pinned as they stand.
+        g = 0.5
+        freqs = np.array([2.0, 2.0 + g])
+        a, b = 1.0 + 2.0j, -0.5 + 0.25j
+        common = abs(a + b) ** 2
+        assert q_form(freqs, np.array([a, b]), partition=((0, 1),)) == pytest.approx(
+            common + g**2 * (abs(a) ** 2 + abs(b) ** 2), rel=1e-14
+        )
+        assert cluster_seminorm(freqs, np.array([[a], [b]]), ((0, 1),)) == pytest.approx(
+            common + g**2 * abs(b) ** 2, rel=1e-14
+        )
+        assert np.array_equal(
+            _cluster_matrix(freqs, ((0, 1),)), np.array([[1.0, 1.0], [g, 0.0], [0.0, g]])
+        )
 
 
 class TestEstimateClustered:

@@ -115,8 +115,21 @@ def _apply_support(freqs: np.ndarray, coeffs: np.ndarray, cfg: InghamConfig) -> 
     return out
 
 
+# Largest sample matrix built, in complex entries (2 GiB).
+_MAX_SAMPLE_ENTRIES = 2**27
+
+
 def _sample_matrix(freqs: np.ndarray, cfg: InghamConfig, t: float) -> np.ndarray:
-    """(2J+1, n) matrix of exp(i omega (t + j sigma)) samples."""
+    """(2J+1, n) matrix of exp(i omega (t + j sigma)) samples.
+
+    Raises DomainError instead of allocating more than _MAX_SAMPLE_ENTRIES.
+    """
+    entries = (2 * cfg.J + 1) * freqs.size
+    if entries > _MAX_SAMPLE_ENTRIES:
+        raise DomainError(
+            f"sample matrix of J = {cfg.J}, n = {freqs.size} has {entries} entries, "
+            f"above the limit of {_MAX_SAMPLE_ENTRIES}"
+        )
     times = t + cfg.sigma * np.arange(-cfg.J, cfg.J + 1)
     return np.exp(1j * np.outer(times, freqs))
 

@@ -67,21 +67,25 @@ term of the block is one weight product with the squared stack output.
 B follows from n, the column count and the group sizes (long blocks for
 few columns, single steps for wide batches); it is not a parameter.
 
-The residual of the per-step identity measures how accurately ``P`` and
-``L`` were built; ``solve_tol`` only sets its audit tolerance
-``10 * solve_tol * E0``.  ``run`` telescopes the identity over the whole
-trajectory.
+**Audit.**  The residual of the per-step identity measures how accurately
+``P`` and ``L`` were built; ``solve_tol`` only sets its tolerance
+``10 * solve_tol * E0`` (``E0`` per column).  ``iterate_raw`` checks every
+time block against it before yielding the block's steps and raises
+DiagnosticFailure naming the first failing step; ``run`` flags a violation
+on the returned trace instead, and also telescopes the identity over the
+whole trajectory.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DomainError, NonFiniteStateError
+from .errors import DiagnosticFailure, DomainError, NonFiniteStateError
 from .modal import ModalState, ModalSystem
 
 __all__ = [
@@ -278,10 +282,12 @@ class SchemeSolver:
     """Propagators of one (system, config) pair.
 
     Construction finds the mode groups and builds the per-group ``S``,
-    ``P`` and ``L`` of the configured stages; other stage combinations and
-    the stacked powers of each block length are built on first use and
-    cached.  One instance can serve many trajectories (including batched
-    column states).
+    ``P`` and ``L`` of the configured stages only; the stacked powers of
+    each block length are built on first use and cached.
+    ``step_viscous_conservative`` and ``step_midpoint`` step a cached
+    solver of the same config with the damping (and viscosity) stage
+    switched off.  One instance can serve many trajectories (including
+    batched column states).
     """
 
     def __init__(self, sys: ModalSystem, cfg: SchemeConfig):
@@ -291,7 +297,7 @@ class SchemeSolver:
         self._h = 0.5 * cfg.dt
         # Diagonal resolvent of the viscosity stage, both blocks.
         self.visc_factor = 1.0 / (1.0 + cfg.dt**3 * eta)
-        self._has_gram = bool(np.any(sys.damp_gram != 0.0))
+        self._damped = cfg.damping and bool(np.any(sys.damp_gram != 0.0))
 
         by_size = {}
         for grp in mode_groups(sys.damp_gram):
@@ -303,9 +309,9 @@ class SchemeSolver:
             scale = np.concatenate([mu[idx], np.ones(idx.shape)], axis=1)[:, :, None]
             gram = sys.damp_gram[idx[:, :, None], idx[:, None, :]]
             self._groups.append(_Groups(rows, scale, eta[rows % n], gram))
-        self._props = {}
+        self._maps = self._propagators()
         self._stacks = {}
-        self._propagators(cfg.damping and self._has_gram, cfg.viscosity)
+        self._siblings = {}
 
     def stage1_matrix(self, damped: bool | None = None) -> np.ndarray:
         """Assemble the dense midpoint stage matrix I - (dt/2) G."""
@@ -321,66 +327,62 @@ class SchemeSolver:
 
     # -- propagators -----------------------------------------------------
 
-    def _propagators(self, damped: bool, viscous: bool) -> list:
+    def _propagators(self) -> list:
         """Per group size: (S, P, L) in energy coordinates, where
         ``L = sqrt(dt) D^{1/2} M`` factors the observed-damping form
         ``Q = L^T L``; L is None when the groups' Gram is zero."""
-        key = (damped, viscous)
-        if key not in self._props:
-            h, dt = self._h, self.cfg.dt
-            out = []
-            for grp in self._groups:
-                g, s = grp.gram.shape[:2]
-                eye = np.broadcast_to(np.eye(s), (g, s, s))
-                hmu = h * grp.scale[:, :s]  # (g, s, 1)
-                K = eye + (h * h * grp.eta[:, :s, None]) * eye
-                if damped:
-                    K = K + h * grp.gram
-                # (I - hG^) S = (I + hG^):  K S_b = [-2h diag(mu), 2I - K],
-                # S_a = [I, h diag(mu)] + h diag(mu) S_b
-                S_b = np.linalg.solve(K, np.concatenate([-2.0 * hmu * eye, 2.0 * eye - K], axis=2))
-                S_a = np.concatenate([eye, hmu * eye], axis=2) + hmu * S_b
-                S = np.concatenate([S_a, S_b], axis=1)
-                vf = 1.0 / (1.0 + dt**3 * grp.eta)
-                P = vf[:, :, None] * S if viscous else S
-                L = None
-                if np.any(grp.gram):
-                    M = 0.5 * (np.concatenate([np.zeros((g, s, s)), eye], axis=2) + S_b)
-                    # rows of D^{1/2} for the eigenvalues above eigh's
-                    # rounding level: the Gram's numerical rank
-                    lam, U = np.linalg.eigh(grp.gram)
-                    r = int(np.max(np.sum(lam > s * np.finfo(float).eps * lam.max(), axis=1)))
-                    root = np.sqrt(dt * np.maximum(lam[:, s - r:], 0.0))[:, :, None]
-                    L = (root * U[:, :, s - r:].transpose(0, 2, 1)) @ M
-                out.append((S, P, L))
-            self._props[key] = out
-        return self._props[key]
+        h, dt = self._h, self.cfg.dt
+        out = []
+        for grp in self._groups:
+            g, s = grp.gram.shape[:2]
+            eye = np.broadcast_to(np.eye(s), (g, s, s))
+            hmu = h * grp.scale[:, :s]  # (g, s, 1)
+            K = eye + (h * h * grp.eta[:, :s, None]) * eye
+            if self._damped:
+                K = K + h * grp.gram
+            # (I - hG^) S = (I + hG^):  K S_b = [-2h diag(mu), 2I - K],
+            # S_a = [I, h diag(mu)] + h diag(mu) S_b
+            S_b = np.linalg.solve(K, np.concatenate([-2.0 * hmu * eye, 2.0 * eye - K], axis=2))
+            S_a = np.concatenate([eye, hmu * eye], axis=2) + hmu * S_b
+            S = np.concatenate([S_a, S_b], axis=1)
+            vf = 1.0 / (1.0 + dt**3 * grp.eta)
+            P = vf[:, :, None] * S if self.cfg.viscosity else S
+            L = None
+            if np.any(grp.gram):
+                M = 0.5 * (np.concatenate([np.zeros((g, s, s)), eye], axis=2) + S_b)
+                # rows of D^{1/2} for the eigenvalues above eigh's
+                # rounding level: the Gram's numerical rank
+                lam, U = np.linalg.eigh(grp.gram)
+                r = int(np.max(np.sum(lam > s * np.finfo(float).eps * lam.max(), axis=1)))
+                root = np.sqrt(dt * np.maximum(lam[:, s - r:], 0.0))[:, :, None]
+                L = (root * U[:, :, s - r:].transpose(0, 2, 1)) @ M
+            out.append((S, P, L))
+        return out
 
-    def _power_stacks(self, damped: bool, viscous: bool, B: int) -> list:
+    def _power_stacks(self, B: int) -> list:
         """Per group size: the (g, r, B, 2s) stack whose rows are P^{j+1}
         (2s rows) and, with a Gram, L P^j (one more row per rank of the
         Gram), for j = 0..B-1."""
-        key = (damped, viscous, B)
-        if key not in self._stacks:
+        if B not in self._stacks:
             out = []
-            for _, P, L in self._propagators(damped, viscous):
+            for _, P, L in self._maps:
                 pw = np.empty((B + 1,) + P.shape)
                 pw[0] = np.eye(P.shape[1])
                 for j in range(B):
                     pw[j + 1] = P @ pw[j]
                 parts = [pw[1:]] if L is None else [pw[1:], L @ pw[:-1]]
                 out.append(np.concatenate(parts, axis=2).transpose(1, 2, 0, 3).copy())
-            self._stacks[key] = out
-        return self._stacks[key]
+            self._stacks[B] = out
+        return self._stacks[B]
 
-    def _weights(self, viscous: bool, beta: float, stacks) -> list:
+    def _weights(self, beta: float, stacks) -> list:
         """Per group size: (5, g, r) weights of the squared stack rows for
         E, visc1, visc2 and the weak norm (on the state rows) and the
         observed damping (on the L rows)."""
         out = []
         for grp, st in zip(self._groups, stacks):
             eta = grp.eta
-            c = self.cfg.dt**3 * eta if viscous else np.zeros_like(eta)
+            c = self.cfg.dt**3 * eta if self.cfg.viscosity else np.zeros_like(eta)
             w = np.zeros((5,) + st.shape[:2])
             w[:4, :, : eta.shape[1]] = [np.full_like(eta, 0.5), c, 0.5 * c**2,
                                         eta ** (-2.0 * beta - 1.0)]
@@ -399,8 +401,7 @@ class SchemeSolver:
 
     # -- the stepping kernel ---------------------------------------------
 
-    def _blocks(self, x: np.ndarray, n_steps: int, damped: bool, viscous: bool,
-                beta: float = 0.0):
+    def _blocks(self, x: np.ndarray, n_steps: int, beta: float = 0.0):
         """Advance a (2n, m) batch ``n_steps`` times, yielding a _Block per
         time block.
 
@@ -408,11 +409,10 @@ class SchemeSolver:
         ``|E(x_{k+1}) + visc1 + visc2 + damp - E(x_k)|``.  A non-finite
         state or term raises NonFiniteStateError.
         """
-        damped = damped and self._has_gram
         m = x.shape[1]
         B = max(1, min(_block_length(self.sys.n, m, self._groups), n_steps))
-        stacks = self._power_stacks(damped, viscous, B)
-        W = self._weights(viscous, beta, stacks)
+        stacks = self._power_stacks(B)
+        W = self._weights(beta, stacks)
         xs = self._to_energy(x)
         prev = sum(w[:4, :, : xg.shape[1]].reshape(4, -1) @ (xg * xg).reshape(-1, m)
                    for w, xg in zip(W, xs))
@@ -435,7 +435,7 @@ class SchemeSolver:
                 T[:5] += (w.reshape(5, g * r) @ y2).reshape(5, nb, m)
                 xs[j] = y.reshape(g, r, nb, m)[:, :s2, -1]
             energy = np.concatenate([prev[0][None], T[0]])
-            damp = T[4] if damped else np.zeros((nb, m))
+            damp = T[4] if self._damped else np.zeros((nb, m))
             T[5] = np.abs(T[0] + T[1] + T[2] + damp - energy[:-1])
             if not np.isfinite(T).all():
                 raise NonFiniteStateError("time step produced non-finite state or terms")
@@ -445,16 +445,14 @@ class SchemeSolver:
 
     # -- public one-step API -------------------------------------------
 
-    def _record(self, z: ModalState, k: int, damped: bool, viscous: bool) -> StepRecord:
+    def _record(self, z: ModalState, k: int) -> StepRecord:
         x = z.stacked()[:, None]
-        b = next(self._blocks(x, 1, damped, viscous))
-        props = self._propagators(damped and self._has_gram, viscous)
-        z_tilde = self._to_modal([S @ xg for (S, _, _), xg in zip(props, self._to_energy(x))])
-        z_next = z_tilde * np.concatenate([self.visc_factor] * 2)[:, None] if viscous else z_tilde
+        b = next(self._blocks(x, 1))
+        z_tilde = self._to_modal([S @ xg for (S, _, _), xg in zip(self._maps, self._to_energy(x))])
         return StepRecord(
             k=k,
             z_tilde=ModalState.from_stacked(z_tilde[:, 0]),
-            z_next=ModalState.from_stacked(z_next[:, 0]),
+            z_next=ModalState.from_stacked(self._to_modal(b.state)[:, 0]),
             damp_term=float(b.damp[0, 0]),
             visc1=float(b.visc1[0, 0]),
             visc2=float(b.visc2[0, 0]),
@@ -462,17 +460,26 @@ class SchemeSolver:
             observed_damp=float(b.observed[0, 0]),
         )
 
+    def _sibling(self, **stages) -> SchemeSolver:
+        """The solver of this config with the given stage switches (cached)."""
+        cfg = dataclasses.replace(self.cfg, **stages)
+        if cfg == self.cfg:
+            return self
+        if cfg not in self._siblings:
+            self._siblings[cfg] = SchemeSolver(self.sys, cfg)
+        return self._siblings[cfg]
+
     def step_viscous_damped(self, z: ModalState, k: int = 0) -> StepRecord:
         """One step of the damped two-stage scheme (honors both config flags)."""
-        return self._record(z, k, self.cfg.damping, self.cfg.viscosity)
+        return self._record(z, k)
 
     def step_viscous_conservative(self, u: ModalState, k: int = 0) -> StepRecord:
         """One step of the conservative two-stage scheme (no damping in stage 1)."""
-        return self._record(u, k, False, self.cfg.viscosity)
+        return self._sibling(damping=False)._record(u, k)
 
     def step_midpoint(self, y: ModalState) -> ModalState:
         """One pure midpoint step (no damping, no viscosity)."""
-        return self._record(y, 0, False, False).z_next
+        return self._sibling(damping=False, viscosity=False)._record(y, 0).z_next
 
     # -- trajectories ----------------------------------------------------
 
@@ -486,8 +493,7 @@ class SchemeSolver:
         """
         cfg = self.cfg
         nsteps = substep_count(cfg.t_final, cfg.dt) + 1
-        blocks = list(self._blocks(z0.stacked()[:, None], nsteps, cfg.damping,
-                                   cfg.viscosity, beta))
+        blocks = list(self._blocks(z0.stacked()[:, None], nsteps, beta))
 
         def steps(name):
             return np.concatenate([getattr(b, name)[:, 0] for b in blocks])
@@ -536,12 +542,20 @@ class SchemeSolver:
         ``x0`` is a (2n, m) column batch or a 2n vector; damping and
         viscosity follow the config, ``beta`` sets the weak-norm scale.
         Steps are computed a time block at a time and yielded one by one.
-        Used by the diagnostics studies to run many draws in lockstep.
+        Each block is audited before any of its steps is yielded: a
+        per-step identity residual above ``10 * solve_tol * E0`` of its
+        column raises DiagnosticFailure naming the first failing step.
         """
         x = np.array(x0, dtype=float)
         if x.ndim == 1:
             x = x[:, None]
-        for b in self._blocks(x, n_steps, self.cfg.damping, self.cfg.viscosity, beta):
+        for b in self._blocks(x, n_steps, beta):
+            if b.k0 == 0:
+                tol = 10.0 * self.cfg.solve_tol * b.energy[0]
+            if (b.resid > tol).any():
+                k = b.k0 + int(np.argmax((b.resid > tol).any(axis=1)))
+                raise DiagnosticFailure(
+                    f"energy identity residual above 10 * solve_tol * E0 at step {k}")
             rows = zip(b.energy[:-1], b.energy[1:], b.weak_sq[:-1], b.weak_sq[1:], b.visc1,
                        b.visc2, b.damp, b.observed, b.resid)
             for k, row in enumerate(rows, b.k0):

@@ -344,3 +344,19 @@ class TestInghamCommand:
             )
         assert lows[8][0] > 10.0 * lows[32][0]
         assert lows[32][1] > 0.5
+
+    def test_oversized_sample_matrix_exits_2(self, tmp_path, capsys):
+        # the auto-sampled scalar J of this system would need an 11 GiB
+        # (2J+1) x n sample matrix; it is refused before any allocation
+        payload = {
+            "system": {"type": "boundary_coupled_waves", "alpha": 0.5, "gamma": 1.0,
+                       "k_max": 256},
+            "scheme": {"dt": 0.01},
+            "study": {"trials": 10, "seed": 0},
+            "output": {"prefix": "big"},
+        }
+        p = write_config(tmp_path / "c.json", payload)
+        assert main(["ingham", "--config", str(p), "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert "J = 721495, n = 512" in err and str(1442991 * 512) in err
+        assert not (tmp_path / "big_ingham.json").exists()

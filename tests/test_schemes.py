@@ -1,5 +1,6 @@
 """Two-stage steppers: hand values, energy identity, conservation, multiplier."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 
 from polystab import schemes
 from polystab import (
+    DiagnosticFailure,
     DomainError,
     ModalState,
     ModalSystem,
@@ -252,6 +254,73 @@ class TestBlockedKernelProperty:
                 assert abs(r.damp[c] - rec.damp_term) <= tol
                 assert abs(r.visc1[c] - rec.visc1) <= tol
                 assert abs(r.visc2[c] - rec.visc2) <= tol
+
+
+class TestIterateRawAudit:
+    def test_raises_at_first_failing_step(self):
+        # solve_tol = 1e-300 leaves no room for any rounding residual: the
+        # first step with a nonzero residual fails, here inside a time block
+        sys_ = build_coupled_waves(ExampleParams(0.5, 1.0, 4))
+        cfg = SchemeConfig(dt=0.05, t_final=1.0)
+        x = np.random.default_rng(1).standard_normal((2 * sys_.n, 1))
+        resid = [s.identity_residual[0] for s in factorize(sys_, cfg).iterate_raw(x, 200)]
+        first = int(np.flatnonzero(resid)[0])
+        assert first % schemes._block_length(sys_.n, 1, factorize(sys_, cfg)._groups) != 0
+        tight = factorize(sys_, dataclasses.replace(cfg, solve_tol=1e-300))
+        with pytest.raises(DiagnosticFailure, match=f"at step {first}$"):
+            list(tight.iterate_raw(x, 200))
+
+    def test_zero_state_passes(self):
+        sys_ = build_coupled_waves(ExampleParams(0.5, 1.0, 4))
+        sol = factorize(sys_, SchemeConfig(dt=0.05, t_final=1.0, solve_tol=1e-300))
+        assert len(list(sol.iterate_raw(np.zeros(2 * sys_.n), 100))) == 100
+
+
+def assert_records_equal(r1, r2):
+    for f in dataclasses.fields(r1):
+        v1, v2 = getattr(r1, f.name), getattr(r2, f.name)
+        if isinstance(v1, ModalState):
+            assert np.array_equal(v1.a, v2.a) and np.array_equal(v1.b, v2.b), f.name
+        else:
+            assert v1 == v2, f.name
+
+
+class TestStageMaps:
+    SYSTEMS = [
+        lambda: random_system(np.random.default_rng(5), 12),  # one dense group
+        lambda: build_coupled_waves(ExampleParams(0.5, 1.0, 6)),  # 2-mode groups
+    ]
+
+    @pytest.mark.parametrize("make", SYSTEMS)
+    def test_maps_equal_solvers_of_their_stages(self, make):
+        sys_ = make()
+        cfg = SchemeConfig(dt=0.05, t_final=1.0)
+        z = random_state(np.random.default_rng(8), sys_.n)
+        sol = factorize(sys_, cfg)
+        conservative = factorize(sys_, dataclasses.replace(cfg, damping=False))
+        midpoint = factorize(sys_, dataclasses.replace(cfg, damping=False, viscosity=False))
+        assert_records_equal(sol.step_viscous_conservative(z, k=3),
+                             conservative.step_viscous_damped(z, k=3))
+        y = sol.step_midpoint(z)
+        ref = midpoint.step_viscous_damped(z).z_next
+        assert np.array_equal(y.a, ref.a) and np.array_equal(y.b, ref.b)
+
+    @pytest.mark.parametrize("make", SYSTEMS)
+    def test_maps_leave_configured_solver_unchanged(self, make):
+        sys_ = make()
+        cfg = SchemeConfig(dt=0.05, t_final=2.0)
+        z = random_state(np.random.default_rng(9), sys_.n)
+        sol = factorize(sys_, cfg)
+        before, step_before = sol.run(z), sol.step_viscous_damped(z)
+        sol.step_viscous_conservative(z)
+        sol.step_midpoint(z)
+        after = sol.run(z)
+        assert_records_equal(sol.step_viscous_damped(z), step_before)
+        for name in ("energy", "weak_sq", "damp", "visc1", "visc2", "identity_residual",
+                     "observed_damp"):
+            assert np.array_equal(getattr(before, name), getattr(after, name)), name
+        assert np.array_equal(before.final_state.a, after.final_state.a)
+        assert np.array_equal(before.final_state.b, after.final_state.b)
 
 
 class TestEnergyIdentity:

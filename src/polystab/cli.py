@@ -39,10 +39,6 @@ from .spectra import audit_spectrum, boundary_fixedpoint_residuals, ExampleParam
 TRACE_HEADER = "k,t,E,E_weak,damp_term,visc1,visc2,identity_residual"
 
 
-def _fmt(x: float) -> str:
-    return f"{x:.17g}"
-
-
 def _jsonable(obj):
     if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
         return {k: _jsonable(v) for k, v in dataclasses.asdict(obj).items()}
@@ -108,20 +104,13 @@ def cmd_trace(cfg: ExperimentConfig, out: str, seed) -> int:
     )
     trace = factorize(sys_, scheme).run(z0, beta=cfg.study.beta)
 
-    lines = [TRACE_HEADER]
-    nterms = trace.damp.shape[0]
-    for k in range(trace.t.shape[0]):
-        terms = (
-            (trace.damp[k], trace.visc1[k], trace.visc2[k], trace.identity_residual[k])
-            if k < nterms
-            else (0.0, 0.0, 0.0, 0.0)
-        )
-        lines.append(
-            ",".join(
-                [str(k), _fmt(trace.t[k]), _fmt(trace.energy[k]), _fmt(trace.weak_sq[k])]
-                + [_fmt(v) for v in terms]
-            )
-        )
+    # step terms padded with zeros to one entry per state (the final row)
+    n_rows = trace.t.shape[0]
+    terms = [np.pad(v, (0, n_rows - v.shape[0]))
+             for v in (trace.damp, trace.visc1, trace.visc2, trace.identity_residual)]
+    row = "{}" + ",{:.17g}" * 7
+    cols = (c.tolist() for c in [trace.t, trace.energy, trace.weak_sq, *terms])
+    lines = [TRACE_HEADER] + [row.format(k, *vals) for k, vals in enumerate(zip(*cols))]
     prefix = os.path.join(out, cfg.output.prefix)
     _atomic_write(prefix + "_trace.csv", "\n".join(lines) + "\n")
     _write_json(

@@ -21,6 +21,10 @@ weighted by powers of ``eta``:
 so the energy is E = (1/2) ||(a, b)||_{1/2-scale}^2 with exact constants
 (no hidden norm equivalences).
 
+**Mode groups.**  Modes couple only through ``D``: ``from_eta`` finds the
+connected components of ``(D != 0) | (D.T != 0)`` once, stores them on the
+system and checks ``D`` block by block.
+
 Everything in this module is pure; systems and states are immutable value
 types and safe to share across threads.
 """
@@ -59,6 +63,7 @@ class ModalSystem:
         damping observations of the eigenvectors.
     bstar_norms : (n,) per-mode observation norms, ``sqrt(diag(damp_gram))``.
     labels : per-mode branch tags, e.g. ``("-", 3)``; empty tuple if unused.
+    groups : the ``mode_groups`` of ``damp_gram``, derived by ``from_eta``.
     """
 
     eta: np.ndarray
@@ -66,6 +71,7 @@ class ModalSystem:
     damp_gram: np.ndarray
     bstar_norms: np.ndarray
     labels: tuple = field(default=())
+    groups: tuple = field(init=False, repr=False, compare=False)
 
     @property
     def n(self) -> int:
@@ -107,16 +113,16 @@ class ModalSystem:
             raise DimensionMismatchError("damp_gram rows", n, D.shape[0])
         if not np.all(np.isfinite(D)):
             raise NonFiniteStateError("damp_gram contains non-finite entries")
-        scale = np.max(np.abs(D))
+        groups = tuple(mode_groups(D))
+        scale, asym, lam_min = _gram_extremes(D, groups)
         if scale > 0.0:
-            if np.max(np.abs(D - D.T)) > _SYM_RTOL * scale:
+            if asym > _SYM_RTOL * scale:
                 raise DomainError("damp_gram is not symmetric to 1e-14 relative")
-            lam_min = float(np.linalg.eigvalsh(D)[0])
             if lam_min < -_PSD_RTOL * scale:
                 raise DomainError(
                     f"damp_gram not positive semidefinite: min eigenvalue {lam_min:g}"
                 )
-        D = _readonly(D)
+        D.setflags(write=False)  # D is already a private float copy
 
         bstar = _readonly(np.sqrt(np.maximum(np.diag(D), 0.0)))
 
@@ -126,7 +132,47 @@ class ModalSystem:
         if labels and len(labels) != n:
             raise DimensionMismatchError("labels", n, len(labels))
 
-        return cls(eta=eta, mu=mu_arr, damp_gram=D, bstar_norms=bstar, labels=labels)
+        out = cls(eta=eta, mu=mu_arr, damp_gram=D, bstar_norms=bstar, labels=labels)
+        object.__setattr__(out, "groups", groups)
+        return out
+
+
+def _gram_extremes(D: np.ndarray, groups) -> tuple:
+    """``max |D|``, ``max |D - D^T|`` and ``eigvalsh(D)[0]`` of a Gram that is
+    zero outside its groups' blocks: one batched eigvalsh per group size."""
+    blocks = [D[idx[:, :, None], idx[:, None, :]] for idx in groups_by_size(groups)]
+    return (max(np.abs(b).max() for b in blocks),
+            max(np.abs(b - b.transpose(0, 2, 1)).max() for b in blocks),
+            min(float(np.linalg.eigvalsh(b).min()) for b in blocks))
+
+
+def mode_groups(damp_gram) -> list:
+    """Independent mode groups: connected components of the symmetric
+    sparsity pattern ``(D != 0) | (D.T != 0)`` of a damping Gram.
+
+    Returns the groups as ascending index arrays, ordered by smallest mode.
+    Components are found by min-label propagation with pointer jumping
+    along the nonzero entries ``(i, j)``, each also read as ``(j, i)``,
+    until every entry joins two equal labels.
+    """
+    D = np.asarray(damp_gram)
+    n = D.shape[0]
+    i, j = np.divmod(np.flatnonzero(D != 0.0), n)
+    label = np.arange(n)
+    while not np.array_equal(label[i], label[j]):
+        np.minimum.at(label, i, label[j])
+        np.minimum.at(label, j, label[i])
+        label = label[label]
+    order = np.argsort(label, kind="stable")
+    order.setflags(write=False)  # the groups are read-only views
+    cuts = [0, *(np.flatnonzero(np.diff(label[order])) + 1).tolist(), n]
+    return [order[a:b] for a, b in zip(cuts, cuts[1:])]
+
+
+def groups_by_size(groups) -> list:
+    """One (g, s) index array per group size s, in ascending s."""
+    sizes = sorted({grp.size for grp in groups})
+    return [np.array([grp for grp in groups if grp.size == s]) for s in sizes]
 
 
 @dataclass(frozen=True)
@@ -141,7 +187,7 @@ class ModalState:
         b = _readonly(np.atleast_1d(self.b))
         if a.shape != b.shape or a.ndim != 1:
             raise DimensionMismatchError("velocity block", a.size, b.size)
-        if not (np.all(np.isfinite(a)) and np.all(np.isfinite(b))):
+        if not (np.isfinite(a).all() and np.isfinite(b).all()):
             raise NonFiniteStateError("state contains NaN or Inf entries")
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)

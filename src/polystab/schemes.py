@@ -51,11 +51,12 @@ stage matrix.  The observed damping of a step from ``x^`` is
 and ``L = sqrt(dt) D^{1/2} M``, evaluated with the system's Gram even when
 the stepped generator is undamped.
 
-**Mode groups.**  Modes couple only through ``D``, so the connected
-components of the sparsity graph of ``D != 0`` evolve independently
-(``coupled_waves``: 2-mode groups; no damping: singletons; a dense Gram:
-one group).  Groups of one size are stacked, and ``S``, ``P`` and ``L`` are
-built per group by batched numpy calls (one batched solve per size).
+**Mode groups.**  The propagators are block-diagonal over the system's
+mode groups (``ModalSystem.groups``, found once when the system is built;
+``mode_groups`` is re-exported here).  Groups of one size are stacked, and
+``S``, ``P`` and ``L`` are built per group by batched numpy calls (one
+batched solve per size).  A single step (``step_*``) applies them to one
+state directly; trajectories go through the time blocks below.
 
 **Time blocks.**  A (2n, m) column batch advances B steps at a time.  One
 batched product per group size with the stack ``[P; ...; P^B; L; LP; ...;
@@ -86,7 +87,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DiagnosticFailure, DomainError, NonFiniteStateError
-from .modal import ModalState, ModalSystem
+from .modal import ModalState, ModalSystem, groups_by_size, mode_groups
 
 __all__ = [
     "SchemeConfig",
@@ -192,10 +193,6 @@ class EnergyTrace:
     final_state: ModalState | None = field(default=None, repr=False)
 
     @property
-    def k(self) -> np.ndarray:
-        return np.arange(self.t.shape[0])
-
-    @property
     def e0(self) -> float:
         return float(self.energy[0])
 
@@ -252,24 +249,6 @@ class _Groups(NamedTuple):
     gram: np.ndarray  # (g, s, s) damping Gram of each group
 
 
-def mode_groups(damp_gram) -> list:
-    """Independent mode groups: connected components of ``damp_gram != 0``.
-
-    Returns the groups as ascending index arrays, ordered by smallest mode.
-    Components are found by min-label propagation with pointer jumping.
-    """
-    adj = np.asarray(damp_gram) != 0.0
-    label = np.arange(adj.shape[0])
-    while True:
-        new = np.minimum(label, np.where(adj, label, label.size).min(axis=1))
-        new = new[new]
-        if np.array_equal(new, label):
-            break
-        label = new
-    order = np.argsort(label, kind="stable")
-    return np.split(order, np.flatnonzero(np.diff(label[order])) + 1)
-
-
 def _block_length(n: int, m: int, groups) -> int:
     """Steps per time block for m columns: ~2^15 state entries per block,
     at most 64 steps, and at most 2^18 entries in the B powers of P."""
@@ -281,9 +260,9 @@ def _block_length(n: int, m: int, groups) -> int:
 class SchemeSolver:
     """Propagators of one (system, config) pair.
 
-    Construction finds the mode groups and builds the per-group ``S``,
-    ``P`` and ``L`` of the configured stages only; the stacked powers of
-    each block length are built on first use and cached.
+    Construction builds the ``S``, ``P`` and ``L`` of the configured stages
+    only, per mode group of the system; the stacked powers of each block
+    length are built on first use and cached.
     ``step_viscous_conservative`` and ``step_midpoint`` step a cached
     solver of the same config with the damping (and viscosity) stage
     switched off.  One instance can serve many trajectories (including
@@ -294,36 +273,17 @@ class SchemeSolver:
         self.sys = sys
         self.cfg = cfg
         n, eta = sys.n, sys.eta
-        self._h = 0.5 * cfg.dt
-        # Diagonal resolvent of the viscosity stage, both blocks.
-        self.visc_factor = 1.0 / (1.0 + cfg.dt**3 * eta)
-        self._damped = cfg.damping and bool(np.any(sys.damp_gram != 0.0))
-
-        by_size = {}
-        for grp in mode_groups(sys.damp_gram):
-            by_size.setdefault(grp.size, []).append(grp)
         mu = np.sqrt(eta)
         self._groups = []
-        for idx in (np.array(by_size[s]) for s in sorted(by_size)):
+        for idx in groups_by_size(sys.groups):
             rows = np.concatenate([idx, idx + n], axis=1)
             scale = np.concatenate([mu[idx], np.ones(idx.shape)], axis=1)[:, :, None]
             gram = sys.damp_gram[idx[:, :, None], idx[:, None, :]]
             self._groups.append(_Groups(rows, scale, eta[rows % n], gram))
+        self._damped = cfg.damping and any(grp.gram.any() for grp in self._groups)
         self._maps = self._propagators()
         self._stacks = {}
         self._siblings = {}
-
-    def stage1_matrix(self, damped: bool | None = None) -> np.ndarray:
-        """Assemble the dense midpoint stage matrix I - (dt/2) G."""
-        if damped is None:
-            damped = self.cfg.damping
-        n, h = self.sys.n, self._h
-        M = np.eye(2 * n)
-        M[:n, n:] -= h * np.eye(n)
-        M[n:, :n] += h * np.diag(self.sys.eta)
-        if damped:
-            M[n:, n:] += h * self.sys.damp_gram
-        return M
 
     # -- propagators -----------------------------------------------------
 
@@ -331,7 +291,8 @@ class SchemeSolver:
         """Per group size: (S, P, L) in energy coordinates, where
         ``L = sqrt(dt) D^{1/2} M`` factors the observed-damping form
         ``Q = L^T L``; L is None when the groups' Gram is zero."""
-        h, dt = self._h, self.cfg.dt
+        dt = self.cfg.dt
+        h = 0.5 * dt
         out = []
         for grp in self._groups:
             g, s = grp.gram.shape[:2]
@@ -446,28 +407,36 @@ class SchemeSolver:
     # -- public one-step API -------------------------------------------
 
     def _record(self, z: ModalState, k: int) -> StepRecord:
-        x = z.stacked()[:, None]
-        b = next(self._blocks(x, 1))
-        z_tilde = self._to_modal([S @ xg for (S, _, _), xg in zip(self._maps, self._to_energy(x))])
-        return StepRecord(
-            k=k,
-            z_tilde=ModalState.from_stacked(z_tilde[:, 0]),
-            z_next=ModalState.from_stacked(self._to_modal(b.state)[:, 0]),
-            damp_term=float(b.damp[0, 0]),
-            visc1=float(b.visc1[0, 0]),
-            visc2=float(b.visc2[0, 0]),
-            identity_residual=float(b.resid[0, 0]),
-            observed_damp=float(b.observed[0, 0]),
-        )
+        """One step of one state with the cached group maps, no time block:
+        ``z~ = S x``, ``z+ = V z~``, ``|L x|^2`` and the diagonal weights."""
+        xs = self._to_energy(z.stacked()[:, None])
+        c = self.cfg.dt**3 if self.cfg.viscosity else 0.0
+        zt, zn = [], []
+        e_prev = e_next = visc1 = visc2 = observed = 0.0
+        for grp, (S, _, L), xg in zip(self._groups, self._maps, xs):
+            ceta = c * grp.eta[:, :, None]
+            zt.append(S @ xg)
+            zn.append(zt[-1] / (1.0 + ceta))
+            y2 = np.square(zn[-1])
+            e_prev += 0.5 * float(np.square(xg).sum())
+            e_next += 0.5 * float(y2.sum())
+            visc1 += float((ceta * y2).sum())
+            visc2 += 0.5 * float((ceta * ceta * y2).sum())
+            observed += 0.0 if L is None else float(np.square(L @ xg).sum())
+        damp = observed if self._damped else 0.0
+        resid = abs(e_next + visc1 + visc2 + damp - e_prev)
+        if not math.isfinite(resid + observed):
+            raise NonFiniteStateError("time step produced non-finite state or terms")
+        z_tilde, z_next = (ModalState.from_stacked(self._to_modal(v)[:, 0]) for v in (zt, zn))
+        return StepRecord(k, z_tilde, z_next, damp, visc1, visc2, resid, observed)
 
     def _sibling(self, **stages) -> SchemeSolver:
         """The solver of this config with the given stage switches (cached)."""
-        cfg = dataclasses.replace(self.cfg, **stages)
-        if cfg == self.cfg:
-            return self
-        if cfg not in self._siblings:
-            self._siblings[cfg] = SchemeSolver(self.sys, cfg)
-        return self._siblings[cfg]
+        key = tuple(stages.items())
+        if key not in self._siblings:
+            cfg = dataclasses.replace(self.cfg, **stages)
+            self._siblings[key] = self if cfg == self.cfg else SchemeSolver(self.sys, cfg)
+        return self._siblings[key]
 
     def step_viscous_damped(self, z: ModalState, k: int = 0) -> StepRecord:
         """One step of the damped two-stage scheme (honors both config flags)."""

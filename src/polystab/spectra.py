@@ -92,19 +92,12 @@ def build_coupled_waves(p: ExampleParams) -> ModalSystem:
     eta = np.empty(2 * p.k_max)
     eta[0::2] = base - p.alpha  # (-, k) branch
     eta[1::2] = base + p.alpha  # (+, k) branch
-    labels = []
-    for k in ks:
-        labels.append(("-", int(k)))
-        labels.append(("+", int(k)))
+    labels = [(branch, int(k)) for k in ks for branch in "-+"]
 
     D = np.zeros((2 * p.k_max, 2 * p.k_max))
-    half = 0.5 * p.gamma
-    for i in range(p.k_max):
-        j = 2 * i
-        D[j, j] = half
-        D[j + 1, j + 1] = half
-        D[j, j + 1] = -half
-        D[j + 1, j] = -half
+    j = np.arange(0, 2 * p.k_max, 2)
+    D[j, j] = D[j + 1, j + 1] = 0.5 * p.gamma
+    D[j, j + 1] = D[j + 1, j] = -0.5 * p.gamma
 
     return ModalSystem.from_eta(eta, damp_gram=D, labels=labels)
 

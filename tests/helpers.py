@@ -64,6 +64,18 @@ def physical_coupled_waves_energy(alpha, gamma, k_max, a0, b0, dt, t_final,
     return energies
 
 
+def stage1_matrix(sys_, dt, damped=True):
+    """Dense midpoint stage matrix ``I - (dt/2) G`` of a modal system, with
+    the damped generator ``G = A - B B*`` or, if not ``damped``, ``G = A``."""
+    n, h = sys_.n, 0.5 * dt
+    M = np.eye(2 * n)
+    M[:n, n:] -= h * np.eye(n)
+    M[n:, :n] += h * np.diag(sys_.eta)
+    if damped:
+        M[n:, n:] += h * sys_.damp_gram
+    return M
+
+
 def scalar_two_stage_step(eta, d, a, b, dt, damped=True, viscous=True):
     """One two-stage step of a single mode, solved from the defining equations.
 

@@ -12,6 +12,7 @@ import pytest
 from polystab.cli import TRACE_HEADER, main
 from polystab.config import ExperimentConfig, build_init, build_system
 from polystab.errors import ConfigError
+from polystab.schemes import SchemeConfig, factorize
 
 
 def write_config(path, payload):
@@ -75,7 +76,40 @@ class TestConfig:
             build_init(cfg.init, sys_)
 
 
+def per_value_trace_csv(trace):
+    """The trace CSV joined value by value, as the writer once did: the oracle."""
+    def fmt(x):
+        return f"{x:.17g}"
+
+    lines = [TRACE_HEADER]
+    nterms = trace.damp.shape[0]
+    for k in range(trace.t.shape[0]):
+        terms = (
+            (trace.damp[k], trace.visc1[k], trace.visc2[k], trace.identity_residual[k])
+            if k < nterms
+            else (0.0, 0.0, 0.0, 0.0)
+        )
+        lines.append(
+            ",".join([str(k), fmt(trace.t[k]), fmt(trace.energy[k]), fmt(trace.weak_sq[k])]
+                     + [fmt(v) for v in terms])
+        )
+    return "\n".join(lines) + "\n"
+
+
 class TestTraceCommand:
+    @pytest.mark.parametrize("scheme", [{}, {"viscosity": False, "damping": False}])
+    def test_csv_matches_per_value_join(self, tmp_path, scheme):
+        payload = base_trace_config(**scheme)
+        cfg_path = write_config(tmp_path / "c.json", payload)
+        assert main(["trace", "--config", cfg_path, "--out", str(tmp_path)]) == 0
+        cfg = ExperimentConfig.from_dict(payload)
+        sys_ = build_system(cfg.system)
+        sc = cfg.scheme
+        scheme_cfg = SchemeConfig(dt=sc.dt, t_final=sc.t_final, viscosity=sc.viscosity,
+                                  damping=sc.damping, solve_tol=sc.solve_tol)
+        trace = factorize(sys_, scheme_cfg).run(build_init(cfg.init, sys_), beta=cfg.study.beta)
+        assert (tmp_path / "t_trace.csv").read_bytes() == per_value_trace_csv(trace).encode()
+
     def test_csv_contract_and_determinism(self, tmp_path):
         cfg_path = write_config(tmp_path / "c.json", base_trace_config())
         out1 = tmp_path / "o1"

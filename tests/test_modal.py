@@ -1,10 +1,14 @@
 """Modal state space: graded norms, energy, projections, block generator."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from polystab import modal
 from polystab import (
     DimensionMismatchError,
     DomainError,
@@ -210,3 +214,92 @@ class TestValidation:
         eta = np.sort(rng.uniform(0.1, 1e6, size=64))
         sys_ = ModalSystem.from_eta(eta)
         assert np.max(np.abs(sys_.mu**2 - sys_.eta)) <= 4 * np.finfo(float).eps * eta[-1]
+
+
+def permuted_block_gram(rng, spectra):
+    """Symmetric Gram with one random diagonal block per eigenvalue list in
+    ``spectra``, under a random permutation; returns ``(D, perm)`` where the
+    new index i holds the old mode ``perm[i]``."""
+    n = sum(len(lam) for lam in spectra)
+    D = np.zeros((n, n))
+    start = 0
+    for lam in spectra:
+        s = len(lam)
+        Q = np.linalg.qr(rng.standard_normal((s, s)))[0]
+        blk = (Q * lam) @ Q.T
+        D[start:start + s, start:start + s] = 0.5 * (blk + blk.T)
+        start += s
+    perm = rng.permutation(n)
+    return D[np.ix_(perm, perm)], perm
+
+
+class TestGramBlockChecks:
+    @settings(max_examples=80, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        shape=st.sampled_from(["blocks", "dense", "zero", "asymmetric", "indefinite"]),
+        sizes=st.lists(st.integers(1, 5), min_size=1, max_size=6),
+        log_scale=st.floats(-6.0, 6.0),
+    )
+    def test_group_minimum_matches_dense_eigvalsh(self, seed, shape, sizes, log_scale):
+        rng = np.random.default_rng(seed)
+        n = sum(sizes)
+        if shape == "dense":
+            sizes = [n]
+        # PSD blocks of random rank, or eigenvalues of both signs
+        low = -1.0 if shape == "indefinite" else 0.0
+        spectra = [rng.uniform(low, 1.0, s) * (rng.random(s) < 0.7) for s in sizes]
+        D = 10.0**log_scale * permuted_block_gram(rng, spectra)[0]
+        if shape == "zero":
+            D[:] = 0.0
+        if shape == "asymmetric":
+            # entries off by up to 0.4e-14 relative, some where D.T is zero
+            mask = rng.random((n, n)) < 0.3
+            D = D + 0.4e-14 * np.abs(D).max() * rng.uniform(-1.0, 1.0, (n, n)) * mask
+        scale = np.abs(D).max()
+        got_scale, asym, lam_min = modal._gram_extremes(D, modal.mode_groups(D))
+        dense_min = np.linalg.eigvalsh(D)[0]
+        assert got_scale == scale
+        assert asym == np.abs(D - D.T).max()
+        assert abs(lam_min - dense_min) <= 1e-12 * scale
+        if dense_min < -1e-12 * scale:
+            with pytest.raises(DomainError, match="not positive semidefinite"):
+                ModalSystem.from_eta(np.arange(1.0, n + 1.0), damp_gram=D)
+        else:
+            sys_ = ModalSystem.from_eta(np.arange(1.0, n + 1.0), damp_gram=D)
+            groups = modal.mode_groups(D)
+            assert [g.tolist() for g in sys_.groups] == [g.tolist() for g in groups]
+
+    @pytest.mark.parametrize("t,ok", [(-1e-11, False), (-1e-13, True)])
+    def test_one_indefinite_group(self, t, ok):
+        # the 2-mode group of old modes 6 and 7 gets the eigenvalue
+        # t * scale; the groups of sizes 1, 2 and 3 around it stay PSD, and
+        # the tolerance is -1e-12 * scale
+        spectra = [[1.0, 0.5], [0.7], [1.0, 0.3, 0.2], [0.0, 0.8], [0.4]]
+        D, perm = permuted_block_gram(np.random.default_rng(11), spectra)
+        grp = np.flatnonzero((perm == 6) | (perm == 7))
+        v = np.zeros(D.shape[0])
+        v[grp] = np.linalg.eigh(D[np.ix_(grp, grp)])[1][:, 0]
+        D += t * np.abs(D).max() * np.outer(v, v)
+        D = 0.5 * (D + D.T)
+        if ok:
+            ModalSystem.from_eta(np.arange(1.0, 10.0), damp_gram=D)
+        else:
+            with pytest.raises(DomainError, match="not positive semidefinite"):
+                ModalSystem.from_eta(np.arange(1.0, 10.0), damp_gram=D)
+
+    @pytest.mark.parametrize("entry", [(2, 0), (0, 2)])
+    def test_asymmetry_across_groups_raises(self, entry):
+        D = np.diag([1.0, 2.0, 3.0])
+        D[entry] = 0.5
+        with pytest.raises(DomainError, match="not symmetric"):
+            ModalSystem.from_eta([1.0, 2.0, 3.0], damp_gram=D)
+
+    def test_groups_stored_on_system(self):
+        D = permuted_block_gram(np.random.default_rng(4), [[1.0, 0.5], [2.0], [1.0, 0.0, 3.0]])[0]
+        sys_ = ModalSystem.from_eta(np.arange(1.0, 7.0), damp_gram=D)
+        assert [g.tolist() for g in sys_.groups] == [g.tolist() for g in modal.mode_groups(D)]
+        assert not any(g.flags.writeable for g in sys_.groups)
+        assert "groups" not in repr(sys_)
+        field = {f.name: f for f in dataclasses.fields(ModalSystem)}["groups"]
+        assert not (field.init or field.repr or field.compare)

@@ -5,11 +5,11 @@ import math
 
 import numpy as np
 import pytest
-from helpers import scalar_two_stage_step
+from helpers import scalar_two_stage_step, stage1_matrix
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from polystab import schemes
+from polystab import modal, schemes
 from polystab import (
     DiagnosticFailure,
     DomainError,
@@ -45,8 +45,10 @@ class TestFactorize:
     def test_single_mode_stage_matrices(self):
         sys_ = ModalSystem.from_eta([1.0])
         sol = factorize(sys_, SchemeConfig(dt=2.0, t_final=2.0))
-        assert np.array_equal(sol.stage1_matrix(damped=False), [[1.0, -1.0], [1.0, 1.0]])
-        assert sol.visc_factor[0] == pytest.approx(1.0 / 9.0, rel=1e-15)
+        assert np.array_equal(stage1_matrix(sys_, 2.0, damped=False), [[1.0, -1.0], [1.0, 1.0]])
+        # viscosity stage: z+ = z~ / (1 + dt^3 eta) = z~ / 9
+        rec = sol.step_viscous_damped(ModalState([1.0], [0.5]))
+        np.testing.assert_allclose(rec.z_next.stacked(), rec.z_tilde.stacked() / 9.0, rtol=1e-15)
 
     def test_damping_flag_off_ignores_gram(self):
         eta = [1.0, 4.0]
@@ -64,7 +66,9 @@ class TestFactorize:
     def test_small_dt_viscosity_limit(self):
         sys_ = ModalSystem.from_eta([50.0])
         sol = factorize(sys_, SchemeConfig(dt=1e-5, t_final=1.0))
-        assert sol.visc_factor[0] == pytest.approx(1.0, abs=1e-9)
+        rec = sol.step_viscous_damped(ModalState([1.0], [1.0]))
+        ratio = rec.z_next.stacked() / rec.z_tilde.stacked()
+        np.testing.assert_allclose(ratio, 1.0, rtol=0.0, atol=1e-9)
 
     def test_config_validation(self):
         with pytest.raises(DomainError):
@@ -92,7 +96,6 @@ class TestStepHandValues:
         sys_ = ModalSystem.from_eta([100.0])
         sol = factorize(sys_, SchemeConfig(dt=0.1, t_final=1.0, damping=False))
         rec = sol.step_viscous_conservative(ModalState([1.0], [1.0]))
-        assert sol.visc_factor[0] == pytest.approx(1.0 / 1.1, rel=1e-15)
         np.testing.assert_allclose(rec.z_next.a, rec.z_tilde.a / 1.1, rtol=1e-15)
         np.testing.assert_allclose(rec.z_next.b, rec.z_tilde.b / 1.1, rtol=1e-15)
 
@@ -149,7 +152,7 @@ class TestStageSolveProperty:
 
         z = random_state(rng, n)
         e0 = energy(sys_, z)
-        M = sol.stage1_matrix(damped=True)
+        M = stage1_matrix(sys_, cfg.dt)
         for _ in range(3):
             x = z.stacked()
             ref = np.linalg.solve(M, (2.0 * np.eye(2 * n) - M) @ x)
@@ -200,6 +203,53 @@ class TestModeGroups:
         assert got == sorted(sorted(b) for b in blocks)
         assert all(np.all(np.diff(g) > 0) for g in groups)
         assert [int(g[0]) for g in groups] == sorted(int(g[0]) for g in groups)
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 40), density=st.floats(0.0, 0.2))
+    def test_components_match_graph_search(self, seed, n, density):
+        # random patterns, one-sided entries included, against a depth-first search
+        rng = np.random.default_rng(seed)
+        D = np.where(rng.random((n, n)) < density, rng.standard_normal((n, n)), 0.0)
+        adj = (D != 0.0) | (D.T != 0.0)
+        seen, want = set(), []
+        for start in range(n):
+            if start in seen:
+                continue
+            comp, stack = {start}, [start]
+            while stack:
+                for v in np.flatnonzero(adj[stack.pop()]).tolist():
+                    if v not in comp:
+                        comp.add(v)
+                        stack.append(v)
+            seen |= comp
+            want.append(sorted(comp))
+        assert [g.tolist() for g in schemes.mode_groups(D)] == want
+
+    @pytest.mark.parametrize("entry", [(2, 0), (0, 2)])
+    def test_one_sided_entry_joins_groups(self, entry):
+        # the pattern is (D != 0) | (D.T != 0): either triangle couples
+        D = np.diag([1.0, 2.0, 3.0])
+        D[entry] = 1e-16
+        assert [g.tolist() for g in schemes.mode_groups(D)] == [[0, 2], [1]]
+
+    def test_factorize_reads_system_groups(self, monkeypatch):
+        calls = []
+        real = modal.mode_groups
+
+        def counting(damp_gram):
+            calls.append(1)
+            return real(damp_gram)
+
+        monkeypatch.setattr(modal, "mode_groups", counting)
+        monkeypatch.setattr(schemes, "mode_groups", counting)
+        sys_ = build_coupled_waves(ExampleParams(alpha=0.5, gamma=1.0, k_max=8))
+        assert len(calls) == 1
+        z = random_state(np.random.default_rng(0), sys_.n)
+        sol = factorize(sys_, SchemeConfig(dt=0.05, t_final=1.0))
+        sol.run(z)
+        sol.step_viscous_conservative(z)
+        sol.step_midpoint(z)
+        assert len(calls) == 1
 
 
 class TestBlockedKernelProperty:

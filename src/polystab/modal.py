@@ -210,6 +210,15 @@ class ModalState:
         n = x.shape[0] // 2
         return cls(x[:n], x[n:])
 
+    @classmethod
+    def _wrap_stacked(cls, x: np.ndarray) -> "ModalState":
+        """Read-only views of a finite stacked vector that only the caller
+        holds: no copy and no finiteness scan."""
+        x.setflags(write=False)
+        state = object.__new__(cls)
+        state.__dict__.update(a=x[: x.size // 2], b=x[x.size // 2:])
+        return state
+
 
 def _check_conforms(sys: ModalSystem, state: ModalState) -> None:
     if state.n != sys.n:

@@ -65,8 +65,11 @@ damping of all B steps.  The energy, visc1, visc2 and ``-beta`` weak-norm
 weights are diagonal in energy coordinates (``1/2``, ``dt^3 eta``,
 ``dt^6 eta^2 / 2`` and ``eta^{-2 beta - 1}`` on both blocks), so every
 term of the block is one weight product with the squared stack output.
-B follows from n, the column count and the group sizes (long blocks for
-few columns, single steps for wide batches); it is not a parameter.
+Only the groups that some column occupies are stepped; the others stay
+exactly zero.  B follows from n, the column count and the sizes of all
+groups (long blocks for few columns, single steps for wide batches); it
+is not a parameter.  Known cost: one dense group of size n runs with B = 1
+at ~5n^2 multiply-adds per column-step (~1.5x a Schur-complement step).
 
 **Audit.**  The residual of the per-step identity measures how accurately
 ``P`` and ``L`` were built; ``solve_tol`` only sets its tolerance
@@ -82,6 +85,7 @@ from __future__ import annotations
 import dataclasses
 import math
 from dataclasses import dataclass, field
+from itertools import repeat
 from typing import NamedTuple
 
 import numpy as np
@@ -201,31 +205,9 @@ class EnergyTrace:
         return float(self.energy[-1])
 
 
-class RawStep(NamedTuple):
-    """One step of a (2n, m) column batch: per-column accounting of step k.
-
-    ``energy`` and ``weak_sq`` (the squared pair norm on the ``-beta``
-    scale) belong to the state x_{k+1}, the ``*_prev`` fields to x_k.
-    ``damp`` is the dissipative output of the stepped generator (zero
-    without damping); ``observed_damp`` is the same form evaluated with the
-    system's damping Gram regardless.  Every field is a row of its time
-    block's arrays.
-    """
-
-    k: int
-    energy_prev: np.ndarray
-    energy: np.ndarray
-    weak_sq_prev: np.ndarray
-    weak_sq: np.ndarray
-    visc1: np.ndarray
-    visc2: np.ndarray
-    damp: np.ndarray
-    observed_damp: np.ndarray
-    identity_residual: np.ndarray
-
-
 class _Block(NamedTuple):
-    """Steps k0 .. k0+B-1 of a batch: (B+1, m) state rows, (B, m) step rows."""
+    """Steps k0 .. k0+B-1 of a batch: (B+1, m) state rows, (B, m) step rows
+    (fresh arrays in every block, so the records reading them stay valid)."""
 
     k0: int
     energy: np.ndarray
@@ -235,9 +217,32 @@ class _Block(NamedTuple):
     damp: np.ndarray
     observed: np.ndarray
     resid: np.ndarray
-    # energy-coordinate state after the block, one array per group size; it
-    # lives in a work buffer that the next block overwrites
-    state: list
+
+
+class RawStep(NamedTuple):
+    """One step of a (2n, m) column batch: per-column accounting of step k.
+
+    ``energy`` and ``weak_sq`` (the squared pair norm on the ``-beta``
+    scale) belong to the state x_{k+1}, the ``*_prev`` fields to x_k.
+    ``damp`` is the dissipative output of the stepped generator (zero
+    without damping); ``observed_damp`` is the same form evaluated with the
+    system's damping Gram regardless.  A record is ``(k, block, row)``;
+    each field reads its row of the time block's arrays on access.
+    """
+
+    k: int
+    block: _Block
+    row: int
+
+    energy_prev = property(lambda s: s.block.energy[s.row])
+    energy = property(lambda s: s.block.energy[s.row + 1])
+    weak_sq_prev = property(lambda s: s.block.weak_sq[s.row])
+    weak_sq = property(lambda s: s.block.weak_sq[s.row + 1])
+    visc1 = property(lambda s: s.block.visc1[s.row])
+    visc2 = property(lambda s: s.block.visc2[s.row])
+    damp = property(lambda s: s.block.damp[s.row])
+    observed_damp = property(lambda s: s.block.observed[s.row])
+    identity_residual = property(lambda s: s.block.resid[s.row])
 
 
 class _Groups(NamedTuple):
@@ -336,12 +341,12 @@ class SchemeSolver:
             self._stacks[B] = out
         return self._stacks[B]
 
-    def _weights(self, beta: float, stacks) -> list:
+    def _weights(self, beta: float, groups, stacks) -> list:
         """Per group size: (5, g, r) weights of the squared stack rows for
         E, visc1, visc2 and the weak norm (on the state rows) and the
         observed damping (on the L rows)."""
         out = []
-        for grp, st in zip(self._groups, stacks):
+        for grp, st in zip(groups, stacks):
             eta = grp.eta
             c = self.cfg.dt**3 * eta if self.cfg.viscosity else np.zeros_like(eta)
             w = np.zeros((5,) + st.shape[:2])
@@ -351,30 +356,40 @@ class SchemeSolver:
             out.append(w)
         return out
 
-    def _to_energy(self, x: np.ndarray) -> list:
-        return [x[grp.rows] * grp.scale for grp in self._groups]
-
-    def _to_modal(self, xs) -> np.ndarray:
-        out = np.empty((2 * self.sys.n, xs[0].shape[-1]))
-        for grp, xg in zip(self._groups, xs):
+    def _to_modal(self, pairs) -> np.ndarray:
+        """Stacked modal vector of one-column (groups, state) pairs; other rows zero."""
+        out = np.zeros((2 * self.sys.n, 1))
+        for grp, xg in pairs:
             out[grp.rows] = xg / grp.scale
-        return out
+        return out[:, 0]
 
     # -- the stepping kernel ---------------------------------------------
 
     def _blocks(self, x: np.ndarray, n_steps: int, beta: float = 0.0):
-        """Advance a (2n, m) batch ``n_steps`` times, yielding a _Block per
-        time block.
+        """Advance a (2n, m) batch ``n_steps`` times, yielding per time block
+        a _Block and the energy-coordinate state after it as (groups, state)
+        pairs, one per group size.
 
+        Only the groups that some column occupies are stepped: ``P`` keeps
+        a group that is zero in every column at exactly zero, and such a
+        group adds exact zeros to every term.  B follows from the whole
+        system, so the powers of P do not depend on the batch's support.
         The per-step identity residual is
         ``|E(x_{k+1}) + visc1 + visc2 + damp - E(x_k)|``.  A non-finite
         state or term raises NonFiniteStateError.
         """
         m = x.shape[1]
         B = max(1, min(_block_length(self.sys.n, m, self._groups), n_steps))
-        stacks = self._power_stacks(B)
-        W = self._weights(beta, stacks)
-        xs = self._to_energy(x)
+        groups, stacks, xs = [], [], []
+        for grp, st in zip(self._groups, self._power_stacks(B)):
+            xg = x[grp.rows]
+            occ = xg.any(axis=(1, 2))
+            if not occ.all():  # a size may keep no group: its stack is then empty
+                grp, st, xg = _Groups(*(a[occ] for a in grp)), st[occ], xg[occ]
+            groups.append(grp)
+            stacks.append(st)
+            xs.append(xg * grp.scale)
+        W = self._weights(beta, groups, stacks)
         prev = sum(w[:4, :, : xg.shape[1]].reshape(4, -1) @ (xg * xg).reshape(-1, m)
                    for w, xg in zip(W, xs))
         # Full blocks write into one stack-output and one square buffer per
@@ -400,8 +415,8 @@ class SchemeSolver:
             T[5] = np.abs(T[0] + T[1] + T[2] + damp - energy[:-1])
             if not np.isfinite(T).all():
                 raise NonFiniteStateError("time step produced non-finite state or terms")
-            yield _Block(k0, energy, np.concatenate([prev[3][None], T[3]]), T[1], T[2],
-                         damp, T[4], T[5], list(xs))
+            yield (_Block(k0, energy, np.concatenate([prev[3][None], T[3]]), T[1], T[2],
+                          damp, T[4], T[5]), list(zip(groups, xs)))
             prev = T[:4, -1]
 
     # -- public one-step API -------------------------------------------
@@ -409,11 +424,12 @@ class SchemeSolver:
     def _record(self, z: ModalState, k: int) -> StepRecord:
         """One step of one state with the cached group maps, no time block:
         ``z~ = S x``, ``z+ = V z~``, ``|L x|^2`` and the diagonal weights."""
-        xs = self._to_energy(z.stacked()[:, None])
+        x = z.stacked()[:, None]
         c = self.cfg.dt**3 if self.cfg.viscosity else 0.0
         zt, zn = [], []
         e_prev = e_next = visc1 = visc2 = observed = 0.0
-        for grp, (S, _, L), xg in zip(self._groups, self._maps, xs):
+        for grp, (S, _, L) in zip(self._groups, self._maps):
+            xg = x[grp.rows] * grp.scale
             ceta = c * grp.eta[:, :, None]
             zt.append(S @ xg)
             zn.append(zt[-1] / (1.0 + ceta))
@@ -427,7 +443,9 @@ class SchemeSolver:
         resid = abs(e_next + visc1 + visc2 + damp - e_prev)
         if not math.isfinite(resid + observed):
             raise NonFiniteStateError("time step produced non-finite state or terms")
-        z_tilde, z_next = (ModalState.from_stacked(self._to_modal(v)[:, 0]) for v in (zt, zn))
+        # finite terms imply finite states, so they skip ModalState's copy and scan
+        z_tilde, z_next = (ModalState._wrap_stacked(self._to_modal(zip(self._groups, v)))
+                           for v in (zt, zn))
         return StepRecord(k, z_tilde, z_next, damp, visc1, visc2, resid, observed)
 
     def _sibling(self, **stages) -> SchemeSolver:
@@ -462,7 +480,7 @@ class SchemeSolver:
         """
         cfg = self.cfg
         nsteps = substep_count(cfg.t_final, cfg.dt) + 1
-        blocks = list(self._blocks(z0.stacked()[:, None], nsteps, beta))
+        blocks, states_after = zip(*self._blocks(z0.stacked()[:, None], nsteps, beta))
 
         def steps(name):
             return np.concatenate([getattr(b, name)[:, 0] for b in blocks])
@@ -502,7 +520,7 @@ class SchemeSolver:
             telescope_tol=tel_tol,
             identity_ok=identity_ok,
             monotone_ok=monotone_ok,
-            final_state=ModalState.from_stacked(self._to_modal(blocks[-1].state)[:, 0]),
+            final_state=ModalState._wrap_stacked(self._to_modal(states_after[-1])),
         )
 
     def iterate_raw(self, x0: np.ndarray, n_steps: int, beta: float = 0.0):
@@ -518,17 +536,15 @@ class SchemeSolver:
         x = np.array(x0, dtype=float)
         if x.ndim == 1:
             x = x[:, None]
-        for b in self._blocks(x, n_steps, beta):
+        for b, _ in self._blocks(x, n_steps, beta):
             if b.k0 == 0:
                 tol = 10.0 * self.cfg.solve_tol * b.energy[0]
             if (b.resid > tol).any():
                 k = b.k0 + int(np.argmax((b.resid > tol).any(axis=1)))
                 raise DiagnosticFailure(
                     f"energy identity residual above 10 * solve_tol * E0 at step {k}")
-            rows = zip(b.energy[:-1], b.energy[1:], b.weak_sq[:-1], b.weak_sq[1:], b.visc1,
-                       b.visc2, b.damp, b.observed, b.resid)
-            for k, row in enumerate(rows, b.k0):
-                yield RawStep(k, *row)
+            nb = b.resid.shape[0]
+            yield from map(RawStep, range(b.k0, b.k0 + nb), repeat(b, nb), range(nb))
 
 
 def factorize(sys: ModalSystem, cfg: SchemeConfig) -> SchemeSolver:

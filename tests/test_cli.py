@@ -339,6 +339,25 @@ class TestObservabilityCommand:
         assert study["cells"][0]["min_ratio"] > 0.0  # viscosity terms only
 
 
+class TestStudyDeterminism:
+    @pytest.mark.parametrize("command, study, name", [
+        ("decay", {"T": 10.0, "t_star": 4.0}, "s_decay.json"),
+        ("observability", {"trials": 6, "seed": 3}, "s_observability.json"),
+    ])
+    def test_json_byte_identical(self, tmp_path, command, study, name):
+        payload = {
+            "system": {"type": "coupled_waves", "alpha": 0.5, "gamma": 1.0, "k_max": 4},
+            "scheme": {"dt_list": [0.1, 0.05], "t_final": 10.0},
+            "study": study,
+            "output": {"prefix": "s"},
+        }
+        p = write_config(tmp_path / "c.json", payload)
+        outs = [tmp_path / "o1", tmp_path / "o2"]
+        for out in outs:
+            assert main([command, "--config", p, "--out", str(out)]) == 0
+        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+
+
 class TestInghamCommand:
     def test_self_test_and_seed_echo(self, tmp_path):
         payload = {

@@ -123,6 +123,26 @@ class TestStepHandValues:
             assert rec.z_next.a[j] == pytest.approx(an, rel=1e-13)
             assert rec.z_next.b[j] == pytest.approx(bn, rel=1e-13)
 
+    def test_step_states_read_only_and_unaliased(self):
+        sys_ = build_coupled_waves(ExampleParams(0.5, 1.0, 4))
+        sol = factorize(sys_, SchemeConfig(dt=0.05, t_final=1.0))
+        z = random_state(np.random.default_rng(6), sys_.n)
+        rec = sol.step_viscous_damped(z)
+        kept = [rec.z_tilde.stacked(), rec.z_next.stacked()]
+        later = [sol.step_viscous_damped(rec.z_next), sol.step_viscous_conservative(z)]
+        states = [rec.z_tilde, rec.z_next, sol.step_midpoint(z), sol.run(z).final_state]
+        states += [r.z_next for r in later]
+        for st_ in states:
+            for arr in (st_.a, st_.b):
+                with pytest.raises(ValueError):
+                    arr[0] = 1.0
+        # later steps reuse no buffer of an earlier state
+        assert np.array_equal(rec.z_tilde.stacked(), kept[0])
+        assert np.array_equal(rec.z_next.stacked(), kept[1])
+        arrays = [z.a, z.b] + [arr for st_ in states for arr in (st_.a, st_.b)]
+        for i, u in enumerate(arrays):
+            assert not any(np.shares_memory(u, v) for v in arrays[i + 1:])
+
 
 class TestStageSolveProperty:
     @settings(max_examples=60, deadline=None)
@@ -324,6 +344,129 @@ class TestIterateRawAudit:
         sys_ = build_coupled_waves(ExampleParams(0.5, 1.0, 4))
         sol = factorize(sys_, SchemeConfig(dt=0.05, t_final=1.0, solve_tol=1e-300))
         assert len(list(sol.iterate_raw(np.zeros(2 * sys_.n), 100))) == 100
+
+
+RAW_FIELDS = ("k", "energy_prev", "energy", "weak_sq_prev", "weak_sq", "visc1", "visc2",
+              "damp", "observed_damp", "identity_residual")
+
+
+def block_diagonal_system(rng, sizes):
+    """Random damped system whose Gram has one random PSD block per size
+    (blocks of rank 1..s; a size-1 block may be zero), rows permuted."""
+    n = sum(sizes)
+    eta = np.sort(10.0 ** rng.uniform(-2.0, 3.0, n))
+    D = np.zeros((n, n))
+    start = 0
+    for s in sizes:
+        R = rng.standard_normal((s, rng.integers(1, s + 1)))
+        keep = rng.integers(0, 2) if s == 1 else 1
+        D[start:start + s, start:start + s] = keep * (R @ R.T)
+        start += s
+    perm = rng.permutation(n)
+    return ModalSystem.from_eta(eta, damp_gram=D[np.ix_(perm, perm)])
+
+
+class TestOccupiedGroups:
+    """Only the mode groups some column occupies are stepped; the others
+    stay exactly zero and add exact zeros, so every column must match the
+    same column stepped in a batch that occupies every group.  The group
+    states match exactly (``test_one_group_final_state``); the terms to
+    1e-15 of the column's E0 (of its initial weak norm for ``weak_sq``),
+    because BLAS may sum a narrow product in another order once the zero
+    rows are gone (up to ~3.3e-16 seen).  Both batches have the same
+    column count, so they take the same block length."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        sizes=st.lists(st.integers(1, 3), min_size=1, max_size=5),
+        support=st.sampled_from(["one", "several", "all"]),
+        m=st.integers(1, 3),
+        zero_col=st.booleans(),
+        damping=st.booleans(),
+        extra=st.integers(1, 63),
+    )
+    def test_subset_batch_matches_dense_batch(self, seed, sizes, support, m, zero_col,
+                                              damping, extra):
+        rng = np.random.default_rng(seed)
+        sys_ = block_diagonal_system(rng, sizes)
+        n, groups = sys_.n, sys_.groups
+        sol = factorize(sys_, SchemeConfig(dt=0.02, t_final=1.0, damping=damping))
+        X = np.zeros((2 * n, m))
+        for c in range(m):
+            count = {"one": 1, "several": rng.integers(1, len(groups) + 1),
+                     "all": len(groups)}[support]
+            for i in rng.choice(len(groups), size=count, replace=False):
+                rows = np.concatenate([groups[i], groups[i] + n])
+                X[rows, c] = rng.standard_normal(rows.size)
+        if zero_col:
+            X[:, rng.integers(m)] = 0.0
+        # an all-zero column pads the subset batch at the end; a full one
+        # leads the dense batch, so no single column sets the occupied groups
+        dense = np.column_stack([rng.standard_normal(2 * n), X])
+        n_steps = schemes._block_length(n, m + 1, sol._groups) + extra
+        recs = list(sol.iterate_raw(np.column_stack([X, np.zeros(2 * n)]), n_steps))
+        refs = list(sol.iterate_raw(dense, n_steps))
+        assert len(recs) == n_steps
+        e0, w0 = refs[0].energy_prev[1:], refs[0].weak_sq_prev[1:]
+        for r, q in zip(recs, refs):
+            assert r.k == q.k
+            for name in RAW_FIELDS[1:]:
+                assert not getattr(r, name)[m], (r.k, name)
+                tol = 1e-15 * (w0 if name.startswith("weak") else e0)
+                assert np.all(np.abs(getattr(r, name)[:m] - getattr(q, name)[1:]) <= tol), (
+                    r.k, name)
+        # and the energies of chained single steps, which step every group
+        for c in range(m):
+            z = ModalState.from_stacked(X[:, c])
+            for r in recs:
+                z = sol.step_viscous_damped(z).z_next
+                assert abs(r.energy[c] - energy(sys_, z)) <= 1e-12 * e0[c], (r.k, c)
+
+    @pytest.mark.parametrize("damping", [True, False])
+    def test_one_group_final_state(self, damping):
+        sys_ = build_coupled_waves(ExampleParams(0.5, 1.0, 6))
+        n = sys_.n
+        sol = factorize(sys_, SchemeConfig(dt=0.05, t_final=3.0, damping=damping))
+        rng = np.random.default_rng(3)
+        rows = np.concatenate([sys_.groups[2], sys_.groups[2] + n])
+        x = np.zeros(2 * n)
+        x[rows] = rng.standard_normal(rows.size)
+        final = sol.run(ModalState.from_stacked(x)).final_state.stacked()
+        outside = np.setdiff1d(np.arange(2 * n), rows)
+        assert not final[outside].any()
+        # P does not mix groups: a state that equals x on the group and
+        # occupies every other group ends with the same group rows
+        x[outside] = rng.standard_normal(outside.size)
+        dense = sol.run(ModalState.from_stacked(x)).final_state.stacked()
+        assert np.array_equal(final[rows], dense[rows])
+
+
+class TestRawStepRecords:
+    def test_field_names(self):
+        sys_ = build_coupled_waves(ExampleParams(0.5, 1.0, 4))
+        rec = next(factorize(sys_, SchemeConfig(dt=0.05, t_final=1.0)).iterate_raw(
+            np.ones((2 * sys_.n, 2)), 3))
+        public = {name for name in dir(rec) if not name.startswith("_")}
+        assert public - {"block", "row", "count", "index"} == set(RAW_FIELDS)
+        assert rec.k == 0
+        for name in RAW_FIELDS[1:]:
+            assert getattr(rec, name).shape == (2,), name
+
+    def test_records_outlive_iteration(self):
+        # several full time blocks and a partial one, a column batch
+        sys_ = build_coupled_waves(ExampleParams(0.5, 1.0, 4))
+        sol = factorize(sys_, SchemeConfig(dt=0.05, t_final=1.0))
+        X = np.random.default_rng(4).standard_normal((2 * sys_.n, 3))
+        n_steps = 3 * schemes._block_length(sys_.n, 3, sol._groups) + 5
+        seen, recs = [], []
+        for rec in sol.iterate_raw(X, n_steps, beta=0.5):
+            seen.append([np.array(getattr(rec, name)) for name in RAW_FIELDS])
+            recs.append(rec)
+        assert [r.k for r in recs] == list(range(n_steps))
+        for rec, values in zip(recs, seen):
+            for name, value in zip(RAW_FIELDS, values):
+                assert np.array_equal(getattr(rec, name), value), (rec.k, name)
 
 
 def assert_records_equal(r1, r2):

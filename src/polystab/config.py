@@ -155,6 +155,8 @@ class ExperimentConfig:
             raise ConfigError("scheme needs dt or dt_list")
         if sch.dt_list is not None and len(sch.dt_list) == 0:
             raise ConfigError("scheme.dt_list must be nonempty")
+        if self.study.fit_window is not None and len(self.study.fit_window) != 2:
+            raise ConfigError("study.fit_window must be [lo, hi]")
         if self.init.kind not in _INIT_KINDS:
             raise ConfigError(f"init.kind must be one of {_INIT_KINDS}")
 

@@ -344,13 +344,9 @@ def high_freq_observability(
     solve_tol: float = 1e-13,
 ) -> float:
     """Viscosity-sum share of the observability ratio for a high state."""
-    x0 = u0_high.stacked()[:, None]
-    _, v1, v2, weak, _ = _observability_sums(
-        sys, x0, beta, dt, T_star, viscosity=True, solve_tol=solve_tol
-    )
-    if weak[0] == 0.0:
-        raise DomainError("zero initial state: observability ratio undefined")
-    return float((v1[0] + v2[0]) / weak[0])
+    rep = observability_functional(sys, u0_high, beta, dt, T_star, viscosity=True,
+                                   solve_tol=solve_tol)
+    return (rep.visc_sum1 + rep.visc_sum2) / rep.weak_norm_sq
 
 
 # -- polynomial decay -------------------------------------------------------
@@ -367,12 +363,19 @@ class DecayFit:
     p0: float
 
 
+def _decay_rate(beta: float) -> float:
+    """Theoretical polynomial rate ``p0 = 1 / (1 + 2 beta)``, beta > -1/2."""
+    if not beta > -0.5:
+        raise DomainError(f"beta must exceed -1/2; got {beta}")
+    return 1.0 / (1.0 + 2.0 * beta)
+
+
 def decay_fit(trace: EnergyTrace, beta: float, fit_window) -> DecayFit:
     """Fit ``E ~ (1+t)^-p`` on the window and envelope the theoretical rate.
 
     ``exponent`` is the least-squares slope of log E against log(1 + t);
     ``M_hat`` is the window supremum of ``(1 + t)^{p0} E / ||z0||_D^2`` at
-    the theoretical rate ``p0 = 1 / (1 + 2 beta)``.
+    the theoretical rate ``p0 = 1 / (1 + 2 beta)``; beta must exceed -1/2.
     """
     lo, hi = fit_window
     mask = (trace.t >= lo) & (trace.t <= hi)
@@ -389,7 +392,7 @@ def decay_fit(trace: EnergyTrace, beta: float, fit_window) -> DecayFit:
     resid = y - (slope * x + intercept)
     ss_tot = float(np.sum((y - np.mean(y)) ** 2))
     r_sq = 1.0 - float(np.sum(resid**2)) / ss_tot if ss_tot > 0.0 else 1.0
-    p0 = 1.0 / (1.0 + 2.0 * beta)
+    p0 = _decay_rate(beta)
     m_hat = float(np.max((1.0 + trace.t[mask]) ** p0 * E / trace.domain_sq0))
     return DecayFit(
         exponent=float(-slope),
@@ -400,8 +403,12 @@ def decay_fit(trace: EnergyTrace, beta: float, fit_window) -> DecayFit:
     )
 
 
-def synthetic_trace(t, energy, domain_sq0: float = 1.0, beta: float = 0.0) -> EnergyTrace:
-    """Wrap externally computed (t, E) samples as an EnergyTrace for fitting."""
+def synthetic_trace(t, energy) -> EnergyTrace:
+    """Wrap externally computed (t, E) samples as an EnergyTrace for fitting.
+
+    The trace carries a unit generator-domain norm, so ``decay_fit``
+    envelopes E itself; the per-step terms are zero placeholders.
+    """
     t = np.asarray(t, dtype=float)
     energy = np.asarray(energy, dtype=float)
     if t.shape != energy.shape or t.ndim != 1 or t.size < 2:
@@ -410,7 +417,7 @@ def synthetic_trace(t, energy, domain_sq0: float = 1.0, beta: float = 0.0) -> En
     zeros = np.zeros(nsteps)
     return EnergyTrace(
         dt=float(t[1] - t[0]),
-        beta=beta,
+        beta=0.0,
         t=t,
         energy=energy,
         weak_sq=np.zeros_like(energy),
@@ -419,21 +426,22 @@ def synthetic_trace(t, energy, domain_sq0: float = 1.0, beta: float = 0.0) -> En
         visc2=zeros.copy(),
         identity_residual=zeros.copy(),
         observed_damp=zeros.copy(),
-        domain_sq0=domain_sq0,
+        domain_sq0=1.0,
         solve_tol=1e-13,
     )
 
 
-def worst_case_family(sys: ModalSystem, n_singles: int = 5):
+def worst_case_family(sys: ModalSystem):
     """Initial states that stress polynomial (not exponential) decay.
 
-    Unit generator-domain-norm members: single displacement modes spread
-    across the spectrum, equal-amplitude displacement combinations inside
-    2-clusters (the weakly damped directions), and the highest retained
-    mode.  Returns (label, state) pairs.
+    Unit generator-domain-norm members: five single displacement modes
+    spread across the spectrum (the lowest and the highest retained mode
+    among them; fewer on small systems), and equal-amplitude displacement
+    combinations inside the first, middle and last 2-clusters (the weakly
+    damped directions).  Returns (label, state) pairs.
     """
     n = sys.n
-    idx = sorted(set(np.linspace(0, n - 1, max(n_singles, 2)).astype(int)))
+    idx = sorted(set(np.linspace(0, n - 1, 5).astype(int)))
     members = []
     for j in idx:
         a = np.zeros(n)
@@ -471,9 +479,12 @@ class MemberFit:
 
 @dataclass(frozen=True)
 class DecayCell:
+    """One dt of the sweep; ``envelope`` is None when the family envelope
+    is not strictly positive on the fit window."""
+
     dt: float
     member_fits: tuple
-    envelope: DecayFit
+    envelope: DecayFit | None
 
 
 @dataclass(frozen=True)
@@ -494,7 +505,6 @@ def uniform_decay_study(
     sys: ModalSystem,
     beta: float,
     dt_list,
-    z0_family=None,
     T: float = 200.0,
     fit_window=None,
     t_star: float | None = None,
@@ -506,87 +516,75 @@ def uniform_decay_study(
 ) -> DecayStudy:
     """Sweep the damped scheme over dt and fit the polynomial envelope.
 
-    Each family member is normalized to unit generator-domain norm and run
-    to T; the family envelope (per-step maximum of the member energies) is
-    the quantity the uniform decay bound controls, so the verdict is based
-    on the envelope fits: "uniform" when every envelope M_hat is finite,
-    their spread across dt is within ``uniformity_factor`` and every
-    envelope exponent reaches ``exponent_floor``.  Per-member fits are
-    reported alongside.
+    The members of ``worst_case_family(sys)`` are run to T as one batch
+    per dt.  The family envelope (per-step maximum of the member energies)
+    is the quantity the uniform decay bound controls, so the verdict rests
+    on the envelope fits: "uniform" when the envelope M_hat spread across
+    dt is within ``uniformity_factor`` and every envelope exponent reaches
+    ``exponent_floor``, else "non-uniform".  The verdict is "inconclusive"
+    only when some envelope is not strictly positive on the fit window
+    (every member's energy underflows there) or has a non-finite M_hat.
+    Per-member fits are reported alongside.
+
+    Every cell's SchemeConfig and the fit window (default ``(T*/2, T)``,
+    at least two samples on every dt grid) are checked before anything is
+    stepped: a bad dt, T, window or ``beta <= -1/2`` raises DomainError.
     """
     policy = observation_time(sys, t_star)
-    if fit_window is None:
-        fit_window = (0.5 * policy.t_star, T)
-    if z0_family is None:
-        z0_family = worst_case_family(sys)
-    n = sys.n
-    labels = [lab for lab, _ in z0_family]
-    X0 = np.empty((2 * n, len(z0_family)))
-    for c, (_, st) in enumerate(z0_family):
-        d = norm_domain(sys, st)
-        if d == 0.0:
-            raise DomainError(f"family member {labels[c]!r} has zero domain norm")
-        X0[:, c] = st.stacked() / d
-
-    def run_cell(dt: float) -> DecayCell:
+    p0 = _decay_rate(beta)
+    lo, hi = (0.5 * policy.t_star, T) if fit_window is None else fit_window
+    grids = []
+    for dt in dt_list:
         cfg = SchemeConfig(dt=dt, t_final=T, viscosity=viscosity, damping=damping,
                            solve_tol=solve_tol)
-        nsteps = substep_count(T, dt) + 1
-        E = np.empty((nsteps + 1, X0.shape[1]))
-        for s in factorize(sys, cfg).iterate_raw(X0, nsteps):
+        t = np.arange(substep_count(T, dt) + 2) * dt
+        mask = (t >= lo) & (t <= hi)
+        if np.count_nonzero(mask) < 2:
+            raise DomainError(f"fit window ({lo}, {hi}) holds fewer than two samples at dt={dt}")
+        grids.append((cfg, t, mask))
+    if not grids:
+        raise DomainError("dt_list must be nonempty")
+    family = worst_case_family(sys)
+    X0 = np.column_stack([st.stacked() for _, st in family])
+
+    cells = []
+    for cfg, t, mask in grids:
+        E = np.empty((t.size, X0.shape[1]))
+        for s in factorize(sys, cfg).iterate_raw(X0, t.size - 1):
             if s.k == 0:
                 E[0] = s.energy_prev
             E[s.k + 1] = s.energy
-        t = np.arange(nsteps + 1) * dt
-        mask = (t >= fit_window[0]) & (t <= fit_window[1])
-        p0 = 1.0 / (1.0 + 2.0 * beta)
         fits = []
-        for c, lab in enumerate(labels):
-            m_hat = float(np.max((1.0 + t[mask]) ** p0 * E[mask, c]))
-            if np.all(E[mask, c] > 0.0):
-                f = decay_fit(synthetic_trace(t, E[:, c], 1.0, beta), beta, fit_window)
-                fits.append(MemberFit(lab, m_hat, f.exponent, f.r_squared))
+        for (label, _), e in zip(family, E.T):
+            if np.all(e[mask] > 0.0):
+                f = decay_fit(synthetic_trace(t, e), beta, (lo, hi))
+                fits.append(MemberFit(label, f.M_hat, f.exponent, f.r_squared))
             else:
-                fits.append(MemberFit(lab, m_hat, None, None))
-        env = decay_fit(synthetic_trace(t, E.max(axis=1), 1.0, beta), beta, fit_window)
-        return DecayCell(dt=dt, member_fits=tuple(fits), envelope=env)
+                m_hat = float(np.max((1.0 + t[mask]) ** p0 * e[mask]))
+                fits.append(MemberFit(label, m_hat, None, None))
+        env = E.max(axis=1)
+        envelope = None
+        if np.all(env[mask] > 0.0):
+            envelope = decay_fit(synthetic_trace(t, env), beta, (lo, hi))
+        cells.append(DecayCell(dt=cfg.dt, member_fits=tuple(fits), envelope=envelope))
 
-    try:
-        cells = tuple(run_cell(dt) for dt in dt_list)
-    except DomainError:
-        return DecayStudy(
-            beta=beta,
-            p0=1.0 / (1.0 + 2.0 * beta),
-            t_star=policy.t_star,
-            T=T,
-            fit_window=tuple(fit_window),
-            uniformity_factor=uniformity_factor,
-            exponent_floor=exponent_floor,
-            cells=(),
-            envelope_spread=math.nan,
-            verdict="inconclusive",
-        )
-
-    m_hats = np.array([c.envelope.M_hat for c in cells])
-    exps = np.array([c.envelope.exponent for c in cells])
-    if not np.all(np.isfinite(m_hats)):
-        verdict = "inconclusive"
-        spread = math.nan
+    envs = [c.envelope for c in cells]
+    if any(e is None or not math.isfinite(e.M_hat) for e in envs):
+        verdict, spread = "inconclusive", math.nan
     else:
-        spread = float(np.max(m_hats) / np.min(m_hats))
-        if spread <= uniformity_factor and np.all(exps >= exponent_floor):
-            verdict = "uniform"
-        else:
-            verdict = "non-uniform"
+        m_hats = [e.M_hat for e in envs]
+        spread = max(m_hats) / min(m_hats)
+        ok = spread <= uniformity_factor and all(e.exponent >= exponent_floor for e in envs)
+        verdict = "uniform" if ok else "non-uniform"
     return DecayStudy(
         beta=beta,
-        p0=1.0 / (1.0 + 2.0 * beta),
+        p0=p0,
         t_star=policy.t_star,
         T=T,
-        fit_window=tuple(fit_window),
+        fit_window=(lo, hi),
         uniformity_factor=uniformity_factor,
         exponent_floor=exponent_floor,
-        cells=cells,
+        cells=tuple(cells),
         envelope_spread=spread,
         verdict=verdict,
     )

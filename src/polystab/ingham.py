@@ -257,15 +257,14 @@ def q_form(freqs, coeffs, gamma1: float | None = None, partition=None) -> float:
     return float(np.sum(np.abs(_cluster_matrix(freqs, partition) @ coeffs) ** 2))
 
 
-def estimate_clustered(freqs, cfg: InghamConfig, partition=None) -> InghamEstimate:
+def estimate_clustered(freqs, cfg: InghamConfig) -> InghamEstimate:
     """Empirical envelope of the ratio against Q(x) at t = 0.
 
     ``cfg.gamma`` plays the role of the 2-separated constant and defines
-    the default cluster partition.
+    the cluster partition.
     """
     freqs = np.asarray(freqs, dtype=float)
-    if partition is None:
-        partition = cluster_partition(freqs, cfg.gamma)
+    partition = cluster_partition(freqs, cfg.gamma)
     X, num = _draw_sums(freqs, cfg)
     q = np.sum(np.abs(_cluster_matrix(freqs, partition) @ X) ** 2, axis=0)
     good = q > 0.0

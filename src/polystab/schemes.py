@@ -548,5 +548,6 @@ class SchemeSolver:
 
 
 def factorize(sys: ModalSystem, cfg: SchemeConfig) -> SchemeSolver:
-    """Find the mode groups and build the propagators of a scheme configuration."""
+    """Build the per-group propagators of a scheme configuration on the
+    system's stored mode groups (``sys.groups``)."""
     return SchemeSolver(sys, cfg)

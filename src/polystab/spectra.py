@@ -102,25 +102,14 @@ def build_coupled_waves(p: ExampleParams) -> ModalSystem:
     return ModalSystem.from_eta(eta, damp_gram=D, labels=labels)
 
 
-def _solve_branch_frequency(k: int, alpha: float, sign: int) -> float:
-    """Fixed point mu = pi/2 + k pi + sign * atan(alpha / mu).
-
-    Plain iteration from the uncoupled frequency; the iteration map has
-    derivative alpha / (mu^2 + alpha^2) < 1, so it contracts.
-    """
-    base = 0.5 * math.pi + k * math.pi
-    mu = base
-    for _ in range(200):
-        new = base + sign * math.atan(alpha / mu)
-        if abs(new - mu) <= 1e-15 * new:
-            mu = new
-            break
-        mu = new
-    else:
-        raise DomainError(f"frequency fixed point did not converge (k={k}, sign={sign})")
-    if abs(mu - (base + sign * math.atan(alpha / mu))) > 1e-13 * mu:
-        raise DomainError(f"frequency fixed point residual too large (k={k})")
-    return mu
+def _branch_map(alpha: float, labels):
+    """The boundary fixed-point map ``mu -> pi/2 + k pi +- atan(alpha / mu)``,
+    vectorised over the (branch, k) labels; its derivative
+    ``alpha / (mu^2 + alpha^2) < 1`` makes it a contraction."""
+    k = np.array([k for _, k in labels], dtype=float)
+    sign = np.array([1.0 if branch == "+" else -1.0 for branch, _ in labels])
+    base = 0.5 * np.pi + k * np.pi
+    return lambda mu: base + sign * np.arctan(alpha / mu)
 
 
 def build_boundary_coupled_waves(p: ExampleParams) -> ModalSystem:
@@ -135,18 +124,22 @@ def build_boundary_coupled_waves(p: ExampleParams) -> ModalSystem:
     """
     if not (p.alpha < 1.0):
         raise DomainError(f"boundary_coupled_waves requires alpha < 1; got {p.alpha}")
-    mu = []
-    labels = []
-    signs = []  # sign of the first displacement component
-    for k in range(1, p.k_max + 1):
-        mu.append(_solve_branch_frequency(k, p.alpha, -1))
-        labels.append(("-", k))
-        signs.append(1.0)
-        mu.append(_solve_branch_frequency(k, p.alpha, +1))
-        labels.append(("+", k))
-        signs.append(-1.0)
-    mu = np.array(mu)
-    signs = np.array(signs)
+    labels = [(branch, k) for k in range(1, p.k_max + 1) for branch in "-+"]
+    signs = np.tile([1.0, -1.0], p.k_max)  # sign of the first displacement component
+    # plain iteration of all branches together from the uncoupled
+    # frequencies pi/2 + k pi (the map's value at mu = inf)
+    step = _branch_map(p.alpha, labels)
+    mu = step(np.inf)
+    for _ in range(200):
+        new = step(mu)
+        converged = np.all(np.abs(new - mu) <= 1e-15 * new)
+        mu = new
+        if converged:
+            break
+    else:
+        raise DomainError("frequency fixed point did not converge")
+    if np.any(np.abs(mu - step(mu)) > 1e-13 * mu):
+        raise DomainError("frequency fixed point residual too large")
     if np.any(np.diff(mu) <= 0.0):
         raise DomainError("boundary frequencies failed to interlace")
 
@@ -170,12 +163,7 @@ def build_boundary_coupled_waves(p: ExampleParams) -> ModalSystem:
 
 def boundary_fixedpoint_residuals(p: ExampleParams, sys: ModalSystem) -> np.ndarray:
     """Residuals |mu - (pi/2 + k pi +- atan(alpha/mu))| of a boundary build."""
-    res = np.empty(sys.n)
-    for j, (branch, k) in enumerate(sys.labels):
-        sign = 1.0 if branch == "+" else -1.0
-        base = 0.5 * math.pi + k * math.pi
-        res[j] = abs(sys.mu[j] - (base + sign * math.atan(p.alpha / sys.mu[j])))
-    return res
+    return np.abs(sys.mu - _branch_map(p.alpha, sys.labels)(sys.mu))
 
 
 @dataclass(frozen=True)

@@ -281,6 +281,40 @@ class TestDecayCommand:
         assert main(["decay", "--config", str(p), "--out", str(tmp_path)]) == 3
         assert not (tmp_path / "d_decay.json").exists()
 
+    @pytest.mark.parametrize("scheme, study", [
+        ({"dt_list": [-0.05], "t_final": 10.0}, {}),
+        ({"dt_list": [0.5], "t_final": 0.2}, {}),
+        ({"dt_list": [0.05], "t_final": 10.0}, {"fit_window": [20.0, 30.0]}),
+        ({"dt_list": [0.05], "t_final": 10.0}, {"fit_window": [5.01, 5.06]}),
+        ({"dt_list": [0.05], "t_final": 10.0}, {"beta": -0.5}),
+        ({"dt_list": [0.05], "t_final": 10.0}, {"fit_window": [1.0]}),
+    ], ids=["dt_negative", "T_below_dt", "window_beyond_T", "one_sample_window",
+            "beta_at_minus_half", "window_not_a_pair"])
+    def test_bad_inputs_exit_2(self, tmp_path, scheme, study):
+        payload = {
+            "system": {"type": "coupled_waves", "alpha": 0.5, "gamma": 1.0, "k_max": 4},
+            "scheme": scheme,
+            "study": dict(study, t_star=4.0),
+            "output": {"prefix": "d"},
+        }
+        p = write_config(tmp_path / "c.json", payload)
+        assert main(["decay", "--config", str(p), "--out", str(tmp_path)]) == 2
+        assert not (tmp_path / "d_decay.json").exists()
+
+    def test_underflowing_envelope_inconclusive(self, tmp_path):
+        payload = {
+            "system": {"type": "custom", "eta": [1e4]},
+            "scheme": {"dt_list": [0.5], "t_final": 60.0},
+            "study": {"t_star": 4.0},
+            "output": {"prefix": "d"},
+        }
+        p = write_config(tmp_path / "c.json", payload)
+        assert main(["decay", "--config", str(p), "--out", str(tmp_path)]) == 0
+        study = json.loads((tmp_path / "d_decay.json").read_text())["study"]
+        assert study["verdict"] == "inconclusive"
+        assert study["envelope_spread"] == "nan"
+        assert [cell["envelope"] for cell in study["cells"]] == [None]
+
     def test_synthetic_self_test_echoes_exponent(self, tmp_path):
         payload = {
             "system": {"type": "coupled_waves", "k_max": 2},

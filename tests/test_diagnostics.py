@@ -15,6 +15,7 @@ from polystab import (
     ExampleParams,
     ModalState,
     ModalSystem,
+    SchemeSolver,
     build_coupled_waves,
     decay_fit,
     high_freq_contraction,
@@ -296,8 +297,7 @@ class TestUniformDecayStudy:
     def test_heavy_damping_bounded_envelope(self):
         # exponential decay easily satisfies the polynomial envelope
         sys_ = ModalSystem.from_eta([4.0], damp_gram=[[2.0]])
-        st = worst_case_family(sys_)
-        study = uniform_decay_study(sys_, 0.0, [0.01], z0_family=st, T=30.0, t_star=4.0)
+        study = uniform_decay_study(sys_, 0.0, [0.01], T=30.0, t_star=4.0)
         cell = study.cells[0]
         assert math.isfinite(cell.envelope.M_hat)
         assert cell.envelope.M_hat < 1.0
@@ -308,6 +308,45 @@ class TestUniformDecayStudy:
 
         for label, st in worst_case_family(sys_):
             assert norm_domain(sys_, st) == pytest.approx(1.0, rel=1e-12)
+
+    @pytest.mark.parametrize("bad", [
+        {"dt_list": [-0.05]},
+        {"dt_list": [0.05, 0.0]},
+        {"dt_list": [0.5], "T": 0.2},
+        {"fit_window": (20.0, 30.0)},
+        {"fit_window": (5.01, 5.06)},
+        {"dt_list": []},
+        {"beta": -0.5},
+    ], ids=["dt_negative", "later_dt_zero", "T_below_dt", "window_beyond_T",
+            "one_sample_window", "no_dt", "beta_at_minus_half"])
+    def test_bad_inputs_raise_before_stepping(self, monkeypatch, bad):
+        sys_ = build_coupled_waves(ExampleParams(0.5, 1.0, 4))
+        calls = []
+        iterate_raw = SchemeSolver.iterate_raw
+
+        def counted(self, *args, **kwargs):
+            calls.append(1)
+            return iterate_raw(self, *args, **kwargs)
+
+        monkeypatch.setattr(SchemeSolver, "iterate_raw", counted)
+        kwargs = {"beta": 0.0, "dt_list": [0.05], "T": 10.0, "t_star": 4.0, **bad}
+        with pytest.raises(DomainError):
+            uniform_decay_study(sys_, **kwargs)
+        assert calls == []
+
+    def test_underflowing_envelope_inconclusive(self):
+        # viscosity divides the amplitude by 1 + dt^3 eta = 1251 per step,
+        # so the energy reaches 0.0 near t = 27, inside the window (2, 60)
+        sys_ = ModalSystem.from_eta([1e4])
+        study = uniform_decay_study(sys_, 0.0, [0.5], T=60.0, t_star=4.0)
+        assert study.verdict == "inconclusive"
+        assert math.isnan(study.envelope_spread)
+        (cell,) = study.cells
+        assert cell.envelope is None
+        (member,) = cell.member_fits
+        assert member.label == "mode[0]"
+        assert member.exponent is None and member.r_squared is None
+        assert 0.0 < member.m_hat < 1e-20
 
 
 class TestIdentityAudit:

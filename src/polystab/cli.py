@@ -136,7 +136,8 @@ def cmd_decay(cfg: ExperimentConfig, out: str, seed) -> int:
     if st.synthetic_exponent is not None:
         # self-test: fit an exact power law and echo the exponent
         T = st.T if st.T is not None else cfg.scheme.t_final
-        t = np.arange(0.0, T + _scheme_dt(cfg), _scheme_dt(cfg))
+        dt = SchemeConfig(dt=_scheme_dt(cfg), t_final=T).dt  # checks dt and T
+        t = np.arange(0.0, T + dt, dt)
         energy = (1.0 + t) ** (-st.synthetic_exponent)
         fit = decay_fit(synthetic_trace(t, energy), st.beta, (0.0, T))
         _write_json(

@@ -66,10 +66,12 @@ weights are diagonal in energy coordinates (``1/2``, ``dt^3 eta``,
 ``dt^6 eta^2 / 2`` and ``eta^{-2 beta - 1}`` on both blocks), so every
 term of the block is one weight product with the squared stack output.
 Only the groups that some column occupies are stepped; the others stay
-exactly zero.  B follows from n, the column count and the sizes of all
-groups (long blocks for few columns, single steps for wide batches); it
-is not a parameter.  Known cost: one dense group of size n runs with B = 1
-at ~5n^2 multiply-adds per column-step (~1.5x a Schur-complement step).
+exactly zero.  B follows from the stepped rows and the column count
+(~2^15 entries per block: long blocks for few columns or occupied groups,
+single steps for wide batches), with at most 128 steps and 2^18 entries
+in the powers of P, rounded down to a power of two; it is not a parameter.
+Known cost: one dense group of size n runs with B = 1 at ~5n^2
+multiply-adds per column-step (~1.5x a Schur-complement step).
 
 **Audit.**  The residual of the per-step identity measures how accurately
 ``P`` and ``L`` were built; ``solve_tol`` only sets its tolerance
@@ -83,6 +85,7 @@ whole trajectory.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 from dataclasses import dataclass, field
 from itertools import repeat
@@ -254,12 +257,13 @@ class _Groups(NamedTuple):
     gram: np.ndarray  # (g, s, s) damping Gram of each group
 
 
-def _block_length(n: int, m: int, groups) -> int:
-    """Steps per time block for m columns: ~2^15 state entries per block,
-    at most 64 steps, and at most 2^18 entries in the B powers of P."""
-    b = min(max(2**15 // (2 * n * m), 1), 64)
+def _block_length(rows: int, m: int, groups) -> int:
+    """Steps per time block for m columns of ``rows`` stepped rows: ~2^15
+    stepped state entries, at most 128 steps and 2^18 entries in the B powers
+    of P of all ``groups``, rounded down to a power of two (8 cached stacks)."""
     sq = sum(grp.rows.size * grp.rows.shape[1] for grp in groups)
-    return max(1, min(b, 2**18 // sq))
+    b = min(2**15 // max(rows * m, 1), 2**18 // sq, 128)
+    return 1 << (max(b, 1).bit_length() - 1)
 
 
 class SchemeSolver:
@@ -372,41 +376,41 @@ class SchemeSolver:
 
         Only the groups that some column occupies are stepped: ``P`` keeps
         a group that is zero in every column at exactly zero, and such a
-        group adds exact zeros to every term.  B follows from the whole
-        system, so the powers of P do not depend on the batch's support.
+        group adds exact zeros to every term.  B follows from the rows the
+        batch steps; the powers of P of every group are cached per B.
         The per-step identity residual is
         ``|E(x_{k+1}) + visc1 + visc2 + damp - E(x_k)|``.  A non-finite
         state or term raises NonFiniteStateError.
         """
         m = x.shape[1]
-        B = max(1, min(_block_length(self.sys.n, m, self._groups), n_steps))
+        occupied = [x[grp.rows].any(axis=(1, 2)) for grp in self._groups]
+        B = _block_length(sum(grp.rows[occ].size for grp, occ in zip(self._groups, occupied)),
+                          m, self._groups)
         groups, stacks, xs = [], [], []
-        for grp, st in zip(self._groups, self._power_stacks(B)):
-            xg = x[grp.rows]
-            occ = xg.any(axis=(1, 2))
+        for grp, st, occ in zip(self._groups, self._power_stacks(B), occupied):
             if not occ.all():  # a size may keep no group: its stack is then empty
-                grp, st, xg = _Groups(*(a[occ] for a in grp)), st[occ], xg[occ]
+                grp, st = _Groups(*(a[occ] for a in grp)), st[occ]
             groups.append(grp)
             stacks.append(st)
-            xs.append(xg * grp.scale)
+            xs.append(x[grp.rows] * grp.scale)
         W = self._weights(beta, groups, stacks)
         prev = sum(w[:4, :, : xg.shape[1]].reshape(4, -1) @ (xg * xg).reshape(-1, m)
                    for w, xg in zip(W, xs))
-        # Full blocks write into one stack-output and one square buffer per
-        # group size: fresh large temporaries in every block cost page
-        # faults once the allocator returns their memory.  (matmul copies
-        # the state view it reads from its output buffer first.)
-        work = [(np.empty((st.shape[0], st.shape[1] * B, m)),
+        # Full blocks write into two alternating stack-output buffers (so that
+        # matmul never reads the state from its own output, which it would
+        # copy first) and one square buffer per group size: fresh large
+        # temporaries cost page faults once the allocator returns their memory.
+        work = [([np.empty((st.shape[0], st.shape[1] * B, m)) for _ in range(2)],
                  np.empty((st.shape[0] * st.shape[1], B * m))) for st in stacks]
         for k0 in range(0, n_steps, B):
             nb = min(B, n_steps - k0)
             full = nb == B
             # E, visc1, visc2, weak of x_{k+1}; observed damping and residual of step k
             T = np.zeros((6, nb, m))
-            for j, (st, w, xg, (ybuf, sq)) in enumerate(zip(stacks, W, xs, work)):
+            for j, (st, w, xg, (ybufs, sq)) in enumerate(zip(stacks, W, xs, work)):
                 g, r, _, s2 = st.shape
                 y = np.matmul(st[:, :, :nb].reshape(g, r * nb, s2), xg,
-                              out=ybuf if full else None)
+                              out=ybufs[k0 // B % 2] if full else None)
                 y2 = np.square(y.reshape(g * r, nb * m), out=sq if full else None)
                 T[:5] += (w.reshape(5, g * r) @ y2).reshape(5, nb, m)
                 xs[j] = y.reshape(g, r, nb, m)[:, :s2, -1]
@@ -536,6 +540,7 @@ class SchemeSolver:
         x = np.array(x0, dtype=float)
         if x.ndim == 1:
             x = x[:, None]
+        new = functools.partial(tuple.__new__, RawStep)  # the records, built in C
         for b, _ in self._blocks(x, n_steps, beta):
             if b.k0 == 0:
                 tol = 10.0 * self.cfg.solve_tol * b.energy[0]
@@ -544,7 +549,7 @@ class SchemeSolver:
                 raise DiagnosticFailure(
                     f"energy identity residual above 10 * solve_tol * E0 at step {k}")
             nb = b.resid.shape[0]
-            yield from map(RawStep, range(b.k0, b.k0 + nb), repeat(b, nb), range(nb))
+            yield from map(new, zip(range(b.k0, b.k0 + nb), repeat(b, nb), range(nb)))
 
 
 def factorize(sys: ModalSystem, cfg: SchemeConfig) -> SchemeSolver:

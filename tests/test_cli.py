@@ -328,6 +328,19 @@ class TestDecayCommand:
         assert data["self_test"]["exponent_fit"] == pytest.approx(1.0, abs=1e-10)
         assert data["self_test"]["M_hat"] == pytest.approx(1.0, rel=1e-10)
 
+    @pytest.mark.parametrize("dt", [0.0, -0.01], ids=["dt_zero", "dt_negative"])
+    def test_synthetic_self_test_bad_dt_exits_2(self, tmp_path, capsys, dt):
+        payload = {
+            "system": {"type": "coupled_waves", "k_max": 2},
+            "scheme": {"dt": dt, "t_final": 50.0},
+            "study": {"synthetic_exponent": 1.0},
+            "output": {"prefix": "d"},
+        }
+        p = write_config(tmp_path / "c.json", payload)
+        assert main(["decay", "--config", str(p), "--out", str(tmp_path)]) == 2
+        assert "dt must be positive" in capsys.readouterr().err
+        assert not (tmp_path / "d_decay.json").exists()
+
     def test_verdict_field_enumeration(self, tmp_path):
         payload = {
             "system": {"type": "coupled_waves", "alpha": 0.5, "gamma": 1.0, "k_max": 8},

@@ -9,12 +9,14 @@ from helpers import scalar_observability_sums
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from polystab import diagnostics
 from polystab import (
     DiagnosticFailure,
     DomainError,
     ExampleParams,
     ModalState,
     ModalSystem,
+    SchemeConfig,
     SchemeSolver,
     build_coupled_waves,
     decay_fit,
@@ -270,6 +272,21 @@ class TestDecayFit:
         assert fit.exponent == pytest.approx(0.0, abs=1e-12)
         assert fit.M_hat == pytest.approx(11.0, rel=1e-12)
 
+    def test_matches_polyfit_through_the_helper(self):
+        t = np.linspace(0.0, 50.0, 5001)
+        E = 3.0 * (1.0 + t) ** -1.3 * (1.0 + 0.2 * np.sin(t))
+        fit = decay_fit(synthetic_trace(t, E), 0.0, (5.0, 40.0))
+        mask = (t >= 5.0) & (t <= 40.0)
+        x, y = np.log1p(t[mask]), np.log(E[mask])
+        slope, r_sq = diagnostics._loglog_fit(x, y)
+        assert (fit.exponent, fit.r_squared) == (-slope, r_sq)
+        ref_slope, ref_icpt = np.polyfit(x, y, 1)
+        resid = y - (ref_slope * x + ref_icpt)
+        ref_r_sq = 1.0 - np.sum(resid**2) / np.sum((y - y.mean()) ** 2)
+        assert fit.exponent == pytest.approx(-ref_slope, rel=1e-10)
+        assert fit.r_squared == pytest.approx(ref_r_sq, rel=1e-10)
+        assert fit.r_squared < 0.999  # the wobble leaves a residual
+
     def test_nonpositive_energy_rejected(self):
         t = np.linspace(0.0, 10.0, 11)
         E = np.ones_like(t)
@@ -347,6 +364,26 @@ class TestUniformDecayStudy:
         assert member.label == "mode[0]"
         assert member.exponent is None and member.r_squared is None
         assert 0.0 < member.m_hat < 1e-20
+
+
+    @pytest.mark.parametrize("gamma", [1.0, 0.0])
+    def test_fits_use_every_window_sample(self, gamma):
+        # every member and envelope exponent is the least-squares slope over
+        # all window samples, the members stepped one at a time here
+        sys_ = build_coupled_waves(ExampleParams(0.5, gamma, 4))
+        study = uniform_decay_study(sys_, 0.0, [0.1, 0.05], T=20.0, t_star=4.0)
+        lo, hi = study.fit_window
+        family = worst_case_family(sys_)
+        for cell in study.cells:
+            sol = SchemeSolver(sys_, SchemeConfig(dt=cell.dt, t_final=20.0))
+            E = np.array([sol.run(z0).energy for _, z0 in family])
+            t = np.arange(E.shape[1]) * cell.dt
+            mask = (t >= lo) & (t <= hi)
+            x = np.log1p(t[mask])
+            fits = [(mf.exponent, e) for mf, e in zip(cell.member_fits, E)]
+            for exponent, e in fits + [(cell.envelope.exponent, E.max(axis=0))]:
+                ref = -np.polyfit(x, np.log(e[mask]), 1)[0]
+                assert exponent == pytest.approx(ref, rel=1e-10)
 
 
 class TestIdentityAudit:

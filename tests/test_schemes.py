@@ -304,7 +304,7 @@ class TestBlockedKernelProperty:
         cfg = SchemeConfig(dt=10.0**log_dt, t_final=1.0)
         sol = factorize(sys_, cfg)
         X = rng.standard_normal((2 * n, m))
-        B = schemes._block_length(n, m, sol._groups)
+        B = schemes._block_length(2 * n, m, sol._groups)
         n_steps = B + extra if B > 1 else 1 + extra
         assert B == 1 or n_steps % B != 0
 
@@ -335,7 +335,7 @@ class TestIterateRawAudit:
         x = np.random.default_rng(1).standard_normal((2 * sys_.n, 1))
         resid = [s.identity_residual[0] for s in factorize(sys_, cfg).iterate_raw(x, 200)]
         first = int(np.flatnonzero(resid)[0])
-        assert first % schemes._block_length(sys_.n, 1, factorize(sys_, cfg)._groups) != 0
+        assert first % schemes._block_length(2 * sys_.n, 1, factorize(sys_, cfg)._groups) != 0
         tight = factorize(sys_, dataclasses.replace(cfg, solve_tol=1e-300))
         with pytest.raises(DiagnosticFailure, match=f"at step {first}$"):
             list(tight.iterate_raw(x, 200))
@@ -373,8 +373,9 @@ class TestOccupiedGroups:
     states match exactly (``test_one_group_final_state``); the terms to
     1e-15 of the column's E0 (of its initial weak norm for ``weak_sq``),
     because BLAS may sum a narrow product in another order once the zero
-    rows are gone (up to ~3.3e-16 seen).  Both batches have the same
-    column count, so they take the same block length."""
+    rows are gone (up to ~3.3e-16 seen).  Both batches take the same
+    block length: the dense one already sits at the 128-step cap, and the
+    subset batch steps fewer rows of the same column count."""
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -404,7 +405,9 @@ class TestOccupiedGroups:
         # an all-zero column pads the subset batch at the end; a full one
         # leads the dense batch, so no single column sets the occupied groups
         dense = np.column_stack([rng.standard_normal(2 * n), X])
-        n_steps = schemes._block_length(n, m + 1, sol._groups) + extra
+        B = schemes._block_length(2 * n, m + 1, sol._groups)
+        assert B == 128
+        n_steps = B + extra
         recs = list(sol.iterate_raw(np.column_stack([X, np.zeros(2 * n)]), n_steps))
         refs = list(sol.iterate_raw(dense, n_steps))
         assert len(recs) == n_steps
@@ -442,6 +445,38 @@ class TestOccupiedGroups:
         assert np.array_equal(final[rows], dense[rows])
 
 
+class TestBlockLength:
+    def test_follows_stepped_rows(self):
+        # criterion-7 system, 32 groups of two modes: a batch that occupies
+        # one group takes longer blocks than a dense batch of the same width
+        sys_ = build_coupled_waves(ExampleParams(0.5, 1.0, 32))
+        n, m = sys_.n, 8
+        sol = factorize(sys_, SchemeConfig(dt=0.01, t_final=1.0))
+        rng = np.random.default_rng(5)
+        one = np.zeros((2 * n, m))
+        rows = np.concatenate([sys_.groups[3], sys_.groups[3] + n])
+        one[rows] = rng.standard_normal((rows.size, m))
+
+        def length(x):
+            starts = [b.k0 for b, _ in sol._blocks(x, 300)]
+            return starts[1] - starts[0]
+
+        dense_B, one_B = length(rng.standard_normal((2 * n, m))), length(one)
+        assert (dense_B, one_B) == (32, 128)
+
+    def test_power_of_two_and_few_stacks(self):
+        sys_ = build_coupled_waves(ExampleParams(0.5, 1.0, 8))
+        sol = factorize(sys_, SchemeConfig(dt=0.01, t_final=1.0))
+        for rows in range(1, 2 * sys_.n + 1):
+            for m in (1, 3, 7, 50, 1000, 10**5):
+                B = schemes._block_length(rows, m, sol._groups)
+                assert 1 <= B <= 128 and B & (B - 1) == 0, (rows, m)
+        rng = np.random.default_rng(6)
+        for m in range(1, 400, 7):
+            list(sol.iterate_raw(rng.standard_normal((2 * sys_.n, m)), 3))
+        assert len(sol._stacks) <= 8
+
+
 class TestRawStepRecords:
     def test_field_names(self):
         sys_ = build_coupled_waves(ExampleParams(0.5, 1.0, 4))
@@ -458,7 +493,7 @@ class TestRawStepRecords:
         sys_ = build_coupled_waves(ExampleParams(0.5, 1.0, 4))
         sol = factorize(sys_, SchemeConfig(dt=0.05, t_final=1.0))
         X = np.random.default_rng(4).standard_normal((2 * sys_.n, 3))
-        n_steps = 3 * schemes._block_length(sys_.n, 3, sol._groups) + 5
+        n_steps = 3 * schemes._block_length(2 * sys_.n, 3, sol._groups) + 5
         seen, recs = [], []
         for rec in sol.iterate_raw(X, n_steps, beta=0.5):
             seen.append([np.array(getattr(rec, name)) for name in RAW_FIELDS])

@@ -19,15 +19,20 @@ Every trajectory is stepped by ``SchemeSolver.iterate_raw``, which
 advances all columns of a study cell together with the per-mode-group
 propagators of ``schemes`` a time block at a time and yields one record per
 step.  The observability study steps its drawn and low-pass columns as one
-batch per time step.  ``iterate_raw`` audits every step it yields: a
-per-step energy-identity residual above ``10 * solve_tol * E0`` of its
-column raises DiagnosticFailure, which the studies pass on.
+batch per time step and reads every record; the decay study and
+``high_freq_contraction`` read each time block once, from its first record
+(``_blocks_of``), while every record is still drained.  ``iterate_raw``
+audits every step it yields: a per-step energy-identity residual above
+``10 * solve_tol * E0`` of its column raises DiagnosticFailure, which the
+studies pass on.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import filterfalse
+from operator import attrgetter
 
 import numpy as np
 
@@ -55,6 +60,12 @@ __all__ = [
     "uniform_decay_study",
     "decay_recursion_oracle",
 ]
+
+
+def _blocks_of(records):
+    """Each time block of an ``iterate_raw`` stream once, read from its first
+    record (``row == 0``); every record is still drained, in C."""
+    return map(attrgetter("block"), filterfalse(attrgetter("row"), records))
 
 
 # -- observation horizon -------------------------------------------------
@@ -109,19 +120,16 @@ class ObservabilityReport:
     n_steps: int
 
 
-def _observability_sums(sys, X0, beta, dt, T_star, viscosity, solve_tol):
+def _observability_sums(sys, X0, beta, cfg, T_star):
     """Per-column (damp, visc1, visc2, weak) sums of the conservative run
-    from the (2n, m) batch ``X0``.
+    ``cfg`` (undamped, ``t_final = max(T_star, dt)``) from the batch ``X0``.
 
     The observation uses the system's damping Gram even though the
     dynamics are undamped; the viscosity sums vanish when the viscous stage
     is off.  The functional charges ``dt^6 ||A^2 u||^2`` where the energy
     identity charges half of it, hence ``2 * visc2``.
     """
-    cfg = SchemeConfig(
-        dt=dt, t_final=max(T_star, dt), viscosity=viscosity, damping=False, solve_tol=solve_tol
-    )
-    nsteps = substep_count(T_star, dt) + 1
+    nsteps = substep_count(T_star, cfg.dt) + 1
     damp, visc1, visc2 = np.zeros((3, X0.shape[1]))
     for s in factorize(sys, cfg).iterate_raw(X0, nsteps, beta=beta):
         if s.k == 0:
@@ -149,9 +157,9 @@ def observability_functional(
     squared weak norm of ``u0``.
     """
     x0 = u0.stacked()[:, None]
-    damp, v1, v2, weak, nsteps = _observability_sums(
-        sys, x0, beta, dt, T_star, viscosity, solve_tol
-    )
+    cfg = SchemeConfig(dt=dt, t_final=max(T_star, dt), viscosity=viscosity, damping=False,
+                       solve_tol=solve_tol)
+    damp, v1, v2, weak, nsteps = _observability_sums(sys, x0, beta, cfg, T_star)
     if weak[0] == 0.0:
         raise DomainError("zero initial state: observability ratio undefined")
     total = damp[0] + v1[0] + v2[0]
@@ -207,28 +215,34 @@ def observability_constant_study(
     study isolates the dt dependence); each dt also gets low-pass-filtered
     variants with cutoff ``delta / dt``.  Uniformity holds when the per-dt
     minima stay above a common positive floor.
+
+    ``trials`` (a positive integer) and every dt are checked before
+    anything is drawn or stepped: a bad value raises DomainError.
     """
     policy = observation_time(sys, t_star)
+    if not (isinstance(trials, (int, np.integer)) and trials > 0):
+        raise DomainError(f"trials must be a positive integer; got {trials!r}")
+    cfgs = [SchemeConfig(dt=dt, t_final=max(policy.t_star, dt), viscosity=viscosity,
+                         damping=False, solve_tol=solve_tol) for dt in dt_list]
     n = sys.n
     children = np.random.SeedSequence(seed).spawn(trials)
     X = np.empty((2 * n, trials))
     for i, child in enumerate(children):
         X[:, i] = np.random.default_rng(child).standard_normal(2 * n)
 
-    def run_cell(dt: float) -> ObservabilityCell:
-        cutoff = delta / dt
+    def run_cell(cfg: SchemeConfig) -> ObservabilityCell:
+        cutoff = delta / cfg.dt
         keep = np.concatenate([sys.mu <= cutoff, sys.mu <= cutoff])
         XL = np.where(keep[:, None], X, 0.0)
         damp, v1, v2, weak, _ = _observability_sums(
-            sys, np.hstack([X, XL]), beta, dt, policy.t_star, viscosity, solve_tol
-        )
+            sys, np.hstack([X, XL]), beta, cfg, policy.t_star)
         total = damp + v1 + v2
         ratios = total[:trials] / weak[:trials]
         weakl = weak[trials:]
         active = weakl > 0.0
         ratios_low = total[trials:][active] / weakl[active]
         return ObservabilityCell(
-            dt=dt,
+            dt=cfg.dt,
             t_star=policy.t_star,
             cutoff=cutoff,
             min_ratio=float(np.min(ratios)),
@@ -236,7 +250,7 @@ def observability_constant_study(
             n_lowpass_active=int(np.count_nonzero(active)),
         )
 
-    cells = tuple(run_cell(dt) for dt in dt_list)
+    cells = tuple(map(run_cell, cfgs))
     return ObservabilityStudy(
         beta=beta,
         delta=delta,
@@ -324,8 +338,9 @@ def high_freq_contraction(
     cfg = SchemeConfig(dt=dt, t_final=max(steps * dt, dt), viscosity=True, damping=False,
                        solve_tol=solve_tol)
     ratios = np.empty(steps)
-    for s in factorize(sys, cfg).iterate_raw(x0, steps, beta=beta):
-        ratios[s.k] = s.weak_sq[0] / s.weak_sq_prev[0]
+    for b in _blocks_of(factorize(sys, cfg).iterate_raw(x0, steps, beta=beta)):
+        w = b.weak_sq[:, 0]
+        ratios[b.k0 : b.k0 + w.size - 1] = w[1:] / w[:-1]
     if np.any(ratios > bound + 1e-12):
         worst = float(np.max(ratios))
         raise DiagnosticFailure(
@@ -556,10 +571,8 @@ def uniform_decay_study(
     cells = []
     for cfg, t, win in grids:
         E = np.empty((t.size, X0.shape[1]))
-        for s in factorize(sys, cfg).iterate_raw(X0, t.size - 1):
-            if s.k == 0:
-                E[0] = s.energy_prev
-            E[s.k + 1] = s.energy
+        for b in _blocks_of(factorize(sys, cfg).iterate_raw(X0, t.size - 1)):
+            E[b.k0 : b.k0 + len(b.energy)] = b.energy  # row 0 repeats the last block's end
         # the window abscissa and the (1+t)^p0 weights serve every column;
         # the window of E is a view (a copy would add ~3 MiB of peak RSS)
         x, w, Ew = np.log1p(t[win]), (1.0 + t[win]) ** p0, E[win]

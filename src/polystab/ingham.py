@@ -78,8 +78,8 @@ class InghamConfig:
             raise DomainError("J must be a positive integer")
         if not (self.J * self.sigma > math.pi / self.gamma):
             raise DomainError("J * sigma must exceed pi/gamma")
-        if self.trials < 1:
-            raise DomainError("trials must be positive")
+        if not (isinstance(self.trials, (int, np.integer)) and self.trials >= 1):
+            raise DomainError(f"trials must be a positive integer; got {self.trials!r}")
 
 
 @dataclass(frozen=True)

@@ -230,7 +230,8 @@ class RawStep(NamedTuple):
     ``damp`` is the dissipative output of the stepped generator (zero
     without damping); ``observed_damp`` is the same form evaluated with the
     system's damping Gram regardless.  A record is ``(k, block, row)``;
-    each field reads its row of the time block's arrays on access.
+    each field reads its row of the time block's arrays on access (a
+    consumer that needs whole blocks reads ``block`` where ``row == 0``).
     """
 
     k: int
@@ -532,7 +533,8 @@ class SchemeSolver:
 
         ``x0`` is a (2n, m) column batch or a 2n vector; damping and
         viscosity follow the config, ``beta`` sets the weak-norm scale.
-        Steps are computed a time block at a time and yielded one by one.
+        Steps are computed a time block at a time and yielded one by one; a
+        consumer that needs whole blocks reads ``block`` where ``row == 0``.
         Each block is audited before any of its steps is yielded: a
         per-step identity residual above ``10 * solve_tol * E0`` of its
         column raises DiagnosticFailure naming the first failing step.

@@ -386,6 +386,26 @@ class TestObservabilityCommand:
         assert study["cells"][0]["min_ratio"] > 0.0  # viscosity terms only
 
 
+    @pytest.mark.parametrize("scheme, study", [
+        ({"dt_list": [0.05]}, {"trials": 0}),
+        ({"dt_list": [0.05]}, {"trials": -3}),
+        ({"dt_list": [0.05]}, {"trials": 2.5}),
+        ({"dt_list": [0.0]}, {"trials": 3}),
+        ({"dt_list": [0.05, 0.0]}, {"trials": 3}),
+    ], ids=["trials_zero", "trials_negative", "trials_fraction", "dt_zero", "later_dt_zero"])
+    def test_bad_inputs_exit_2(self, tmp_path, capsys, scheme, study):
+        payload = {
+            "system": {"type": "coupled_waves", "alpha": 0.5, "gamma": 1.0, "k_max": 4},
+            "scheme": scheme,
+            "study": dict(study, t_star=2.0),
+            "output": {"prefix": "o"},
+        }
+        p = write_config(tmp_path / "c.json", payload)
+        assert main(["observability", "--config", str(p), "--out", str(tmp_path)]) == 2
+        assert len(capsys.readouterr().err.splitlines()) == 1
+        assert not (tmp_path / "o_observability.json").exists()
+
+
 class TestStudyDeterminism:
     @pytest.mark.parametrize("command, study, name", [
         ("decay", {"T": 10.0, "t_star": 4.0}, "s_decay.json"),
@@ -460,3 +480,15 @@ class TestInghamCommand:
         err = capsys.readouterr().err
         assert "J = 721495, n = 512" in err and str(1442991 * 512) in err
         assert not (tmp_path / "big_ingham.json").exists()
+
+    def test_fractional_trials_exits_2(self, tmp_path, capsys):
+        payload = {
+            "system": {"type": "coupled_waves", "alpha": 0.5, "gamma": 1.0, "k_max": 4},
+            "scheme": {"dt": 0.01},
+            "study": {"trials": 2.5, "seed": 0},
+            "output": {"prefix": "i"},
+        }
+        p = write_config(tmp_path / "c.json", payload)
+        assert main(["ingham", "--config", str(p), "--out", str(tmp_path)]) == 2
+        assert "trials must be a positive integer" in capsys.readouterr().err
+        assert not (tmp_path / "i_ingham.json").exists()

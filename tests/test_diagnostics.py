@@ -28,10 +28,26 @@ from polystab import (
     observability_functional,
     observation_time,
     project_filter,
+    substep_count,
     synthetic_trace,
     uniform_decay_study,
     worst_case_family,
 )
+
+
+def record_block_lengths(monkeypatch):
+    """Steps per time block of every later ``iterate_raw`` stream."""
+    lengths = []
+    iterate_raw = SchemeSolver.iterate_raw
+
+    def recorded(self, *args, **kwargs):
+        for s in iterate_raw(self, *args, **kwargs):
+            if s.row == 0:
+                lengths.append(s.block.resid.shape[0])
+            yield s
+
+    monkeypatch.setattr(SchemeSolver, "iterate_raw", recorded)
+    return lengths
 
 
 class TestObservationTime:
@@ -152,6 +168,28 @@ class TestObservabilityStudy:
         for cell in study.cells:
             assert cell.cutoff == pytest.approx(study.delta / cell.dt)
 
+    @pytest.mark.parametrize("bad", [
+        {"trials": 0},
+        {"trials": -3},
+        {"trials": 2.5},
+        {"dt_list": [0.0]},
+        {"dt_list": [0.05, 0.0]},
+    ], ids=["trials_zero", "trials_negative", "trials_fraction", "dt_zero", "later_dt_zero"])
+    def test_bad_inputs_raise_before_stepping(self, monkeypatch, bad):
+        sys_ = build_coupled_waves(ExampleParams(0.5, 1.0, 4))
+        calls = []
+        iterate_raw = SchemeSolver.iterate_raw
+
+        def counted(self, *args, **kwargs):
+            calls.append(1)
+            return iterate_raw(self, *args, **kwargs)
+
+        monkeypatch.setattr(SchemeSolver, "iterate_raw", counted)
+        kwargs = {"beta": 0.0, "dt_list": [0.05], "trials": 3, "seed": 0, "t_star": 2.0, **bad}
+        with pytest.raises(DomainError):
+            observability_constant_study(sys_, **kwargs)
+        assert calls == []
+
 
 class TestInverseInequality:
     def test_single_mode_exact(self):
@@ -214,6 +252,22 @@ class TestHighFreqContraction:
         sys_ = ModalSystem.from_eta([400.0])
         out = high_freq_contraction(sys_, ModalState.zero(1), 0.0, 0.1, 10.0, 5)
         assert out.size == 0
+
+    def test_blocks_match_per_record_ratios(self, monkeypatch):
+        # 300 steps of one column: full time blocks and a partial last one
+        sys_ = build_coupled_waves(ExampleParams(0.5, 1.0, 8))
+        dt, cutoff, steps, beta = 0.1, 10.0, 300, 0.25
+        high = sys_.mu > cutoff
+        rng = np.random.default_rng(4)
+        u0 = ModalState(np.where(high, rng.standard_normal(16), 0.0),
+                        np.where(high, rng.standard_normal(16), 0.0))
+        lengths = record_block_lengths(monkeypatch)
+        ratios = high_freq_contraction(sys_, u0, beta, dt, cutoff, steps)
+        assert len(lengths) > 1 and lengths[-1] < lengths[0] and sum(lengths) == steps
+        cfg = SchemeConfig(dt=dt, t_final=steps * dt, viscosity=True, damping=False)
+        per_record = [s.weak_sq[0] / s.weak_sq_prev[0] for s in
+                      SchemeSolver(sys_, cfg).iterate_raw(u0.stacked(), steps, beta=beta)]
+        assert np.array_equal(ratios, per_record)
 
     def test_low_component_rejected(self):
         sys_ = ModalSystem.from_eta([1.0, 400.0])
@@ -384,6 +438,50 @@ class TestUniformDecayStudy:
             for exponent, e in fits + [(cell.envelope.exponent, E.max(axis=0))]:
                 ref = -np.polyfit(x, np.log(e[mask]), 1)[0]
                 assert exponent == pytest.approx(ref, rel=1e-10)
+
+    def test_drains_every_record(self, monkeypatch):
+        sys_ = build_coupled_waves(ExampleParams(0.5, 1.0, 4))
+        counts = []
+        iterate_raw = SchemeSolver.iterate_raw
+
+        def counted(self, *args, **kwargs):
+            counts.append(0)
+            for s in iterate_raw(self, *args, **kwargs):
+                counts[-1] += 1
+                yield s
+
+        monkeypatch.setattr(SchemeSolver, "iterate_raw", counted)
+        dt_list, T = [0.1, 0.05, 0.03], 20.0
+        uniform_decay_study(sys_, 0.0, dt_list, T=T, t_star=4.0)
+        assert counts == [substep_count(T, dt) + 1 for dt in dt_list]
+
+    @pytest.mark.parametrize("gamma", [1.0, 0.0])
+    def test_blocks_match_per_record_assembly(self, monkeypatch, gamma):
+        # E assembled one record at a time and fitted through _loglog_fit
+        # gives the study's values exactly, also past a partial last block;
+        # the window spans the whole grid, so every row of E counts
+        sys_ = build_coupled_waves(ExampleParams(0.5, gamma, 4))
+        T, dt = 40.0, 0.05
+        lo, hi = 0.0, (substep_count(T, dt) + 1) * dt  # the grid's last time
+        lengths = record_block_lengths(monkeypatch)
+        study = uniform_decay_study(sys_, 0.0, [dt], T=T, fit_window=(lo, hi), t_star=4.0)
+        assert len(lengths) > 1 and lengths[-1] < lengths[0]
+        family = worst_case_family(sys_)
+        X0 = np.column_stack([st.stacked() for _, st in family])
+        t = np.arange(substep_count(T, dt) + 2) * dt
+        E = np.empty((t.size, X0.shape[1]))
+        for s in SchemeSolver(sys_, SchemeConfig(dt=dt, t_final=T)).iterate_raw(X0, t.size - 1):
+            if s.k == 0:
+                E[0] = s.energy_prev
+            E[s.k + 1] = s.energy
+        x, w = np.log1p(t), (1.0 + t) ** study.p0
+        (cell,) = study.cells
+        fits = [(mf.m_hat, mf.exponent, mf.r_squared) for mf in cell.member_fits]
+        env = cell.envelope
+        for got, e in zip(fits + [(env.M_hat, env.exponent, env.r_squared)],
+                          list(E.T) + [E.max(axis=1)]):
+            slope, r_sq = diagnostics._loglog_fit(x, np.log(e))
+            assert got == (float(np.max(w * e)), -slope, r_sq)
 
 
 class TestIdentityAudit:

@@ -24,7 +24,7 @@ import sys as _sys
 import numpy as np
 
 from . import __version__
-from .config import ExperimentConfig, build_init, build_system, load_config
+from .config import ExperimentConfig, build_init, build_system, check_seed, load_config
 from .diagnostics import (
     decay_fit,
     observability_constant_study,
@@ -283,6 +283,8 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
+        if args.seed is not None:
+            check_seed("--seed", args.seed)
         cfg = load_config(args.config)
         os.makedirs(args.out, exist_ok=True)
         return _COMMANDS[args.command](cfg, args.out, args.seed)

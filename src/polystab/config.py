@@ -159,6 +159,14 @@ class ExperimentConfig:
             raise ConfigError("study.fit_window must be [lo, hi]")
         if self.init.kind not in _INIT_KINDS:
             raise ConfigError(f"init.kind must be one of {_INIT_KINDS}")
+        check_seed("init.seed", self.init.seed)
+        check_seed("study.seed", self.study.seed)
+
+
+def check_seed(name: str, seed) -> None:
+    """Raise ConfigError unless ``seed`` is a non-negative integer."""
+    if isinstance(seed, bool) or not isinstance(seed, int) or seed < 0:
+        raise ConfigError(f"{name} must be a non-negative integer; got {seed!r}")
 
 
 def load_config(path) -> ExperimentConfig:

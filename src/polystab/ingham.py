@@ -1,4 +1,4 @@
-"""Empirical constants for discrete Ingham-type exponential-sum estimates.
+"""Constants of discrete Ingham-type exponential-sum estimates.
 
 For a real frequency family ``omega_k`` and complex coefficients ``x_k``
 the sampled quadratic form
@@ -20,20 +20,26 @@ gap:
            + sum_{2-clusters} |x_k + x_{k+1}|^2
              + (omega_{k+1} - omega_k)^2 (|x_k|^2 + |x_{k+1}|^2).
 
-The theorems assert the existence of two-sided constants; this module
-*measures* them: it draws seeded complex Gaussian coefficient vectors,
-appends deterministic adversarial draws (cancelling pairs ``e_i -
-e_{i+1}`` on every adjacent frequency pair), and reports the min/max
-observed ratios as empirical envelopes.  These are estimates, not proofs.
+S(x, t) = y^H G y with ``y_k = x_k exp(i omega_k t)`` and the real n x n
+Dirichlet-kernel Gram (whatever J is)
 
-S is ``sigma ||E x||^2`` with the (2J+1, n) sample matrix
-``E = [exp(i omega_k (t + j sigma))]``.  For a batch of more than n
-coefficient vectors it is evaluated as ``sigma ||R x||^2``, where ``R`` is
-the triangular QR factor of ``E``: ``E = Q R`` with orthonormal ``Q`` gives
-``||E x|| = ||R x||``, so no (2J+1)-row product with the batch is formed.
-The Gram matrix ``E* E`` (which would square the conditioning of close
-clusters) is never built.  Q(x) is ``||M x||^2`` with the real cluster
-matrix ``M`` of ``_cluster_matrix``.
+    G_kl = sigma sin(N theta/2) / sin(theta/2),  theta = sigma (omega_l - omega_k),
+
+``N = 2J + 1`` (exactly ``N sigma`` where ``theta = 0``).  So the constants
+are exact extremes of Rayleigh quotients (Baiocchi-Komornik-Loreti, Acta
+Math. Hungar. 97, 2002): on the supported modes, the extreme eigenvalues of
+G (the scalar envelope, uniform in t since ``|y| = |x|``) and of the pencil
+``(G, M^T M)``, with ``Q(x) = ||M x||^2`` for the real cluster matrix M of
+``_cluster_matrix`` (the clustered envelope).  The eigen-solves are
+accurate to about ``eps ||G||`` in absolute terms (times ``||R^-1||^2``,
+``M = Q_M R``, for the pencil); G is positive semidefinite, so a rounded
+negative lower constant is reported as 0.
+
+Seeded draws cross-check each envelope: ``trials`` complex Gaussian
+vectors plus the cancelling pairs ``e_i - e_{i+1}`` of adjacent supported
+frequencies, evaluated as ``x^H G x / d(x)`` with the envelope's
+denominator d.  A ratio outside the envelope by more than the rounding
+slack ``8 n eps ||G||_F ||x||^2 / d(x)`` raises DiagnosticFailure.
 """
 
 from __future__ import annotations
@@ -44,7 +50,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DiagnosticFailure, DomainError
 from .spectra import cluster_partition
 
 __all__ = [
@@ -61,7 +67,9 @@ __all__ = [
 
 @dataclass(frozen=True)
 class InghamConfig:
-    """Sampling parameters: period sigma, half-width J, gap constant, draws."""
+    """Sampling parameters: period sigma, half-width J, gap constant, and the
+    number and seed of the cross-check draws (``trials`` Gaussian vectors
+    from ``default_rng(seed)``)."""
 
     sigma: float
     J: int
@@ -74,20 +82,30 @@ class InghamConfig:
             raise DomainError("gamma must be positive and finite")
         if not (0.0 < self.sigma <= math.pi / self.gamma):
             raise DomainError("sigma must lie in (0, pi/gamma]")
-        if self.J < 1:
-            raise DomainError("J must be a positive integer")
+        if not (isinstance(self.J, (int, np.integer)) and self.J >= 1):
+            raise DomainError(f"J must be a positive integer; got {self.J!r}")
         if not (self.J * self.sigma > math.pi / self.gamma):
             raise DomainError("J * sigma must exceed pi/gamma")
         if not (isinstance(self.trials, (int, np.integer)) and self.trials >= 1):
             raise DomainError(f"trials must be a positive integer; got {self.trials!r}")
+        if not (isinstance(self.seed, (int, np.integer)) and self.seed >= 0):
+            raise DomainError(f"seed must be a non-negative integer; got {self.seed!r}")
 
 
 @dataclass(frozen=True)
 class InghamEstimate:
-    """Empirical two-sided envelope of the sampled ratio."""
+    """Exact two-sided envelope of the ratio and its sampled cross-check.
+
+    ``c_lo``/``c_hi`` are the extreme (generalised) eigenvalues, accurate
+    to about ``eps ||G||``; ``sampled_lo``/``sampled_hi`` are the extreme
+    ratios of the seeded draws, which lie inside ``[c_lo, c_hi]`` up to
+    rounding.  ``n_active`` counts the modes inside the support window.
+    """
 
     c_lo: float
     c_hi: float
+    sampled_lo: float
+    sampled_hi: float
     n_active: int
 
 
@@ -102,57 +120,28 @@ def _support_mask(freqs: np.ndarray, cfg: InghamConfig) -> np.ndarray:
     return np.abs(freqs) <= support_threshold(cfg)
 
 
-def _apply_support(freqs: np.ndarray, coeffs: np.ndarray, cfg: InghamConfig) -> np.ndarray:
-    mask = _support_mask(freqs, cfg)
-    zeroed = int(np.count_nonzero(coeffs[~mask]))
-    if zeroed:
-        warnings.warn(
-            f"{zeroed} coefficient(s) beyond the support window were zeroed",
-            stacklevel=3,
-        )
-    out = np.array(coeffs, dtype=complex)
-    out[~mask] = 0.0
-    return out
+def _supported(freqs, cfg: InghamConfig):
+    """Frequencies, supported indices, and the Gram and draws on those modes."""
+    freqs = np.asarray(freqs, dtype=float)
+    active = np.nonzero(_support_mask(freqs, cfg))[0]
+    if active.size == 0:
+        raise DomainError("no frequencies inside the support window")
+    return freqs, active, _gram(freqs[active], cfg), _draw_coefficients(freqs[active], cfg)
 
 
-# Largest sample matrix built, in complex entries (2 GiB).
-_MAX_SAMPLE_ENTRIES = 2**27
+def _gram(freqs: np.ndarray, cfg: InghamConfig) -> np.ndarray:
+    """Dirichlet-kernel Gram ``N sigma sinc(N u) / sinc(u)``, ``u = theta / (2 pi)``.
 
-
-def _sample_matrix(freqs: np.ndarray, cfg: InghamConfig, t: float) -> np.ndarray:
-    """(2J+1, n) matrix of exp(i omega (t + j sigma)) samples.
-
-    Raises DomainError instead of allocating more than _MAX_SAMPLE_ENTRIES.
+    ``np.sinc(0)`` is exactly 1, so equal frequencies give exactly ``N sigma``;
+    on supported modes ``|u| < 1``, where ``sinc(u) != 0``.
     """
-    entries = (2 * cfg.J + 1) * freqs.size
-    if entries > _MAX_SAMPLE_ENTRIES:
-        raise DomainError(
-            f"sample matrix of J = {cfg.J}, n = {freqs.size} has {entries} entries, "
-            f"above the limit of {_MAX_SAMPLE_ENTRIES}"
-        )
-    times = t + cfg.sigma * np.arange(-cfg.J, cfg.J + 1)
-    return np.exp(1j * np.outer(times, freqs))
-
-
-def _sums(E: np.ndarray, X: np.ndarray, sigma: float) -> np.ndarray:
-    """sigma * ||E x||^2 per column x of X.
-
-    With more columns than E has, E is first reduced to its triangular QR
-    factor R (``||E x|| = ||R x||``): O(rows n^2) once instead of O(rows n)
-    per column.  With fewer columns the direct product is cheaper.
-    """
-    if X.shape[1] > E.shape[1]:
-        E = np.linalg.qr(E, mode="r")
-    return sigma * np.sum(np.abs(E @ X) ** 2, axis=0)
-
-
-def _sampled_sums(freqs, X, cfg, t=0.0):
-    """sigma * sum_j |sum_k x_k e^{i omega_k (t + j sigma)}|^2 per column."""
-    return _sums(_sample_matrix(freqs, cfg, t), X, cfg.sigma)
+    N = 2 * cfg.J + 1
+    u = (0.5 * cfg.sigma / math.pi) * (freqs[None, :] - freqs[:, None])
+    return (N * cfg.sigma) * np.sinc(N * u) / np.sinc(u)
 
 
 def ingham_ratio_scalar(freqs, coeffs, cfg: InghamConfig, t: float = 0.0) -> float:
-    """Sampled-sum ratio against sum |x_k|^2 for one coefficient vector.
+    """Sampled-sum ratio ``S(x, t) / sum |x_k|^2`` for one coefficient vector.
 
     Coefficients violating the support condition are zeroed (with a
     warning); the ratio is computed on the survivors.
@@ -161,68 +150,68 @@ def ingham_ratio_scalar(freqs, coeffs, cfg: InghamConfig, t: float = 0.0) -> flo
     coeffs = np.asarray(coeffs)
     if coeffs.shape != freqs.shape:
         raise DomainError("coeffs must match freqs in length")
-    x = _apply_support(freqs, coeffs, cfg)
+    mask = _support_mask(freqs, cfg)
+    zeroed = int(np.count_nonzero(coeffs[~mask]))
+    if zeroed:
+        warnings.warn(f"{zeroed} coefficient(s) beyond the support window were zeroed",
+                      stacklevel=2)
+    x = coeffs[mask]
     denom = float(np.sum(np.abs(x) ** 2))
     if denom == 0.0:
         raise DomainError("all coefficients zeroed by the support condition")
-    num = float(_sampled_sums(freqs, x[:, None], cfg, t)[0])
-    return num / denom
+    y = x * np.exp(1j * t * freqs[mask])
+    return float(np.real(np.vdot(y, _gram(freqs[mask], cfg) @ y))) / denom
 
 
 def _draw_coefficients(freqs: np.ndarray, cfg: InghamConfig) -> np.ndarray:
-    """Seeded Gaussian draws on the supported modes plus adversarial pairs.
+    """Cross-check draws on the supported frequencies ``freqs``.
 
-    Columns 0..trials-1 are complex standard normal restricted to the
-    support window (per-trial spawned streams keep the draws independent
-    of execution order); the remaining columns are the deterministic
-    cancelling draws e_i - e_{i+1} for every adjacent supported pair.
+    Returns a real ``(trials + n - 1, 2, n)`` array: entry ``[d, 0]`` is the
+    real and ``[d, 1]`` the imaginary part of draw d.  Draws 0..trials-1 are
+    complex standard normal, one ``default_rng(cfg.seed)`` block, so draw i
+    does not depend on ``trials``; the remaining draws are the deterministic
+    cancelling pairs ``e_i - e_j`` of modes adjacent in frequency.
     """
-    n = freqs.size
-    mask = _support_mask(freqs, cfg)
-    active = np.nonzero(mask)[0]
-    if active.size == 0:
-        raise DomainError("no frequencies inside the support window")
-    order = active[np.argsort(freqs[active])]
-    X = np.zeros((n, cfg.trials + order.size - 1), dtype=complex)
-    children = np.random.SeedSequence(cfg.seed).spawn(cfg.trials)
-    for i, child in enumerate(children):
-        rng = np.random.default_rng(child)
-        X[active, i] = rng.standard_normal(active.size) + 1j * rng.standard_normal(
-            active.size
+    n, m = freqs.size, cfg.trials
+    D = np.zeros((m + n - 1, 2, n))
+    D[:m] = np.random.default_rng(cfg.seed).standard_normal((m, 2, n))
+    eye = np.eye(n)[np.argsort(freqs)]
+    D[m:, 0] = eye[:-1] - eye[1:]
+    return D
+
+
+def _apply(A: np.ndarray, D: np.ndarray) -> np.ndarray:
+    """``A x`` for every draw x of D, as one real product."""
+    return (D.reshape(-1, D.shape[-1]) @ A.T).reshape(*D.shape[:2], -1)
+
+
+def _envelope(eigs: np.ndarray, G: np.ndarray, D: np.ndarray, den: np.ndarray) -> InghamEstimate:
+    """Envelope of the ascending ``eigs``, cross-checked by the draws D with
+    denominators ``den`` (module docstring)."""
+    lo, hi = max(float(eigs[0]), 0.0), float(eigs[-1])
+    ratios = np.einsum("dkn,dkn->d", _apply(G, D), D) / den
+    mass = np.einsum("dkn,dkn->d", D, D)
+    slack = 8 * G.shape[0] * np.finfo(float).eps * np.linalg.norm(G) * mass / den
+    outside = np.nonzero((ratios < lo - slack) | (ratios > hi + slack))[0]
+    if outside.size:
+        i = int(outside[0])
+        raise DiagnosticFailure(
+            f"sampled ratio {ratios[i]!r} of draw {i} lies outside the exact "
+            f"envelope [{lo!r}, {hi!r}] by more than {slack[i]!r}"
         )
-    pairs = np.arange(cfg.trials, X.shape[1])
-    X[order[:-1], pairs] = 1.0
-    X[order[1:], pairs] = -1.0
-    return X
-
-
-def _draw_sums(freqs: np.ndarray, cfg: InghamConfig):
-    """The draws of ``_draw_coefficients`` and their sampled sums at t = 0.
-
-    Returns ``(X, num)``.  The Gaussian columns and the (at most n - 1)
-    cancelling pairs are summed apart: the Gaussian block goes through the
-    QR factor when it outnumbers the modes, while the pairs always take the
-    direct product, which sums two sample columns exactly and so carries no
-    factorisation error into the near-cancelling sums that set the
-    envelopes.
-    """
-    X = _draw_coefficients(freqs, cfg)
-    E = _sample_matrix(freqs, cfg, 0.0)
-    m = cfg.trials
-    return X, np.concatenate([_sums(E, X[:, :m], cfg.sigma), _sums(E, X[:, m:], cfg.sigma)])
+    return InghamEstimate(
+        c_lo=lo,
+        c_hi=hi,
+        sampled_lo=float(np.min(ratios)),
+        sampled_hi=float(np.max(ratios)),
+        n_active=G.shape[0],
+    )
 
 
 def estimate_scalar(freqs, cfg: InghamConfig) -> InghamEstimate:
-    """Empirical envelope of the ratio against sum |x_k|^2 at t = 0."""
-    freqs = np.asarray(freqs, dtype=float)
-    X, num = _draw_sums(freqs, cfg)
-    denom = np.sum(np.abs(X) ** 2, axis=0)
-    ratios = num / denom
-    return InghamEstimate(
-        c_lo=float(np.min(ratios)),
-        c_hi=float(np.max(ratios)),
-        n_active=int(np.count_nonzero(_support_mask(freqs, cfg))),
-    )
+    """Exact envelope of ``S(x, t) / sum |x_k|^2`` (the same for every t)."""
+    _, _, G, D = _supported(freqs, cfg)
+    return _envelope(np.linalg.eigvalsh(G), G, D, np.einsum("dkn,dkn->d", D, D))
 
 
 def _cluster_matrix(freqs: np.ndarray, partition) -> np.ndarray:
@@ -258,24 +247,24 @@ def q_form(freqs, coeffs, gamma1: float | None = None, partition=None) -> float:
 
 
 def estimate_clustered(freqs, cfg: InghamConfig) -> InghamEstimate:
-    """Empirical envelope of the ratio against Q(x) at t = 0.
+    """Exact envelope of ``S(x, 0) / Q(x)``.
 
     ``cfg.gamma`` plays the role of the 2-separated constant and defines
-    the cluster partition.
+    the cluster partition.  With ``M = Q_M R`` on the supported modes the
+    pencil ``(G, M^T M)`` has the eigenvalues of ``R^-T G R^-1``.  A
+    2-cluster of two supported modes with zero gap makes Q vanish on a
+    nonzero vector and raises DomainError.
     """
-    freqs = np.asarray(freqs, dtype=float)
+    freqs, active, G, D = _supported(freqs, cfg)
     partition = cluster_partition(freqs, cfg.gamma)
-    X, num = _draw_sums(freqs, cfg)
-    q = np.sum(np.abs(_cluster_matrix(freqs, partition) @ X) ** 2, axis=0)
-    good = q > 0.0
-    if not np.any(good):
-        raise DomainError("all draws have vanishing Q(x)")
-    ratios = num[good] / q[good]
-    return InghamEstimate(
-        c_lo=float(np.min(ratios)),
-        c_hi=float(np.max(ratios)),
-        n_active=int(np.count_nonzero(_support_mask(freqs, cfg))),
-    )
+    if any(len(c) == 2 and freqs[c[0]] == freqs[c[1]] and np.isin(c, active).all()
+           for c in partition):
+        raise DomainError("Q(x) vanishes on a supported 2-cluster with zero gap")
+    M = _cluster_matrix(freqs, partition)[:, active]
+    Rt = np.linalg.qr(M, mode="r").T
+    C = np.linalg.solve(Rt, np.linalg.solve(Rt, G).T)
+    MD = _apply(M, D)
+    return _envelope(np.linalg.eigvalsh(C), G, D, np.einsum("dkn,dkn->d", MD, MD))
 
 
 def cluster_seminorm(freqs, coeffs, partition, gram=None) -> float:

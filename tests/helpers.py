@@ -110,3 +110,15 @@ def scalar_observability_sums(eta, d, a0, b0, dt, t_star, beta, viscosity=True):
         a, b = an, bn
     weak = eta ** (-2.0 * beta) * a0**2 + eta ** (-2.0 * beta - 1.0) * b0**2
     return damp, v1, v2, weak
+
+
+def sample_matrix(freqs, cfg, t=0.0):
+    """(2J+1, n) matrix ``E = [exp(i omega_k (t + j sigma))]`` of an Ingham
+    sampling ``cfg``: ``S(x, t) = sigma ||E x||^2`` by definition."""
+    times = t + cfg.sigma * np.arange(-cfg.J, cfg.J + 1)
+    return np.exp(1j * np.outer(times, freqs))
+
+
+def sampled_sums(freqs, X, cfg, t=0.0):
+    """``sigma ||E x||^2`` per column x of X, summed sample by sample."""
+    return cfg.sigma * np.sum(np.abs(sample_matrix(freqs, cfg, t) @ X) ** 2, axis=0)

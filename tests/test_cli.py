@@ -410,6 +410,7 @@ class TestStudyDeterminism:
     @pytest.mark.parametrize("command, study, name", [
         ("decay", {"T": 10.0, "t_star": 4.0}, "s_decay.json"),
         ("observability", {"trials": 6, "seed": 3}, "s_observability.json"),
+        ("ingham", {"trials": 6, "seed": 3}, "s_ingham.json"),
     ])
     def test_json_byte_identical(self, tmp_path, command, study, name):
         payload = {
@@ -465,9 +466,9 @@ class TestInghamCommand:
         assert lows[8][0] > 10.0 * lows[32][0]
         assert lows[32][1] > 0.5
 
-    def test_oversized_sample_matrix_exits_2(self, tmp_path, capsys):
-        # the auto-sampled scalar J of this system would need an 11 GiB
-        # (2J+1) x n sample matrix; it is refused before any allocation
+    def test_boundary_k_max_256_exact_envelope(self, tmp_path):
+        # the auto-sampled scalar J is 721495: the n x n Dirichlet Gram does
+        # not depend on J, so the exact envelope costs what a small J does
         payload = {
             "system": {"type": "boundary_coupled_waves", "alpha": 0.5, "gamma": 1.0,
                        "k_max": 256},
@@ -476,10 +477,28 @@ class TestInghamCommand:
             "output": {"prefix": "big"},
         }
         p = write_config(tmp_path / "c.json", payload)
-        assert main(["ingham", "--config", str(p), "--out", str(tmp_path)]) == 2
-        err = capsys.readouterr().err
-        assert "J = 721495, n = 512" in err and str(1442991 * 512) in err
-        assert not (tmp_path / "big_ingham.json").exists()
+        assert main(["ingham", "--config", str(p), "--out", str(tmp_path)]) == 0
+        scalar = json.loads((tmp_path / "big_ingham.json").read_text())["scalar"]
+        assert (scalar["J"], scalar["estimate"]["n_active"]) == (721495, 512)
+        est = scalar["estimate"]
+        assert est["c_lo"] == pytest.approx(3962.6, rel=1e-4)
+        assert est["c_hi"] == pytest.approx(6163.9, rel=1e-4)
+        assert est["c_lo"] <= est["sampled_lo"] <= est["sampled_hi"] <= est["c_hi"]
+
+    def test_envelope_missing_a_draw_exits_3(self, tmp_path, capsys, monkeypatch):
+        # an eigen-solve that halves the envelope, so the top draws lie above it
+        eigvalsh = np.linalg.eigvalsh
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda A: 0.5 * eigvalsh(A))
+        payload = {
+            "system": {"type": "coupled_waves", "alpha": 0.5, "gamma": 1.0, "k_max": 4},
+            "scheme": {"dt": 0.01},
+            "study": {"trials": 5, "seed": 0},
+            "output": {"prefix": "i"},
+        }
+        p = write_config(tmp_path / "c.json", payload)
+        assert main(["ingham", "--config", str(p), "--out", str(tmp_path)]) == 3
+        assert "outside the exact envelope" in capsys.readouterr().err
+        assert not (tmp_path / "i_ingham.json").exists()
 
     def test_fractional_trials_exits_2(self, tmp_path, capsys):
         payload = {
@@ -492,3 +511,26 @@ class TestInghamCommand:
         assert main(["ingham", "--config", str(p), "--out", str(tmp_path)]) == 2
         assert "trials must be a positive integer" in capsys.readouterr().err
         assert not (tmp_path / "i_ingham.json").exists()
+
+
+class TestSeeds:
+    @pytest.mark.parametrize("command", ["trace", "observability", "ingham"])
+    @pytest.mark.parametrize("blocks, flag", [
+        ({"init": {"seed": -1}}, []),
+        ({"study": {"seed": -1}}, []),
+        ({"study": {"seed": 2.5}}, []),
+        ({}, ["--seed", "-1"]),
+    ], ids=["init_negative", "study_negative", "study_fraction", "flag_negative"])
+    def test_bad_seed_exits_2(self, tmp_path, capsys, command, blocks, flag):
+        payload = {
+            "system": {"type": "coupled_waves", "alpha": 0.5, "gamma": 1.0, "k_max": 4},
+            "scheme": {"dt": 0.05, "t_final": 1.0},
+            "output": {"prefix": "s"},
+            **blocks,
+        }
+        p = write_config(tmp_path / "c.json", payload)
+        out = tmp_path / "out"
+        assert main([command, "--config", p, "--out", str(out), *flag]) == 2
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and "seed must be a non-negative integer" in err
+        assert not out.exists()

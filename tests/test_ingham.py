@@ -1,14 +1,16 @@
-"""Sampled exponential-sum estimates: exact cases, envelopes, cluster forms."""
+"""Exponential-sum estimates: exact cases, envelopes, draws, cluster forms."""
 
 import math
 import warnings
 
 import numpy as np
 import pytest
+from helpers import sample_matrix, sampled_sums
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from polystab import (
+    DiagnosticFailure,
     DomainError,
     ExampleParams,
     InghamConfig,
@@ -24,8 +26,8 @@ from polystab import (
 from polystab.ingham import (
     _cluster_matrix,
     _draw_coefficients,
-    _draw_sums,
-    _sampled_sums,
+    _envelope,
+    _gram,
     support_threshold,
 )
 from polystab.spectra import cluster_partition
@@ -83,45 +85,97 @@ class TestRatioScalar:
             InghamConfig(sigma=0.1, J=4, gamma=2.0)  # J sigma <= pi/gamma
         with pytest.raises(DomainError):
             InghamConfig(sigma=1.0, J=4, gamma=2.0, trials=0)
+        with pytest.raises(DomainError, match="J must be a positive integer"):
+            InghamConfig(sigma=1.0, J=4.5, gamma=2.0)  # N = 2J + 1 counts samples
+        with pytest.raises(DomainError, match="seed must be a non-negative integer"):
+            InghamConfig(sigma=1.0, J=4, gamma=2.0, seed=-1)
 
 
-def direct_sums(freqs, X, cfg, t):
-    """sigma * sum_j |(E X)_j|^2 from the full (2J+1, n) sample matrix."""
-    times = t + cfg.sigma * np.arange(-cfg.J, cfg.J + 1)
-    return cfg.sigma * np.sum(np.abs(np.exp(1j * np.outer(times, freqs)) @ X) ** 2, axis=0)
+@st.composite
+def sampled_families(draw):
+    """A sorted family inside the support window of a valid sampling, with
+    duplicated, tightly clustered and well separated neighbours, and a time."""
+    start = draw(st.floats(-6.0, 2.0))
+    gaps = draw(st.lists(st.one_of(st.just(0.0), st.floats(1e-3, 0.1), st.floats(0.5, 3.0)),
+                         max_size=9))
+    freqs = start + np.cumsum([0.0] + gaps)
+    gamma = draw(st.floats(0.5, 2.0))
+    edge = np.max(np.abs(freqs)) + 0.5 * gamma
+    sigma = min(math.pi / gamma, draw(st.floats(0.3, 0.99)) * math.pi / edge)
+    J = int(math.ceil(math.pi / (gamma * sigma))) + 1 + draw(st.integers(0, 40))
+    trials = draw(st.integers(1, 20))
+    cfg = InghamConfig(sigma=sigma, J=J, gamma=gamma, trials=trials, seed=draw(st.integers(0, 99)))
+    return freqs, cfg, draw(st.floats(-20.0, 20.0))
 
 
-class TestSampledSums:
-    @settings(max_examples=60, deadline=None)
-    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(6, 40), tall=st.booleans())
-    def test_qr_reduction_matches_direct_sum(self, seed, n, tall):
-        # more columns than modes, so the sums go through the QR factor;
-        # tall: 2J+1 > n and R is square, otherwise 2J+1 < n and R is a
-        # trapezoidal (2J+1, n) block
-        rng = np.random.default_rng(seed)
-        J = int(rng.integers(n // 2 + 1, n + 20)) if tall else int(rng.integers(2, (n - 2) // 2 + 1))
-        assert (2 * J + 1 > n) == tall
-        gamma = 1.0
-        u = 1.0 / J + (1.0 - 1.0 / J) * rng.uniform(0.05, 1.0)  # J sigma > pi / gamma
-        cfg = InghamConfig(sigma=u * math.pi / gamma, J=J, gamma=gamma, trials=1, seed=0)
-        freqs = np.sort(rng.uniform(-math.pi / cfg.sigma, math.pi / cfg.sigma, n))
-        X = rng.standard_normal((n, n + 3)) + 1j * rng.standard_normal((n, n + 3))
-        t = float(rng.uniform(0.1, 10.0))
-        got = _sampled_sums(freqs, X, cfg, t=t)
-        np.testing.assert_allclose(got, direct_sums(freqs, X, cfg, t), rtol=1e-12, atol=0.0)
+def oracle_tolerance(freqs, cfg, t):
+    """Rounding bound of the sample-matrix sums, relative to sigma N per unit
+    mass: each of the N phases ``omega (t + j sigma)`` is rounded to about
+    eps times its size."""
+    N = 2 * cfg.J + 1
+    phase = 1.0 + np.max(np.abs(freqs)) * (abs(t) + cfg.J * cfg.sigma)
+    return 4 * N * np.finfo(float).eps * phase * cfg.sigma * N
 
-    def test_draw_sums_pairs_match_direct_sum_exactly(self):
-        # the cancelling pairs never go through the QR factor, even when the
-        # whole draw matrix has more columns than modes
-        sys_ = build_coupled_waves(ExampleParams(1.0, 1.0, 16))
-        cfg = auto_config(sys_.mu, check_gap(sys_).gamma1, trials=30, seed=2)
-        X, num = _draw_sums(sys_.mu, cfg)
-        assert cfg.trials < sys_.mu.size < X.shape[1]
-        assert np.array_equal(num[cfg.trials:], direct_sums(sys_.mu, X[:, cfg.trials:], cfg, 0.0))
-        np.testing.assert_allclose(
-            num[: cfg.trials], direct_sums(sys_.mu, X[:, : cfg.trials], cfg, 0.0),
-            rtol=1e-12, atol=0.0,
-        )
+
+class TestDirichletGram:
+    """The closed-form Gram and the exact envelopes against the sample matrix."""
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(family=sampled_families())
+    def test_gram_and_envelopes_against_sample_matrix(self, family):
+        freqs, cfg, t = family
+        phases = np.exp(1j * t * freqs)
+        E = sample_matrix(freqs, cfg, t)
+        # S(x, t) = y^H G y with y = x exp(i omega t): sigma E^H E = P^H G P
+        tol = oracle_tolerance(freqs, cfg, t)
+        G = _gram(freqs, cfg)
+        np.testing.assert_allclose(cfg.sigma * (E.conj().T @ E),
+                                   phases.conj()[:, None] * G * phases, rtol=0.0, atol=tol)
+        assert np.array_equal(np.diag(G), np.full(freqs.size, (2 * cfg.J + 1) * cfg.sigma))
+
+        # every oracle ratio, at t and at 0, lies inside the exact envelopes
+        # within the module's slack plus the oracle's own rounding
+        n = freqs.size
+        rng = np.random.default_rng(cfg.seed)
+        X = rng.standard_normal((n, 8)) + 1j * rng.standard_normal((n, 8))
+        D = _draw_coefficients(freqs, cfg)
+        X = np.hstack([X, (D[:, 0] + 1j * D[:, 1]).T])
+        mass = np.sum(np.abs(X) ** 2, axis=0)
+        slack = 8 * n * np.finfo(float).eps * np.linalg.norm(G) + tol
+        sc = estimate_scalar(freqs, cfg)
+        assert sc.n_active == n and 0.0 <= sc.c_lo <= sc.c_hi
+        for s in (0.0, t):
+            ratios = sampled_sums(freqs, X, cfg, s) / mass
+            assert np.all(ratios >= sc.c_lo - slack) and np.all(ratios <= sc.c_hi + slack)
+        assert abs(ingham_ratio_scalar(freqs, X[:, 0], cfg, t) - ratios[0]) <= slack
+
+        partition = cluster_partition(freqs, cfg.gamma)
+        if any(len(c) == 2 and freqs[c[0]] == freqs[c[1]] for c in partition):
+            with pytest.raises(DomainError, match="zero gap"):
+                estimate_clustered(freqs, cfg)
+            return
+        cl = estimate_clustered(freqs, cfg)
+        assert 0.0 <= cl.c_lo <= cl.c_hi  # 0 when a duplicate straddles two clusters
+        q = np.sum(np.abs(_cluster_matrix(freqs, partition) @ X) ** 2, axis=0)
+        ratios = sampled_sums(freqs, X, cfg) / q
+        slack = slack * mass / q
+        assert np.all(ratios >= cl.c_lo - slack) and np.all(ratios <= cl.c_hi + slack)
+
+    def test_envelope_that_misses_a_draw_fails(self):
+        freqs = np.array([-5.0, -3.0, -1.0, 1.0, 3.0, 5.0])
+        cfg = gapped_config(trials=20)
+        G = _gram(freqs, cfg)
+        D = _draw_coefficients(freqs, cfg)
+        mass = np.einsum("dkn,dkn->d", D, D)
+        eigs = np.linalg.eigvalsh(G)
+        est = _envelope(eigs, G, D, mass)
+        assert (est.c_lo, est.c_hi) == (eigs[0], eigs[-1])
+        # a lower constant above the smallest sampled ratio, or an upper one
+        # below the largest, by far more than the rounding slack
+        for lo, hi in ((est.sampled_lo * (1 + 1e-9), eigs[-1]),
+                       (eigs[0], est.sampled_hi * (1 - 1e-9))):
+            with pytest.raises(DiagnosticFailure, match="outside the exact envelope"):
+                _envelope(np.array([lo, hi]), G, D, mass)
 
 
 class TestDrawCoefficients:
@@ -129,24 +183,26 @@ class TestDrawCoefficients:
         freqs = np.array([3.0, -5.0, 1.0, 20.0, -1.0, 7.0, 1.5])
         cfg = InghamConfig(sigma=math.pi / 10, J=16, gamma=2.0, trials=7, seed=11)
         assert support_threshold(cfg) < 20.0  # one mode lies outside the window
-        n = freqs.size
-        active = np.nonzero(np.abs(freqs) <= support_threshold(cfg))[0]
-        expect = np.zeros((n, cfg.trials), dtype=complex)
-        for i, child in enumerate(np.random.SeedSequence(cfg.seed).spawn(cfg.trials)):
-            rng = np.random.default_rng(child)
-            expect[active, i] = rng.standard_normal(active.size) + 1j * rng.standard_normal(
-                active.size
-            )
-        order = active[np.argsort(freqs[active])]
-        columns = []
+        w = freqs[np.abs(freqs) <= support_threshold(cfg)]
+        n = w.size
+        gauss = np.random.default_rng(cfg.seed).standard_normal((cfg.trials, 2, n))
+        order = np.argsort(w)
+        pairs = []
         for i, j in zip(order[:-1], order[1:]):
-            col = np.zeros(n, dtype=complex)
-            col[i], col[j] = 1.0, -1.0
-            columns.append(col)
-        expect = np.concatenate([expect, np.stack(columns, axis=1)], axis=1)
-        X = _draw_coefficients(freqs, cfg)
-        assert X.dtype == expect.dtype and X.shape == expect.shape
-        assert np.array_equal(X, expect)
+            pair = np.zeros((2, n))
+            pair[0, i], pair[0, j] = 1.0, -1.0
+            pairs.append(pair)
+        expect = np.concatenate([gauss, np.stack(pairs)])
+        D = _draw_coefficients(w, cfg)
+        assert D.dtype == expect.dtype and D.shape == expect.shape == (cfg.trials + n - 1, 2, n)
+        assert np.array_equal(D, expect)
+
+    def test_draws_do_not_depend_on_trials(self):
+        freqs = np.array([-5.0, -3.0, -1.0, 1.0, 3.0, 5.0])
+        few = _draw_coefficients(freqs, gapped_config(trials=3))
+        many = _draw_coefficients(freqs, gapped_config(trials=40))
+        assert np.array_equal(few[:3], many[:3])
+        assert np.array_equal(few[3:], many[40:])  # the cancelling pairs
 
 
 class TestEstimateScalar:
@@ -206,7 +262,7 @@ class TestEstimateScalar:
         cfg = InghamConfig(sigma=0.3, J=9, gamma=1.2, trials=1, seed=0)
         rng = np.random.default_rng(8)
         A = rng.standard_normal((3, 4)) + 1j * rng.standard_normal((3, 4))
-        num = sum(_sampled_sums(freqs, A[:, [c]], cfg)[0] for c in range(4))
+        num = sum(sampled_sums(freqs, A[:, [c]], cfg)[0] for c in range(4))
         total = np.sum(np.abs(A) ** 2)
         vector_ratio = num / total
         mix = 0.0
@@ -274,11 +330,15 @@ class TestClusterMatrix:
         gamma1 = check_gap(sys_).gamma1
         cfg = auto_config(sys_.mu, gamma1, trials=40, seed=9)
         partition = cluster_partition(sys_.mu, gamma1)
-        X, num = _draw_sums(sys_.mu, cfg)
-        q = np.array([q_form(sys_.mu, X[:, c], partition=partition) for c in range(X.shape[1])])
+        assert support_threshold(cfg) >= np.max(sys_.mu)  # every mode is supported
+        D = _draw_coefficients(sys_.mu, cfg)
+        X = (D[:, 0] + 1j * D[:, 1]).T
+        G = _gram(sys_.mu, cfg)
+        num = np.array([np.real(np.vdot(x, G @ x)) for x in X.T])
+        q = np.array([q_form(sys_.mu, x, partition=partition) for x in X.T])
         est = estimate_clustered(sys_.mu, cfg)
-        assert est.c_lo == pytest.approx(float(np.min(num / q)), rel=1e-14)
-        assert est.c_hi == pytest.approx(float(np.max(num / q)), rel=1e-14)
+        assert est.sampled_lo == pytest.approx(float(np.min(num / q)), rel=1e-12)
+        assert est.sampled_hi == pytest.approx(float(np.max(num / q)), rel=1e-12)
 
     def test_conventions_of_q_form_and_cluster_seminorm(self):
         # q_form charges g^2 (|x_k|^2 + |x_{k+1}|^2); cluster_seminorm

@@ -24,6 +24,7 @@ from polystab import (
     q_form,
 )
 from polystab.ingham import (
+    _apply,
     _cluster_matrix,
     _draw_coefficients,
     _envelope,
@@ -176,6 +177,59 @@ class TestDirichletGram:
                        (eigs[0], est.sampled_hi * (1 - 1e-9))):
             with pytest.raises(DiagnosticFailure, match="outside the exact envelope"):
                 _envelope(np.array([lo, hi]), G, D, mass)
+
+
+class TestSampledSums:
+    """The module's n x n sums against the sum over the 2J+1 samples."""
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(6, 40), tall=st.booleans())
+    def test_qr_reduction_matches_direct_sum(self, seed, n, tall):
+        # the (2J+1, n) sample matrix E reduces to the Gram G = sigma E^H E
+        # (= sigma R^H R for E = QR), so the sums cost the same whatever J is;
+        # tall: 2J+1 > n, otherwise 2J+1 < n and E has fewer rows than columns
+        rng = np.random.default_rng(seed)
+        J = int(rng.integers(n // 2 + 1, n + 20)) if tall else int(rng.integers(2, (n - 2) // 2 + 1))
+        assert (2 * J + 1 > n) == tall
+        gamma = 1.0
+        u = 1.0 / J + (1.0 - 1.0 / J) * rng.uniform(0.05, 1.0)  # J sigma > pi / gamma
+        cfg = InghamConfig(sigma=u * math.pi / gamma, J=J, gamma=gamma, trials=1, seed=0)
+        edge = support_threshold(cfg)
+        freqs = np.sort(rng.uniform(-edge, edge, n))
+        X = rng.standard_normal((n, n + 3)) + 1j * rng.standard_normal((n, n + 3))
+        t = float(rng.uniform(0.1, 10.0))
+        mass = np.sum(np.abs(X) ** 2, axis=0)
+        got = np.array([ingham_ratio_scalar(freqs, x, cfg, t=t) for x in X.T]) * mass
+        slack = 8 * n * np.finfo(float).eps * np.linalg.norm(_gram(freqs, cfg))
+        tol = (oracle_tolerance(freqs, cfg, t) + slack) * mass
+        np.testing.assert_array_less(np.abs(got - sampled_sums(freqs, X, cfg, t)), tol)
+
+    def test_draw_sums_pairs_match_direct_sum_exactly(self):
+        # a cancelling pair e_i - e_j sums to 2 (N sigma - G_ij) with a single
+        # rounding, in whatever order the products are added; on a clustered
+        # family its ratio is the lower sampled extreme
+        sys_ = build_coupled_waves(ExampleParams(1.0, 1.0, 16))
+        freqs = sys_.mu
+        cfg = auto_config(freqs, check_gap(sys_).gamma1, trials=30, seed=2)
+        G = _gram(freqs, cfg)
+        D = _draw_coefficients(freqs, cfg)
+        n, m = freqs.size, cfg.trials
+        assert D.shape == (m + n - 1, 2, n) and m < n
+        sums = np.einsum("dkn,dkn->d", _apply(G, D), D)
+        order = np.argsort(freqs)
+        N = 2 * cfg.J + 1
+        assert np.array_equal(sums[m:], 2 * (N * cfg.sigma - G[order[:-1], order[1:]]))
+
+        mass = np.einsum("dkn,dkn->d", D, D)
+        slack = 8 * n * np.finfo(float).eps * np.linalg.norm(G)
+        tol = (oracle_tolerance(freqs, cfg, 0.0) + slack) * mass
+        direct = sampled_sums(freqs, (D[:, 0] + 1j * D[:, 1]).T, cfg)
+        np.testing.assert_array_less(np.abs(sums - direct), tol)
+
+        ratios = sums / mass
+        est = estimate_scalar(freqs, cfg)
+        assert np.argmin(ratios) >= m
+        assert (est.sampled_lo, est.sampled_hi) == (np.min(ratios), np.max(ratios))
 
 
 class TestDrawCoefficients:

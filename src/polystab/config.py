@@ -205,8 +205,8 @@ def build_init(block: InitBlock, sys: ModalSystem, seed: int | None = None) -> M
     n = sys.n
     use_seed = block.seed if seed is None else seed
     if block.kind == "single_mode":
-        if not (0 <= block.mode < n):
-            raise ConfigError(f"init.mode {block.mode} out of range [0, {n})")
+        if not (type(block.mode) is int and 0 <= block.mode < n):  # no bool, no float
+            raise ConfigError(f"init.mode must be an integer in [0, {n}); got {block.mode!r}")
         a = np.zeros(n)
         a[block.mode] = 1.0
         return ModalState(a, np.zeros(n))
@@ -218,8 +218,9 @@ def build_init(block: InitBlock, sys: ModalSystem, seed: int | None = None) -> M
         pairs = [c for c in cluster_partition(sys.mu, gamma1) if len(c) == 2]
         if not pairs:
             raise ConfigError("system has no 2-clusters for init.kind=cluster_pair")
-        if not (0 <= block.pair < len(pairs)):
-            raise ConfigError(f"init.pair {block.pair} out of range [0, {len(pairs)})")
+        if not (type(block.pair) is int and 0 <= block.pair < len(pairs)):
+            raise ConfigError(
+                f"init.pair must be an integer in [0, {len(pairs)}); got {block.pair!r}")
         i, j = pairs[block.pair]
         a = np.zeros(n)
         a[i] = a[j] = 1.0

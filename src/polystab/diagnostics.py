@@ -17,14 +17,13 @@ The quantities measured here are the ones the stability theory rests on:
 
 Every trajectory is stepped by ``SchemeSolver.iterate_raw``, which
 advances all columns of a study cell together with the per-mode-group
-propagators of ``schemes`` a time block at a time and yields one record per
-step.  The observability study steps its drawn and low-pass columns as one
-batch per time step and reads every record; the decay study and
-``high_freq_contraction`` read each time block once, from its first record
-(``_blocks_of``), while every record is still drained.  ``iterate_raw``
-audits every step it yields: a per-step energy-identity residual above
-``10 * solve_tol * E0`` of its column raises DiagnosticFailure, which the
-studies pass on.
+propagators of ``schemes`` a time block at a time and yields one
+``(k, block, row)`` pointer per step.  Every study reads each time block
+once, at its first pointer (``_blocks_of``), while every pointer is still
+drained; the observability sums add the block's rows in step order, so
+they do not depend on the block length.  ``iterate_raw`` audits every step
+it yields: a per-step energy-identity residual above ``10 * solve_tol *
+E0`` of its column raises DiagnosticFailure, which the studies pass on.
 """
 
 from __future__ import annotations
@@ -87,10 +86,12 @@ def observation_time(sys: ModalSystem, t_star: float | None = None) -> TStarPoli
     The pairwise route is used when the smallest pairwise gap is genuinely
     uniform (at least gamma1/2, i.e. no 2-clusters); otherwise the
     2-separated constant drives the horizon.  An explicit ``t_star``
-    bypasses the audit.
+    bypasses the audit; it must be positive and finite (else DomainError).
     """
     audit = check_gap(sys)
     if t_star is not None:
+        if not 0.0 < float(t_star) < math.inf:
+            raise DomainError(f"t_star must be positive and finite; got {t_star!r}")
         return TStarPolicy(float(t_star), audit.gamma, audit.gamma1, "override")
     pairwise_usable = math.isfinite(audit.gamma) and (
         not math.isfinite(audit.gamma1) or audit.gamma >= 0.5 * audit.gamma1
@@ -131,12 +132,15 @@ def _observability_sums(sys, X0, beta, cfg, T_star):
     """
     nsteps = substep_count(T_star, cfg.dt) + 1
     damp, visc1, visc2 = np.zeros((3, X0.shape[1]))
-    for s in factorize(sys, cfg).iterate_raw(X0, nsteps, beta=beta):
-        if s.k == 0:
-            weak = s.weak_sq_prev
-        damp += s.observed_damp
-        visc1 += s.visc1
-        visc2 += 2.0 * s.visc2
+    for b in _blocks_of(factorize(sys, cfg).iterate_raw(X0, nsteps, beta=beta)):
+        if b.k0 == 0:
+            weak = b.weak_sq[0]
+        # row by row, in step order: a block sum would reassociate the sums
+        o, v1, v2 = b.observed, b.visc1, 2.0 * b.visc2
+        for j in range(len(o)):
+            damp += o[j]
+            visc1 += v1[j]
+            visc2 += v2[j]
     return damp, visc1, visc2, weak, nsteps
 
 
@@ -216,12 +220,15 @@ def observability_constant_study(
     variants with cutoff ``delta / dt``.  Uniformity holds when the per-dt
     minima stay above a common positive floor.
 
-    ``trials`` (a positive integer) and every dt are checked before
-    anything is drawn or stepped: a bad value raises DomainError.
+    ``t_star``, ``trials`` (a positive integer), ``delta`` (positive and
+    finite) and every dt are checked before anything is drawn or stepped:
+    a bad value raises DomainError.
     """
     policy = observation_time(sys, t_star)
     if not (isinstance(trials, (int, np.integer)) and trials > 0):
         raise DomainError(f"trials must be a positive integer; got {trials!r}")
+    if not 0.0 < delta < math.inf:
+        raise DomainError(f"delta must be positive and finite; got {delta!r}")
     cfgs = [SchemeConfig(dt=dt, t_final=max(policy.t_star, dt), viscosity=viscosity,
                          damping=False, solve_tol=solve_tol) for dt in dt_list]
     n = sys.n
@@ -308,12 +315,6 @@ def inverse_inequality_check(
     )
 
 
-def _check_high(sys: ModalSystem, u0: ModalState, cutoff: float) -> None:
-    low = sys.mu <= cutoff
-    if np.any(u0.a[low] != 0.0) or np.any(u0.b[low] != 0.0):
-        raise DomainError("initial state has components at or below the cutoff")
-
-
 def high_freq_contraction(
     sys: ModalSystem,
     u0_high: ModalState,
@@ -329,7 +330,9 @@ def high_freq_contraction(
     with ``delta = dt * cutoff``; a violation raises DiagnosticFailure.
     A zero initial state passes trivially (empty ratio sequence).
     """
-    _check_high(sys, u0_high, cutoff)
+    low = sys.mu <= cutoff
+    if np.any(u0_high.a[low]) or np.any(u0_high.b[low]):
+        raise DomainError("initial state has components at or below the cutoff")
     x0 = u0_high.stacked()[:, None]
     if not np.any(x0):
         return np.empty(0)
@@ -395,29 +398,39 @@ def _loglog_fit(x: np.ndarray, y: np.ndarray) -> tuple:
     return slope, 1.0 - float(resid @ resid) / ss_tot if ss_tot > 0.0 else 1.0
 
 
+def _window_fit(x: np.ndarray, w: np.ndarray, e: np.ndarray) -> tuple:
+    """(M_hat = max(w e), exponent, R^2) of window energies ``e`` at
+    ``x = log(1 + t)`` and weights ``w = (1 + t)^p0``; no exponent or R^2
+    unless every energy is strictly positive."""
+    m_hat = float(np.max(w * e))
+    if not np.all(e > 0.0):
+        return m_hat, None, None
+    slope, r_sq = _loglog_fit(x, np.log(e))
+    return m_hat, -slope, r_sq
+
+
 def decay_fit(trace: EnergyTrace, beta: float, fit_window) -> DecayFit:
     """Fit ``E ~ (1+t)^-p`` on the window and envelope the theoretical rate.
 
     ``exponent`` is minus the closed-form centred least-squares slope of
-    log E against log(1 + t) over every window sample (``_loglog_fit``);
-    ``M_hat`` is the window supremum of ``(1 + t)^{p0} E / ||z0||_D^2`` at
-    the theoretical rate ``p0 = 1 / (1 + 2 beta)``; beta must exceed -1/2.
+    log E against log(1 + t) over every window sample; ``M_hat`` is the
+    window supremum of ``(1 + t)^{p0} E`` at the theoretical rate
+    ``p0 = 1 / (1 + 2 beta)``, over ``||z0||_D^2``; beta must exceed -1/2.
     """
     lo, hi = fit_window
     mask = (trace.t >= lo) & (trace.t <= hi)
     if np.count_nonzero(mask) < 2:
         raise DomainError("fit window contains fewer than two samples")
-    E = trace.energy[mask]
-    if np.any(E <= 0.0):
-        raise DomainError("energy must be strictly positive on the fit window")
     if trace.domain_sq0 <= 0.0:
         raise DomainError("initial state has zero generator-domain norm")
     p0 = _decay_rate(beta)
     t = trace.t[mask]
-    slope, r_sq = _loglog_fit(np.log1p(t), np.log(E))
+    m_hat, exponent, r_sq = _window_fit(np.log1p(t), (1.0 + t) ** p0, trace.energy[mask])
+    if exponent is None:
+        raise DomainError("energy must be strictly positive on the fit window")
     return DecayFit(
-        exponent=-slope,
-        M_hat=float(np.max((1.0 + t) ** p0 * E / trace.domain_sq0)),
+        exponent=exponent,
+        M_hat=m_hat / trace.domain_sq0,
         fit_window=(float(lo), float(hi)),
         r_squared=r_sq,
         p0=p0,
@@ -576,16 +589,8 @@ def uniform_decay_study(
         # the window abscissa and the (1+t)^p0 weights serve every column;
         # the window of E is a view (a copy would add ~3 MiB of peak RSS)
         x, w, Ew = np.log1p(t[win]), (1.0 + t[win]) ** p0, E[win]
-
-        def fit(e):
-            """(M_hat, exponent, R^2) of a window column; no fit if it underflows."""
-            if not np.all(e > 0.0):
-                return float(np.max(w * e)), None, None
-            slope, r_sq = _loglog_fit(x, np.log(e))
-            return float(np.max(w * e)), -slope, r_sq
-
-        fits = [MemberFit(label, *fit(e)) for (label, _), e in zip(family, Ew.T)]
-        m_hat, exponent, r_sq = fit(Ew.max(axis=1))
+        fits = [MemberFit(label, *_window_fit(x, w, e)) for (label, _), e in zip(family, Ew.T)]
+        m_hat, exponent, r_sq = _window_fit(x, w, Ew.max(axis=1))
         envelope = None if exponent is None else DecayFit(
             exponent, m_hat, (float(lo), float(hi)), r_sq, p0)
         cells.append(DecayCell(dt=cfg.dt, member_fits=tuple(fits), envelope=envelope))

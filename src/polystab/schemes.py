@@ -87,6 +87,7 @@ from __future__ import annotations
 import dataclasses
 import functools
 import math
+import numbers
 from dataclasses import dataclass, field
 from itertools import repeat
 from typing import NamedTuple
@@ -124,10 +125,14 @@ class SchemeConfig:
     solve_tol: float = 1e-13
 
     def __post_init__(self):
+        for name in ("dt", "t_final", "solve_tol"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                raise DomainError(f"{name} must be a real number; got {value!r}")
         if not (self.dt > 0.0):
             raise DomainError("dt must be positive")
-        if not (self.t_final >= self.dt):
-            raise DomainError("t_final must be at least dt")
+        if not (self.dt <= self.t_final < math.inf):
+            raise DomainError("t_final must be finite and at least dt")
         if not (0.0 < self.solve_tol <= 1e-6):
             raise DomainError("solve_tol must lie in (0, 1e-6]")
 
@@ -210,7 +215,9 @@ class EnergyTrace:
 
 class _Block(NamedTuple):
     """Steps k0 .. k0+B-1 of a batch: (B+1, m) state rows, (B, m) step rows
-    (fresh arrays in every block, so the records reading them stay valid)."""
+    (fresh arrays in every block, so the records pointing at them stay
+    valid).  ``weak_sq`` is on the ``-beta`` scale; ``observed`` is ``damp``
+    evaluated with the system's damping Gram even when the step is undamped."""
 
     k0: int
     energy: np.ndarray
@@ -223,30 +230,13 @@ class _Block(NamedTuple):
 
 
 class RawStep(NamedTuple):
-    """One step of a (2n, m) column batch: per-column accounting of step k.
-
-    ``energy`` and ``weak_sq`` (the squared pair norm on the ``-beta``
-    scale) belong to the state x_{k+1}, the ``*_prev`` fields to x_k.
-    ``damp`` is the dissipative output of the stepped generator (zero
-    without damping); ``observed_damp`` is the same form evaluated with the
-    system's damping Gram regardless.  A record is ``(k, block, row)``;
-    each field reads its row of the time block's arrays on access (a
-    consumer that needs whole blocks reads ``block`` where ``row == 0``).
-    """
+    """Step ``k`` of a (2n, m) column batch: row ``row`` of the step arrays
+    of the time block ``block`` (its state arrays hold x_k at ``row`` and
+    x_{k+1} at ``row + 1``)."""
 
     k: int
     block: _Block
     row: int
-
-    energy_prev = property(lambda s: s.block.energy[s.row])
-    energy = property(lambda s: s.block.energy[s.row + 1])
-    weak_sq_prev = property(lambda s: s.block.weak_sq[s.row])
-    weak_sq = property(lambda s: s.block.weak_sq[s.row + 1])
-    visc1 = property(lambda s: s.block.visc1[s.row])
-    visc2 = property(lambda s: s.block.visc2[s.row])
-    damp = property(lambda s: s.block.damp[s.row])
-    observed_damp = property(lambda s: s.block.observed[s.row])
-    identity_residual = property(lambda s: s.block.resid[s.row])
 
 
 class _Groups(NamedTuple):
@@ -529,12 +519,12 @@ class SchemeSolver:
         )
 
     def iterate_raw(self, x0: np.ndarray, n_steps: int, beta: float = 0.0):
-        """Yield one ``RawStep`` per step of a batched trajectory.
+        """Yield one ``RawStep`` pointer per step of a batched trajectory.
 
         ``x0`` is a (2n, m) column batch or a 2n vector; damping and
         viscosity follow the config, ``beta`` sets the weak-norm scale.
-        Steps are computed a time block at a time and yielded one by one; a
-        consumer that needs whole blocks reads ``block`` where ``row == 0``.
+        Steps are computed a time block at a time and yielded one by one;
+        consumers read the whole block where ``row == 0``.
         Each block is audited before any of its steps is yielded: a
         per-step identity residual above ``10 * solve_tol * E0`` of its
         column raises DiagnosticFailure naming the first failing step.

@@ -63,8 +63,9 @@ class ExampleParams:
             raise DomainError("alpha must be positive")
         if self.gamma < 0.0:
             raise DomainError("gamma must be nonnegative")
-        if self.k_max < 1:
-            raise DomainError("k_max must be a positive integer")
+        if (isinstance(self.k_max, bool) or not isinstance(self.k_max, (int, np.integer))
+                or self.k_max < 1):
+            raise DomainError(f"k_max must be a positive integer; got {self.k_max!r}")
 
 
 def sine_overlap(a, c):

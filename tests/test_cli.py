@@ -1,6 +1,7 @@
 """CLI contract: config round-trip, file formats, determinism, exit codes."""
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -208,6 +209,28 @@ class TestExitCodes:
         with np.errstate(all="ignore"):
             assert main(["trace", "--config", str(p), "--out", str(tmp_path)]) == 3
 
+    @pytest.mark.parametrize("command, blocks", [
+        ("trace", {"system": {"k_max": 2.5}}),
+        ("trace", {"system": {"k_max": "4"}}),
+        ("trace", {"scheme": {"dt": "0.05"}}),
+        ("trace", {"scheme": {"t_final": math.inf}}),
+        ("trace", {"scheme": {"dt": math.inf, "t_final": math.inf}}),
+        ("trace", {"init": {"kind": "single_mode", "mode": 2.5}}),
+        ("trace", {"init": {"kind": "cluster_pair", "pair": 0.5}}),
+        ("decay", {"scheme": {"t_final": math.inf}, "study": {"synthetic_exponent": 1.0}}),
+    ], ids=["k_max_fraction", "k_max_string", "dt_string", "t_final_infinite",
+            "dt_and_t_final_infinite", "mode_fraction", "pair_fraction",
+            "synthetic_t_final_infinite"])
+    def test_bad_field_exits_2(self, tmp_path, capsys, command, blocks):
+        payload = base_trace_config()
+        for name, fields in blocks.items():
+            payload.setdefault(name, {}).update(fields)
+        p = write_config(tmp_path / "c.json", payload)
+        out = tmp_path / "out"
+        assert main([command, "--config", p, "--out", str(out)]) == 2
+        assert len(capsys.readouterr().err.splitlines()) == 1
+        assert not out.exists() or not any(out.iterdir())
+
     def test_unwritable_output_exits_1(self, tmp_path):
         cfg_path = write_config(tmp_path / "c.json", base_trace_config())
         target = tmp_path / "blocked"
@@ -288,17 +311,23 @@ class TestDecayCommand:
         ({"dt_list": [0.05], "t_final": 10.0}, {"fit_window": [5.01, 5.06]}),
         ({"dt_list": [0.05], "t_final": 10.0}, {"beta": -0.5}),
         ({"dt_list": [0.05], "t_final": 10.0}, {"fit_window": [1.0]}),
+        ({"dt_list": [0.05], "t_final": math.inf}, {}),
+        ({"dt_list": ["0.05"], "t_final": 10.0}, {}),
+        ({"dt_list": [0.05], "t_final": 10.0}, {"t_star": -4.0}),
+        ({"dt_list": [0.05], "t_final": 10.0}, {"t_star": math.inf, "fit_window": [2.0, 8.0]}),
     ], ids=["dt_negative", "T_below_dt", "window_beyond_T", "one_sample_window",
-            "beta_at_minus_half", "window_not_a_pair"])
-    def test_bad_inputs_exit_2(self, tmp_path, scheme, study):
+            "beta_at_minus_half", "window_not_a_pair", "t_final_infinite", "dt_string",
+            "t_star_negative", "t_star_infinite"])
+    def test_bad_inputs_exit_2(self, tmp_path, capsys, scheme, study):
         payload = {
             "system": {"type": "coupled_waves", "alpha": 0.5, "gamma": 1.0, "k_max": 4},
             "scheme": scheme,
-            "study": dict(study, t_star=4.0),
+            "study": {"t_star": 4.0, **study},
             "output": {"prefix": "d"},
         }
         p = write_config(tmp_path / "c.json", payload)
         assert main(["decay", "--config", str(p), "--out", str(tmp_path)]) == 2
+        assert len(capsys.readouterr().err.splitlines()) == 1
         assert not (tmp_path / "d_decay.json").exists()
 
     def test_underflowing_envelope_inconclusive(self, tmp_path):
@@ -392,12 +421,19 @@ class TestObservabilityCommand:
         ({"dt_list": [0.05]}, {"trials": 2.5}),
         ({"dt_list": [0.0]}, {"trials": 3}),
         ({"dt_list": [0.05, 0.0]}, {"trials": 3}),
-    ], ids=["trials_zero", "trials_negative", "trials_fraction", "dt_zero", "later_dt_zero"])
+        ({"dt_list": [0.05]}, {"trials": 3, "delta": 0.0}),
+        ({"dt_list": [0.05]}, {"trials": 3, "delta": -1.0}),
+        ({"dt_list": [0.05]}, {"trials": 3, "delta": math.inf}),
+        ({"dt_list": [0.05]}, {"trials": 3, "t_star": -1.0}),
+        ({"dt_list": [0.05]}, {"trials": 3, "t_star": math.inf}),
+    ], ids=["trials_zero", "trials_negative", "trials_fraction", "dt_zero", "later_dt_zero",
+            "delta_zero", "delta_negative", "delta_infinite", "t_star_negative",
+            "t_star_infinite"])
     def test_bad_inputs_exit_2(self, tmp_path, capsys, scheme, study):
         payload = {
             "system": {"type": "coupled_waves", "alpha": 0.5, "gamma": 1.0, "k_max": 4},
             "scheme": scheme,
-            "study": dict(study, t_star=2.0),
+            "study": {"t_star": 2.0, **study},
             "output": {"prefix": "o"},
         }
         p = write_config(tmp_path / "c.json", payload)

@@ -1,5 +1,6 @@
 """Observability functionals, high-frequency bounds, decay fits, recursion."""
 
+import dataclasses
 import math
 from fractions import Fraction
 
@@ -67,6 +68,12 @@ class TestObservationTime:
         sys_ = build_coupled_waves(ExampleParams(0.5, 1.0, 4))
         assert observation_time(sys_, t_star=3.25).t_star == 3.25
 
+    @pytest.mark.parametrize("t_star", [0.0, -1.0, math.inf, math.nan])
+    def test_bad_override_rejected(self, t_star):
+        sys_ = build_coupled_waves(ExampleParams(0.5, 1.0, 4))
+        with pytest.raises(DomainError, match="t_star must be positive and finite"):
+            observation_time(sys_, t_star=t_star)
+
 
 class TestObservabilityFunctional:
     def test_single_mode_matches_scalar_recursion(self):
@@ -113,6 +120,31 @@ class TestObservabilityFunctional:
         hf = high_freq_observability(sys_, high, 0.0, 0.02, 3.0)
         # with gamma = 0 the whole budget is the two viscosity sums
         assert hf == pytest.approx(rep.ratio, rel=1e-12)
+
+
+class TestObservabilitySums:
+    """The sums add each time block's rows in step order, so they equal a
+    step-by-step loop over the same blocks bit for bit; a block
+    ``sum(axis=0)`` would reassociate them."""
+
+    @pytest.mark.parametrize("m, B", [(4, 64), (200, 1)])
+    def test_step_order_sums(self, monkeypatch, m, B):
+        sys_ = build_coupled_waves(ExampleParams(0.5, 1.0, 32))
+        cfg = SchemeConfig(dt=0.05, t_final=5.0, damping=False)
+        X0 = np.random.default_rng(8).standard_normal((2 * sys_.n, m))
+        lengths = record_block_lengths(monkeypatch)
+        damp, v1, v2, weak, nsteps = diagnostics._observability_sums(sys_, X0, 0.25, cfg, 5.0)
+        assert nsteps == 101 and lengths[0] == B and sum(lengths) == nsteps
+        ref = np.zeros((3, m))
+        for s in SchemeSolver(sys_, cfg).iterate_raw(X0, nsteps, beta=0.25):
+            if s.k == 0:
+                ref_weak = s.block.weak_sq[0]
+            ref[0] += s.block.observed[s.row]
+            ref[1] += s.block.visc1[s.row]
+            ref[2] += 2.0 * s.block.visc2[s.row]
+        assert np.array_equal(weak, ref_weak)
+        for got, want in zip((damp, v1, v2), ref):
+            assert np.array_equal(got, want)
 
 
 class TestObservabilityStudy:
@@ -174,7 +206,14 @@ class TestObservabilityStudy:
         {"trials": 2.5},
         {"dt_list": [0.0]},
         {"dt_list": [0.05, 0.0]},
-    ], ids=["trials_zero", "trials_negative", "trials_fraction", "dt_zero", "later_dt_zero"])
+        {"delta": 0.0},
+        {"delta": -1.0},
+        {"delta": math.inf},
+        {"t_star": -1.0},
+        {"t_star": math.inf},
+    ], ids=["trials_zero", "trials_negative", "trials_fraction", "dt_zero", "later_dt_zero",
+            "delta_zero", "delta_negative", "delta_infinite", "t_star_negative",
+            "t_star_infinite"])
     def test_bad_inputs_raise_before_stepping(self, monkeypatch, bad):
         sys_ = build_coupled_waves(ExampleParams(0.5, 1.0, 4))
         calls = []
@@ -265,7 +304,7 @@ class TestHighFreqContraction:
         ratios = high_freq_contraction(sys_, u0, beta, dt, cutoff, steps)
         assert len(lengths) > 1 and lengths[-1] < lengths[0] and sum(lengths) == steps
         cfg = SchemeConfig(dt=dt, t_final=steps * dt, viscosity=True, damping=False)
-        per_record = [s.weak_sq[0] / s.weak_sq_prev[0] for s in
+        per_record = [s.block.weak_sq[s.row + 1, 0] / s.block.weak_sq[s.row, 0] for s in
                       SchemeSolver(sys_, cfg).iterate_raw(u0.stacked(), steps, beta=beta)]
         assert np.array_equal(ratios, per_record)
 
@@ -341,6 +380,16 @@ class TestDecayFit:
         assert fit.r_squared == pytest.approx(ref_r_sq, rel=1e-10)
         assert fit.r_squared < 0.999  # the wobble leaves a residual
 
+    def test_m_hat_divides_after_the_maximum(self):
+        # max(w E) / d == max(w E / d) for d > 0: rounding is monotone
+        t = np.linspace(0.0, 50.0, 5001)
+        E = 3.0 * (1.0 + t) ** -1.3 * (1.0 + 0.2 * np.sin(t))
+        for d in (0.37, 1.0, 3.7, 1e5):
+            trace = dataclasses.replace(synthetic_trace(t, E), domain_sq0=d)
+            fit = decay_fit(trace, 0.5, (5.0, 40.0))
+            mask = (t >= 5.0) & (t <= 40.0)
+            assert fit.M_hat == float(np.max((1.0 + t[mask]) ** 0.5 * E[mask] / d))
+
     def test_nonpositive_energy_rejected(self):
         t = np.linspace(0.0, 10.0, 11)
         E = np.ones_like(t)
@@ -388,8 +437,12 @@ class TestUniformDecayStudy:
         {"fit_window": (5.01, 5.06)},
         {"dt_list": []},
         {"beta": -0.5},
+        {"T": math.inf},
+        {"t_star": -4.0},
+        {"t_star": math.inf, "fit_window": (2.0, 8.0)},
     ], ids=["dt_negative", "later_dt_zero", "T_below_dt", "window_beyond_T",
-            "one_sample_window", "no_dt", "beta_at_minus_half"])
+            "one_sample_window", "no_dt", "beta_at_minus_half", "T_infinite",
+            "t_star_negative", "t_star_infinite"])
     def test_bad_inputs_raise_before_stepping(self, monkeypatch, bad):
         sys_ = build_coupled_waves(ExampleParams(0.5, 1.0, 4))
         calls = []
@@ -472,8 +525,8 @@ class TestUniformDecayStudy:
         E = np.empty((t.size, X0.shape[1]))
         for s in SchemeSolver(sys_, SchemeConfig(dt=dt, t_final=T)).iterate_raw(X0, t.size - 1):
             if s.k == 0:
-                E[0] = s.energy_prev
-            E[s.k + 1] = s.energy
+                E[0] = s.block.energy[0]
+            E[s.k + 1] = s.block.energy[s.row + 1]
         x, w = np.log1p(t), (1.0 + t) ** study.p0
         (cell,) = study.cells
         fits = [(mf.m_hat, mf.exponent, mf.r_squared) for mf in cell.member_fits]

@@ -41,6 +41,20 @@ def random_state(rng, n):
     return ModalState(rng.standard_normal(n), rng.standard_normal(n))
 
 
+# per-step values of a RawStep: (array of its time block, row offset from
+# ``row``); the state arrays hold x_k at ``row`` and x_{k+1} at ``row + 1``
+RAW_FIELDS = {"energy_prev": ("energy", 0), "energy": ("energy", 1),
+              "weak_sq_prev": ("weak_sq", 0), "weak_sq": ("weak_sq", 1),
+              "visc1": ("visc1", 0), "visc2": ("visc2", 0), "damp": ("damp", 0),
+              "observed_damp": ("observed", 0), "identity_residual": ("resid", 0)}
+
+
+def raw(rec, name):
+    """The (m,) row of ``rec.block`` that the step ``rec.k`` points at."""
+    array, offset = RAW_FIELDS[name]
+    return getattr(rec.block, array)[rec.row + offset]
+
+
 class TestFactorize:
     def test_single_mode_stage_matrices(self):
         sys_ = ModalSystem.from_eta([1.0])
@@ -310,20 +324,21 @@ class TestBlockedKernelProperty:
 
         recs = list(sol.iterate_raw(X, n_steps))
         assert [r.k for r in recs] == list(range(n_steps))
-        E = np.array([recs[0].energy_prev] + [r.energy for r in recs])
+        E = np.array([raw(recs[0], "energy_prev")] + [raw(r, "energy") for r in recs])
         e0 = E[0]
         assert np.all(np.diff(E, axis=0) <= 0.0)
-        assert np.all(np.array([r.identity_residual for r in recs]) <= 10 * cfg.solve_tol * e0)
+        resid = np.array([raw(r, "identity_residual") for r in recs])
+        assert np.all(resid <= 10 * cfg.solve_tol * e0)
         for c in range(m):
             z = ModalState.from_stacked(X[:, c])
             for r in recs:
                 rec = sol.step_viscous_damped(z)
                 z = rec.z_next
                 tol = 1e-12 * e0[c]
-                assert abs(r.energy[c] - energy(sys_, z)) <= tol
-                assert abs(r.damp[c] - rec.damp_term) <= tol
-                assert abs(r.visc1[c] - rec.visc1) <= tol
-                assert abs(r.visc2[c] - rec.visc2) <= tol
+                assert abs(raw(r, "energy")[c] - energy(sys_, z)) <= tol
+                assert abs(raw(r, "damp")[c] - rec.damp_term) <= tol
+                assert abs(raw(r, "visc1")[c] - rec.visc1) <= tol
+                assert abs(raw(r, "visc2")[c] - rec.visc2) <= tol
 
 
 class TestIterateRawAudit:
@@ -333,7 +348,7 @@ class TestIterateRawAudit:
         sys_ = build_coupled_waves(ExampleParams(0.5, 1.0, 4))
         cfg = SchemeConfig(dt=0.05, t_final=1.0)
         x = np.random.default_rng(1).standard_normal((2 * sys_.n, 1))
-        resid = [s.identity_residual[0] for s in factorize(sys_, cfg).iterate_raw(x, 200)]
+        resid = [raw(s, "identity_residual")[0] for s in factorize(sys_, cfg).iterate_raw(x, 200)]
         first = int(np.flatnonzero(resid)[0])
         assert first % schemes._block_length(2 * sys_.n, 1, factorize(sys_, cfg)._groups) != 0
         tight = factorize(sys_, dataclasses.replace(cfg, solve_tol=1e-300))
@@ -344,10 +359,6 @@ class TestIterateRawAudit:
         sys_ = build_coupled_waves(ExampleParams(0.5, 1.0, 4))
         sol = factorize(sys_, SchemeConfig(dt=0.05, t_final=1.0, solve_tol=1e-300))
         assert len(list(sol.iterate_raw(np.zeros(2 * sys_.n), 100))) == 100
-
-
-RAW_FIELDS = ("k", "energy_prev", "energy", "weak_sq_prev", "weak_sq", "visc1", "visc2",
-              "damp", "observed_damp", "identity_residual")
 
 
 def block_diagonal_system(rng, sizes):
@@ -411,20 +422,19 @@ class TestOccupiedGroups:
         recs = list(sol.iterate_raw(np.column_stack([X, np.zeros(2 * n)]), n_steps))
         refs = list(sol.iterate_raw(dense, n_steps))
         assert len(recs) == n_steps
-        e0, w0 = refs[0].energy_prev[1:], refs[0].weak_sq_prev[1:]
+        e0, w0 = raw(refs[0], "energy_prev")[1:], raw(refs[0], "weak_sq_prev")[1:]
         for r, q in zip(recs, refs):
             assert r.k == q.k
-            for name in RAW_FIELDS[1:]:
-                assert not getattr(r, name)[m], (r.k, name)
+            for name in RAW_FIELDS:
+                assert not raw(r, name)[m], (r.k, name)
                 tol = 1e-15 * (w0 if name.startswith("weak") else e0)
-                assert np.all(np.abs(getattr(r, name)[:m] - getattr(q, name)[1:]) <= tol), (
-                    r.k, name)
+                assert np.all(np.abs(raw(r, name)[:m] - raw(q, name)[1:]) <= tol), (r.k, name)
         # and the energies of chained single steps, which step every group
         for c in range(m):
             z = ModalState.from_stacked(X[:, c])
             for r in recs:
                 z = sol.step_viscous_damped(z).z_next
-                assert abs(r.energy[c] - energy(sys_, z)) <= 1e-12 * e0[c], (r.k, c)
+                assert abs(raw(r, "energy")[c] - energy(sys_, z)) <= 1e-12 * e0[c], (r.k, c)
 
     @pytest.mark.parametrize("damping", [True, False])
     def test_one_group_final_state(self, damping):
@@ -482,11 +492,12 @@ class TestRawStepRecords:
         sys_ = build_coupled_waves(ExampleParams(0.5, 1.0, 4))
         rec = next(factorize(sys_, SchemeConfig(dt=0.05, t_final=1.0)).iterate_raw(
             np.ones((2 * sys_.n, 2)), 3))
-        public = {name for name in dir(rec) if not name.startswith("_")}
-        assert public - {"block", "row", "count", "index"} == set(RAW_FIELDS)
+        assert rec._fields == ("k", "block", "row")
+        assert {name for name in dir(rec) if not name.startswith("_")} == {
+            "k", "block", "row", "count", "index"}
         assert rec.k == 0
-        for name in RAW_FIELDS[1:]:
-            assert getattr(rec, name).shape == (2,), name
+        for name in RAW_FIELDS:
+            assert raw(rec, name).shape == (2,), name
 
     def test_records_outlive_iteration(self):
         # several full time blocks and a partial one, a column batch
@@ -496,12 +507,12 @@ class TestRawStepRecords:
         n_steps = 3 * schemes._block_length(2 * sys_.n, 3, sol._groups) + 5
         seen, recs = [], []
         for rec in sol.iterate_raw(X, n_steps, beta=0.5):
-            seen.append([np.array(getattr(rec, name)) for name in RAW_FIELDS])
+            seen.append([np.array(raw(rec, name)) for name in RAW_FIELDS])
             recs.append(rec)
         assert [r.k for r in recs] == list(range(n_steps))
         for rec, values in zip(recs, seen):
             for name, value in zip(RAW_FIELDS, values):
-                assert np.array_equal(getattr(rec, name), value), (rec.k, name)
+                assert np.array_equal(raw(rec, name), value), (rec.k, name)
 
 
 def assert_records_equal(r1, r2):

@@ -29,14 +29,17 @@ Schema (all blocks optional except ``system``; defaults in parentheses):
       "output": {"prefix": str ("run")}
     }
 
-Unknown keys are rejected so typos fail loudly.  ``parse -> serialize ->
-parse`` is the identity.
+Unknown keys are rejected so typos fail loudly, as is a value whose type
+does not fit its field (a bool is no number; an int field's fraction is
+refused where it is read).  ``parse -> serialize -> parse`` is the identity.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import json
+import numbers
+import typing
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -53,6 +56,13 @@ from .spectra import (
 
 _SYSTEM_TYPES = ("coupled_waves", "boundary_coupled_waves", "custom")
 _INIT_KINDS = ("single_mode", "random", "cluster_pair", "highpass")
+
+
+def _fits(value, kinds: tuple) -> bool:
+    """Whether a config value fits a field annotated with the types ``kinds``."""
+    if isinstance(value, numbers.Real) and not isinstance(value, bool):
+        return int in kinds or float in kinds
+    return isinstance(value, tuple(k for k in kinds if k not in (int, float)))
 
 
 @dataclass
@@ -121,25 +131,22 @@ class ExperimentConfig:
     def from_dict(cls, data: dict) -> "ExperimentConfig":
         if not isinstance(data, dict):
             raise ConfigError("config root must be an object")
-        blocks = {
-            "system": SystemBlock,
-            "scheme": SchemeBlock,
-            "init": InitBlock,
-            "study": StudyBlock,
-            "output": OutputBlock,
-        }
-        unknown = set(data) - set(blocks)
+        unknown = set(data) - set(_BLOCKS)
         if unknown:
             raise ConfigError(f"unknown config blocks: {sorted(unknown)}")
         kwargs = {}
-        for name, block_cls in blocks.items():
+        for name, (block_cls, hints) in _BLOCKS.items():
             payload = data.get(name, {})
             if not isinstance(payload, dict):
                 raise ConfigError(f"block {name!r} must be an object")
-            fields = {f.name for f in dataclasses.fields(block_cls)}
-            bad = set(payload) - fields
+            bad = set(payload) - set(hints)
             if bad:
                 raise ConfigError(f"unknown keys in block {name!r}: {sorted(bad)}")
+            for key, value in payload.items():
+                hint = hints[key]
+                if not _fits(value, typing.get_args(hint) or (hint,)):
+                    what = getattr(hint, "__name__", hint)  # float, or float | None
+                    raise ConfigError(f"{name}.{key} must be {what}; got {value!r}")
             kwargs[name] = block_cls(**payload)
         cfg = cls(**kwargs)
         cfg.validate()
@@ -155,12 +162,18 @@ class ExperimentConfig:
             raise ConfigError("scheme needs dt or dt_list")
         if sch.dt_list is not None and len(sch.dt_list) == 0:
             raise ConfigError("scheme.dt_list must be nonempty")
-        if self.study.fit_window is not None and len(self.study.fit_window) != 2:
-            raise ConfigError("study.fit_window must be [lo, hi]")
+        window = self.study.fit_window
+        if not (window is None or len(window) == 2 and all(_fits(v, (float,)) for v in window)):
+            raise ConfigError(f"study.fit_window must be two numbers [lo, hi]; got {window!r}")
         if self.init.kind not in _INIT_KINDS:
             raise ConfigError(f"init.kind must be one of {_INIT_KINDS}")
         check_seed("init.seed", self.init.seed)
         check_seed("study.seed", self.study.seed)
+
+
+# each block's class and its field types, resolved once
+_BLOCKS = {name: (block_cls, typing.get_type_hints(block_cls))
+           for name, block_cls in typing.get_type_hints(ExperimentConfig).items()}
 
 
 def check_seed(name: str, seed) -> None:
@@ -179,10 +192,7 @@ def load_config(path) -> ExperimentConfig:
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
     except TypeError as exc:
         raise ConfigError(str(exc)) from exc
-    try:
-        return ExperimentConfig.from_dict(data)
-    except TypeError as exc:  # wrong-typed block field
-        raise ConfigError(str(exc)) from exc
+    return ExperimentConfig.from_dict(data)
 
 
 def build_system(block: SystemBlock) -> ModalSystem:

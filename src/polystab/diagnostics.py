@@ -158,8 +158,10 @@ def observability_functional(
     Returns the ratio of
     ``dt sum ||B*(u^k + u~^{k+1})/2||^2 + dt sum dt^2 ||A u^{k+1}||^2
     + dt sum dt^5 ||A^2 u^{k+1}||^2`` (sums over k dt in [0, T*]) to the
-    squared weak norm of ``u0``.
+    squared weak norm of ``u0``; ``T_star`` must be finite and >= 0 (0 observes one step).
     """
+    if not 0.0 <= T_star < math.inf:
+        raise DomainError(f"T_star must be non-negative and finite; got {T_star!r}")
     x0 = u0.stacked()[:, None]
     cfg = SchemeConfig(dt=dt, t_final=max(T_star, dt), viscosity=viscosity, damping=False,
                        solve_tol=solve_tol)
@@ -225,7 +227,7 @@ def observability_constant_study(
     a bad value raises DomainError.
     """
     policy = observation_time(sys, t_star)
-    if not (isinstance(trials, (int, np.integer)) and trials > 0):
+    if isinstance(trials, bool) or not isinstance(trials, (int, np.integer)) or trials < 1:
         raise DomainError(f"trials must be a positive integer; got {trials!r}")
     if not 0.0 < delta < math.inf:
         raise DomainError(f"delta must be positive and finite; got {delta!r}")

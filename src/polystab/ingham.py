@@ -82,14 +82,13 @@ class InghamConfig:
             raise DomainError("gamma must be positive and finite")
         if not (0.0 < self.sigma <= math.pi / self.gamma):
             raise DomainError("sigma must lie in (0, pi/gamma]")
-        if not (isinstance(self.J, (int, np.integer)) and self.J >= 1):
-            raise DomainError(f"J must be a positive integer; got {self.J!r}")
+        for name, low, what in (("J", 1, "positive"), ("trials", 1, "positive"),
+                                ("seed", 0, "non-negative")):
+            value = getattr(self, name)  # bool is an int subclass, not an integer here
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < low:
+                raise DomainError(f"{name} must be a {what} integer; got {value!r}")
         if not (self.J * self.sigma > math.pi / self.gamma):
             raise DomainError("J * sigma must exceed pi/gamma")
-        if not (isinstance(self.trials, (int, np.integer)) and self.trials >= 1):
-            raise DomainError(f"trials must be a positive integer; got {self.trials!r}")
-        if not (isinstance(self.seed, (int, np.integer)) and self.seed >= 0):
-            raise DomainError(f"seed must be a non-negative integer; got {self.seed!r}")
 
 
 @dataclass(frozen=True)

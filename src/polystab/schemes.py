@@ -55,8 +55,8 @@ the stepped generator is undamped.
 mode groups (``ModalSystem.groups``, found once when the system is built;
 ``mode_groups`` is re-exported here).  Groups of one size are stacked, and
 ``S``, ``P`` and ``L`` are built per group by batched numpy calls (one
-batched solve per size).  A single step (``step_*``) applies them to one
-state directly; trajectories go through the time blocks below.
+batched solve per size).  Every step goes through the time blocks below:
+a single step (``step_*``) is a one-step trajectory, plus ``z~ = S x``.
 
 **Time blocks.**  A (2n, m) column batch advances B steps at a time.  One
 batched product per group size with the stack ``[P; ...; P^B; L; LP; ...;
@@ -68,8 +68,8 @@ term of the block is one weight product with the squared stack output.
 Only the groups that some column occupies are stepped; the others stay
 exactly zero.  B follows from the stepped rows and the column count
 (~2^15 entries per block: long blocks for few columns or occupied groups,
-single steps for wide batches), with at most 128 steps and 2^18 entries
-in the powers of P, rounded down to a power of two; it is not a parameter.
+single steps for wide batches), with at most the run's step count, 128
+steps and 2^18 entries in the powers of P, rounded down to a power of two.
 Known cost: one dense group of size n runs with B = 1 at ~5n^2
 multiply-adds per column-step (~1.5x a Schur-complement step).
 
@@ -262,11 +262,11 @@ class SchemeSolver:
 
     Construction builds the ``S``, ``P`` and ``L`` of the configured stages
     only, per mode group of the system; the stacked powers of each block
-    length are built on first use and cached.
-    ``step_viscous_conservative`` and ``step_midpoint`` step a cached
-    solver of the same config with the damping (and viscosity) stage
-    switched off.  One instance can serve many trajectories (including
-    batched column states).
+    length are built on first use and cached.  A ``step_*`` call is a
+    one-step trajectory of the kernel; ``step_viscous_conservative`` and
+    ``step_midpoint`` step a cached solver of the same config with the
+    damping (and viscosity) stage switched off.  One instance can serve
+    many trajectories (including batched column states).
     """
 
     def __init__(self, sys: ModalSystem, cfg: SchemeConfig):
@@ -368,15 +368,15 @@ class SchemeSolver:
         Only the groups that some column occupies are stepped: ``P`` keeps
         a group that is zero in every column at exactly zero, and such a
         group adds exact zeros to every term.  B follows from the rows the
-        batch steps; the powers of P of every group are cached per B.
+        batch steps (at most ``n_steps``); the powers of P are cached per B.
         The per-step identity residual is
         ``|E(x_{k+1}) + visc1 + visc2 + damp - E(x_k)|``.  A non-finite
         state or term raises NonFiniteStateError.
         """
         m = x.shape[1]
         occupied = [x[grp.rows].any(axis=(1, 2)) for grp in self._groups]
-        B = _block_length(sum(grp.rows[occ].size for grp, occ in zip(self._groups, occupied)),
-                          m, self._groups)
+        B = min(_block_length(sum(grp.rows[occ].size for grp, occ in zip(self._groups, occupied)),
+                              m, self._groups), 1 << (max(n_steps, 1).bit_length() - 1))
         groups, stacks, xs = [], [], []
         for grp, st, occ in zip(self._groups, self._power_stacks(B), occupied):
             if not occ.all():  # a size may keep no group: its stack is then empty
@@ -417,31 +417,16 @@ class SchemeSolver:
     # -- public one-step API -------------------------------------------
 
     def _record(self, z: ModalState, k: int) -> StepRecord:
-        """One step of one state with the cached group maps, no time block:
-        ``z~ = S x``, ``z+ = V z~``, ``|L x|^2`` and the diagonal weights."""
+        """One step of one state: a one-step trajectory of the kernel, plus
+        the midpoint stage ``z~ = S x`` of the cached group maps."""
         x = z.stacked()[:, None]
-        c = self.cfg.dt**3 if self.cfg.viscosity else 0.0
-        zt, zn = [], []
-        e_prev = e_next = visc1 = visc2 = observed = 0.0
-        for grp, (S, _, L) in zip(self._groups, self._maps):
-            xg = x[grp.rows] * grp.scale
-            ceta = c * grp.eta[:, :, None]
-            zt.append(S @ xg)
-            zn.append(zt[-1] / (1.0 + ceta))
-            y2 = np.square(zn[-1])
-            e_prev += 0.5 * float(np.square(xg).sum())
-            e_next += 0.5 * float(y2.sum())
-            visc1 += float((ceta * y2).sum())
-            visc2 += 0.5 * float((ceta * ceta * y2).sum())
-            observed += 0.0 if L is None else float(np.square(L @ xg).sum())
-        damp = observed if self._damped else 0.0
-        resid = abs(e_next + visc1 + visc2 + damp - e_prev)
-        if not math.isfinite(resid + observed):
-            raise NonFiniteStateError("time step produced non-finite state or terms")
+        ((b, after),) = self._blocks(x, 1)
+        z_tilde = [(grp, S @ (x[grp.rows] * grp.scale))
+                   for grp, (S, _, _) in zip(self._groups, self._maps)]
         # finite terms imply finite states, so they skip ModalState's copy and scan
-        z_tilde, z_next = (ModalState._wrap_stacked(self._to_modal(zip(self._groups, v)))
-                           for v in (zt, zn))
-        return StepRecord(k, z_tilde, z_next, damp, visc1, visc2, resid, observed)
+        z_tilde, z_next = (ModalState._wrap_stacked(self._to_modal(v)) for v in (z_tilde, after))
+        terms = (b.damp, b.visc1, b.visc2, b.resid, b.observed)
+        return StepRecord(k, z_tilde, z_next, *(float(t[0, 0]) for t in terms))
 
     def _sibling(self, **stages) -> SchemeSolver:
         """The solver of this config with the given stage switches (cached)."""

@@ -7,6 +7,9 @@ and the scalar stepper solves the defining stage equations directly.
 
 import numpy as np
 import scipy.linalg
+from hypothesis import strategies as st
+
+from polystab import ModalSystem
 
 
 def physical_coupled_waves_energy(alpha, gamma, k_max, a0, b0, dt, t_final,
@@ -62,6 +65,35 @@ def physical_coupled_waves_energy(alpha, gamma, k_max, a0, b0, dt, t_final,
             x = zt
         energies[k + 1] = energy_of(x)
     return energies
+
+
+@st.composite
+def modal_systems(draw, max_groups=4):
+    """Modal systems of many shapes: 1..``max_groups`` Gram blocks of 1-8
+    modes, each a dense PSD block of full or deficient rank (scale 1e-2..1e2)
+    or zero (whose modes are then groups of one); eta log-uniform over
+    1e-6..1e8, equal inside some blocks (degenerate clusters); modes sorted
+    by eta, which permutes the blocks' rows."""
+    blocks = draw(st.lists(st.tuples(st.integers(1, 8),
+                                     st.sampled_from(["full", "deficient", "zero"]),
+                                     st.booleans()), min_size=1, max_size=max_groups))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = sum(s for s, _, _ in blocks)
+    eta, D = np.empty(n), np.zeros((n, n))
+    start = 0
+    for s, kind, equal in blocks:
+        eta[start:start + s] = 10.0 ** rng.uniform(-6.0, 8.0, 1 if equal else s)
+        rank = {"full": s, "deficient": int(rng.integers(min(1, s - 1), s)), "zero": 0}[kind]
+        R = 10.0 ** rng.uniform(-1.0, 1.0) * rng.standard_normal((s, rank))
+        D[start:start + s, start:start + s] = 0.5 * (R @ R.T + (R @ R.T).T)
+        start += s
+    order = np.argsort(eta, kind="stable")
+    return ModalSystem.from_eta(eta[order], damp_gram=D[np.ix_(order, order)])
+
+
+def time_steps():
+    """Time steps log-uniform over 1e-5..1e-1."""
+    return st.floats(-5.0, -1.0).map(lambda e: 10.0**e)
 
 
 def stage1_matrix(sys_, dt, damped=True):

@@ -238,6 +238,45 @@ class TestExitCodes:
         assert main(["trace", "--config", cfg_path, "--out", str(target)]) == 1
 
 
+class TestFieldTypes:
+    """Every config value is checked against its field's annotation."""
+
+    @pytest.mark.parametrize("command, block, key, value", [
+        ("spectrum", "scheme", "dt", "0.05"),
+        ("trace", "system", "alpha", "0.5"),
+        ("trace", "study", "beta", "0"),
+        ("observability", "study", "delta", "1"),
+        ("observability", "study", "trials", True),
+        ("trace", "output", "prefix", 3),
+        ("trace", "scheme", "viscosity", "no"),
+        ("trace", "system", "k_max", True),
+        ("trace", "scheme", "dt", True),
+        ("trace", "scheme", "dt_list", 0.05),
+        ("trace", "scheme", "t_final", None),
+        ("trace", "system", "eta", 3),
+        ("decay", "study", "fit_window", [2.0, "8"]),
+    ], ids=["dt_string", "alpha_string", "beta_string", "delta_string", "trials_bool",
+            "prefix_int", "viscosity_string", "k_max_bool", "dt_bool", "dt_list_number",
+            "t_final_null", "eta_number", "fit_window_string"])
+    def test_wrong_type_exits_2(self, tmp_path, capsys, command, block, key, value):
+        payload = base_trace_config()
+        payload["study"] = {"t_star": 2.0, "trials": 3}
+        payload[block][key] = value
+        p = write_config(tmp_path / "c.json", payload)
+        out = tmp_path / "out"
+        assert main([command, "--config", p, "--out", str(out)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and f"{block}.{key} must be" in err[0], err
+        assert not out.exists() or not any(out.iterdir())
+
+    def test_numbers_fit_float_fields(self):
+        payload = base_trace_config(dt=1, t_final=2)
+        payload["system"]["alpha"] = 1
+        payload["study"] = {"beta": 0, "fit_window": [1, 2.0], "seed": 3}
+        cfg = ExperimentConfig.from_dict(payload)
+        assert (cfg.scheme.dt, cfg.system.alpha, cfg.study.fit_window) == (1, 1, [1, 2.0])
+
+
 class TestSpectrumCommand:
     def test_coupled_report_fields(self, tmp_path):
         payload = {

@@ -121,6 +121,26 @@ class TestObservabilityFunctional:
         # with gamma = 0 the whole budget is the two viscosity sums
         assert hf == pytest.approx(rep.ratio, rel=1e-12)
 
+    @pytest.mark.parametrize("T_star", [-1.0, -1e-300, math.inf, -math.inf, math.nan])
+    def test_bad_horizon_rejected(self, T_star):
+        sys_ = build_coupled_waves(ExampleParams(0.5, 1.0, 4))
+        u0 = ModalState(np.ones(8), np.ones(8))
+        with pytest.raises(DomainError, match="T_star must be non-negative and finite"):
+            observability_functional(sys_, u0, 0.0, 0.05, T_star)
+        with pytest.raises(DomainError, match="T_star must be non-negative and finite"):
+            high_freq_observability(sys_, u0, 0.0, 0.05, T_star)
+
+    def test_zero_horizon_observes_one_step(self):
+        sys_ = build_coupled_waves(ExampleParams(0.5, 1.0, 4))
+        rng = np.random.default_rng(2)
+        u0 = ModalState(rng.standard_normal(8), rng.standard_normal(8))
+        rep = observability_functional(sys_, u0, 0.0, 0.05, 0.0)
+        rec = SchemeSolver(sys_, SchemeConfig(dt=0.05, t_final=0.05, damping=False)
+                           ).step_viscous_conservative(u0)
+        assert rep.n_steps == 1
+        assert rep.damp_sum == rec.observed_damp
+        assert rep.visc_sum1 == rec.visc1 and rep.visc_sum2 == 2.0 * rec.visc2
+
 
 class TestObservabilitySums:
     """The sums add each time block's rows in step order, so they equal a
@@ -204,6 +224,7 @@ class TestObservabilityStudy:
         {"trials": 0},
         {"trials": -3},
         {"trials": 2.5},
+        {"trials": True},
         {"dt_list": [0.0]},
         {"dt_list": [0.05, 0.0]},
         {"delta": 0.0},
@@ -211,8 +232,8 @@ class TestObservabilityStudy:
         {"delta": math.inf},
         {"t_star": -1.0},
         {"t_star": math.inf},
-    ], ids=["trials_zero", "trials_negative", "trials_fraction", "dt_zero", "later_dt_zero",
-            "delta_zero", "delta_negative", "delta_infinite", "t_star_negative",
+    ], ids=["trials_zero", "trials_negative", "trials_fraction", "trials_bool", "dt_zero",
+            "later_dt_zero", "delta_zero", "delta_negative", "delta_infinite", "t_star_negative",
             "t_star_infinite"])
     def test_bad_inputs_raise_before_stepping(self, monkeypatch, bad):
         sys_ = build_coupled_waves(ExampleParams(0.5, 1.0, 4))

@@ -91,6 +91,12 @@ class TestRatioScalar:
         with pytest.raises(DomainError, match="seed must be a non-negative integer"):
             InghamConfig(sigma=1.0, J=4, gamma=2.0, seed=-1)
 
+    @pytest.mark.parametrize("field, value", [("trials", True), ("seed", False), ("J", True)])
+    def test_bools_are_not_integers(self, field, value):
+        kwargs = {"sigma": math.pi / 2, "J": 3, "gamma": 2.0, field: value}
+        with pytest.raises(DomainError, match=f"{field} must be a"):
+            InghamConfig(**kwargs)
+
 
 @st.composite
 def sampled_families(draw):

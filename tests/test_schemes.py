@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from helpers import scalar_two_stage_step, stage1_matrix
+from helpers import modal_systems, scalar_two_stage_step, stage1_matrix, time_steps
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -485,6 +485,54 @@ class TestBlockLength:
         for m in range(1, 400, 7):
             list(sol.iterate_raw(rng.standard_normal((2 * sys_.n, m)), 3))
         assert len(sol._stacks) <= 8
+
+    @pytest.mark.parametrize("m", [1, 8])
+    def test_short_runs_build_no_unstepped_powers(self, m):
+        # the rule alone gives B = 128 (one column) and 32 (eight columns)
+        sys_ = build_coupled_waves(ExampleParams(0.5, 1.0, 32))
+        x = np.random.default_rng(7).standard_normal((2 * sys_.n, m))
+        cfg = SchemeConfig(dt=0.01, t_final=1.0)
+        assert schemes._block_length(2 * sys_.n, m, factorize(sys_, cfg)._groups) >= 32
+        for n_steps in [1, 2, 3, 5, 17, 31, 33, 127, 129]:
+            sol = factorize(sys_, cfg)
+            assert len(list(sol.iterate_raw(x, n_steps))) == n_steps
+            assert max(sol._stacks) <= n_steps, n_steps
+            assert all(st_.shape[2] == max(sol._stacks) for st_ in sol._stacks[max(sol._stacks)])
+        sol = factorize(sys_, cfg)
+        z = ModalState.from_stacked(x[:, 0])
+        sol.step_viscous_damped(z)
+        sol.run(z)  # 101 steps
+        assert sorted(sol._stacks) == [1, 64]
+
+
+class TestMapIdentity:
+    """The one-step map and the energy weights every step reads satisfy, per
+    mode group, ``P^T diag(1/2 + c + c^2/2) P + L^T L = I/2`` with
+    ``c = dt^3 eta`` (0 without viscosity) and the ``L^T L`` term only when
+    damped: the per-step energy identity of every state at once.  Its
+    max-abs residual is bounded by ``16 eps (1 + h mu_max)`` per group
+    (h = dt/2): ``S`` is formed with cancellations of size ``h mu``.  Over
+    these 150 examples the worst residual is 4.0 eps (1 + h mu_max), 85 eps
+    absolute; over 3000 draws it was 7.9 eps (1 + h mu_max)."""
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(sys_=modal_systems(), dt=time_steps(), damping=st.booleans(),
+           viscosity=st.booleans())
+    def test_one_step_map_identity(self, sys_, dt, damping, viscosity):
+        sol = factorize(sys_, SchemeConfig(dt=dt, t_final=dt, damping=damping,
+                                           viscosity=viscosity))
+        stacks = sol._power_stacks(1)
+        for grp, st_, w in zip(sol._groups, stacks, sol._weights(0.0, sol._groups, stacks)):
+            c = dt**3 * grp.eta if viscosity else np.zeros_like(grp.eta)
+            s2 = grp.eta.shape[1]
+            assert np.array_equal(w[:3, :, :s2], [np.full_like(c, 0.5), c, 0.5 * c**2])
+            assert not w[:3, :, s2:].any() and np.all(w[4, :, s2:] == 1.0)
+            rows = st_[:, :, 0]  # [P; L] per group
+            d = w[0] + w[1] + w[2] + (w[4] if damping else 0.0)
+            resid = np.abs(rows.transpose(0, 2, 1) @ (d[:, :, None] * rows)
+                           - 0.5 * np.eye(s2)).max(axis=(1, 2))
+            h_mu = 0.5 * dt * np.sqrt(grp.eta.max(axis=1))
+            assert np.all(resid <= 16 * np.finfo(float).eps * (1.0 + h_mu)), resid
 
 
 class TestRawStepRecords:

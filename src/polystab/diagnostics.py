@@ -17,9 +17,9 @@ The quantities measured here are the ones the stability theory rests on:
 
 Every trajectory is stepped by ``SchemeSolver.iterate_raw``, which
 advances all columns of a study cell together with the per-mode-group
-propagators of ``schemes`` a time block at a time and yields one
-``(k, block, row)`` pointer per step.  Every study reads each time block
-once, at its first pointer (``_blocks_of``), while every pointer is still
+propagators of ``schemes`` a time block at a time and yields one bare
+``(k, block, row)`` tuple per step.  Every study reads each time block
+once, at its first tuple (``_blocks_of``), while every tuple is still
 drained; the observability sums add the block's rows in step order, so
 they do not depend on the block length.  ``iterate_raw`` audits every step
 it yields: a per-step energy-identity residual above ``10 * solve_tol *
@@ -31,7 +31,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from itertools import filterfalse
-from operator import attrgetter
+from operator import itemgetter
 
 import numpy as np
 
@@ -62,9 +62,10 @@ __all__ = [
 
 
 def _blocks_of(records):
-    """Each time block of an ``iterate_raw`` stream once, read from its first
-    record (``row == 0``); every record is still drained, in C."""
-    return map(attrgetter("block"), filterfalse(attrgetter("row"), records))
+    """Each time block of an ``iterate_raw`` stream of ``(k, block, row)``
+    tuples once, read from its first one (``row == 0``); every tuple is
+    still drained, in C."""
+    return map(itemgetter(1), filterfalse(itemgetter(2), records))
 
 
 # -- observation horizon -------------------------------------------------
@@ -585,14 +586,14 @@ def uniform_decay_study(
 
     cells = []
     for cfg, t, win in grids:
-        E = np.empty((t.size, X0.shape[1]))
+        E = np.empty((X0.shape[1], t.size))  # member by member: each fit reads one row
         for b in _blocks_of(factorize(sys, cfg).iterate_raw(X0, t.size - 1)):
-            E[b.k0 : b.k0 + len(b.energy)] = b.energy  # row 0 repeats the last block's end
-        # the window abscissa and the (1+t)^p0 weights serve every column;
+            E[:, b.k0 : b.k0 + len(b.energy)] = b.energy.T  # column 0 repeats the last block's end
+        # the window abscissa and the (1+t)^p0 weights serve every member;
         # the window of E is a view (a copy would add ~3 MiB of peak RSS)
-        x, w, Ew = np.log1p(t[win]), (1.0 + t[win]) ** p0, E[win]
-        fits = [MemberFit(label, *_window_fit(x, w, e)) for (label, _), e in zip(family, Ew.T)]
-        m_hat, exponent, r_sq = _window_fit(x, w, Ew.max(axis=1))
+        x, w, Ew = np.log1p(t[win]), (1.0 + t[win]) ** p0, E[:, win]
+        fits = [MemberFit(label, *_window_fit(x, w, e)) for (label, _), e in zip(family, Ew)]
+        m_hat, exponent, r_sq = _window_fit(x, w, Ew.max(axis=0))
         envelope = None if exponent is None else DecayFit(
             exponent, m_hat, (float(lo), float(hi)), r_sq, p0)
         cells.append(DecayCell(dt=cfg.dt, member_fits=tuple(fits), envelope=envelope))

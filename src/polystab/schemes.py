@@ -76,16 +76,15 @@ multiply-adds per column-step (~1.5x a Schur-complement step).
 **Audit.**  The residual of the per-step identity measures how accurately
 ``P`` and ``L`` were built; ``solve_tol`` only sets its tolerance
 ``10 * solve_tol * E0`` (``E0`` per column).  ``iterate_raw`` checks every
-time block against it before yielding the block's steps and raises
-DiagnosticFailure naming the first failing step; ``run`` flags a violation
-on the returned trace instead, and also telescopes the identity over the
-whole trajectory.
+time block against it before yielding the block's steps (as bare
+``(k, block, row)`` tuples) and raises DiagnosticFailure naming the first
+failing step; ``run`` flags a violation on the returned trace instead, and
+also telescopes the identity over the whole trajectory.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import functools
 import math
 import numbers
 from dataclasses import dataclass, field
@@ -100,7 +99,6 @@ from .modal import ModalState, ModalSystem, groups_by_size, mode_groups
 __all__ = [
     "SchemeConfig",
     "StepRecord",
-    "RawStep",
     "EnergyTrace",
     "SchemeSolver",
     "factorize",
@@ -229,16 +227,6 @@ class _Block(NamedTuple):
     resid: np.ndarray
 
 
-class RawStep(NamedTuple):
-    """Step ``k`` of a (2n, m) column batch: row ``row`` of the step arrays
-    of the time block ``block`` (its state arrays hold x_k at ``row`` and
-    x_{k+1} at ``row + 1``)."""
-
-    k: int
-    block: _Block
-    row: int
-
-
 class _Groups(NamedTuple):
     """All mode groups of one size s, stacked: g groups."""
 
@@ -283,6 +271,7 @@ class SchemeSolver:
         self._damped = cfg.damping and any(grp.gram.any() for grp in self._groups)
         self._maps = self._propagators()
         self._stacks = {}
+        self._weight_sets = {}
         self._siblings = {}
 
     # -- propagators -----------------------------------------------------
@@ -336,20 +325,22 @@ class SchemeSolver:
             self._stacks[B] = out
         return self._stacks[B]
 
-    def _weights(self, beta: float, groups, stacks) -> list:
+    def _weights(self, beta: float) -> list:
         """Per group size: (5, g, r) weights of the squared stack rows for
         E, visc1, visc2 and the weak norm (on the state rows) and the
-        observed damping (on the L rows)."""
-        out = []
-        for grp, st in zip(groups, stacks):
-            eta = grp.eta
-            c = self.cfg.dt**3 * eta if self.cfg.viscosity else np.zeros_like(eta)
-            w = np.zeros((5,) + st.shape[:2])
-            w[:4, :, : eta.shape[1]] = [np.full_like(eta, 0.5), c, 0.5 * c**2,
-                                        eta ** (-2.0 * beta - 1.0)]
-            w[4, :, eta.shape[1]:] = 1.0
-            out.append(w)
-        return out
+        observed damping (on the L rows); cached per beta."""
+        if beta not in self._weight_sets:
+            out = []
+            for grp, (_, P, L) in zip(self._groups, self._maps):
+                eta = grp.eta
+                c = self.cfg.dt**3 * eta if self.cfg.viscosity else np.zeros_like(eta)
+                w = np.zeros((5, P.shape[0], P.shape[1] + (0 if L is None else L.shape[1])))
+                w[:4, :, : eta.shape[1]] = [np.full_like(eta, 0.5), c, 0.5 * c**2,
+                                            eta ** (-2.0 * beta - 1.0)]
+                w[4, :, eta.shape[1]:] = 1.0
+                out.append(w)
+            self._weight_sets[beta] = out
+        return self._weight_sets[beta]
 
     def _to_modal(self, pairs) -> np.ndarray:
         """Stacked modal vector of one-column (groups, state) pairs; other rows zero."""
@@ -368,7 +359,8 @@ class SchemeSolver:
         Only the groups that some column occupies are stepped: ``P`` keeps
         a group that is zero in every column at exactly zero, and such a
         group adds exact zeros to every term.  B follows from the rows the
-        batch steps (at most ``n_steps``); the powers of P are cached per B.
+        batch steps (at most ``n_steps``); the powers of P are cached per B
+        and the weights per beta.
         The per-step identity residual is
         ``|E(x_{k+1}) + visc1 + visc2 + damp - E(x_k)|``.  A non-finite
         state or term raises NonFiniteStateError.
@@ -377,14 +369,15 @@ class SchemeSolver:
         occupied = [x[grp.rows].any(axis=(1, 2)) for grp in self._groups]
         B = min(_block_length(sum(grp.rows[occ].size for grp, occ in zip(self._groups, occupied)),
                               m, self._groups), 1 << (max(n_steps, 1).bit_length() - 1))
-        groups, stacks, xs = [], [], []
-        for grp, st, occ in zip(self._groups, self._power_stacks(B), occupied):
+        groups, stacks, W, xs = [], [], [], []
+        for grp, st, w, occ in zip(self._groups, self._power_stacks(B), self._weights(beta),
+                                   occupied):
             if not occ.all():  # a size may keep no group: its stack is then empty
-                grp, st = _Groups(*(a[occ] for a in grp)), st[occ]
+                grp, st, w = _Groups(*(a[occ] for a in grp)), st[occ], w[:, occ]
             groups.append(grp)
             stacks.append(st)
+            W.append(w)
             xs.append(x[grp.rows] * grp.scale)
-        W = self._weights(beta, groups, stacks)
         prev = sum(w[:4, :, : xg.shape[1]].reshape(4, -1) @ (xg * xg).reshape(-1, m)
                    for w, xg in zip(W, xs))
         # Full blocks write into two alternating stack-output buffers (so that
@@ -504,20 +497,22 @@ class SchemeSolver:
         )
 
     def iterate_raw(self, x0: np.ndarray, n_steps: int, beta: float = 0.0):
-        """Yield one ``RawStep`` pointer per step of a batched trajectory.
+        """Yield one bare ``(k, block, row)`` tuple per step of a batched
+        trajectory: row ``row`` of the step arrays of the ``_Block`` ``block``
+        (its state arrays hold x_k at ``row`` and x_{k+1} at ``row + 1``).
 
         ``x0`` is a (2n, m) column batch or a 2n vector; damping and
         viscosity follow the config, ``beta`` sets the weak-norm scale.
-        Steps are computed a time block at a time and yielded one by one;
-        consumers read the whole block where ``row == 0``.
-        Each block is audited before any of its steps is yielded: a
-        per-step identity residual above ``10 * solve_tol * E0`` of its
-        column raises DiagnosticFailure naming the first failing step.
+        Steps are computed a time block at a time and yielded one by one
+        (``zip`` reuses no tuple that a consumer keeps); consumers read the
+        whole block where ``row == 0``.  Each block is audited before any
+        of its steps is yielded: a per-step identity residual above
+        ``10 * solve_tol * E0`` of its column raises DiagnosticFailure
+        naming the first failing step.
         """
         x = np.array(x0, dtype=float)
         if x.ndim == 1:
             x = x[:, None]
-        new = functools.partial(tuple.__new__, RawStep)  # the records, built in C
         for b, _ in self._blocks(x, n_steps, beta):
             if b.k0 == 0:
                 tol = 10.0 * self.cfg.solve_tol * b.energy[0]
@@ -526,7 +521,7 @@ class SchemeSolver:
                 raise DiagnosticFailure(
                     f"energy identity residual above 10 * solve_tol * E0 at step {k}")
             nb = b.resid.shape[0]
-            yield from map(new, zip(range(b.k0, b.k0 + nb), repeat(b, nb), range(nb)))
+            yield from zip(range(b.k0, b.k0 + nb), repeat(b, nb), range(nb))
 
 
 def factorize(sys: ModalSystem, cfg: SchemeConfig) -> SchemeSolver:

@@ -43,8 +43,9 @@ def record_block_lengths(monkeypatch):
 
     def recorded(self, *args, **kwargs):
         for s in iterate_raw(self, *args, **kwargs):
-            if s.row == 0:
-                lengths.append(s.block.resid.shape[0])
+            _, block, row = s
+            if row == 0:
+                lengths.append(block.resid.shape[0])
             yield s
 
     monkeypatch.setattr(SchemeSolver, "iterate_raw", recorded)
@@ -156,12 +157,12 @@ class TestObservabilitySums:
         damp, v1, v2, weak, nsteps = diagnostics._observability_sums(sys_, X0, 0.25, cfg, 5.0)
         assert nsteps == 101 and lengths[0] == B and sum(lengths) == nsteps
         ref = np.zeros((3, m))
-        for s in SchemeSolver(sys_, cfg).iterate_raw(X0, nsteps, beta=0.25):
-            if s.k == 0:
-                ref_weak = s.block.weak_sq[0]
-            ref[0] += s.block.observed[s.row]
-            ref[1] += s.block.visc1[s.row]
-            ref[2] += 2.0 * s.block.visc2[s.row]
+        for k, block, row in SchemeSolver(sys_, cfg).iterate_raw(X0, nsteps, beta=0.25):
+            if k == 0:
+                ref_weak = block.weak_sq[0]
+            ref[0] += block.observed[row]
+            ref[1] += block.visc1[row]
+            ref[2] += 2.0 * block.visc2[row]
         assert np.array_equal(weak, ref_weak)
         for got, want in zip((damp, v1, v2), ref):
             assert np.array_equal(got, want)
@@ -325,7 +326,7 @@ class TestHighFreqContraction:
         ratios = high_freq_contraction(sys_, u0, beta, dt, cutoff, steps)
         assert len(lengths) > 1 and lengths[-1] < lengths[0] and sum(lengths) == steps
         cfg = SchemeConfig(dt=dt, t_final=steps * dt, viscosity=True, damping=False)
-        per_record = [s.block.weak_sq[s.row + 1, 0] / s.block.weak_sq[s.row, 0] for s in
+        per_record = [block.weak_sq[row + 1, 0] / block.weak_sq[row, 0] for _, block, row in
                       SchemeSolver(sys_, cfg).iterate_raw(u0.stacked(), steps, beta=beta)]
         assert np.array_equal(ratios, per_record)
 
@@ -531,31 +532,38 @@ class TestUniformDecayStudy:
 
     @pytest.mark.parametrize("gamma", [1.0, 0.0])
     def test_blocks_match_per_record_assembly(self, monkeypatch, gamma):
-        # E assembled one record at a time and fitted through _loglog_fit
-        # gives the study's values exactly, also past a partial last block;
-        # the window spans the whole grid, so every row of E counts
+        # the study's member-major E gives exactly the member and envelope
+        # values of a step-major E assembled one record at a time and
+        # fitted through _loglog_fit, for the damped system and the gamma = 0
+        # control, also past a partial last block.  The window spans the
+        # whole grid, so every sample counts, and then is the default
+        # (T*/2, T), so the study fits a view of E that starts inside it.
         sys_ = build_coupled_waves(ExampleParams(0.5, gamma, 4))
         T, dt = 40.0, 0.05
-        lo, hi = 0.0, (substep_count(T, dt) + 1) * dt  # the grid's last time
-        lengths = record_block_lengths(monkeypatch)
-        study = uniform_decay_study(sys_, 0.0, [dt], T=T, fit_window=(lo, hi), t_star=4.0)
-        assert len(lengths) > 1 and lengths[-1] < lengths[0]
         family = worst_case_family(sys_)
         X0 = np.column_stack([st.stacked() for _, st in family])
         t = np.arange(substep_count(T, dt) + 2) * dt
         E = np.empty((t.size, X0.shape[1]))
-        for s in SchemeSolver(sys_, SchemeConfig(dt=dt, t_final=T)).iterate_raw(X0, t.size - 1):
-            if s.k == 0:
-                E[0] = s.block.energy[0]
-            E[s.k + 1] = s.block.energy[s.row + 1]
-        x, w = np.log1p(t), (1.0 + t) ** study.p0
-        (cell,) = study.cells
-        fits = [(mf.m_hat, mf.exponent, mf.r_squared) for mf in cell.member_fits]
-        env = cell.envelope
-        for got, e in zip(fits + [(env.M_hat, env.exponent, env.r_squared)],
-                          list(E.T) + [E.max(axis=1)]):
-            slope, r_sq = diagnostics._loglog_fit(x, np.log(e))
-            assert got == (float(np.max(w * e)), -slope, r_sq)
+        for k, block, row in SchemeSolver(sys_, SchemeConfig(dt=dt, t_final=T)).iterate_raw(
+                X0, t.size - 1):
+            if k == 0:
+                E[0] = block.energy[0]
+            E[k + 1] = block.energy[row + 1]
+        lengths = record_block_lengths(monkeypatch)
+        for fit_window in [(0.0, t[-1]), None]:
+            study = uniform_decay_study(sys_, 0.0, [dt], T=T, fit_window=fit_window, t_star=4.0)
+            lo, hi = study.fit_window
+            win = (t >= lo) & (t <= hi)
+            assert win.all() == (fit_window is not None)
+            x, w = np.log1p(t[win]), (1.0 + t[win]) ** study.p0
+            (cell,) = study.cells
+            fits = [(mf.m_hat, mf.exponent, mf.r_squared) for mf in cell.member_fits]
+            env = cell.envelope
+            for got, e in zip(fits + [(env.M_hat, env.exponent, env.r_squared)],
+                              list(E[win].T) + [E[win].max(axis=1)]):
+                slope, r_sq = diagnostics._loglog_fit(x, np.log(e))
+                assert got == (float(np.max(w * e)), -slope, r_sq)
+        assert len(lengths) > 2 and lengths[-1] < lengths[0]
 
 
 class TestIdentityAudit:

@@ -41,8 +41,9 @@ def random_state(rng, n):
     return ModalState(rng.standard_normal(n), rng.standard_normal(n))
 
 
-# per-step values of a RawStep: (array of its time block, row offset from
-# ``row``); the state arrays hold x_k at ``row`` and x_{k+1} at ``row + 1``
+# per-step values of a ``(k, block, row)`` step tuple: (array of its time
+# block, row offset from ``row``); the state arrays hold x_k at ``row`` and
+# x_{k+1} at ``row + 1``
 RAW_FIELDS = {"energy_prev": ("energy", 0), "energy": ("energy", 1),
               "weak_sq_prev": ("weak_sq", 0), "weak_sq": ("weak_sq", 1),
               "visc1": ("visc1", 0), "visc2": ("visc2", 0), "damp": ("damp", 0),
@@ -50,9 +51,10 @@ RAW_FIELDS = {"energy_prev": ("energy", 0), "energy": ("energy", 1),
 
 
 def raw(rec, name):
-    """The (m,) row of ``rec.block`` that the step ``rec.k`` points at."""
+    """The (m,) row of its time block that the step tuple ``rec`` points at."""
+    _, block, row = rec
     array, offset = RAW_FIELDS[name]
-    return getattr(rec.block, array)[rec.row + offset]
+    return getattr(block, array)[row + offset]
 
 
 class TestFactorize:
@@ -323,7 +325,7 @@ class TestBlockedKernelProperty:
         assert B == 1 or n_steps % B != 0
 
         recs = list(sol.iterate_raw(X, n_steps))
-        assert [r.k for r in recs] == list(range(n_steps))
+        assert [k for k, _, _ in recs] == list(range(n_steps))
         E = np.array([raw(recs[0], "energy_prev")] + [raw(r, "energy") for r in recs])
         e0 = E[0]
         assert np.all(np.diff(E, axis=0) <= 0.0)
@@ -424,17 +426,18 @@ class TestOccupiedGroups:
         assert len(recs) == n_steps
         e0, w0 = raw(refs[0], "energy_prev")[1:], raw(refs[0], "weak_sq_prev")[1:]
         for r, q in zip(recs, refs):
-            assert r.k == q.k
+            k = r[0]
+            assert k == q[0]
             for name in RAW_FIELDS:
-                assert not raw(r, name)[m], (r.k, name)
+                assert not raw(r, name)[m], (k, name)
                 tol = 1e-15 * (w0 if name.startswith("weak") else e0)
-                assert np.all(np.abs(raw(r, name)[:m] - raw(q, name)[1:]) <= tol), (r.k, name)
+                assert np.all(np.abs(raw(r, name)[:m] - raw(q, name)[1:]) <= tol), (k, name)
         # and the energies of chained single steps, which step every group
         for c in range(m):
             z = ModalState.from_stacked(X[:, c])
             for r in recs:
                 z = sol.step_viscous_damped(z).z_next
-                assert abs(raw(r, "energy")[c] - energy(sys_, z)) <= 1e-12 * e0[c], (r.k, c)
+                assert abs(raw(r, "energy")[c] - energy(sys_, z)) <= 1e-12 * e0[c], (r[0], c)
 
     @pytest.mark.parametrize("damping", [True, False])
     def test_one_group_final_state(self, damping):
@@ -521,8 +524,7 @@ class TestMapIdentity:
     def test_one_step_map_identity(self, sys_, dt, damping, viscosity):
         sol = factorize(sys_, SchemeConfig(dt=dt, t_final=dt, damping=damping,
                                            viscosity=viscosity))
-        stacks = sol._power_stacks(1)
-        for grp, st_, w in zip(sol._groups, stacks, sol._weights(0.0, sol._groups, stacks)):
+        for grp, st_, w in zip(sol._groups, sol._power_stacks(1), sol._weights(0.0)):
             c = dt**3 * grp.eta if viscosity else np.zeros_like(grp.eta)
             s2 = grp.eta.shape[1]
             assert np.array_equal(w[:3, :, :s2], [np.full_like(c, 0.5), c, 0.5 * c**2])
@@ -536,16 +538,30 @@ class TestMapIdentity:
 
 
 class TestRawStepRecords:
-    def test_field_names(self):
-        sys_ = build_coupled_waves(ExampleParams(0.5, 1.0, 4))
-        rec = next(factorize(sys_, SchemeConfig(dt=0.05, t_final=1.0)).iterate_raw(
-            np.ones((2 * sys_.n, 2)), 3))
-        assert rec._fields == ("k", "block", "row")
-        assert {name for name in dir(rec) if not name.startswith("_")} == {
-            "k", "block", "row", "count", "index"}
-        assert rec.k == 0
+    """The per-step records of ``iterate_raw`` are bare step tuples."""
+
+    @pytest.mark.parametrize("m, B", [(1, 128), (64, 4), (200, 1)])
+    def test_protocol(self, m, B):
+        # plain (k, block, row) 3-tuples, k = 0..n_steps-1, one block object per
+        # time block, n_steps items, a partial last block where B > 1
+        sys_ = build_coupled_waves(ExampleParams(0.5, 1.0, 32))
+        sol = factorize(sys_, SchemeConfig(dt=0.01, t_final=1.0))
+        X = np.random.default_rng(2).standard_normal((2 * sys_.n, m))
+        assert schemes._block_length(2 * sys_.n, m, sol._groups) == B
+        n_steps = 2 * B + 3 if B > 1 else 7
+        recs = list(sol.iterate_raw(X, n_steps))
+        assert len(recs) == n_steps
+        assert all(type(r) is tuple and len(r) == 3 for r in recs)
+        assert [k for k, _, _ in recs] == list(range(n_steps))
+        blocks = {}
+        for k, block, row in recs:
+            assert block.k0 + row == k
+            assert blocks.setdefault(block.k0, block) is block, k
+        lengths = [len(b.resid) for b in blocks.values()]
+        assert sum(lengths) == n_steps and set(lengths[:-1]) == {B}
+        assert lengths[-1] == (3 if B > 1 else 1)
         for name in RAW_FIELDS:
-            assert raw(rec, name).shape == (2,), name
+            assert raw(recs[0], name).shape == (m,), name
 
     def test_records_outlive_iteration(self):
         # several full time blocks and a partial one, a column batch
@@ -555,12 +571,15 @@ class TestRawStepRecords:
         n_steps = 3 * schemes._block_length(2 * sys_.n, 3, sol._groups) + 5
         seen, recs = [], []
         for rec in sol.iterate_raw(X, n_steps, beta=0.5):
-            seen.append([np.array(raw(rec, name)) for name in RAW_FIELDS])
+            k, _, row = rec
+            seen.append((k, row, [np.array(raw(rec, name)) for name in RAW_FIELDS]))
             recs.append(rec)
-        assert [r.k for r in recs] == list(range(n_steps))
-        for rec, values in zip(recs, seen):
+        assert [k for k, _, _ in recs] == list(range(n_steps))
+        # a held tuple keeps its own k and row: zip reuses no tuple held here
+        assert [(k, row) for k, _, row in recs] == [(k, row) for k, row, _ in seen]
+        for rec, (k, _, values) in zip(recs, seen):
             for name, value in zip(RAW_FIELDS, values):
-                assert np.array_equal(raw(rec, name), value), (rec.k, name)
+                assert np.array_equal(raw(rec, name), value), (k, name)
 
 
 def assert_records_equal(r1, r2):

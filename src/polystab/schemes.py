@@ -270,7 +270,7 @@ class SchemeSolver:
             self._groups.append(_Groups(rows, scale, eta[rows % n], gram))
         self._damped = cfg.damping and any(grp.gram.any() for grp in self._groups)
         self._maps = self._propagators()
-        self._stacks = {}
+        self._doubled_maps = {}
         self._weight_sets = {}
         self._siblings = {}
 
@@ -309,21 +309,19 @@ class SchemeSolver:
             out.append((S, P, L))
         return out
 
-    def _power_stacks(self, B: int) -> list:
-        """Per group size: the (g, r, B, 2s) stack whose rows are P^{j+1}
-        (2s rows) and, with a Gram, L P^j (one more row per rank of the
-        Gram), for j = 0..B-1."""
-        if B not in self._stacks:
-            out = []
-            for _, P, L in self._maps:
-                pw = np.empty((B + 1,) + P.shape)
-                pw[0] = np.eye(P.shape[1])
-                for j in range(B):
-                    pw[j + 1] = P @ pw[j]
-                parts = [pw[1:]] if L is None else [pw[1:], L @ pw[:-1]]
-                out.append(np.concatenate(parts, axis=2).transpose(1, 2, 0, 3).copy())
-            self._stacks[B] = out
-        return self._stacks[B]
+    def _doubled(self, K: int) -> list:
+        """Per group size: the (g, r, 2s) map ``M_K = [P^K; L P^{K-1}]``
+        (the L rows only with a Gram), for K a power of two; built by
+        doubling, ``M_{2K} = M_K P^K``, and cached per K."""
+        if K not in self._doubled_maps:
+            if K == 1:
+                out = [P if L is None else np.concatenate([P, L], axis=1)
+                       for _, P, L in self._maps]
+            else:
+                half = self._doubled(K // 2)
+                out = [M @ M[:, : M.shape[2]] for M in half]
+            self._doubled_maps[K] = out
+        return self._doubled_maps[K]
 
     def _weights(self, beta: float) -> list:
         """Per group size: (5, g, r) weights of the squared stack rows for
@@ -356,10 +354,16 @@ class SchemeSolver:
         a _Block and the energy-coordinate state after it as (groups, state)
         pairs, one per group size.
 
+        The batch's last K states ``x_{k-K+1} .. x_k`` are held as one
+        (g, 2s, K m) block per group size; one product with ``M_K`` gives
+        the next K states and the observed-damping rows of steps
+        ``k .. k+K-1``.  K starts at 1 on ``x_0`` and doubles after every
+        block until it reaches B, so the blocks have 1, 2, 4, ..., B steps
+        and then B steps each, the last one possibly fewer.
         Only the groups that some column occupies are stepped: ``P`` keeps
         a group that is zero in every column at exactly zero, and such a
         group adds exact zeros to every term.  B follows from the rows the
-        batch steps (at most ``n_steps``); the powers of P are cached per B
+        batch steps (at most ``n_steps``); the maps ``M_K`` are cached per K
         and the weights per beta.
         The per-step identity residual is
         ``|E(x_{k+1}) + visc1 + visc2 + damp - E(x_k)|``.  A non-finite
@@ -369,43 +373,49 @@ class SchemeSolver:
         occupied = [x[grp.rows].any(axis=(1, 2)) for grp in self._groups]
         B = min(_block_length(sum(grp.rows[occ].size for grp, occ in zip(self._groups, occupied)),
                               m, self._groups), 1 << (max(n_steps, 1).bit_length() - 1))
-        groups, stacks, W, xs = [], [], [], []
-        for grp, st, w, occ in zip(self._groups, self._power_stacks(B), self._weights(beta),
-                                   occupied):
-            if not occ.all():  # a size may keep no group: its stack is then empty
-                grp, st, w = _Groups(*(a[occ] for a in grp)), st[occ], w[:, occ]
+        groups, W, xs = [], [], []
+        for grp, w, occ in zip(self._groups, self._weights(beta), occupied):
+            if not occ.all():  # a size may keep no group: its maps are then empty
+                grp, w = _Groups(*(a[occ] for a in grp)), w[:, occ]
             groups.append(grp)
-            stacks.append(st)
             W.append(w)
             xs.append(x[grp.rows] * grp.scale)
         prev = sum(w[:4, :, : xg.shape[1]].reshape(4, -1) @ (xg * xg).reshape(-1, m)
                    for w, xg in zip(W, xs))
-        # Full blocks write into two alternating stack-output buffers (so that
-        # matmul never reads the state from its own output, which it would
-        # copy first) and one square buffer per group size: fresh large
-        # temporaries cost page faults once the allocator returns their memory.
-        work = [([np.empty((st.shape[0], st.shape[1] * B, m)) for _ in range(2)],
-                 np.empty((st.shape[0] * st.shape[1], B * m))) for st in stacks]
-        for k0 in range(0, n_steps, B):
-            nb = min(B, n_steps - k0)
+        after = list(xs)
+        K, k0 = 1, 0
+        while k0 < n_steps:
+            nb = min(K, n_steps - k0)
+            if k0 == K - 1:  # the first block of this K
+                maps = [M if occ.all() else M[occ]
+                        for M, occ in zip(self._doubled(K), occupied)]
+                # Full blocks of B steps write into two alternating product
+                # buffers (so that matmul never reads the states from its own
+                # output, which it would copy first) and one square buffer per
+                # group size: fresh large temporaries cost page faults once the
+                # allocator returns their memory.
+                work = [([np.empty(M.shape[:2] + (B * m,)) for _ in range(2)],
+                         np.empty((M.shape[0] * M.shape[1], B * m))) for M in maps] \
+                    if K == B else None
             full = nb == B
             # E, visc1, visc2, weak of x_{k+1}; observed damping and residual of step k
             T = np.zeros((6, nb, m))
-            for j, (st, w, xg, (ybufs, sq)) in enumerate(zip(stacks, W, xs, work)):
-                g, r, _, s2 = st.shape
-                y = np.matmul(st[:, :, :nb].reshape(g, r * nb, s2), xg,
-                              out=ybufs[k0 // B % 2] if full else None)
-                y2 = np.square(y.reshape(g * r, nb * m), out=sq if full else None)
+            for j, (M, w, xg) in enumerate(zip(maps, W, xs)):
+                g, r, s2 = M.shape
+                y = np.matmul(M, xg[:, :, : nb * m], out=work[j][0][k0 // B % 2] if full else None)
+                y2 = np.square(y.reshape(g * r, nb * m), out=work[j][1] if full else None)
                 T[:5] += (w.reshape(5, g * r) @ y2).reshape(5, nb, m)
-                xs[j] = y.reshape(g, r, nb, m)[:, :s2, -1]
+                xs[j] = y[:, :s2] if K == B else np.concatenate([xg, y[:, :s2]], axis=2)
+                after[j] = y[:, :s2, (nb - 1) * m:]
             energy = np.concatenate([prev[0][None], T[0]])
             damp = T[4] if self._damped else np.zeros((nb, m))
             T[5] = np.abs(T[0] + T[1] + T[2] + damp - energy[:-1])
             if not np.isfinite(T).all():
                 raise NonFiniteStateError("time step produced non-finite state or terms")
             yield (_Block(k0, energy, np.concatenate([prev[3][None], T[3]]), T[1], T[2],
-                          damp, T[4], T[5]), list(zip(groups, xs)))
+                          damp, T[4], T[5]), list(zip(groups, after)))
             prev = T[:4, -1]
+            k0, K = k0 + nb, min(2 * K, B)
 
     # -- public one-step API -------------------------------------------
 

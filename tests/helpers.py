@@ -96,6 +96,17 @@ def time_steps():
     return st.floats(-5.0, -1.0).map(lambda e: 10.0**e)
 
 
+def block_schedule(B, n_steps):
+    """Steps per time block of an ``n_steps`` trajectory whose block length
+    is B: 1, 2, 4, ... while the known block doubles up to B, then B each,
+    the last block possibly shorter."""
+    out, K = [], 1
+    while sum(out) < n_steps:
+        out.append(min(K, n_steps - sum(out)))
+        K = min(2 * K, B)
+    return out
+
+
 def stage1_matrix(sys_, dt, damped=True):
     """Dense midpoint stage matrix ``I - (dt/2) G`` of a modal system, with
     the damped generator ``G = A - B B*`` or, if not ``damped``, ``G = A``."""

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from helpers import scalar_observability_sums
+from helpers import block_schedule, scalar_observability_sums
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -155,7 +155,7 @@ class TestObservabilitySums:
         X0 = np.random.default_rng(8).standard_normal((2 * sys_.n, m))
         lengths = record_block_lengths(monkeypatch)
         damp, v1, v2, weak, nsteps = diagnostics._observability_sums(sys_, X0, 0.25, cfg, 5.0)
-        assert nsteps == 101 and lengths[0] == B and sum(lengths) == nsteps
+        assert nsteps == 101 and lengths == block_schedule(B, nsteps)
         ref = np.zeros((3, m))
         for k, block, row in SchemeSolver(sys_, cfg).iterate_raw(X0, nsteps, beta=0.25):
             if k == 0:
@@ -324,7 +324,7 @@ class TestHighFreqContraction:
                         np.where(high, rng.standard_normal(16), 0.0))
         lengths = record_block_lengths(monkeypatch)
         ratios = high_freq_contraction(sys_, u0, beta, dt, cutoff, steps)
-        assert len(lengths) > 1 and lengths[-1] < lengths[0] and sum(lengths) == steps
+        assert lengths == block_schedule(128, steps) and lengths[-2:] == [128, 45]
         cfg = SchemeConfig(dt=dt, t_final=steps * dt, viscosity=True, damping=False)
         per_record = [block.weak_sq[row + 1, 0] / block.weak_sq[row, 0] for _, block, row in
                       SchemeSolver(sys_, cfg).iterate_raw(u0.stacked(), steps, beta=beta)]
@@ -563,7 +563,8 @@ class TestUniformDecayStudy:
                               list(E[win].T) + [E[win].max(axis=1)]):
                 slope, r_sq = diagnostics._loglog_fit(x, np.log(e))
                 assert got == (float(np.max(w * e)), -slope, r_sq)
-        assert len(lengths) > 2 and lengths[-1] < lengths[0]
+        B = max(lengths)  # two studies, each with full blocks and a partial last one
+        assert lengths == 2 * block_schedule(B, t.size - 1) and lengths[-1] < B
 
 
 class TestIdentityAudit:

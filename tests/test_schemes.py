@@ -5,7 +5,8 @@ import math
 
 import numpy as np
 import pytest
-from helpers import modal_systems, scalar_two_stage_step, stage1_matrix, time_steps
+from helpers import (block_schedule, modal_systems, scalar_two_stage_step, stage1_matrix,
+                     time_steps)
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -349,10 +350,10 @@ class TestIterateRawAudit:
         # first step with a nonzero residual fails, here inside a time block
         sys_ = build_coupled_waves(ExampleParams(0.5, 1.0, 4))
         cfg = SchemeConfig(dt=0.05, t_final=1.0)
-        x = np.random.default_rng(1).standard_normal((2 * sys_.n, 1))
-        resid = [raw(s, "identity_residual")[0] for s in factorize(sys_, cfg).iterate_raw(x, 200)]
-        first = int(np.flatnonzero(resid)[0])
-        assert first % schemes._block_length(2 * sys_.n, 1, factorize(sys_, cfg)._groups) != 0
+        x = np.random.default_rng(3).standard_normal((2 * sys_.n, 1))
+        recs = list(factorize(sys_, cfg).iterate_raw(x, 200))
+        first = int(np.flatnonzero([raw(s, "identity_residual")[0] for s in recs])[0])
+        assert recs[first][2] > 0  # not the first row of its block
         tight = factorize(sys_, dataclasses.replace(cfg, solve_tol=1e-300))
         with pytest.raises(DiagnosticFailure, match=f"at step {first}$"):
             list(tight.iterate_raw(x, 200))
@@ -386,9 +387,10 @@ class TestOccupiedGroups:
     states match exactly (``test_one_group_final_state``); the terms to
     1e-15 of the column's E0 (of its initial weak norm for ``weak_sq``),
     because BLAS may sum a narrow product in another order once the zero
-    rows are gone (up to ~3.3e-16 seen).  Both batches take the same
-    block length: the dense one already sits at the 128-step cap, and the
-    subset batch steps fewer rows of the same column count."""
+    rows are gone (up to ~3.3e-16 seen).  Both batches take the same time
+    blocks, so they read the same doubled maps: the dense one already sits
+    at the 128-step cap, and the subset batch steps fewer rows of the same
+    column count."""
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -424,6 +426,8 @@ class TestOccupiedGroups:
         recs = list(sol.iterate_raw(np.column_stack([X, np.zeros(2 * n)]), n_steps))
         refs = list(sol.iterate_raw(dense, n_steps))
         assert len(recs) == n_steps
+        for stream in (recs, refs):
+            assert [len(b.resid) for _, b, row in stream if not row] == block_schedule(B, n_steps)
         e0, w0 = raw(refs[0], "energy_prev")[1:], raw(refs[0], "weak_sq_prev")[1:]
         for r, q in zip(recs, refs):
             k = r[0]
@@ -470,14 +474,13 @@ class TestBlockLength:
         rows = np.concatenate([sys_.groups[3], sys_.groups[3] + n])
         one[rows] = rng.standard_normal((rows.size, m))
 
-        def length(x):
-            starts = [b.k0 for b, _ in sol._blocks(x, 300)]
-            return starts[1] - starts[0]
+        def lengths(x):
+            return [len(b.resid) for b, _ in sol._blocks(x, 300)]
 
-        dense_B, one_B = length(rng.standard_normal((2 * n, m))), length(one)
-        assert (dense_B, one_B) == (32, 128)
+        assert lengths(rng.standard_normal((2 * n, m))) == block_schedule(32, 300)
+        assert lengths(one) == block_schedule(128, 300)
 
-    def test_power_of_two_and_few_stacks(self):
+    def test_power_of_two_and_few_maps(self):
         sys_ = build_coupled_waves(ExampleParams(0.5, 1.0, 8))
         sol = factorize(sys_, SchemeConfig(dt=0.01, t_final=1.0))
         for rows in range(1, 2 * sys_.n + 1):
@@ -486,8 +489,9 @@ class TestBlockLength:
                 assert 1 <= B <= 128 and B & (B - 1) == 0, (rows, m)
         rng = np.random.default_rng(6)
         for m in range(1, 400, 7):
-            list(sol.iterate_raw(rng.standard_normal((2 * sys_.n, m)), 3))
-        assert len(sol._stacks) <= 8
+            list(sol.iterate_raw(rng.standard_normal((2 * sys_.n, m)), 300))
+        # one doubled map per power of two up to the longest block
+        assert sorted(sol._doubled_maps) == [1 << i for i in range(8)]
 
     @pytest.mark.parametrize("m", [1, 8])
     def test_short_runs_build_no_unstepped_powers(self, m):
@@ -495,17 +499,20 @@ class TestBlockLength:
         sys_ = build_coupled_waves(ExampleParams(0.5, 1.0, 32))
         x = np.random.default_rng(7).standard_normal((2 * sys_.n, m))
         cfg = SchemeConfig(dt=0.01, t_final=1.0)
-        assert schemes._block_length(2 * sys_.n, m, factorize(sys_, cfg)._groups) >= 32
+        B = schemes._block_length(2 * sys_.n, m, factorize(sys_, cfg)._groups)
+        assert B >= 32
         for n_steps in [1, 2, 3, 5, 17, 31, 33, 127, 129]:
             sol = factorize(sys_, cfg)
             assert len(list(sol.iterate_raw(x, n_steps))) == n_steps
-            assert max(sol._stacks) <= n_steps, n_steps
-            assert all(st_.shape[2] == max(sol._stacks) for st_ in sol._stacks[max(sol._stacks)])
+            K = max(sol._doubled_maps)
+            assert K <= n_steps and K == min(B, 1 << (n_steps.bit_length() - 1)), n_steps
+            assert sorted(sol._doubled_maps) == [1 << i for i in range(K.bit_length())]
         sol = factorize(sys_, cfg)
         z = ModalState.from_stacked(x[:, 0])
         sol.step_viscous_damped(z)
+        assert sorted(sol._doubled_maps) == [1]
         sol.run(z)  # 101 steps
-        assert sorted(sol._stacks) == [1, 64]
+        assert sorted(sol._doubled_maps) == [1, 2, 4, 8, 16, 32, 64]
 
 
 class TestMapIdentity:
@@ -524,12 +531,11 @@ class TestMapIdentity:
     def test_one_step_map_identity(self, sys_, dt, damping, viscosity):
         sol = factorize(sys_, SchemeConfig(dt=dt, t_final=dt, damping=damping,
                                            viscosity=viscosity))
-        for grp, st_, w in zip(sol._groups, sol._power_stacks(1), sol._weights(0.0)):
+        for grp, rows, w in zip(sol._groups, sol._doubled(1), sol._weights(0.0)):
             c = dt**3 * grp.eta if viscosity else np.zeros_like(grp.eta)
             s2 = grp.eta.shape[1]
             assert np.array_equal(w[:3, :, :s2], [np.full_like(c, 0.5), c, 0.5 * c**2])
             assert not w[:3, :, s2:].any() and np.all(w[4, :, s2:] == 1.0)
-            rows = st_[:, :, 0]  # [P; L] per group
             d = w[0] + w[1] + w[2] + (w[4] if damping else 0.0)
             resid = np.abs(rows.transpose(0, 2, 1) @ (d[:, :, None] * rows)
                            - 0.5 * np.eye(s2)).max(axis=(1, 2))
@@ -543,12 +549,13 @@ class TestRawStepRecords:
     @pytest.mark.parametrize("m, B", [(1, 128), (64, 4), (200, 1)])
     def test_protocol(self, m, B):
         # plain (k, block, row) 3-tuples, k = 0..n_steps-1, one block object per
-        # time block, n_steps items, a partial last block where B > 1
+        # time block, n_steps items; blocks of 1, 2, 4, ... steps up to B,
+        # then two full blocks and a partial last one where B > 1
         sys_ = build_coupled_waves(ExampleParams(0.5, 1.0, 32))
         sol = factorize(sys_, SchemeConfig(dt=0.01, t_final=1.0))
         X = np.random.default_rng(2).standard_normal((2 * sys_.n, m))
         assert schemes._block_length(2 * sys_.n, m, sol._groups) == B
-        n_steps = 2 * B + 3 if B > 1 else 7
+        n_steps = (B - 1) + 2 * B + 3 if B > 1 else 7
         recs = list(sol.iterate_raw(X, n_steps))
         assert len(recs) == n_steps
         assert all(type(r) is tuple and len(r) == 3 for r in recs)
@@ -558,8 +565,8 @@ class TestRawStepRecords:
             assert block.k0 + row == k
             assert blocks.setdefault(block.k0, block) is block, k
         lengths = [len(b.resid) for b in blocks.values()]
-        assert sum(lengths) == n_steps and set(lengths[:-1]) == {B}
-        assert lengths[-1] == (3 if B > 1 else 1)
+        doubling = [1 << i for i in range(B.bit_length() - 1)]
+        assert lengths == (doubling + [B, B, 3] if B > 1 else [1] * 7)
         for name in RAW_FIELDS:
             assert raw(recs[0], name).shape == (m,), name
 

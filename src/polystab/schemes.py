@@ -290,16 +290,18 @@ class SchemeSolver:
             K = eye + (h * h * grp.eta[:, :s, None]) * eye
             if self._damped:
                 K = K + h * grp.gram
-            # (I - hG^) S = (I + hG^):  K S_b = [-2h diag(mu), 2I - K],
-            # S_a = [I, h diag(mu)] + h diag(mu) S_b
-            S_b = np.linalg.solve(K, np.concatenate([-2.0 * hmu * eye, 2.0 * eye - K], axis=2))
-            S_a = np.concatenate([eye, hmu * eye], axis=2) + hmu * S_b
+            # (I - hG^) S = (I + hG^):  K Z = [-2h diag(mu), 2I], S_b = Z - [0, I]
+            # and S_a = [I, 0] + h diag(mu) Z, with no cancellation of size h mu
+            Z = np.linalg.solve(K, np.concatenate([-2.0 * hmu * eye, 2.0 * eye], axis=2))
+            zero = np.zeros((g, s, s))
+            S_b = Z - np.concatenate([zero, eye], axis=2)
+            S_a = np.concatenate([eye, zero], axis=2) + hmu * Z
             S = np.concatenate([S_a, S_b], axis=1)
             vf = 1.0 / (1.0 + dt**3 * grp.eta)
             P = vf[:, :, None] * S if self.cfg.viscosity else S
             L = None
             if np.any(grp.gram):
-                M = 0.5 * (np.concatenate([np.zeros((g, s, s)), eye], axis=2) + S_b)
+                M = 0.5 * Z
                 # rows of D^{1/2} for the eigenvalues above eigh's
                 # rounding level: the Gram's numerical rank
                 lam, U = np.linalg.eigh(grp.gram)

@@ -347,13 +347,20 @@ class TestBlockedKernelProperty:
 class TestIterateRawAudit:
     def test_raises_at_first_failing_step(self):
         # solve_tol = 1e-300 leaves no room for any rounding residual: the
-        # first step with a nonzero residual fails, here inside a time block
+        # first step with a nonzero residual fails.  Where that step falls
+        # is a matter of rounding, so take the first seed that puts it inside
+        # a time block (not on the block's first row).
         sys_ = build_coupled_waves(ExampleParams(0.5, 1.0, 4))
         cfg = SchemeConfig(dt=0.05, t_final=1.0)
-        x = np.random.default_rng(3).standard_normal((2 * sys_.n, 1))
-        recs = list(factorize(sys_, cfg).iterate_raw(x, 200))
-        first = int(np.flatnonzero([raw(s, "identity_residual")[0] for s in recs])[0])
-        assert recs[first][2] > 0  # not the first row of its block
+        sol = factorize(sys_, cfg)
+        for seed in range(100):
+            x = np.random.default_rng(seed).standard_normal((2 * sys_.n, 1))
+            recs = list(sol.iterate_raw(x, 200))
+            first = int(np.flatnonzero([raw(s, "identity_residual")[0] for s in recs])[0])
+            if recs[first][2] > 0:
+                break
+        else:
+            pytest.fail("no seed puts the first nonzero residual inside a time block")
         tight = factorize(sys_, dataclasses.replace(cfg, solve_tol=1e-300))
         with pytest.raises(DiagnosticFailure, match=f"at step {first}$"):
             list(tight.iterate_raw(x, 200))
@@ -519,11 +526,16 @@ class TestMapIdentity:
     """The one-step map and the energy weights every step reads satisfy, per
     mode group, ``P^T diag(1/2 + c + c^2/2) P + L^T L = I/2`` with
     ``c = dt^3 eta`` (0 without viscosity) and the ``L^T L`` term only when
-    damped: the per-step energy identity of every state at once.  Its
-    max-abs residual is bounded by ``16 eps (1 + h mu_max)`` per group
-    (h = dt/2): ``S`` is formed with cancellations of size ``h mu``.  Over
-    these 150 examples the worst residual is 4.0 eps (1 + h mu_max), 85 eps
-    absolute; over 3000 draws it was 7.9 eps (1 + h mu_max)."""
+    damped: the per-step energy identity of every state at once.  ``S`` is
+    formed from ``K Z = [-2h mu, 2I]`` with no cancellation of size ``h mu``
+    (h = dt/2), so the max-abs residual per group is a flat multiple of eps
+    in ``h mu``; it grows only with the damping strength, and is bounded by
+    ``8 eps (1 + h d_max)`` with ``d_max`` the largest Gram entry of the
+    group when damped (0 otherwise).  Over these 150 examples the worst
+    residual is 4.5 eps; over 3000 other draws (h mu up to 490) it was
+    6.0 eps where h d_max < 1 and 5.99 eps (1 + h d_max) at most, 28.75 eps
+    absolute, against 148 eps absolute and 29.5 eps (1 + h mu_max) when
+    ``S_a`` was formed as ``[I, h mu] + h mu S_b``."""
 
     @settings(max_examples=150, deadline=None, derandomize=True)
     @given(sys_=modal_systems(), dt=time_steps(), damping=st.booleans(),
@@ -539,8 +551,8 @@ class TestMapIdentity:
             d = w[0] + w[1] + w[2] + (w[4] if damping else 0.0)
             resid = np.abs(rows.transpose(0, 2, 1) @ (d[:, :, None] * rows)
                            - 0.5 * np.eye(s2)).max(axis=(1, 2))
-            h_mu = 0.5 * dt * np.sqrt(grp.eta.max(axis=1))
-            assert np.all(resid <= 16 * np.finfo(float).eps * (1.0 + h_mu)), resid
+            h_d = 0.5 * dt * np.abs(grp.gram).max(axis=(1, 2)) if damping else 0.0
+            assert np.all(resid <= 8 * np.finfo(float).eps * (1.0 + h_d)), resid
 
 
 class TestRawStepRecords:

@@ -58,24 +58,28 @@ mode groups (``ModalSystem.groups``, found once when the system is built;
 batched solve per size).  Every step goes through the time blocks below:
 a single step (``step_*``) is a one-step trajectory, plus ``z~ = S x``.
 
-**Time blocks.**  A (2n, m) column batch advances B steps at a time.  One
-batched product per group size with the stack ``[P; ...; P^B; L; LP; ...;
-LP^{B-1}]`` gives the next B states and the square roots of the observed
-damping of all B steps.  The energy, visc1, visc2 and ``-beta`` weak-norm
-weights are diagonal in energy coordinates (``1/2``, ``dt^3 eta``,
-``dt^6 eta^2 / 2`` and ``eta^{-2 beta - 1}`` on both blocks), so every
-term of the block is one weight product with the squared stack output.
-Only the groups that some column occupies are stepped; the others stay
-exactly zero.  B follows from the stepped rows and the column count
-(~2^15 entries per block: long blocks for few columns or occupied groups,
-single steps for wide batches), with at most the run's step count, 128
-steps and 2^18 entries in the powers of P, rounded down to a power of two.
-Known cost: one dense group of size n runs with B = 1 at ~5n^2
+**Time blocks.**  A (2n, m) column batch holds its last K states
+``x_{k-K+1} .. x_k`` as one (g, 2s, K m) block per group size; one batched
+product with ``M_K = [P^K; L P^{K-1}]`` gives the next K states and the
+square roots of the observed damping of steps ``k .. k+K-1``.  The known
+block starts at ``x_0`` and doubles, so the time blocks have 1, 2, 4, ...,
+B steps, then B each; ``M_{2K} = M_K P^K`` is cached per K.  The energy,
+visc1, visc2 and ``-beta`` weak-norm weights are diagonal in energy
+coordinates (``1/2``, ``dt^3 eta``, ``dt^6 eta^2 / 2`` and
+``eta^{-2 beta - 1}`` on both blocks), so every term of the block is one
+weight product with the squared product.  Only the groups that some column
+occupies are stepped; the others stay exactly zero.  B follows from the
+stepped rows and the column count (~2^15 entries per block), at most the
+run's step count, 128 and 2^18 / (entries of P), as a power of two.  Known
+cost: one dense group of size n runs with B = 1 (no doubling) at ~5n^2
 multiply-adds per column-step (~1.5x a Schur-complement step).
 
 **Audit.**  The residual of the per-step identity measures how accurately
-``P`` and ``L`` were built; ``solve_tol`` only sets its tolerance
-``10 * solve_tol * E0`` (``E0`` per column).  ``iterate_raw`` checks every
+``P``, ``L`` and their doubled powers were built; ``solve_tol`` only sets
+its tolerance ``10 * solve_tol * E0`` (``E0`` per column).  Each state of a
+time block comes from a state K steps back through ``P^K``, so the
+residual carries the rounding of ``P^K`` (~30 eps E0 over 2 * 10^5 steps of
+the criterion-7 family at B = 128).  ``iterate_raw`` checks every
 time block against it before yielding the block's steps (as bare
 ``(k, block, row)`` tuples) and raises DiagnosticFailure naming the first
 failing step; ``run`` flags a violation on the returned trace instead, and
@@ -237,9 +241,10 @@ class _Groups(NamedTuple):
 
 
 def _block_length(rows: int, m: int, groups) -> int:
-    """Steps per time block for m columns of ``rows`` stepped rows: ~2^15
-    stepped state entries, at most 128 steps and 2^18 entries in the B powers
-    of P of all ``groups``, rounded down to a power of two (8 cached stacks)."""
+    """Longest time block B (blocks run 1, 2, 4, ..., B steps, then B each)
+    for m columns of ``rows`` stepped rows: ~2^15 stepped state entries, at
+    most 128 and 2^18 / (entries of the P of all ``groups``) steps, rounded
+    down to a power of two.  The last cap keeps a dense group at B = 1."""
     sq = sum(grp.rows.size * grp.rows.shape[1] for grp in groups)
     b = min(2**15 // max(rows * m, 1), 2**18 // sq, 128)
     return 1 << (max(b, 1).bit_length() - 1)
@@ -249,12 +254,12 @@ class SchemeSolver:
     """Propagators of one (system, config) pair.
 
     Construction builds the ``S``, ``P`` and ``L`` of the configured stages
-    only, per mode group of the system; the stacked powers of each block
-    length are built on first use and cached.  A ``step_*`` call is a
-    one-step trajectory of the kernel; ``step_viscous_conservative`` and
-    ``step_midpoint`` step a cached solver of the same config with the
-    damping (and viscosity) stage switched off.  One instance can serve
-    many trajectories (including batched column states).
+    only, per mode group of the system; the doubled maps ``M_K`` are built
+    on first use and cached.  A ``step_*`` call is a one-step trajectory of
+    the kernel; ``step_viscous_conservative`` and ``step_midpoint`` step a
+    cached solver of the same config with the damping (and viscosity) stage
+    switched off.  One instance can serve many trajectories (including
+    batched column states).
     """
 
     def __init__(self, sys: ModalSystem, cfg: SchemeConfig):
@@ -270,16 +275,17 @@ class SchemeSolver:
             self._groups.append(_Groups(rows, scale, eta[rows % n], gram))
         self._damped = cfg.damping and any(grp.gram.any() for grp in self._groups)
         self._maps = self._propagators()
-        self._doubled_maps = {}
+        self._doubled_maps = {1: [M for _, M in self._maps]}
         self._weight_sets = {}
         self._siblings = {}
 
     # -- propagators -----------------------------------------------------
 
     def _propagators(self) -> list:
-        """Per group size: (S, P, L) in energy coordinates, where
-        ``L = sqrt(dt) D^{1/2} M`` factors the observed-damping form
-        ``Q = L^T L``; L is None when the groups' Gram is zero."""
+        """Per group size: ``S`` and the (g, r, 2s) one-step map ``[P; L]``
+        in energy coordinates, where ``L = sqrt(dt) D^{1/2} M`` factors the
+        observed-damping form ``Q = L^T L`` (no L rows when the groups' Gram
+        is zero)."""
         dt = self.cfg.dt
         h = 0.5 * dt
         out = []
@@ -290,16 +296,12 @@ class SchemeSolver:
             K = eye + (h * h * grp.eta[:, :s, None]) * eye
             if self._damped:
                 K = K + h * grp.gram
-            # (I - hG^) S = (I + hG^):  K Z = [-2h diag(mu), 2I], S_b = Z - [0, I]
-            # and S_a = [I, 0] + h diag(mu) Z, with no cancellation of size h mu
+            # (I - hG^) S = (I + hG^):  K Z = [-2h diag(mu), 2I], S_a = [I, 0] + h diag(mu) Z
+            # and S_b = Z - [0, I], with no cancellation of size h mu
             Z = np.linalg.solve(K, np.concatenate([-2.0 * hmu * eye, 2.0 * eye], axis=2))
-            zero = np.zeros((g, s, s))
-            S_b = Z - np.concatenate([zero, eye], axis=2)
-            S_a = np.concatenate([eye, zero], axis=2) + hmu * Z
-            S = np.concatenate([S_a, S_b], axis=1)
+            S = np.concatenate([hmu * Z, Z], axis=1) + np.diag(np.repeat([1.0, -1.0], s))
             vf = 1.0 / (1.0 + dt**3 * grp.eta)
             P = vf[:, :, None] * S if self.cfg.viscosity else S
-            L = None
             if np.any(grp.gram):
                 M = 0.5 * Z
                 # rows of D^{1/2} for the eigenvalues above eigh's
@@ -307,22 +309,15 @@ class SchemeSolver:
                 lam, U = np.linalg.eigh(grp.gram)
                 r = int(np.max(np.sum(lam > s * np.finfo(float).eps * lam.max(), axis=1)))
                 root = np.sqrt(dt * np.maximum(lam[:, s - r:], 0.0))[:, :, None]
-                L = (root * U[:, :, s - r:].transpose(0, 2, 1)) @ M
-            out.append((S, P, L))
+                P = np.concatenate([P, (root * U[:, :, s - r:].transpose(0, 2, 1)) @ M], axis=1)
+            out.append((S, P))
         return out
 
     def _doubled(self, K: int) -> list:
         """Per group size: the (g, r, 2s) map ``M_K = [P^K; L P^{K-1}]``
-        (the L rows only with a Gram), for K a power of two; built by
-        doubling, ``M_{2K} = M_K P^K``, and cached per K."""
+        for K a power of two, by doubling ``M_{2K} = M_K P^K``; cached per K."""
         if K not in self._doubled_maps:
-            if K == 1:
-                out = [P if L is None else np.concatenate([P, L], axis=1)
-                       for _, P, L in self._maps]
-            else:
-                half = self._doubled(K // 2)
-                out = [M @ M[:, : M.shape[2]] for M in half]
-            self._doubled_maps[K] = out
+            self._doubled_maps[K] = [M @ M[:, : M.shape[2]] for M in self._doubled(K // 2)]
         return self._doubled_maps[K]
 
     def _weights(self, beta: float) -> list:
@@ -331,10 +326,10 @@ class SchemeSolver:
         observed damping (on the L rows); cached per beta."""
         if beta not in self._weight_sets:
             out = []
-            for grp, (_, P, L) in zip(self._groups, self._maps):
+            for grp, (_, M) in zip(self._groups, self._maps):
                 eta = grp.eta
                 c = self.cfg.dt**3 * eta if self.cfg.viscosity else np.zeros_like(eta)
-                w = np.zeros((5, P.shape[0], P.shape[1] + (0 if L is None else L.shape[1])))
+                w = np.zeros((5,) + M.shape[:2])
                 w[:4, :, : eta.shape[1]] = [np.full_like(eta, 0.5), c, 0.5 * c**2,
                                             eta ** (-2.0 * beta - 1.0)]
                 w[4, :, eta.shape[1]:] = 1.0
@@ -356,20 +351,14 @@ class SchemeSolver:
         a _Block and the energy-coordinate state after it as (groups, state)
         pairs, one per group size.
 
-        The batch's last K states ``x_{k-K+1} .. x_k`` are held as one
-        (g, 2s, K m) block per group size; one product with ``M_K`` gives
-        the next K states and the observed-damping rows of steps
-        ``k .. k+K-1``.  K starts at 1 on ``x_0`` and doubles after every
-        block until it reaches B, so the blocks have 1, 2, 4, ..., B steps
-        and then B steps each, the last one possibly fewer.
-        Only the groups that some column occupies are stepped: ``P`` keeps
-        a group that is zero in every column at exactly zero, and such a
-        group adds exact zeros to every term.  B follows from the rows the
-        batch steps (at most ``n_steps``); the maps ``M_K`` are cached per K
-        and the weights per beta.
-        The per-step identity residual is
-        ``|E(x_{k+1}) + visc1 + visc2 + damp - E(x_k)|``.  A non-finite
-        state or term raises NonFiniteStateError.
+        The batch's last K states are one (g, 2s, K m) block per group size,
+        advanced by ``M_K``; K doubles from 1 to B (from the rows the batch
+        steps, at most ``n_steps``), so the blocks have 1, 2, 4, ..., B steps,
+        then B each.  Only the groups that some column occupies are stepped:
+        ``P`` keeps a group that is zero in every column at exactly zero, and
+        such a group adds exact zeros to every term.  The per-step identity
+        residual is ``|E(x_{k+1}) + visc1 + visc2 + damp - E(x_k)|``.  A
+        non-finite state or term raises NonFiniteStateError.
         """
         m = x.shape[1]
         occupied = [x[grp.rows].any(axis=(1, 2)) for grp in self._groups]
@@ -384,18 +373,15 @@ class SchemeSolver:
             xs.append(x[grp.rows] * grp.scale)
         prev = sum(w[:4, :, : xg.shape[1]].reshape(4, -1) @ (xg * xg).reshape(-1, m)
                    for w, xg in zip(W, xs))
-        after = list(xs)
         K, k0 = 1, 0
         while k0 < n_steps:
             nb = min(K, n_steps - k0)
             if k0 == K - 1:  # the first block of this K
                 maps = [M if occ.all() else M[occ]
                         for M, occ in zip(self._doubled(K), occupied)]
-                # Full blocks of B steps write into two alternating product
-                # buffers (so that matmul never reads the states from its own
-                # output, which it would copy first) and one square buffer per
-                # group size: fresh large temporaries cost page faults once the
-                # allocator returns their memory.
+                # Full blocks write into two alternating product buffers (matmul
+                # would copy states read from its own output) and one square
+                # buffer: fresh large temporaries cost page faults.
                 work = [([np.empty(M.shape[:2] + (B * m,)) for _ in range(2)],
                          np.empty((M.shape[0] * M.shape[1], B * m))) for M in maps] \
                     if K == B else None
@@ -408,14 +394,13 @@ class SchemeSolver:
                 y2 = np.square(y.reshape(g * r, nb * m), out=work[j][1] if full else None)
                 T[:5] += (w.reshape(5, g * r) @ y2).reshape(5, nb, m)
                 xs[j] = y[:, :s2] if K == B else np.concatenate([xg, y[:, :s2]], axis=2)
-                after[j] = y[:, :s2, (nb - 1) * m:]
             energy = np.concatenate([prev[0][None], T[0]])
             damp = T[4] if self._damped else np.zeros((nb, m))
             T[5] = np.abs(T[0] + T[1] + T[2] + damp - energy[:-1])
             if not np.isfinite(T).all():
                 raise NonFiniteStateError("time step produced non-finite state or terms")
             yield (_Block(k0, energy, np.concatenate([prev[3][None], T[3]]), T[1], T[2],
-                          damp, T[4], T[5]), list(zip(groups, after)))
+                          damp, T[4], T[5]), [(grp, xg[:, :, -m:]) for grp, xg in zip(groups, xs)])
             prev = T[:4, -1]
             k0, K = k0 + nb, min(2 * K, B)
 
@@ -427,7 +412,7 @@ class SchemeSolver:
         x = z.stacked()[:, None]
         ((b, after),) = self._blocks(x, 1)
         z_tilde = [(grp, S @ (x[grp.rows] * grp.scale))
-                   for grp, (S, _, _) in zip(self._groups, self._maps)]
+                   for grp, (S, _) in zip(self._groups, self._maps)]
         # finite terms imply finite states, so they skip ModalState's copy and scan
         z_tilde, z_next = (ModalState._wrap_stacked(self._to_modal(v)) for v in (z_tilde, after))
         terms = (b.damp, b.visc1, b.visc2, b.resid, b.observed)
@@ -517,8 +502,9 @@ class SchemeSolver:
         viscosity follow the config, ``beta`` sets the weak-norm scale.
         Steps are computed a time block at a time and yielded one by one
         (``zip`` reuses no tuple that a consumer keeps); consumers read the
-        whole block where ``row == 0``.  Each block is audited before any
-        of its steps is yielded: a per-step identity residual above
+        whole block where ``row == 0``; the blocks have 1, 2, 4, ..., B
+        steps, then B each.  Each block is audited before any of its steps
+        is yielded: a per-step identity residual above
         ``10 * solve_tol * E0`` of its column raises DiagnosticFailure
         naming the first failing step.
         """

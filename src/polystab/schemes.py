@@ -321,7 +321,7 @@ class SchemeSolver:
         return self._doubled_maps[K]
 
     def _weights(self, beta: float) -> list:
-        """Per group size: (5, g, r) weights of the squared stack rows for
+        """Per group size: (5, g, r) weights of the squared map rows for
         E, visc1, visc2 and the weak norm (on the state rows) and the
         observed damping (on the L rows); cached per beta."""
         if beta not in self._weight_sets:
@@ -382,9 +382,9 @@ class SchemeSolver:
                 # Full blocks write into two alternating product buffers (matmul
                 # would copy states read from its own output) and one square
                 # buffer: fresh large temporaries cost page faults.
-                work = [([np.empty(M.shape[:2] + (B * m,)) for _ in range(2)],
-                         np.empty((M.shape[0] * M.shape[1], B * m))) for M in maps] \
-                    if K == B else None
+                work = None if K < B else [
+                    ([np.empty(M.shape[:2] + (B * m,)) for _ in range(2)],
+                     np.empty((M.shape[0] * M.shape[1], B * m))) for M in maps]
             full = nb == B
             # E, visc1, visc2, weak of x_{k+1}; observed damping and residual of step k
             T = np.zeros((6, nb, m))

@@ -67,23 +67,23 @@ B steps, then B each; ``M_{2K} = M_K P^K`` is cached per K.  The energy,
 visc1, visc2 and ``-beta`` weak-norm weights are diagonal in energy
 coordinates (``1/2``, ``dt^3 eta``, ``dt^6 eta^2 / 2`` and
 ``eta^{-2 beta - 1}`` on both blocks), so every term of the block is one
-weight product with the squared product.  Only the groups that some column
-occupies are stepped; the others stay exactly zero.  B follows from the
-stepped rows and the column count (~2^15 entries per block), at most the
-run's step count, 128 and 2^18 / (entries of P), as a power of two.  Known
-cost: one dense group of size n runs with B = 1 (no doubling) at ~5n^2
-multiply-adds per column-step (~1.5x a Schur-complement step).
+weight product with the squared product.  Blocks of several columns are
+padded to whole 8-column BLAS panels, so a column's states and terms are
+the same bits wherever it sits in the batch.  Only the groups that some
+column occupies are stepped; the others stay exactly zero.  B follows from
+the stepped rows and the column count (``_block_length``).  Known cost: one
+dense group of size n runs with B = 1 (no doubling) at ~5n^2 multiply-adds
+per column-step (~1.5x a Schur-complement step).
 
 **Audit.**  The residual of the per-step identity measures how accurately
 ``P``, ``L`` and their doubled powers were built; ``solve_tol`` only sets
 its tolerance ``10 * solve_tol * E0`` (``E0`` per column).  Each state of a
 time block comes from a state K steps back through ``P^K``, so the
 residual carries the rounding of ``P^K`` (~30 eps E0 over 2 * 10^5 steps of
-the criterion-7 family at B = 128).  ``iterate_raw`` checks every
-time block against it before yielding the block's steps (as bare
-``(k, block, row)`` tuples) and raises DiagnosticFailure naming the first
-failing step; ``run`` flags a violation on the returned trace instead, and
-also telescopes the identity over the whole trajectory.
+the criterion-7 family at B = 128).  ``iterate_raw`` checks every time block
+against it before yielding the block's steps and raises DiagnosticFailure
+naming the first failing step; ``run`` flags a violation on the returned
+trace instead, and also telescopes the identity over the whole trajectory.
 """
 
 from __future__ import annotations
@@ -250,6 +250,14 @@ def _block_length(rows: int, m: int, groups) -> int:
     return 1 << (max(b, 1).bit_length() - 1)
 
 
+def _lanes(cols: int) -> int:
+    """Columns of a block product of ``cols`` columns: several are padded to
+    a multiple of 8.  BLAS sums full 8-column panels in one order and an edge
+    panel in another, so padded, a column's terms depend neither on where it
+    sits nor on the zero rows of unoccupied groups."""
+    return cols if cols == 1 else -(-cols // 8) * 8
+
+
 class SchemeSolver:
     """Propagators of one (system, config) pair.
 
@@ -354,7 +362,8 @@ class SchemeSolver:
         The batch's last K states are one (g, 2s, K m) block per group size,
         advanced by ``M_K``; K doubles from 1 to B (from the rows the batch
         steps, at most ``n_steps``), so the blocks have 1, 2, 4, ..., B steps,
-        then B each.  Only the groups that some column occupies are stepped:
+        then B each; a block of several columns carries zero columns up to
+        ``_lanes``.  Only the groups that some column occupies are stepped:
         ``P`` keeps a group that is zero in every column at exactly zero, and
         such a group adds exact zeros to every term.  The per-step identity
         residual is ``|E(x_{k+1}) + visc1 + visc2 + damp - E(x_k)|``.  A
@@ -364,43 +373,50 @@ class SchemeSolver:
         occupied = [x[grp.rows].any(axis=(1, 2)) for grp in self._groups]
         B = min(_block_length(sum(grp.rows[occ].size for grp, occ in zip(self._groups, occupied)),
                               m, self._groups), 1 << (max(n_steps, 1).bit_length() - 1))
+        width = _lanes(B * m)
         groups, W, xs = [], [], []
         for grp, w, occ in zip(self._groups, self._weights(beta), occupied):
             if not occ.all():  # a size may keep no group: its maps are then empty
                 grp, w = _Groups(*(a[occ] for a in grp)), w[:, occ]
             groups.append(grp)
             W.append(w)
-            xs.append(x[grp.rows] * grp.scale)
-        prev = sum(w[:4, :, : xg.shape[1]].reshape(4, -1) @ (xg * xg).reshape(-1, m)
-                   for w, xg in zip(W, xs))
+            xs.append(np.pad(x[grp.rows] * grp.scale, ((0, 0), (0, 0), (0, width - m))))
+        prev = sum(w[:4, :, : xg.shape[1]].reshape(4, -1) @ (xg * xg).reshape(-1, width)
+                   for w, xg in zip(W, xs))[:, :m]
         K, k0 = 1, 0
         while k0 < n_steps:
             nb = min(K, n_steps - k0)
+            cols = nb * m
             if k0 == K - 1:  # the first block of this K
                 maps = [M if occ.all() else M[occ]
                         for M, occ in zip(self._doubled(K), occupied)]
-                # Full blocks write into two alternating product buffers (matmul
-                # would copy states read from its own output) and one square
-                # buffer: fresh large temporaries cost page faults.
+                # Full blocks write into two alternating product buffers (matmul would copy states
+                # read from its own output) and one square buffer: fresh temporaries fault pages.
                 work = None if K < B else [
-                    ([np.empty(M.shape[:2] + (B * m,)) for _ in range(2)],
-                     np.empty((M.shape[0] * M.shape[1], B * m))) for M in maps]
+                    ([np.empty(M.shape[:2] + (width,)) for _ in range(2)],
+                     np.empty((M.shape[0] * M.shape[1], width))) for M in maps]
             full = nb == B
             # E, visc1, visc2, weak of x_{k+1}; observed damping and residual of step k
             T = np.zeros((6, nb, m))
-            for j, (M, w, xg) in enumerate(zip(maps, W, xs)):
+            after = []
+            for j, (M, w, xg, grp) in enumerate(zip(maps, W, xs, groups)):
                 g, r, s2 = M.shape
-                y = np.matmul(M, xg[:, :, : nb * m], out=work[j][0][k0 // B % 2] if full else None)
-                y2 = np.square(y.reshape(g * r, nb * m), out=work[j][1] if full else None)
-                T[:5] += (w.reshape(5, g * r) @ y2).reshape(5, nb, m)
-                xs[j] = y[:, :s2] if K == B else np.concatenate([xg, y[:, :s2]], axis=2)
+                # columns past ``cols`` are zero or later states: they round no other column
+                y = np.matmul(M, xg[:, :, :_lanes(cols)],
+                              out=work[j][0][k0 // B % 2] if full else None)
+                y2 = np.square(y.reshape(g * r, y.shape[2]), out=work[j][1] if full else None)
+                T[:5] += (w.reshape(5, g * r) @ y2)[:, :cols].reshape(5, nb, m)
+                if K < B:  # the known block doubles in place
+                    xg[:, :, cols: 2 * cols] = y[:, :s2, :cols]
+                xs[j] = xg if K < B else y[:, :s2]
+                after.append((grp, y[:, :s2, cols - m: cols]))
             energy = np.concatenate([prev[0][None], T[0]])
             damp = T[4] if self._damped else np.zeros((nb, m))
             T[5] = np.abs(T[0] + T[1] + T[2] + damp - energy[:-1])
             if not np.isfinite(T).all():
                 raise NonFiniteStateError("time step produced non-finite state or terms")
             yield (_Block(k0, energy, np.concatenate([prev[3][None], T[3]]), T[1], T[2],
-                          damp, T[4], T[5]), [(grp, xg[:, :, -m:]) for grp, xg in zip(groups, xs)])
+                          damp, T[4], T[5]), after)
             prev = T[:4, -1]
             k0, K = k0 + nb, min(2 * K, B)
 
@@ -465,33 +481,19 @@ class SchemeSolver:
         domain_sq0 = float(np.sum(eta**2 * z0.a**2) + np.sum(eta * z0.b**2))
 
         step_tol = 10.0 * cfg.solve_tol * energy[0]
-        tel_resid = abs(
-            (energy[0] - energy[-1])
-            - (math.fsum(damp) + math.fsum(visc1) + math.fsum(visc2))
-        )
+        tel_resid = abs((energy[0] - energy[-1])
+                        - (math.fsum(damp) + math.fsum(visc1) + math.fsum(visc2)))
         tel_tol = nsteps * step_tol
         identity_ok = bool(np.all(resid <= step_tol) and tel_resid <= tel_tol)
         monotone_ok = bool(np.all(np.diff(energy) <= step_tol))
 
         return EnergyTrace(
-            dt=cfg.dt,
-            beta=beta,
-            t=np.arange(nsteps + 1) * cfg.dt,
-            energy=energy,
-            weak_sq=states("weak_sq"),
-            damp=damp,
-            visc1=visc1,
-            visc2=visc2,
-            identity_residual=resid,
-            observed_damp=steps("observed"),
-            domain_sq0=domain_sq0,
-            solve_tol=cfg.solve_tol,
-            telescope_residual=tel_resid,
-            telescope_tol=tel_tol,
-            identity_ok=identity_ok,
-            monotone_ok=monotone_ok,
-            final_state=ModalState._wrap_stacked(self._to_modal(states_after[-1])),
-        )
+            dt=cfg.dt, beta=beta, t=np.arange(nsteps + 1) * cfg.dt, energy=energy,
+            weak_sq=states("weak_sq"), damp=damp, visc1=visc1, visc2=visc2,
+            identity_residual=resid, observed_damp=steps("observed"), domain_sq0=domain_sq0,
+            solve_tol=cfg.solve_tol, telescope_residual=tel_resid, telescope_tol=tel_tol,
+            identity_ok=identity_ok, monotone_ok=monotone_ok,
+            final_state=ModalState._wrap_stacked(self._to_modal(states_after[-1])))
 
     def iterate_raw(self, x0: np.ndarray, n_steps: int, beta: float = 0.0):
         """Yield one bare ``(k, block, row)`` tuple per step of a batched

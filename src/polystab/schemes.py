@@ -63,17 +63,17 @@ a single step (``step_*``) is a one-step trajectory, plus ``z~ = S x``.
 product with ``M_K = [P^K; L P^{K-1}]`` gives the next K states and the
 square roots of the observed damping of steps ``k .. k+K-1``.  The known
 block starts at ``x_0`` and doubles, so the time blocks have 1, 2, 4, ...,
-B steps, then B each; ``M_{2K} = M_K P^K`` is cached per K.  The energy,
-visc1, visc2 and ``-beta`` weak-norm weights are diagonal in energy
-coordinates (``1/2``, ``dt^3 eta``, ``dt^6 eta^2 / 2`` and
-``eta^{-2 beta - 1}`` on both blocks), so every term of the block is one
-weight product with the squared product.  Blocks of several columns are
-padded to whole 8-column BLAS panels, so a column's states and terms are
-the same bits wherever it sits in the batch.  Only the groups that some
-column occupies are stepped; the others stay exactly zero.  B follows from
-the stepped rows and the column count (``_block_length``).  Known cost: one
-dense group of size n runs with B = 1 (no doubling) at ~5n^2 multiply-adds
-per column-step (~1.5x a Schur-complement step).
+B steps, then B each (``_block_length``); ``M_{2K} = M_K P^K`` is cached
+per K.  The energy, visc1, visc2 and ``-beta`` weak-norm weights are
+diagonal in energy coordinates (``1/2``, ``dt^3 eta``, ``dt^6 eta^2 / 2``,
+``eta^{-2 beta - 1}``), so every term of the block is one weight product
+with the squared product.  Full blocks alternate two buffers per group
+size: the product goes into one, its squares into the other, whose states
+the product has just read, so the states after a block are valid until the
+next block.  Products of several columns are padded to whole 8-column BLAS
+panels, so a column's bits do not depend on its place in the batch.  Only
+groups some column occupies are stepped; the others stay exactly zero.  A
+dense group of size n runs with B = 1 at ~5n^2 multiply-adds per column-step.
 
 **Audit.**  The residual of the per-step identity measures how accurately
 ``P``, ``L`` and their doubled powers were built; ``solve_tol`` only sets
@@ -357,15 +357,14 @@ class SchemeSolver:
     def _blocks(self, x: np.ndarray, n_steps: int, beta: float = 0.0):
         """Advance a (2n, m) batch ``n_steps`` times, yielding per time block
         a _Block and the energy-coordinate state after it as (groups, state)
-        pairs, one per group size.
+        pairs, one per group size: views that the next block overwrites.
 
         The batch's last K states are one (g, 2s, K m) block per group size,
         advanced by ``M_K``; K doubles from 1 to B (from the rows the batch
-        steps, at most ``n_steps``), so the blocks have 1, 2, 4, ..., B steps,
-        then B each; a block of several columns carries zero columns up to
-        ``_lanes``.  Only the groups that some column occupies are stepped:
-        ``P`` keeps a group that is zero in every column at exactly zero, and
-        such a group adds exact zeros to every term.  The per-step identity
+        steps, at most ``n_steps``); a block of several columns carries zero
+        columns up to ``_lanes``.  Only groups some column occupies are
+        stepped: ``P`` keeps a group that is zero in every column exactly
+        zero, adding exact zeros to every term.  The per-step identity
         residual is ``|E(x_{k+1}) + visc1 + visc2 + damp - E(x_k)|``.  A
         non-finite state or term raises NonFiniteStateError.
         """
@@ -374,13 +373,15 @@ class SchemeSolver:
         B = min(_block_length(sum(grp.rows[occ].size for grp, occ in zip(self._groups, occupied)),
                               m, self._groups), 1 << (max(n_steps, 1).bit_length() - 1))
         width = _lanes(B * m)
-        groups, W, xs = [], [], []
-        for grp, w, occ in zip(self._groups, self._weights(beta), occupied):
+        groups, W, bufs, xs = [], [], [], []
+        for grp, w, (_, M), occ in zip(self._groups, self._weights(beta), self._maps, occupied):
             if not occ.all():  # a size may keep no group: its maps are then empty
                 grp, w = _Groups(*(a[occ] for a in grp)), w[:, occ]
             groups.append(grp)
             W.append(w)
-            xs.append(np.pad(x[grp.rows] * grp.scale, ((0, 0), (0, 0), (0, width - m))))
+            bufs.append(np.zeros((2, len(grp.rows), M.shape[1], width)))
+            xs.append(bufs[-1][0, :, : grp.rows.shape[1]])
+            xs[-1][:, :, :m] = x[grp.rows] * grp.scale
         prev = sum(w[:4, :, : xg.shape[1]].reshape(4, -1) @ (xg * xg).reshape(-1, width)
                    for w, xg in zip(W, xs))[:, :m]
         K, k0 = 1, 0
@@ -388,35 +389,34 @@ class SchemeSolver:
             nb = min(K, n_steps - k0)
             cols = nb * m
             if k0 == K - 1:  # the first block of this K
-                maps = [M if occ.all() else M[occ]
-                        for M, occ in zip(self._doubled(K), occupied)]
-                # Full blocks write into two alternating product buffers (matmul would copy states
-                # read from its own output) and one square buffer: fresh temporaries fault pages.
-                work = None if K < B else [
-                    ([np.empty(M.shape[:2] + (width,)) for _ in range(2)],
-                     np.empty((M.shape[0] * M.shape[1], width))) for M in maps]
-            full = nb == B
+                maps = [M if occ.all() else M[occ] for M, occ in zip(self._doubled(K), occupied)]
+            # full blocks alternate a size's two (g, r, width) buffers: the product goes into the
+            # one not holding the states it reads (matmul copies those), its squares into the other
+            full, i = nb == B, k0 // B % 2
             # E, visc1, visc2, weak of x_{k+1}; observed damping and residual of step k
             T = np.zeros((6, nb, m))
             after = []
             for j, (M, w, xg, grp) in enumerate(zip(maps, W, xs, groups)):
                 g, r, s2 = M.shape
                 # columns past ``cols`` are zero or later states: they round no other column
-                y = np.matmul(M, xg[:, :, :_lanes(cols)],
-                              out=work[j][0][k0 // B % 2] if full else None)
-                y2 = np.square(y.reshape(g * r, y.shape[2]), out=work[j][1] if full else None)
+                y = np.matmul(M, xg[:, :, :_lanes(cols)], out=bufs[j][1 - i] if full else None)
+                y2 = np.square(y.reshape(g * r, y.shape[2]),
+                               out=bufs[j][i].reshape(g * r, width) if full else None)
                 T[:5] += (w.reshape(5, g * r) @ y2)[:, :cols].reshape(5, nb, m)
                 if K < B:  # the known block doubles in place
                     xg[:, :, cols: 2 * cols] = y[:, :s2, :cols]
                 xs[j] = xg if K < B else y[:, :s2]
                 after.append((grp, y[:, :s2, cols - m: cols]))
             energy = np.concatenate([prev[0][None], T[0]])
-            damp = T[4] if self._damped else np.zeros((nb, m))
-            T[5] = np.abs(T[0] + T[1] + T[2] + damp - energy[:-1])
+            res = np.add(T[0], T[1], out=T[5])
+            res += T[2]
+            if self._damped:  # damp is zero otherwise
+                res += T[4]
+            np.abs(np.subtract(res, energy[:-1], out=res), out=res)
             if not np.isfinite(T).all():
                 raise NonFiniteStateError("time step produced non-finite state or terms")
             yield (_Block(k0, energy, np.concatenate([prev[3][None], T[3]]), T[1], T[2],
-                          damp, T[4], T[5]), after)
+                          T[4] if self._damped else np.zeros((nb, m)), T[4], T[5]), after)
             prev = T[:4, -1]
             k0, K = k0 + nb, min(2 * K, B)
 
@@ -500,19 +500,19 @@ class SchemeSolver:
         trajectory: row ``row`` of the step arrays of the ``_Block`` ``block``
         (its state arrays hold x_k at ``row`` and x_{k+1} at ``row + 1``).
 
-        ``x0`` is a (2n, m) column batch or a 2n vector; damping and
-        viscosity follow the config, ``beta`` sets the weak-norm scale.
-        Steps are computed a time block at a time and yielded one by one
-        (``zip`` reuses no tuple that a consumer keeps); consumers read the
-        whole block where ``row == 0``; the blocks have 1, 2, 4, ..., B
-        steps, then B each.  Each block is audited before any of its steps
-        is yielded: a per-step identity residual above
-        ``10 * solve_tol * E0`` of its column raises DiagnosticFailure
-        naming the first failing step.
+        ``x0`` is a (2n, m) column batch with m >= 1 (else DomainError) or a
+        2n vector; damping and viscosity follow the config, ``beta`` sets the
+        weak-norm scale.  Steps are computed a time block at a time and
+        yielded one by one (``zip`` reuses no tuple that a consumer keeps);
+        consumers read the whole block where ``row == 0``.  Each block is
+        audited before any of its steps is yielded: a per-step identity
+        residual above ``10 * solve_tol * E0`` of its column raises
+        DiagnosticFailure naming the first failing step.
         """
         x = np.array(x0, dtype=float)
-        if x.ndim == 1:
-            x = x[:, None]
+        x = x[:, None] if x.ndim == 1 else x
+        if x.shape[1] == 0:
+            raise DomainError("iterate_raw needs a batch of at least one column")
         for b, _ in self._blocks(x, n_steps, beta):
             if b.k0 == 0:
                 tol = 10.0 * self.cfg.solve_tol * b.energy[0]

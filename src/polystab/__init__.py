@@ -18,7 +18,6 @@ from .errors import (
     PolystabError,
 )
 from .modal import (
-    GradedLevel,
     ModalState,
     ModalSystem,
     apply_A,

@@ -24,7 +24,7 @@ import sys as _sys
 import numpy as np
 
 from . import __version__
-from .config import ExperimentConfig, build_init, build_system, check_seed, load_config
+from .config import ExperimentConfig, build_init, build_system, check_int, load_config
 from .diagnostics import (
     decay_fit,
     observability_constant_study,
@@ -100,7 +100,6 @@ def cmd_trace(cfg: ExperimentConfig, out: str, seed) -> int:
         t_final=cfg.scheme.t_final,
         viscosity=cfg.scheme.viscosity,
         damping=cfg.scheme.damping,
-        solve_tol=cfg.scheme.solve_tol,
     )
     trace = factorize(sys_, scheme).run(z0, beta=cfg.study.beta)
 
@@ -161,11 +160,8 @@ def cmd_decay(cfg: ExperimentConfig, out: str, seed) -> int:
         T=st.T if st.T is not None else cfg.scheme.t_final,
         fit_window=tuple(st.fit_window) if st.fit_window else None,
         t_star=st.t_star,
-        uniformity_factor=st.uniformity_factor,
-        exponent_floor=st.exponent_floor,
         viscosity=cfg.scheme.viscosity,
         damping=cfg.scheme.damping,
-        solve_tol=cfg.scheme.solve_tol,
     )
     _write_json(
         prefix + "_decay.json",
@@ -186,7 +182,6 @@ def cmd_observability(cfg: ExperimentConfig, out: str, seed) -> int:
         delta=st.delta,
         t_star=st.t_star,
         viscosity=cfg.scheme.viscosity,
-        solve_tol=cfg.scheme.solve_tol,
     )
     prefix = os.path.join(out, cfg.output.prefix)
     _write_json(
@@ -284,7 +279,7 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         if args.seed is not None:
-            check_seed("--seed", args.seed)
+            check_int("--seed", args.seed)
         cfg = load_config(args.config)
         os.makedirs(args.out, exist_ok=True)
         return _COMMANDS[args.command](cfg, args.out, args.seed)

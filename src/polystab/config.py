@@ -10,8 +10,7 @@ Schema (all blocks optional except ``system``; defaults in parentheses):
       },
       "scheme": {
         "dt": float | null, "dt_list": [..] | null, "t_final": float (10.0),
-        "viscosity": bool (true), "damping": bool (true),
-        "solve_tol": float (1e-13)        # identity audit: 10 * solve_tol * E0
+        "viscosity": bool (true), "damping": bool (true)
       },
       "init": {
         "kind": "single_mode" | "random" | "cluster_pair" | "highpass",
@@ -23,15 +22,17 @@ Schema (all blocks optional except ``system``; defaults in parentheses):
         "seed": int (0), "t_star": float | null, "T": float | null,
         "fit_window": [lo, hi] | null, "sigma": float | null,
         "J": int | null, "gamma": float | null,
-        "uniformity_factor": float (4.0), "exponent_floor": float (0.7),
         "synthetic_exponent": float | null
       },
       "output": {"prefix": str ("run")}
     }
 
 Unknown keys are rejected so typos fail loudly, as is a value whose type
-does not fit its field (a bool is no number; an int field's fraction is
-refused where it is read).  ``parse -> serialize -> parse`` is the identity.
+does not fit its field (a bool is no number), or an int field's value that
+is no integer of at least 1 (at least 0 for ``mode``, ``pair`` and the
+seeds), whether or not the subcommand reads it.  No key moves a pass/fail
+threshold (``schemes.AUDIT_RTOL``, ``diagnostics.UNIFORMITY_FACTOR`` and
+``EXPONENT_FLOOR``).  ``parse -> serialize -> parse`` is the identity.
 """
 
 from __future__ import annotations
@@ -56,6 +57,7 @@ from .spectra import (
 
 _SYSTEM_TYPES = ("coupled_waves", "boundary_coupled_waves", "custom")
 _INIT_KINDS = ("single_mode", "random", "cluster_pair", "highpass")
+_NON_NEGATIVE = ("mode", "pair", "seed")  # the int fields that may be 0
 
 
 def _fits(value, kinds: tuple) -> bool:
@@ -82,7 +84,6 @@ class SchemeBlock:
     t_final: float = 10.0
     viscosity: bool = True
     damping: bool = True
-    solve_tol: float = 1e-13
 
 
 @dataclass
@@ -106,8 +107,6 @@ class StudyBlock:
     sigma: float | None = None
     J: int | None = None
     gamma: float | None = None
-    uniformity_factor: float = 4.0
-    exponent_floor: float = 0.7
     synthetic_exponent: float | None = None
 
 
@@ -167,8 +166,11 @@ class ExperimentConfig:
             raise ConfigError(f"study.fit_window must be two numbers [lo, hi]; got {window!r}")
         if self.init.kind not in _INIT_KINDS:
             raise ConfigError(f"init.kind must be one of {_INIT_KINDS}")
-        check_seed("init.seed", self.init.seed)
-        check_seed("study.seed", self.study.seed)
+        for name, (_, hints) in _BLOCKS.items():  # every int field, read or not
+            for key, hint in hints.items():
+                value = getattr(getattr(self, name), key)
+                if int in (typing.get_args(hint) or (hint,)) and value is not None:
+                    check_int(f"{name}.{key}", value, 0 if key in _NON_NEGATIVE else 1)
 
 
 # each block's class and its field types, resolved once
@@ -176,10 +178,12 @@ _BLOCKS = {name: (block_cls, typing.get_type_hints(block_cls))
            for name, block_cls in typing.get_type_hints(ExperimentConfig).items()}
 
 
-def check_seed(name: str, seed) -> None:
-    """Raise ConfigError unless ``seed`` is a non-negative integer."""
-    if isinstance(seed, bool) or not isinstance(seed, int) or seed < 0:
-        raise ConfigError(f"{name} must be a non-negative integer; got {seed!r}")
+def check_int(name: str, value, low: int = 0) -> None:
+    """Raise ConfigError unless ``value`` is an integer of at least ``low``
+    (0 or 1; a bool or a float is none)."""
+    if isinstance(value, bool) or not isinstance(value, int) or value < low:
+        what = "positive" if low else "non-negative"
+        raise ConfigError(f"{name} must be a {what} integer; got {value!r}")
 
 
 def load_config(path) -> ExperimentConfig:

@@ -22,8 +22,10 @@ propagators of ``schemes`` a time block at a time and yields one bare
 once, at its first tuple (``_blocks_of``), while every tuple is still
 drained; the observability sums add the block's rows in step order, so
 they do not depend on the block length.  ``iterate_raw`` audits every step
-it yields: a per-step energy-identity residual above ``10 * solve_tol *
-E0`` of its column raises DiagnosticFailure, which the studies pass on.
+it yields: a per-step energy-identity residual above the fixed
+``AUDIT_RTOL * E0`` of its column raises DiagnosticFailure, which the
+studies pass on.  The decay verdict's bounds are fixed too
+(``UNIFORMITY_FACTOR`` and ``EXPONENT_FLOOR``).
 """
 
 from __future__ import annotations
@@ -59,6 +61,9 @@ __all__ = [
     "uniform_decay_study",
     "decay_recursion_oracle",
 ]
+
+UNIFORMITY_FACTOR = 4.0  # criterion 7: largest envelope M_hat spread across dt
+EXPONENT_FLOOR = 0.7  # criterion 7: smallest envelope exponent
 
 
 def _blocks_of(records):
@@ -152,7 +157,6 @@ def observability_functional(
     dt: float,
     T_star: float,
     viscosity: bool = True,
-    solve_tol: float = 1e-13,
 ) -> ObservabilityReport:
     """Observation + viscosity budget of the conservative run from ``u0``.
 
@@ -164,8 +168,7 @@ def observability_functional(
     if not 0.0 <= T_star < math.inf:
         raise DomainError(f"T_star must be non-negative and finite; got {T_star!r}")
     x0 = u0.stacked()[:, None]
-    cfg = SchemeConfig(dt=dt, t_final=max(T_star, dt), viscosity=viscosity, damping=False,
-                       solve_tol=solve_tol)
+    cfg = SchemeConfig(dt=dt, t_final=max(T_star, dt), viscosity=viscosity, damping=False)
     damp, v1, v2, weak, nsteps = _observability_sums(sys, x0, beta, cfg, T_star)
     if weak[0] == 0.0:
         raise DomainError("zero initial state: observability ratio undefined")
@@ -214,7 +217,6 @@ def observability_constant_study(
     delta: float = 1.0,
     t_star: float | None = None,
     viscosity: bool = True,
-    solve_tol: float = 1e-13,
 ) -> ObservabilityStudy:
     """Minimum observability ratios over random draws, per time step.
 
@@ -233,7 +235,7 @@ def observability_constant_study(
     if not 0.0 < delta < math.inf:
         raise DomainError(f"delta must be positive and finite; got {delta!r}")
     cfgs = [SchemeConfig(dt=dt, t_final=max(policy.t_star, dt), viscosity=viscosity,
-                         damping=False, solve_tol=solve_tol) for dt in dt_list]
+                         damping=False) for dt in dt_list]
     n = sys.n
     children = np.random.SeedSequence(seed).spawn(trials)
     X = np.empty((2 * n, trials))
@@ -325,14 +327,16 @@ def high_freq_contraction(
     dt: float,
     cutoff: float,
     steps: int,
-    solve_tol: float = 1e-13,
 ) -> np.ndarray:
     """Per-step weak-norm ratios of the conservative viscous run.
 
     Every ratio must satisfy ``ratio <= 1 / (1 + 2 dt delta^2) + 1e-12``
     with ``delta = dt * cutoff``; a violation raises DiagnosticFailure.
-    A zero initial state passes trivially (empty ratio sequence).
+    A zero initial state passes trivially (empty ratio sequence).  A
+    ``steps`` that is no positive integer raises DomainError before stepping.
     """
+    if isinstance(steps, bool) or not isinstance(steps, (int, np.integer)) or steps < 1:
+        raise DomainError(f"steps must be a positive integer; got {steps!r}")
     low = sys.mu <= cutoff
     if np.any(u0_high.a[low]) or np.any(u0_high.b[low]):
         raise DomainError("initial state has components at or below the cutoff")
@@ -341,8 +345,7 @@ def high_freq_contraction(
         return np.empty(0)
     delta = dt * cutoff
     bound = 1.0 / (1.0 + 2.0 * dt * delta**2)
-    cfg = SchemeConfig(dt=dt, t_final=max(steps * dt, dt), viscosity=True, damping=False,
-                       solve_tol=solve_tol)
+    cfg = SchemeConfig(dt=dt, t_final=max(steps * dt, dt), viscosity=True, damping=False)
     ratios = np.empty(steps)
     for b in _blocks_of(factorize(sys, cfg).iterate_raw(x0, steps, beta=beta)):
         w = b.weak_sq[:, 0]
@@ -362,11 +365,9 @@ def high_freq_observability(
     beta: float,
     dt: float,
     T_star: float,
-    solve_tol: float = 1e-13,
 ) -> float:
     """Viscosity-sum share of the observability ratio for a high state."""
-    rep = observability_functional(sys, u0_high, beta, dt, T_star, viscosity=True,
-                                   solve_tol=solve_tol)
+    rep = observability_functional(sys, u0_high, beta, dt, T_star, viscosity=True)
     return (rep.visc_sum1 + rep.visc_sum2) / rep.weak_norm_sq
 
 
@@ -464,7 +465,6 @@ def synthetic_trace(t, energy) -> EnergyTrace:
         identity_residual=zeros.copy(),
         observed_damp=zeros.copy(),
         domain_sq0=1.0,
-        solve_tol=1e-13,
     )
 
 
@@ -545,11 +545,8 @@ def uniform_decay_study(
     T: float = 200.0,
     fit_window=None,
     t_star: float | None = None,
-    uniformity_factor: float = 4.0,
-    exponent_floor: float = 0.7,
     viscosity: bool = True,
     damping: bool = True,
-    solve_tol: float = 1e-13,
 ) -> DecayStudy:
     """Sweep the damped scheme over dt and fit the polynomial envelope.
 
@@ -557,11 +554,11 @@ def uniform_decay_study(
     per dt.  The family envelope (per-step maximum of the member energies)
     is the quantity the uniform decay bound controls, so the verdict rests
     on the envelope fits: "uniform" when the envelope M_hat spread across
-    dt is within ``uniformity_factor`` and every envelope exponent reaches
-    ``exponent_floor``, else "non-uniform".  The verdict is "inconclusive"
-    only when some envelope is not strictly positive on the fit window
-    (every member's energy underflows there) or has a non-finite M_hat.
-    Per-member fits are reported alongside.
+    dt is within ``UNIFORMITY_FACTOR`` (4) and every envelope exponent
+    reaches ``EXPONENT_FLOOR`` (0.7), else "non-uniform".  The verdict is
+    "inconclusive" only when some envelope is not strictly positive on the
+    fit window (every member's energy underflows there) or has a non-finite
+    M_hat.  Per-member fits are reported alongside.
 
     Every cell's SchemeConfig and the fit window (default ``(T*/2, T)``,
     at least two samples on every dt grid) are checked before anything is
@@ -572,8 +569,7 @@ def uniform_decay_study(
     lo, hi = (0.5 * policy.t_star, T) if fit_window is None else fit_window
     grids = []
     for dt in dt_list:
-        cfg = SchemeConfig(dt=dt, t_final=T, viscosity=viscosity, damping=damping,
-                           solve_tol=solve_tol)
+        cfg = SchemeConfig(dt=dt, t_final=T, viscosity=viscosity, damping=damping)
         t = np.arange(substep_count(T, dt) + 2) * dt
         win = np.flatnonzero((t >= lo) & (t <= hi))  # one run of the increasing grid
         if win.size < 2:
@@ -604,7 +600,7 @@ def uniform_decay_study(
     else:
         m_hats = [e.M_hat for e in envs]
         spread = max(m_hats) / min(m_hats)
-        ok = spread <= uniformity_factor and all(e.exponent >= exponent_floor for e in envs)
+        ok = spread <= UNIFORMITY_FACTOR and all(e.exponent >= EXPONENT_FLOOR for e in envs)
         verdict = "uniform" if ok else "non-uniform"
     return DecayStudy(
         beta=beta,
@@ -612,8 +608,8 @@ def uniform_decay_study(
         t_star=policy.t_star,
         T=T,
         fit_window=(lo, hi),
-        uniformity_factor=uniformity_factor,
-        exponent_floor=exponent_floor,
+        uniformity_factor=UNIFORMITY_FACTOR,
+        exponent_floor=EXPONENT_FLOOR,
         cells=tuple(cells),
         envelope_spread=spread,
         verdict=verdict,

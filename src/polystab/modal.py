@@ -37,12 +37,8 @@ import numpy as np
 
 from .errors import DimensionMismatchError, DomainError, NonFiniteStateError
 
-# Sobolev-scale exponent applied to the eigenvalues of the spatial operator.
-GradedLevel = float
-
 _SYM_RTOL = 1e-14
 _PSD_RTOL = 1e-12
-_BSTAR_RTOL = 1e-14
 
 
 def _readonly(x) -> np.ndarray:
@@ -232,7 +228,7 @@ def _check_vector(sys: ModalSystem, w: np.ndarray, what: str = "vector") -> np.n
     return w
 
 
-def norm_graded(sys: ModalSystem, w, s: GradedLevel) -> float:
+def norm_graded(sys: ModalSystem, w, s: float) -> float:
     """Graded modal norm ``sqrt(sum eta_j^{2s} w_j^2)``.
 
     ``s = 1/2`` gives the V-norm of a displacement, ``s = 0`` the X-norm,

@@ -76,14 +76,15 @@ groups some column occupies are stepped; the others stay exactly zero.  A
 dense group of size n runs with B = 1 at ~5n^2 multiply-adds per column-step.
 
 **Audit.**  The residual of the per-step identity measures how accurately
-``P``, ``L`` and their doubled powers were built; ``solve_tol`` only sets
-its tolerance ``10 * solve_tol * E0`` (``E0`` per column).  Each state of a
-time block comes from a state K steps back through ``P^K``, so the
-residual carries the rounding of ``P^K`` (~30 eps E0 over 2 * 10^5 steps of
-the criterion-7 family at B = 128).  ``iterate_raw`` checks every time block
-against it before yielding the block's steps and raises DiagnosticFailure
-naming the first failing step; ``run`` flags a violation on the returned
-trace instead, and also telescopes the identity over the whole trajectory.
+``P``, ``L`` and their doubled powers were built; its tolerance is the
+constant ``AUDIT_RTOL * E0`` (``E0`` per column), which no config moves.
+Each state of a time block comes from a state K steps back through
+``P^K``, so the residual carries the rounding of ``P^K`` (~30 eps E0 over
+2 * 10^5 steps of the criterion-7 family at B = 128).  ``iterate_raw``
+checks every time block against it before yielding the block's steps and
+raises DiagnosticFailure naming the first failing step; ``run`` flags a
+violation on the returned trace instead, and also telescopes the identity
+over the whole trajectory.
 """
 
 from __future__ import annotations
@@ -111,23 +112,21 @@ __all__ = [
     "substep_count",
 ]
 
+# the energy-identity audit: every step's residual is at most AUDIT_RTOL * E0
+AUDIT_RTOL = 1e-12
+
 
 @dataclass(frozen=True)
 class SchemeConfig:
-    """Time step, horizon and stage switches for one scheme configuration.
-
-    ``solve_tol`` sets the identity audit: every step's residual must stay
-    within ``10 * solve_tol * E0``.
-    """
+    """Time step, horizon and stage switches for one scheme configuration."""
 
     dt: float
     t_final: float
     viscosity: bool = True
     damping: bool = True
-    solve_tol: float = 1e-13
 
     def __post_init__(self):
-        for name in ("dt", "t_final", "solve_tol"):
+        for name in ("dt", "t_final"):
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, numbers.Real):
                 raise DomainError(f"{name} must be a real number; got {value!r}")
@@ -135,8 +134,6 @@ class SchemeConfig:
             raise DomainError("dt must be positive")
         if not (self.dt <= self.t_final < math.inf):
             raise DomainError("t_final must be finite and at least dt")
-        if not (0.0 < self.solve_tol <= 1e-6):
-            raise DomainError("solve_tol must lie in (0, 1e-6]")
 
 
 def substep_count(t_final: float, dt: float) -> int:
@@ -199,7 +196,6 @@ class EnergyTrace:
     identity_residual: np.ndarray
     observed_damp: np.ndarray
     domain_sq0: float
-    solve_tol: float
     telescope_residual: float = 0.0
     telescope_tol: float = 0.0
     identity_ok: bool = True
@@ -461,7 +457,7 @@ class SchemeSolver:
 
         Performs l+1 = floor(T/dt)+1 steps and checks the telescoped energy
         identity E^0 - E^{l+1} = sum of all dissipation terms within
-        ``(l+1) * 10 * solve_tol * E^0``.  A violation is flagged on the
+        ``(l+1) * AUDIT_RTOL * E^0``.  A violation is flagged on the
         returned trace, not raised.
         """
         cfg = self.cfg
@@ -480,7 +476,7 @@ class SchemeSolver:
         eta = self.sys.eta
         domain_sq0 = float(np.sum(eta**2 * z0.a**2) + np.sum(eta * z0.b**2))
 
-        step_tol = 10.0 * cfg.solve_tol * energy[0]
+        step_tol = AUDIT_RTOL * energy[0]
         tel_resid = abs((energy[0] - energy[-1])
                         - (math.fsum(damp) + math.fsum(visc1) + math.fsum(visc2)))
         tel_tol = nsteps * step_tol
@@ -491,7 +487,7 @@ class SchemeSolver:
             dt=cfg.dt, beta=beta, t=np.arange(nsteps + 1) * cfg.dt, energy=energy,
             weak_sq=states("weak_sq"), damp=damp, visc1=visc1, visc2=visc2,
             identity_residual=resid, observed_damp=steps("observed"), domain_sq0=domain_sq0,
-            solve_tol=cfg.solve_tol, telescope_residual=tel_resid, telescope_tol=tel_tol,
+            telescope_residual=tel_resid, telescope_tol=tel_tol,
             identity_ok=identity_ok, monotone_ok=monotone_ok,
             final_state=ModalState._wrap_stacked(self._to_modal(states_after[-1])))
 
@@ -500,26 +496,29 @@ class SchemeSolver:
         trajectory: row ``row`` of the step arrays of the ``_Block`` ``block``
         (its state arrays hold x_k at ``row`` and x_{k+1} at ``row + 1``).
 
-        ``x0`` is a (2n, m) column batch with m >= 1 (else DomainError) or a
-        2n vector; damping and viscosity follow the config, ``beta`` sets the
+        ``x0`` is a (2n, m) column batch with m >= 1 or a 2n vector and
+        ``n_steps`` a positive integer (else DomainError); damping and
+        viscosity follow the config, ``beta`` sets the
         weak-norm scale.  Steps are computed a time block at a time and
         yielded one by one (``zip`` reuses no tuple that a consumer keeps);
         consumers read the whole block where ``row == 0``.  Each block is
         audited before any of its steps is yielded: a per-step identity
-        residual above ``10 * solve_tol * E0`` of its column raises
+        residual above ``AUDIT_RTOL * E0`` of its column raises
         DiagnosticFailure naming the first failing step.
         """
         x = np.array(x0, dtype=float)
         x = x[:, None] if x.ndim == 1 else x
         if x.shape[1] == 0:
             raise DomainError("iterate_raw needs a batch of at least one column")
+        if isinstance(n_steps, bool) or not isinstance(n_steps, (int, np.integer)) or n_steps < 1:
+            raise DomainError(f"n_steps must be a positive integer; got {n_steps!r}")
         for b, _ in self._blocks(x, n_steps, beta):
             if b.k0 == 0:
-                tol = 10.0 * self.cfg.solve_tol * b.energy[0]
+                tol = AUDIT_RTOL * b.energy[0]
             if (b.resid > tol).any():
                 k = b.k0 + int(np.argmax((b.resid > tol).any(axis=1)))
                 raise DiagnosticFailure(
-                    f"energy identity residual above 10 * solve_tol * E0 at step {k}")
+                    f"energy identity residual above {AUDIT_RTOL:g} * E0 at step {k}")
             nb = b.resid.shape[0]
             yield from zip(range(b.k0, b.k0 + nb), repeat(b, nb), range(nb))
 

@@ -48,15 +48,14 @@ def criterion(number, description):
 
 def test_criterion_1_energy_identity():
     with criterion(1, "per-step and telescoped energy identity, coupled waves"):
-        solve_tol = 1e-13
         sys_ = build_coupled_waves(ExampleParams(alpha=0.5, gamma=1.0, k_max=64))
-        cfg = SchemeConfig(dt=0.01, t_final=20.0, solve_tol=solve_tol)
+        cfg = SchemeConfig(dt=0.01, t_final=20.0)
         rng = np.random.default_rng(101)
         z0 = ModalState(rng.standard_normal(sys_.n), rng.standard_normal(sys_.n))
         t0 = time.perf_counter()
         trace = factorize(sys_, cfg).run(z0)
         elapsed = time.perf_counter() - t0
-        step_tol = 10.0 * solve_tol * trace.e0
+        step_tol = 1e-12 * trace.e0
         assert np.max(trace.identity_residual) <= step_tol
         nsteps = trace.identity_residual.shape[0]
         assert trace.telescope_residual <= nsteps * step_tol

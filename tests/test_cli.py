@@ -1,8 +1,10 @@
 """CLI contract: config round-trip, file formats, determinism, exit codes."""
 
+import dataclasses
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -13,6 +15,7 @@ import pytest
 from polystab.cli import TRACE_HEADER, main
 from polystab.config import ExperimentConfig, build_init, build_system
 from polystab.errors import ConfigError
+from polystab import config, schemes
 from polystab.schemes import SchemeConfig, factorize
 
 
@@ -22,7 +25,7 @@ def write_config(path, payload):
 
 
 def base_trace_config(**scheme):
-    scheme_block = {"dt": 0.05, "t_final": 2.0, "solve_tol": 1e-13}
+    scheme_block = {"dt": 0.05, "t_final": 2.0}
     scheme_block.update(scheme)
     return {
         "system": {"type": "coupled_waves", "alpha": 0.5, "gamma": 1.0, "k_max": 8},
@@ -76,6 +79,77 @@ class TestConfig:
         with pytest.raises(ConfigError):
             build_init(cfg.init, sys_)
 
+    def test_schema_docstring_lists_every_field(self):
+        # the documented schema names exactly the blocks and fields the loader takes
+        schema = re.search(r"\n    \{\n(.*?)\n    \}\n", config.__doc__, re.S).group(1)
+        documented = {name: sorted(re.findall(r'"(\w+)":', body))
+                      for name, body in re.findall(r'"(\w+)": \{(.*?)\}', schema, re.S)}
+        fields = {f.name: sorted(g.name for g in dataclasses.fields(f.default_factory))
+                  for f in dataclasses.fields(ExperimentConfig)}
+        assert documented == fields
+
+    def test_readme_example_config_loads(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        example = readme.split("Example config", 1)[1].split("```json\n", 1)[1].split("```")[0]
+        cfg = ExperimentConfig.from_dict(json.loads(example))
+        assert cfg.to_dict() == ExperimentConfig.from_dict(cfg.to_dict()).to_dict()
+
+    @pytest.mark.parametrize("block, key, value", [
+        ("scheme", "solve_tol", 1e-13),
+        ("study", "uniformity_factor", 4.0),
+        ("study", "exponent_floor", 0.7),
+    ])
+    def test_threshold_keys_are_unknown(self, tmp_path, capsys, block, key, value):
+        # the pass/fail thresholds are constants, not config keys
+        payload = base_trace_config()
+        payload.setdefault(block, {})[key] = value
+        p = write_config(tmp_path / "c.json", payload)
+        out = tmp_path / "out"
+        assert main(["trace", "--config", p, "--out", str(out)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and f"unknown keys in block '{block}': ['{key}']" in err[0], err
+        assert not out.exists()
+
+
+class TestHighpassInit:
+    def payload(self, **init):
+        return {
+            "system": {"type": "coupled_waves", "alpha": 0.5, "gamma": 1.0, "k_max": 8},
+            "scheme": {"dt": 0.05, "t_final": 1.0},
+            "init": {"kind": "highpass", "seed": 3, **init},
+            "output": {"prefix": "h"},
+        }
+
+    @pytest.mark.parametrize("seed", [None, 11])
+    def test_zero_up_to_cutoff_and_seeded_draw_above(self, seed):
+        sys_ = build_system(ExperimentConfig.from_dict(self.payload(cutoff=0.0)).system)
+        cutoff = float(sys_.mu[5])  # a mode exactly at the cutoff is zeroed too
+        cfg = ExperimentConfig.from_dict(self.payload(cutoff=cutoff))
+        st = build_init(cfg.init, sys_, seed)
+        rng = np.random.default_rng(3 if seed is None else seed)
+        a, b = rng.standard_normal(sys_.n), rng.standard_normal(sys_.n)
+        low = sys_.mu <= cutoff
+        assert np.count_nonzero(low) == 6 and np.count_nonzero(~low) == sys_.n - 6
+        assert not st.a[low].any() and not st.b[low].any()
+        assert np.array_equal(st.a[~low], a[~low]) and np.array_equal(st.b[~low], b[~low])
+
+    def test_trace_runs(self, tmp_path):
+        p = write_config(tmp_path / "c.json", self.payload(cutoff=10.0))
+        assert main(["trace", "--config", p, "--out", str(tmp_path)]) == 0
+        assert json.loads((tmp_path / "h_summary.json").read_text())["E0"] > 0.0
+
+    @pytest.mark.parametrize("init, message", [
+        ({}, "init.kind=highpass needs init.cutoff"),
+        ({"cutoff": 1e3}, "init.cutoff leaves no modes above it"),
+    ], ids=["cutoff_missing", "cutoff_above_every_mode"])
+    def test_bad_cutoff_exits_2(self, tmp_path, capsys, init, message):
+        p = write_config(tmp_path / "c.json", self.payload(**init))
+        out = tmp_path / "out"
+        assert main(["trace", "--config", p, "--out", str(out)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and message in err[0], err
+        assert not out.exists() or not any(out.iterdir())
+
 
 def per_value_trace_csv(trace):
     """The trace CSV joined value by value, as the writer once did: the oracle."""
@@ -107,7 +181,7 @@ class TestTraceCommand:
         sys_ = build_system(cfg.system)
         sc = cfg.scheme
         scheme_cfg = SchemeConfig(dt=sc.dt, t_final=sc.t_final, viscosity=sc.viscosity,
-                                  damping=sc.damping, solve_tol=sc.solve_tol)
+                                  damping=sc.damping)
         trace = factorize(sys_, scheme_cfg).run(build_init(cfg.init, sys_), beta=cfg.study.beta)
         assert (tmp_path / "t_trace.csv").read_bytes() == per_value_trace_csv(trace).encode()
 
@@ -255,9 +329,20 @@ class TestFieldTypes:
         ("trace", "scheme", "t_final", None),
         ("trace", "system", "eta", 3),
         ("decay", "study", "fit_window", [2.0, "8"]),
+        # int fields are checked at load, also where trace does not read them
+        ("trace", "study", "trials", 2.5),
+        ("trace", "study", "trials", 0),
+        ("trace", "study", "J", 2.5),
+        ("trace", "system", "k_max", 8.0),
+        ("trace", "init", "mode", 2.5),
+        ("trace", "init", "mode", -1),
+        ("trace", "init", "pair", 0.5),
+        ("trace", "init", "seed", 2.0),
     ], ids=["dt_string", "alpha_string", "beta_string", "delta_string", "trials_bool",
             "prefix_int", "viscosity_string", "k_max_bool", "dt_bool", "dt_list_number",
-            "t_final_null", "eta_number", "fit_window_string"])
+            "t_final_null", "eta_number", "fit_window_string", "trials_fraction",
+            "trials_zero", "J_fraction", "k_max_float", "mode_fraction", "mode_negative",
+            "pair_fraction", "init_seed_float"])
     def test_wrong_type_exits_2(self, tmp_path, capsys, command, block, key, value):
         payload = base_trace_config()
         payload["study"] = {"t_star": 2.0, "trials": 3}
@@ -331,11 +416,12 @@ class TestDecayCommand:
         data = json.loads((tmp_path / "d_decay.json").read_text())
         assert data["study"]["verdict"] == "non-uniform"
 
-    def test_identity_audit_failure_exits_3(self, tmp_path):
+    def test_identity_audit_failure_exits_3(self, tmp_path, monkeypatch):
         # no rounding residual fits under 10 * 1e-300 * E0
+        monkeypatch.setattr(schemes, "AUDIT_RTOL", 10 * 1e-300)
         payload = {
             "system": {"type": "coupled_waves", "alpha": 0.5, "gamma": 1.0, "k_max": 4},
-            "scheme": {"dt_list": [0.05], "t_final": 4.0, "solve_tol": 1e-300},
+            "scheme": {"dt_list": [0.05], "t_final": 4.0},
             "study": {"t_star": 4.0, "T": 4.0},
             "output": {"prefix": "d"},
         }

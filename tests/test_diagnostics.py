@@ -10,7 +10,7 @@ from helpers import block_schedule, scalar_observability_sums
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from polystab import diagnostics
+from polystab import diagnostics, schemes
 from polystab import (
     DiagnosticFailure,
     DomainError,
@@ -314,6 +314,22 @@ class TestHighFreqContraction:
         out = high_freq_contraction(sys_, ModalState.zero(1), 0.0, 0.1, 10.0, 5)
         assert out.size == 0
 
+    @pytest.mark.parametrize("steps", [0, -3, 2.5, True],
+                             ids=["zero", "negative", "fraction", "bool"])
+    def test_bad_step_count_raises_before_stepping(self, monkeypatch, steps):
+        sys_ = ModalSystem.from_eta([400.0])
+        calls = []
+        iterate_raw = SchemeSolver.iterate_raw
+
+        def counted(self, *args, **kwargs):
+            calls.append(1)
+            return iterate_raw(self, *args, **kwargs)
+
+        monkeypatch.setattr(SchemeSolver, "iterate_raw", counted)
+        with pytest.raises(DomainError, match="steps must be a positive integer"):
+            high_freq_contraction(sys_, ModalState([1.0], [0.5]), 0.0, 0.1, 10.0, steps)
+        assert calls == []
+
     def test_blocks_match_per_record_ratios(self, monkeypatch):
         # 300 steps of one column: full time blocks and a partial last one
         sys_ = build_coupled_waves(ExampleParams(0.5, 1.0, 8))
@@ -567,29 +583,41 @@ class TestUniformDecayStudy:
         assert lengths == 2 * block_schedule(B, t.size - 1) and lengths[-1] < B
 
 
+def test_criterion_7_bounds_are_fixed():
+    # the decay verdict's bounds: no argument moves them, the study echoes them
+    assert (diagnostics.UNIFORMITY_FACTOR, diagnostics.EXPONENT_FLOOR) == (4.0, 0.7)
+    sys_ = build_coupled_waves(ExampleParams(0.5, 1.0, 4))
+    study = uniform_decay_study(sys_, 0.0, [0.05], T=4.0, t_star=4.0)
+    assert (study.uniformity_factor, study.exponent_floor) == (4.0, 0.7)
+    with pytest.raises(TypeError):
+        uniform_decay_study(sys_, 0.0, [0.05], T=4.0, t_star=4.0, uniformity_factor=100.0)
+
+
 class TestIdentityAudit:
-    # solve_tol = 1e-300 leaves no room for any rounding residual
+    @pytest.fixture(autouse=True)
+    def tight_audit(self, monkeypatch):
+        # an audit tolerance of 1e-299 E0 leaves no room for any rounding residual
+        monkeypatch.setattr(schemes, "AUDIT_RTOL", 10 * 1e-300)
+
     def test_decay_study_raises(self):
         sys_ = build_coupled_waves(ExampleParams(0.5, 1.0, 4))
         with pytest.raises(DiagnosticFailure):
-            uniform_decay_study(sys_, 0.0, [0.05], T=4.0, t_star=4.0, solve_tol=1e-300)
+            uniform_decay_study(sys_, 0.0, [0.05], T=4.0, t_star=4.0)
 
     def test_observability_paths_raise(self):
         sys_ = build_coupled_waves(ExampleParams(0.5, 1.0, 4))
         rng = np.random.default_rng(1)
         u0 = ModalState(rng.standard_normal(8), rng.standard_normal(8))
         with pytest.raises(DiagnosticFailure):
-            observability_functional(sys_, u0, 0.0, 0.05, 2.0, solve_tol=1e-300)
+            observability_functional(sys_, u0, 0.0, 0.05, 2.0)
         with pytest.raises(DiagnosticFailure):
-            observability_constant_study(sys_, 0.0, [0.05], 4, 0, t_star=2.0,
-                                         solve_tol=1e-300)
+            observability_constant_study(sys_, 0.0, [0.05], 4, 0, t_star=2.0)
 
     def test_zero_state_passes(self):
         # residual 0 <= 0: the audit passes and the zero-state check fires
         sys_ = build_coupled_waves(ExampleParams(0.5, 1.0, 4))
         with pytest.raises(DomainError):
-            observability_functional(sys_, ModalState.zero(8), 0.0, 0.05, 2.0,
-                                     solve_tol=1e-300)
+            observability_functional(sys_, ModalState.zero(8), 0.0, 0.05, 2.0)
 
 
 class TestLemma31:
@@ -646,7 +674,7 @@ EPS = np.finfo(float).eps
 
 
 class TestRecursionProperty:
-    @settings(max_examples=150, deadline=None)
+    @settings(max_examples=150, deadline=None, derandomize=True)
     @given(
         log_C=st.floats(-6.0, 3.0),
         log_E0=st.floats(-6.0, 6.0),

@@ -24,14 +24,15 @@ import sys as _sys
 import numpy as np
 
 from . import __version__
-from .config import ExperimentConfig, build_init, build_system, check_int, load_config
+from .config import ExperimentConfig, build_init, build_system, load_config
 from .diagnostics import (
     decay_fit,
     observability_constant_study,
     synthetic_trace,
     uniform_decay_study,
 )
-from .errors import ConfigError, DiagnosticFailure, NonFiniteStateError, PolystabError
+from .errors import (ConfigError, DiagnosticFailure, NonFiniteStateError, PolystabError,
+                     check_int)
 from .ingham import InghamConfig, estimate_clustered, estimate_scalar, ingham_ratio_scalar
 from .schemes import SchemeConfig, factorize
 from .spectra import audit_spectrum, boundary_fixedpoint_residuals, ExampleParams
@@ -279,7 +280,7 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         if args.seed is not None:
-            check_int("--seed", args.seed)
+            check_int("--seed", args.seed, 0, ConfigError)
         cfg = load_config(args.config)
         os.makedirs(args.out, exist_ok=True)
         return _COMMANDS[args.command](cfg, args.out, args.seed)

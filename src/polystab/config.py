@@ -45,7 +45,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, check_int
 from .modal import ModalState, ModalSystem
 from .spectra import (
     ExampleParams,
@@ -170,20 +170,13 @@ class ExperimentConfig:
             for key, hint in hints.items():
                 value = getattr(getattr(self, name), key)
                 if int in (typing.get_args(hint) or (hint,)) and value is not None:
-                    check_int(f"{name}.{key}", value, 0 if key in _NON_NEGATIVE else 1)
+                    check_int(f"{name}.{key}", value, 0 if key in _NON_NEGATIVE else 1,
+                              ConfigError)
 
 
 # each block's class and its field types, resolved once
 _BLOCKS = {name: (block_cls, typing.get_type_hints(block_cls))
            for name, block_cls in typing.get_type_hints(ExperimentConfig).items()}
-
-
-def check_int(name: str, value, low: int = 0) -> None:
-    """Raise ConfigError unless ``value`` is an integer of at least ``low``
-    (0 or 1; a bool or a float is none)."""
-    if isinstance(value, bool) or not isinstance(value, int) or value < low:
-        what = "positive" if low else "non-negative"
-        raise ConfigError(f"{name} must be a {what} integer; got {value!r}")
 
 
 def load_config(path) -> ExperimentConfig:

@@ -37,7 +37,7 @@ from operator import itemgetter
 
 import numpy as np
 
-from .errors import DiagnosticFailure, DomainError
+from .errors import DiagnosticFailure, DomainError, check_int
 from .modal import ModalState, ModalSystem, norm_domain
 from .schemes import EnergyTrace, SchemeConfig, factorize, substep_count
 from .spectra import check_gap, cluster_partition
@@ -230,8 +230,7 @@ def observability_constant_study(
     a bad value raises DomainError.
     """
     policy = observation_time(sys, t_star)
-    if isinstance(trials, bool) or not isinstance(trials, (int, np.integer)) or trials < 1:
-        raise DomainError(f"trials must be a positive integer; got {trials!r}")
+    check_int("trials", trials)
     if not 0.0 < delta < math.inf:
         raise DomainError(f"delta must be positive and finite; got {delta!r}")
     cfgs = [SchemeConfig(dt=dt, t_final=max(policy.t_star, dt), viscosity=viscosity,
@@ -296,8 +295,12 @@ def inverse_inequality_check(
     norm by exactly ``mu``, so the minimum is ``dt * min(high mu)`` in
     either scale (computed explicitly in both as a diagonal oracle); it
     must dominate ``delta = dt * cutoff``.  An empty high part passes
-    vacuously with +inf ratios.
+    vacuously with +inf ratios.  ``dt`` and ``cutoff`` must be positive and
+    finite (else DomainError).
     """
+    for name, value in (("dt", dt), ("cutoff", cutoff)):
+        if not 0.0 < value < math.inf:
+            raise DomainError(f"{name} must be positive and finite; got {value!r}")
     high = sys.mu > cutoff
     delta = dt * cutoff
     if not np.any(high):
@@ -335,8 +338,7 @@ def high_freq_contraction(
     A zero initial state passes trivially (empty ratio sequence).  A
     ``steps`` that is no positive integer raises DomainError before stepping.
     """
-    if isinstance(steps, bool) or not isinstance(steps, (int, np.integer)) or steps < 1:
-        raise DomainError(f"steps must be a positive integer; got {steps!r}")
+    check_int("steps", steps)
     low = sys.mu <= cutoff
     if np.any(u0_high.a[low]) or np.any(u0_high.b[low]):
         raise DomainError("initial state has components at or below the cutoff")
@@ -667,16 +669,16 @@ def decay_recursion_oracle(
     [e - C e^{2+alpha}, e] (``_recursion_root``).  Returns the sequence
     together with the fitted envelope constant
     ``M = sup_k e_k (k+1)^{1/(alpha+1)}``.  A sequence that barely moves
-    (C too small for the horizon) is flagged ``stagnant``.
+    (C too small for the horizon) is flagged ``stagnant``.  C and E0 must be
+    positive and finite, alpha finite and above -1 and steps a positive
+    integer (else DomainError).
     """
-    if not (C > 0.0):
-        raise DomainError("C must be positive")
-    if not (alpha > -1.0):
-        raise DomainError("alpha must exceed -1")
-    if not (E0 > 0.0):
-        raise DomainError("E0 must be positive")
-    if steps < 1:
-        raise DomainError("steps must be positive")
+    for name, value in (("C", C), ("E0", E0)):
+        if not 0.0 < value < math.inf:
+            raise DomainError(f"{name} must be positive and finite; got {value!r}")
+    if not -1.0 < alpha < math.inf:
+        raise DomainError(f"alpha must be finite and exceed -1; got {alpha!r}")
+    check_int("steps", steps)
 
     C = float(C)  # numpy scalars would slow the scalar loop several-fold
     values = np.empty(steps + 1)

@@ -4,6 +4,8 @@ Every dimension/domain violation raises a structured exception; nothing is
 silently clamped or coerced.
 """
 
+import numpy as np
+
 
 class PolystabError(Exception):
     """Base class for all toolkit errors."""
@@ -33,3 +35,11 @@ class ConfigError(PolystabError):
 
 class DiagnosticFailure(PolystabError):
     """A numerical diagnostic (energy identity, contraction bound) failed."""
+
+
+def check_int(name: str, value, low: int = 1, error: type = DomainError) -> None:
+    """Raise ``error`` unless ``value`` is an integer of at least ``low``
+    (0 or 1; a bool or a float is none)."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < low:
+        what = "positive" if low else "non-negative"
+        raise error(f"{name} must be a {what} integer; got {value!r}")

@@ -50,7 +50,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DiagnosticFailure, DomainError
+from .errors import DiagnosticFailure, DomainError, check_int
 from .spectra import cluster_partition
 
 __all__ = [
@@ -82,11 +82,8 @@ class InghamConfig:
             raise DomainError("gamma must be positive and finite")
         if not (0.0 < self.sigma <= math.pi / self.gamma):
             raise DomainError("sigma must lie in (0, pi/gamma]")
-        for name, low, what in (("J", 1, "positive"), ("trials", 1, "positive"),
-                                ("seed", 0, "non-negative")):
-            value = getattr(self, name)  # bool is an int subclass, not an integer here
-            if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < low:
-                raise DomainError(f"{name} must be a {what} integer; got {value!r}")
+        for name, low in (("J", 1), ("trials", 1), ("seed", 0)):
+            check_int(name, getattr(self, name), low)
         if not (self.J * self.sigma > math.pi / self.gamma):
             raise DomainError("J * sigma must exceed pi/gamma")
 

@@ -54,9 +54,12 @@ the stepped generator is undamped.
 **Mode groups.**  The propagators are block-diagonal over the system's
 mode groups (``ModalSystem.groups``, found once when the system is built;
 ``mode_groups`` is re-exported here).  Groups of one size are stacked, and
-``S``, ``P`` and ``L`` are built per group by batched numpy calls (one
-batched solve per size).  Every step goes through the time blocks below:
-a single step (``step_*``) is a one-step trajectory, plus ``z~ = S x``.
+``P`` and ``L`` are built per group by batched numpy calls (one batched
+solve per size).  Every step goes through the time blocks below: a single
+step (``step``) is a one-step trajectory.  Another scheme of the family is
+another solver: ``factorize(sys, dataclasses.replace(cfg, damping=False))``
+steps the conservative scheme, and with ``viscosity=False`` as well the
+midpoint map, whose ``z_next`` is the midpoint stage ``z~``.
 
 **Time blocks.**  A (2n, m) column batch holds its last K states
 ``x_{k-K+1} .. x_k`` as one (g, 2s, K m) block per group size; one batched
@@ -89,7 +92,6 @@ over the whole trajectory.
 
 from __future__ import annotations
 
-import dataclasses
 import math
 import numbers
 from dataclasses import dataclass, field
@@ -98,7 +100,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DiagnosticFailure, DomainError, NonFiniteStateError
+from .errors import DiagnosticFailure, DomainError, NonFiniteStateError, check_int
 from .modal import ModalState, ModalSystem, groups_by_size, mode_groups
 
 __all__ = [
@@ -167,8 +169,6 @@ class StepRecord:
     system.
     """
 
-    k: int
-    z_tilde: ModalState
     z_next: ModalState
     damp_term: float
     visc1: float
@@ -257,13 +257,11 @@ def _lanes(cols: int) -> int:
 class SchemeSolver:
     """Propagators of one (system, config) pair.
 
-    Construction builds the ``S``, ``P`` and ``L`` of the configured stages
-    only, per mode group of the system; the doubled maps ``M_K`` are built
-    on first use and cached.  A ``step_*`` call is a one-step trajectory of
-    the kernel; ``step_viscous_conservative`` and ``step_midpoint`` step a
-    cached solver of the same config with the damping (and viscosity) stage
-    switched off.  One instance can serve many trajectories (including
-    batched column states).
+    Construction builds the ``P`` and ``L`` of the configured stages only,
+    per mode group of the system; the doubled maps ``M_K`` are built on
+    first use and cached.  ``step`` is a one-step trajectory of the kernel.
+    One instance can serve many trajectories (including batched column
+    states).
     """
 
     def __init__(self, sys: ModalSystem, cfg: SchemeConfig):
@@ -278,16 +276,14 @@ class SchemeSolver:
             gram = sys.damp_gram[idx[:, :, None], idx[:, None, :]]
             self._groups.append(_Groups(rows, scale, eta[rows % n], gram))
         self._damped = cfg.damping and any(grp.gram.any() for grp in self._groups)
-        self._maps = self._propagators()
-        self._doubled_maps = {1: [M for _, M in self._maps]}
+        self._doubled_maps = {1: self._propagators()}
         self._weight_sets = {}
-        self._siblings = {}
 
     # -- propagators -----------------------------------------------------
 
     def _propagators(self) -> list:
-        """Per group size: ``S`` and the (g, r, 2s) one-step map ``[P; L]``
-        in energy coordinates, where ``L = sqrt(dt) D^{1/2} M`` factors the
+        """Per group size: the (g, r, 2s) one-step map ``[P; L]`` in energy
+        coordinates, where ``L = sqrt(dt) D^{1/2} M`` factors the
         observed-damping form ``Q = L^T L`` (no L rows when the groups' Gram
         is zero)."""
         dt = self.cfg.dt
@@ -314,7 +310,7 @@ class SchemeSolver:
                 r = int(np.max(np.sum(lam > s * np.finfo(float).eps * lam.max(), axis=1)))
                 root = np.sqrt(dt * np.maximum(lam[:, s - r:], 0.0))[:, :, None]
                 P = np.concatenate([P, (root * U[:, :, s - r:].transpose(0, 2, 1)) @ M], axis=1)
-            out.append((S, P))
+            out.append(P)
         return out
 
     def _doubled(self, K: int) -> list:
@@ -330,7 +326,7 @@ class SchemeSolver:
         observed damping (on the L rows); cached per beta."""
         if beta not in self._weight_sets:
             out = []
-            for grp, (_, M) in zip(self._groups, self._maps):
+            for grp, M in zip(self._groups, self._doubled(1)):
                 eta = grp.eta
                 c = self.cfg.dt**3 * eta if self.cfg.viscosity else np.zeros_like(eta)
                 w = np.zeros((5,) + M.shape[:2])
@@ -370,7 +366,7 @@ class SchemeSolver:
                               m, self._groups), 1 << (max(n_steps, 1).bit_length() - 1))
         width = _lanes(B * m)
         groups, W, bufs, xs = [], [], [], []
-        for grp, w, (_, M), occ in zip(self._groups, self._weights(beta), self._maps, occupied):
+        for grp, w, M, occ in zip(self._groups, self._weights(beta), self._doubled(1), occupied):
             if not occ.all():  # a size may keep no group: its maps are then empty
                 grp, w = _Groups(*(a[occ] for a in grp)), w[:, occ]
             groups.append(grp)
@@ -418,37 +414,13 @@ class SchemeSolver:
 
     # -- public one-step API -------------------------------------------
 
-    def _record(self, z: ModalState, k: int) -> StepRecord:
-        """One step of one state: a one-step trajectory of the kernel, plus
-        the midpoint stage ``z~ = S x`` of the cached group maps."""
-        x = z.stacked()[:, None]
-        ((b, after),) = self._blocks(x, 1)
-        z_tilde = [(grp, S @ (x[grp.rows] * grp.scale))
-                   for grp, (S, _) in zip(self._groups, self._maps)]
+    def step(self, z: ModalState) -> StepRecord:
+        """One step of the configured scheme: a one-step trajectory of the kernel."""
+        ((b, after),) = self._blocks(z.stacked()[:, None], 1)
         # finite terms imply finite states, so they skip ModalState's copy and scan
-        z_tilde, z_next = (ModalState._wrap_stacked(self._to_modal(v)) for v in (z_tilde, after))
+        z_next = ModalState._wrap_stacked(self._to_modal(after))
         terms = (b.damp, b.visc1, b.visc2, b.resid, b.observed)
-        return StepRecord(k, z_tilde, z_next, *(float(t[0, 0]) for t in terms))
-
-    def _sibling(self, **stages) -> SchemeSolver:
-        """The solver of this config with the given stage switches (cached)."""
-        key = tuple(stages.items())
-        if key not in self._siblings:
-            cfg = dataclasses.replace(self.cfg, **stages)
-            self._siblings[key] = self if cfg == self.cfg else SchemeSolver(self.sys, cfg)
-        return self._siblings[key]
-
-    def step_viscous_damped(self, z: ModalState, k: int = 0) -> StepRecord:
-        """One step of the damped two-stage scheme (honors both config flags)."""
-        return self._record(z, k)
-
-    def step_viscous_conservative(self, u: ModalState, k: int = 0) -> StepRecord:
-        """One step of the conservative two-stage scheme (no damping in stage 1)."""
-        return self._sibling(damping=False)._record(u, k)
-
-    def step_midpoint(self, y: ModalState) -> ModalState:
-        """One pure midpoint step (no damping, no viscosity)."""
-        return self._sibling(damping=False, viscosity=False)._record(y, 0).z_next
+        return StepRecord(z_next, *(float(t[0, 0]) for t in terms))
 
     # -- trajectories ----------------------------------------------------
 
@@ -510,8 +482,7 @@ class SchemeSolver:
         x = x[:, None] if x.ndim == 1 else x
         if x.shape[1] == 0:
             raise DomainError("iterate_raw needs a batch of at least one column")
-        if isinstance(n_steps, bool) or not isinstance(n_steps, (int, np.integer)) or n_steps < 1:
-            raise DomainError(f"n_steps must be a positive integer; got {n_steps!r}")
+        check_int("n_steps", n_steps)
         for b, _ in self._blocks(x, n_steps, beta):
             if b.k0 == 0:
                 tol = AUDIT_RTOL * b.energy[0]

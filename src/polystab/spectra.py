@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, check_int
 from .modal import ModalSystem
 
 __all__ = [
@@ -63,9 +63,7 @@ class ExampleParams:
             raise DomainError("alpha must be positive")
         if self.gamma < 0.0:
             raise DomainError("gamma must be nonnegative")
-        if (isinstance(self.k_max, bool) or not isinstance(self.k_max, (int, np.integer))
-                or self.k_max < 1):
-            raise DomainError(f"k_max must be a positive integer; got {self.k_max!r}")
+        check_int("k_max", self.k_max)
 
 
 def sine_overlap(a, c):

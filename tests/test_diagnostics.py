@@ -137,7 +137,7 @@ class TestObservabilityFunctional:
         u0 = ModalState(rng.standard_normal(8), rng.standard_normal(8))
         rep = observability_functional(sys_, u0, 0.0, 0.05, 0.0)
         rec = SchemeSolver(sys_, SchemeConfig(dt=0.05, t_final=0.05, damping=False)
-                           ).step_viscous_conservative(u0)
+                           ).step(u0)
         assert rep.n_steps == 1
         assert rep.damp_sum == rec.observed_damp
         assert rep.visc_sum1 == rec.visc1 and rep.visc_sum2 == 2.0 * rec.visc2
@@ -266,6 +266,15 @@ class TestInverseInequality:
         rep = inverse_inequality_check(sys_, dt=0.1, cutoff=100.0)
         assert rep.n_high == 0 and rep.ok
         assert math.isinf(rep.min_ratio_h)
+
+    @pytest.mark.parametrize("dt,cutoff,name", [
+        (0.1, math.nan, "cutoff"), (0.1, math.inf, "cutoff"), (0.1, 0.0, "cutoff"),
+        (-0.1, 5.0, "dt"), (math.nan, 5.0, "dt"), (math.inf, 5.0, "dt"),
+    ], ids=["cutoff_nan", "cutoff_inf", "cutoff_zero", "dt_negative", "dt_nan", "dt_inf"])
+    def test_bad_step_or_cutoff_rejected(self, dt, cutoff, name):
+        sys_ = ModalSystem.from_eta([49.0])
+        with pytest.raises(DomainError, match=f"{name} must be positive and finite"):
+            inverse_inequality_check(sys_, dt=dt, cutoff=cutoff)
 
     def test_mixed_state_rayleigh_bound(self):
         # random high combinations: dt ||A z|| / ||z|| >= dt * min retained mu
@@ -655,6 +664,27 @@ class TestLemma31:
             decay_recursion_oracle(C=1.0, alpha=-1.0, E0=1.0, steps=10)
         with pytest.raises(DomainError):
             decay_recursion_oracle(C=1.0, alpha=0.0, E0=0.0, steps=10)
+
+    @pytest.mark.parametrize("kwargs,message", [
+        ({"C": math.inf}, "C must be positive and finite"),
+        ({"C": math.nan}, "C must be positive and finite"),
+        ({"E0": math.inf}, "E0 must be positive and finite"),
+        ({"E0": -1.0}, "E0 must be positive and finite"),
+        ({"alpha": math.inf}, "alpha must be finite and exceed -1"),
+        ({"alpha": math.nan}, "alpha must be finite and exceed -1"),
+        ({"steps": 2.5}, "steps must be a positive integer"),
+        ({"steps": True}, "steps must be a positive integer"),
+        ({"steps": 0}, "steps must be a positive integer"),
+    ], ids=["C_inf", "C_nan", "E0_inf", "E0_negative", "alpha_inf", "alpha_nan",
+            "steps_fraction", "steps_bool", "steps_zero"])
+    def test_malformed_input_rejected(self, kwargs, message):
+        args = {"C": 1.0, "alpha": 0.0, "E0": 1.0, "steps": 10, **kwargs}
+        with pytest.raises(DomainError, match=message):
+            decay_recursion_oracle(**args)
+
+    def test_numpy_integer_steps_accepted(self):
+        res = decay_recursion_oracle(C=1.0, alpha=0.0, E0=1.0, steps=np.int64(10))
+        assert res.values.shape == (11,)
 
 
 def bisect_root(prev, C, p):

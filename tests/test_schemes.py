@@ -44,6 +44,12 @@ def random_state(rng, n):
     return ModalState(rng.standard_normal(n), rng.standard_normal(n))
 
 
+def midpoint_stage(sol, z):
+    """The midpoint stage z~ of ``sol``'s step from ``z``: the step of the
+    same config with the viscosity stage off."""
+    return factorize(sol.sys, dataclasses.replace(sol.cfg, viscosity=False)).step(z).z_next
+
+
 # per-step values of a ``(k, block, row)`` step tuple: (array of its time
 # block, row offset from ``row``); the state arrays hold x_k at ``row`` and
 # x_{k+1} at ``row + 1``
@@ -66,8 +72,10 @@ class TestFactorize:
         sol = factorize(sys_, SchemeConfig(dt=2.0, t_final=2.0))
         assert np.array_equal(stage1_matrix(sys_, 2.0, damped=False), [[1.0, -1.0], [1.0, 1.0]])
         # viscosity stage: z+ = z~ / (1 + dt^3 eta) = z~ / 9
-        rec = sol.step_viscous_damped(ModalState([1.0], [0.5]))
-        np.testing.assert_allclose(rec.z_next.stacked(), rec.z_tilde.stacked() / 9.0, rtol=1e-15)
+        z = ModalState([1.0], [0.5])
+        rec = sol.step(z)
+        np.testing.assert_allclose(rec.z_next.stacked(), midpoint_stage(sol, z).stacked() / 9.0,
+                                   rtol=1e-15)
 
     def test_damping_flag_off_ignores_gram(self):
         eta = [1.0, 4.0]
@@ -76,8 +84,8 @@ class TestFactorize:
         without = ModalSystem.from_eta(eta)
         cfg = SchemeConfig(dt=0.3, t_final=1.0, damping=False)
         z = ModalState([1.0, -2.0], [0.5, 0.25])
-        r1 = factorize(with_d, cfg).step_viscous_damped(z)
-        r2 = factorize(without, cfg).step_viscous_damped(z)
+        r1 = factorize(with_d, cfg).step(z)
+        r2 = factorize(without, cfg).step(z)
         assert np.array_equal(r1.z_next.a, r2.z_next.a)
         assert np.array_equal(r1.z_next.b, r2.z_next.b)
         assert r1.damp_term == 0.0
@@ -85,8 +93,8 @@ class TestFactorize:
     def test_small_dt_viscosity_limit(self):
         sys_ = ModalSystem.from_eta([50.0])
         sol = factorize(sys_, SchemeConfig(dt=1e-5, t_final=1.0))
-        rec = sol.step_viscous_damped(ModalState([1.0], [1.0]))
-        ratio = rec.z_next.stacked() / rec.z_tilde.stacked()
+        z = ModalState([1.0], [1.0])
+        ratio = sol.step(z).z_next.stacked() / midpoint_stage(sol, z).stacked()
         np.testing.assert_allclose(ratio, 1.0, rtol=0.0, atol=1e-9)
 
     def test_config_validation(self):
@@ -104,9 +112,10 @@ class TestStepHandValues:
         # diagonal viscosity factor
         sys_ = ModalSystem.from_eta([1.0])
         sol = factorize(sys_, SchemeConfig(dt=1.0, t_final=1.0))
-        rec = sol.step_viscous_damped(ModalState([1.0], [0.0]))
-        assert rec.z_tilde.a[0] == pytest.approx(0.6, rel=1e-15)
-        assert rec.z_tilde.b[0] == pytest.approx(-0.8, rel=1e-15)
+        z = ModalState([1.0], [0.0])
+        rec, z_tilde = sol.step(z), midpoint_stage(sol, z)
+        assert z_tilde.a[0] == pytest.approx(0.6, rel=1e-15)
+        assert z_tilde.b[0] == pytest.approx(-0.8, rel=1e-15)
         assert rec.z_next.a[0] == pytest.approx(0.3, rel=1e-15)
         assert rec.z_next.b[0] == pytest.approx(-0.4, rel=1e-15)
 
@@ -114,14 +123,15 @@ class TestStepHandValues:
         # mode mu=10, dt=0.1: both blocks scale by 1/(1 + 0.001*100) = 1/1.1
         sys_ = ModalSystem.from_eta([100.0])
         sol = factorize(sys_, SchemeConfig(dt=0.1, t_final=1.0, damping=False))
-        rec = sol.step_viscous_conservative(ModalState([1.0], [1.0]))
-        np.testing.assert_allclose(rec.z_next.a, rec.z_tilde.a / 1.1, rtol=1e-15)
-        np.testing.assert_allclose(rec.z_next.b, rec.z_tilde.b / 1.1, rtol=1e-15)
+        z = ModalState([1.0], [1.0])
+        rec, z_tilde = sol.step(z), midpoint_stage(sol, z)
+        np.testing.assert_allclose(rec.z_next.a, z_tilde.a / 1.1, rtol=1e-15)
+        np.testing.assert_allclose(rec.z_next.b, z_tilde.b / 1.1, rtol=1e-15)
 
     def test_zero_state_fixed_point(self):
         sys_ = ModalSystem.from_eta([2.0])
         sol = factorize(sys_, SchemeConfig(dt=0.5, t_final=1.0, damping=False))
-        rec = sol.step_viscous_conservative(ModalState.zero(1))
+        rec = sol.step(ModalState.zero(1))
         assert not rec.z_next.a.any() and not rec.z_next.b.any()
 
     def test_dense_path_matches_scalar_solves(self):
@@ -134,11 +144,11 @@ class TestStepHandValues:
         sol = factorize(sys_, SchemeConfig(dt=dt, t_final=1.0))
         rng = np.random.default_rng(0)
         z = random_state(rng, 3)
-        rec = sol.step_viscous_damped(z)
+        rec, z_tilde = sol.step(z), midpoint_stage(sol, z)
         for j in range(3):
             at, bt, an, bn = scalar_two_stage_step(eta[j], dvals[j], z.a[j], z.b[j], dt)
-            assert rec.z_tilde.a[j] == pytest.approx(at, rel=1e-13)
-            assert rec.z_tilde.b[j] == pytest.approx(bt, rel=1e-13)
+            assert z_tilde.a[j] == pytest.approx(at, rel=1e-13)
+            assert z_tilde.b[j] == pytest.approx(bt, rel=1e-13)
             assert rec.z_next.a[j] == pytest.approx(an, rel=1e-13)
             assert rec.z_next.b[j] == pytest.approx(bn, rel=1e-13)
 
@@ -146,17 +156,19 @@ class TestStepHandValues:
         sys_ = build_coupled_waves(ExampleParams(0.5, 1.0, 4))
         sol = factorize(sys_, SchemeConfig(dt=0.05, t_final=1.0))
         z = random_state(np.random.default_rng(6), sys_.n)
-        rec = sol.step_viscous_damped(z)
-        kept = [rec.z_tilde.stacked(), rec.z_next.stacked()]
-        later = [sol.step_viscous_damped(rec.z_next), sol.step_viscous_conservative(z)]
-        states = [rec.z_tilde, rec.z_next, sol.step_midpoint(z), sol.run(z).final_state]
+        conservative = factorize(sys_, dataclasses.replace(sol.cfg, damping=False))
+        midpoint = factorize(sys_, dataclasses.replace(sol.cfg, damping=False, viscosity=False))
+        rec, z_tilde = sol.step(z), midpoint_stage(sol, z)
+        kept = [z_tilde.stacked(), rec.z_next.stacked()]
+        later = [sol.step(rec.z_next), conservative.step(z)]
+        states = [z_tilde, rec.z_next, midpoint.step(z).z_next, sol.run(z).final_state]
         states += [r.z_next for r in later]
         for st_ in states:
             for arr in (st_.a, st_.b):
                 with pytest.raises(ValueError):
                     arr[0] = 1.0
         # later steps reuse no buffer of an earlier state
-        assert np.array_equal(rec.z_tilde.stacked(), kept[0])
+        assert np.array_equal(z_tilde.stacked(), kept[0])
         assert np.array_equal(rec.z_next.stacked(), kept[1])
         arrays = [z.a, z.b] + [arr for st_ in states for arr in (st_.a, st_.b)]
         for i, u in enumerate(arrays):
@@ -195,9 +207,9 @@ class TestStageSolveProperty:
         for _ in range(3):
             x = z.stacked()
             ref = np.linalg.solve(M, (2.0 * np.eye(2 * n) - M) @ x)
-            rec = sol.step_viscous_damped(z)
-            assert e_norm(rec.z_tilde.stacked() - ref) <= 1e-12 * e_norm(x)
-            m = 0.5 * (z.b + rec.z_tilde.b)
+            rec, z_tilde = sol.step(z), midpoint_stage(sol, z)
+            assert e_norm(z_tilde.stacked() - ref) <= 1e-12 * e_norm(x)
+            m = 0.5 * (z.b + z_tilde.b)
             a, b = rec.z_next.a, rec.z_next.b
             lhs = (energy(sys_, rec.z_next) + cfg.dt * float(m @ sys_.damp_gram @ m)
                    + cfg.dt**3 * float(np.sum(eta**2 * a**2) + np.sum(eta * b**2))
@@ -286,8 +298,9 @@ class TestModeGroups:
         z = random_state(np.random.default_rng(0), sys_.n)
         sol = factorize(sys_, SchemeConfig(dt=0.05, t_final=1.0))
         sol.run(z)
-        sol.step_viscous_conservative(z)
-        sol.step_midpoint(z)
+        sol.step(z)
+        for stages in ({"damping": False}, {"damping": False, "viscosity": False}):
+            factorize(sys_, dataclasses.replace(sol.cfg, **stages)).step(z)
         assert len(calls) == 1
 
 
@@ -337,7 +350,7 @@ class TestBlockedKernelProperty:
         for c in range(m):
             z = ModalState.from_stacked(X[:, c])
             for r in recs:
-                rec = sol.step_viscous_damped(z)
+                rec = sol.step(z)
                 z = rec.z_next
                 tol = 1e-12 * e0[c]
                 assert abs(raw(r, "energy")[c] - energy(sys_, z)) <= tol
@@ -478,7 +491,7 @@ class TestOccupiedGroups:
         for c in range(m):
             z = ModalState.from_stacked(X[:, c])
             for r in recs:
-                z = sol.step_viscous_damped(z).z_next
+                z = sol.step(z).z_next
                 assert abs(raw(r, "energy")[c] - energy(sys_, z)) <= 1e-12 * e0[c], (r[0], c)
 
     @pytest.mark.parametrize("damping", [True, False])
@@ -574,7 +587,7 @@ class TestBlockLength:
             assert sorted(sol._doubled_maps) == [1 << i for i in range(K.bit_length())]
         sol = factorize(sys_, cfg)
         z = ModalState.from_stacked(x[:, 0])
-        sol.step_viscous_damped(z)
+        sol.step(z)
         assert sorted(sol._doubled_maps) == [1]
         sol.run(z)  # 101 steps
         assert sorted(sol._doubled_maps) == [1, 2, 4, 8, 16, 32, 64]
@@ -766,7 +779,7 @@ class TestBufferLifetime:
         assert trace.damp.size == n_steps
         final = trace.final_state
         for _ in range(n_steps):
-            z = sol.step_viscous_damped(z).z_next
+            z = sol.step(z).z_next
         tol = 1e-12 * energy(sys_, z0)
         assert abs(energy(sys_, final) - energy(sys_, z)) <= tol
         assert energy(sys_, ModalState(final.a - z.a, final.b - z.b)) <= tol
@@ -788,30 +801,16 @@ class TestStageMaps:
     ]
 
     @pytest.mark.parametrize("make", SYSTEMS)
-    def test_maps_equal_solvers_of_their_stages(self, make):
-        sys_ = make()
-        cfg = SchemeConfig(dt=0.05, t_final=1.0)
-        z = random_state(np.random.default_rng(8), sys_.n)
-        sol = factorize(sys_, cfg)
-        conservative = factorize(sys_, dataclasses.replace(cfg, damping=False))
-        midpoint = factorize(sys_, dataclasses.replace(cfg, damping=False, viscosity=False))
-        assert_records_equal(sol.step_viscous_conservative(z, k=3),
-                             conservative.step_viscous_damped(z, k=3))
-        y = sol.step_midpoint(z)
-        ref = midpoint.step_viscous_damped(z).z_next
-        assert np.array_equal(y.a, ref.a) and np.array_equal(y.b, ref.b)
-
-    @pytest.mark.parametrize("make", SYSTEMS)
     def test_maps_leave_configured_solver_unchanged(self, make):
         sys_ = make()
         cfg = SchemeConfig(dt=0.05, t_final=2.0)
         z = random_state(np.random.default_rng(9), sys_.n)
         sol = factorize(sys_, cfg)
-        before, step_before = sol.run(z), sol.step_viscous_damped(z)
-        sol.step_viscous_conservative(z)
-        sol.step_midpoint(z)
+        before, step_before = sol.run(z), sol.step(z)
+        for stages in ({"damping": False}, {"damping": False, "viscosity": False}):
+            factorize(sys_, dataclasses.replace(cfg, **stages)).step(z)
         after = sol.run(z)
-        assert_records_equal(sol.step_viscous_damped(z), step_before)
+        assert_records_equal(sol.step(z), step_before)
         for name in ("energy", "weak_sq", "damp", "visc1", "visc2", "identity_residual",
                      "observed_damp"):
             assert np.array_equal(getattr(before, name), getattr(after, name)), name
@@ -831,9 +830,9 @@ class TestEnergyIdentity:
             z = random_state(rng, n)
             e0 = energy(sys_, z)
             for _ in range(5):
-                rec = sol.step_viscous_damped(z)
+                rec, z_tilde = sol.step(z), midpoint_stage(sol, z)
                 e1 = energy(sys_, rec.z_next)
-                m = ModalState(0.5 * (z.a + rec.z_tilde.a), 0.5 * (z.b + rec.z_tilde.b))
+                m = ModalState(0.5 * (z.a + z_tilde.a), 0.5 * (z.b + z_tilde.b))
                 damp = cfg.dt * float(m.b @ sys_.damp_gram @ m.b)
                 az_sq = float(np.sum(sys_.eta**2 * rec.z_next.a**2)
                               + np.sum(sys_.eta * rec.z_next.b**2))
@@ -851,8 +850,7 @@ class TestEnergyIdentity:
             sys_ = random_system(rng, n)
             sol = factorize(sys_, SchemeConfig(dt=0.02, t_final=1.0, damping=False))
             u = random_state(rng, n)
-            rec = sol.step_viscous_conservative(u)
-            assert norm_pair(sys_, rec.z_tilde, -0.5) == pytest.approx(
+            assert norm_pair(sys_, midpoint_stage(sol, u), -0.5) == pytest.approx(
                 norm_pair(sys_, u, -0.5), rel=1e-13
             )
 
@@ -862,9 +860,10 @@ class TestEnergyIdentity:
         sol = factorize(sys_, SchemeConfig(dt=0.1, t_final=1.0, viscosity=False,
                                            damping=False))
         z = random_state(rng, 16)
-        rec = sol.step_viscous_damped(z)
+        rec = sol.step(z)
         assert energy(sys_, rec.z_next) == pytest.approx(energy(sys_, z), rel=1e-13)
-        ymid = sol.step_midpoint(z)
+        # the damping switch on an undamped system leaves the midpoint map
+        ymid = factorize(sys_, dataclasses.replace(sol.cfg, damping=True)).step(z).z_next
         assert np.array_equal(rec.z_next.a, ymid.a)
         assert np.array_equal(rec.z_next.b, ymid.b)
 
@@ -879,7 +878,7 @@ class TestMidpoint:
         e0 = energy(sys_, y)
         worst = 0.0
         for _ in range(1000):
-            y = sol.step_midpoint(y)
+            y = sol.step(y).z_next
             worst = max(worst, abs(energy(sys_, y) - e0))
         assert worst <= 1e-12 * e0
 
@@ -893,7 +892,7 @@ class TestMidpoint:
         assert alpha * dt == pytest.approx(math.pi / 2, rel=1e-15)
         y = ModalState([1.0], [0.0])
         ang0 = math.atan2(y.b[0] / mu, y.a[0])
-        y1 = sol.step_midpoint(y)
+        y1 = sol.step(y).z_next
         ang1 = math.atan2(y1.b[0] / mu, y1.a[0])
         step = (ang0 - ang1 + math.pi) % (2 * math.pi) - math.pi
         assert abs(step - alpha * dt) <= 1e-10
@@ -949,7 +948,7 @@ class TestRun:
         with np.errstate(all="ignore"):
             sol = factorize(sys_, cfg)
             with pytest.raises(NonFiniteStateError):
-                sol.step_viscous_conservative(ModalState([1.0], [0.0]))
+                sol.step(ModalState([1.0], [0.0]))
 
 
 class TestDiscreteGapLaw:

@@ -37,7 +37,7 @@ from operator import itemgetter
 
 import numpy as np
 
-from .errors import DiagnosticFailure, DomainError, check_int
+from .errors import DiagnosticFailure, DomainError, check_int, check_positive
 from .modal import ModalState, ModalSystem, norm_domain
 from .schemes import EnergyTrace, SchemeConfig, factorize, substep_count
 from .spectra import check_gap, cluster_partition
@@ -96,8 +96,7 @@ def observation_time(sys: ModalSystem, t_star: float | None = None) -> TStarPoli
     """
     audit = check_gap(sys)
     if t_star is not None:
-        if not 0.0 < float(t_star) < math.inf:
-            raise DomainError(f"t_star must be positive and finite; got {t_star!r}")
+        check_positive("t_star", t_star)
         return TStarPolicy(float(t_star), audit.gamma, audit.gamma1, "override")
     pairwise_usable = math.isfinite(audit.gamma) and (
         not math.isfinite(audit.gamma1) or audit.gamma >= 0.5 * audit.gamma1
@@ -231,8 +230,7 @@ def observability_constant_study(
     """
     policy = observation_time(sys, t_star)
     check_int("trials", trials)
-    if not 0.0 < delta < math.inf:
-        raise DomainError(f"delta must be positive and finite; got {delta!r}")
+    check_positive("delta", delta)
     cfgs = [SchemeConfig(dt=dt, t_final=max(policy.t_star, dt), viscosity=viscosity,
                          damping=False) for dt in dt_list]
     n = sys.n
@@ -298,9 +296,8 @@ def inverse_inequality_check(
     vacuously with +inf ratios.  ``dt`` and ``cutoff`` must be positive and
     finite (else DomainError).
     """
-    for name, value in (("dt", dt), ("cutoff", cutoff)):
-        if not 0.0 < value < math.inf:
-            raise DomainError(f"{name} must be positive and finite; got {value!r}")
+    check_positive("dt", dt)
+    check_positive("cutoff", cutoff)
     high = sys.mu > cutoff
     delta = dt * cutoff
     if not np.any(high):
@@ -336,9 +333,11 @@ def high_freq_contraction(
     Every ratio must satisfy ``ratio <= 1 / (1 + 2 dt delta^2) + 1e-12``
     with ``delta = dt * cutoff``; a violation raises DiagnosticFailure.
     A zero initial state passes trivially (empty ratio sequence).  A
-    ``steps`` that is no positive integer raises DomainError before stepping.
+    ``steps`` that is no positive integer or a ``cutoff`` that is not
+    positive and finite raises DomainError before stepping.
     """
     check_int("steps", steps)
+    check_positive("cutoff", cutoff)
     low = sys.mu <= cutoff
     if np.any(u0_high.a[low]) or np.any(u0_high.b[low]):
         raise DomainError("initial state has components at or below the cutoff")
@@ -673,9 +672,8 @@ def decay_recursion_oracle(
     positive and finite, alpha finite and above -1 and steps a positive
     integer (else DomainError).
     """
-    for name, value in (("C", C), ("E0", E0)):
-        if not 0.0 < value < math.inf:
-            raise DomainError(f"{name} must be positive and finite; got {value!r}")
+    check_positive("C", C)
+    check_positive("E0", E0)
     if not -1.0 < alpha < math.inf:
         raise DomainError(f"alpha must be finite and exceed -1; got {alpha!r}")
     check_int("steps", steps)

@@ -4,6 +4,8 @@ Every dimension/domain violation raises a structured exception; nothing is
 silently clamped or coerced.
 """
 
+import math
+
 import numpy as np
 
 
@@ -43,3 +45,9 @@ def check_int(name: str, value, low: int = 1, error: type = DomainError) -> None
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < low:
         what = "positive" if low else "non-negative"
         raise error(f"{name} must be a {what} integer; got {value!r}")
+
+
+def check_positive(name: str, value) -> None:
+    """Raise DomainError unless ``value`` is positive and finite."""
+    if not 0.0 < value < math.inf:
+        raise DomainError(f"{name} must be positive and finite; got {value!r}")

@@ -50,7 +50,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DiagnosticFailure, DomainError, check_int
+from .errors import DiagnosticFailure, DomainError, check_int, check_positive
 from .spectra import cluster_partition
 
 __all__ = [
@@ -78,8 +78,7 @@ class InghamConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if not (self.gamma > 0.0 and math.isfinite(self.gamma)):
-            raise DomainError("gamma must be positive and finite")
+        check_positive("gamma", self.gamma)
         if not (0.0 < self.sigma <= math.pi / self.gamma):
             raise DomainError("sigma must lie in (0, pi/gamma]")
         for name, low in (("J", 1), ("trials", 1), ("seed", 0)):

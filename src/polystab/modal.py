@@ -22,8 +22,12 @@ so the energy is E = (1/2) ||(a, b)||_{1/2-scale}^2 with exact constants
 (no hidden norm equivalences).
 
 **Mode groups.**  Modes couple only through ``D``: ``from_eta`` finds the
-connected components of ``(D != 0) | (D.T != 0)`` once, stores them on the
-system and checks ``D`` block by block.
+connected components of ``(D != 0) | (D.T != 0)`` once from the nonzero
+entries of ``D``, stores them on the system with their Gram blocks (one
+stack per group size) and checks ``D`` block by block.  No (n, n) array is
+kept: ``ModalSystem.damp_gram`` assembles one, O(n^2) in memory, on
+request.  ``build_coupled_waves`` passes its entries directly, so its
+build forms no (n, n) array at all.
 
 Everything in this module is pure; systems and states are immutable value
 types and safe to share across threads.
@@ -51,66 +55,92 @@ def _readonly(x) -> np.ndarray:
 class ModalSystem:
     """Finite modal truncation: eigenvalues, frequencies and damping Gram.
 
+    The damping Gram is stored per mode group only: ``blocks`` holds, per
+    group size s, the stacked (g, s) mode indices of the g groups of that
+    size and their (g, s, s) Gram blocks.  No (n, n) array is kept;
+    ``damp_gram`` assembles one, O(n^2) in memory, each time it is read.
+
     Attributes
     ----------
     eta : (n,) positive eigenvalues of the spatial operator, nondecreasing.
     mu : (n,) frequencies, ``mu_j = sqrt(eta_j)``.
-    damp_gram : (n, n) symmetric PSD matrix of Y-inner products of the
-        damping observations of the eigenvectors.
     bstar_norms : (n,) per-mode observation norms, ``sqrt(diag(damp_gram))``.
     labels : per-mode branch tags, e.g. ``("-", 3)``; empty tuple if unused.
-    groups : the ``mode_groups`` of ``damp_gram``, derived by ``from_eta``.
+    groups : the ``mode_groups`` of the Gram, found when the system is built.
+    blocks : per group size, the ``(idx, gram)`` pair described above.
     """
 
     eta: np.ndarray
     mu: np.ndarray
-    damp_gram: np.ndarray
     bstar_norms: np.ndarray
     labels: tuple = field(default=())
     groups: tuple = field(init=False, repr=False, compare=False)
+    blocks: tuple = field(init=False, repr=False, compare=False)
 
     @property
     def n(self) -> int:
         return self.eta.shape[0]
 
+    @property
+    def damp_gram(self) -> np.ndarray:
+        """The (n, n) symmetric PSD matrix of Y-inner products of the damping
+        observations of the eigenvectors, assembled from ``blocks``."""
+        D = np.zeros((self.n, self.n))
+        for idx, gram in self.blocks:
+            D[idx[:, :, None], idx[:, None, :]] = gram
+        D.setflags(write=False)
+        return D
+
+    def gram_at(self, i, j) -> np.ndarray:
+        """Gram entries ``D[i, j]`` for broadcast index arrays, read from
+        ``blocks``: entries of two different groups are exact zeros."""
+        i, j = np.broadcast_arrays(i, j)
+        slot, row, pos = _places(self.n, [idx for idx, _ in self.blocks])
+        same = (slot[i] == slot[j]) & (row[i] == row[j])
+        out = np.zeros(i.shape)
+        for k, (_, gram) in enumerate(self.blocks):
+            at = same & (slot[i] == k)
+            out[at] = gram[row[i[at]], pos[i[at]], pos[j[at]]]
+        return out
+
     @classmethod
     def from_eta(cls, eta, damp_gram=None, labels=None, mu=None) -> "ModalSystem":
-        """Build and validate a system from eigenvalues and a damping Gram.
+        """Build and validate a system from eigenvalues and a dense damping Gram
+        (zero if omitted): its groups come from its nonzero entries
+        (``mode_groups``) and each group's block is gathered from it.
 
         ``mu`` may be supplied when the frequencies are the natural data
         (e.g. closed-form spectra); it is checked against ``sqrt(eta)``.
         """
-        eta = _readonly(np.atleast_1d(eta))
-        if eta.ndim != 1 or eta.size == 0:
-            raise DomainError("eta must be a nonempty 1-d vector")
-        if not np.all(np.isfinite(eta)):
-            raise NonFiniteStateError("eta contains non-finite entries")
-        if np.any(eta <= 0.0):
-            raise DomainError("eta must be strictly positive")
-        if np.any(np.diff(eta) < 0.0):
-            raise DomainError("eta must be nondecreasing")
-        n = eta.size
-
-        if mu is None:
-            mu_arr = np.sqrt(eta)
-        else:
-            mu_arr = np.asarray(mu, dtype=float)
-            if mu_arr.shape != (n,):
-                raise DimensionMismatchError("mu", n, mu_arr.size)
-            if np.max(np.abs(mu_arr**2 - eta)) > 1e-12 * np.max(eta):
-                raise DomainError("mu**2 inconsistent with eta")
-        mu_arr = _readonly(mu_arr)
-
         if damp_gram is None:
-            D = np.zeros((n, n))
-        else:
-            D = np.array(damp_gram, dtype=float, copy=True)
+            return cls._from_entries(eta, [], [], [], labels, mu)
+        eta, mu = _spectrum(eta, mu)
+        n = eta.size
+        D = np.asarray(damp_gram, dtype=float)
         if D.shape != (n, n):
-            raise DimensionMismatchError("damp_gram rows", n, D.shape[0])
-        if not np.all(np.isfinite(D)):
-            raise NonFiniteStateError("damp_gram contains non-finite entries")
+            raise DimensionMismatchError("damp_gram rows", n, D.shape[0] if D.ndim else 0)
         groups = tuple(mode_groups(D))
-        scale, asym, lam_min = _gram_extremes(D, groups)
+        blocks = [(idx, D[idx[:, :, None], idx[:, None, :]]) for idx in groups_by_size(groups)]
+        return cls._assemble(eta, mu, groups, blocks, labels)
+
+    @classmethod
+    def _from_entries(cls, eta, i, j, v, labels=None, mu=None) -> "ModalSystem":
+        """``from_eta`` for the Gram given by its entries ``D[i, j] = v``, each
+        (i, j) at most once and zero elsewhere (zero values couple nothing):
+        no (n, n) array is formed."""
+        eta, mu = _spectrum(eta, mu)
+        v = np.asarray(v, dtype=float)
+        keep = v != 0.0
+        i, j, v = np.asarray(i, dtype=int)[keep], np.asarray(j, dtype=int)[keep], v[keep]
+        groups = tuple(_components(eta.size, i, j))
+        return cls._assemble(eta, mu, groups, _gram_blocks(eta.size, groups, i, j, v), labels)
+
+    @classmethod
+    def _assemble(cls, eta, mu, groups, blocks, labels) -> "ModalSystem":
+        """Check the Gram block by block and store it as ``blocks``."""
+        if not all(np.isfinite(gram).all() for _, gram in blocks):
+            raise NonFiniteStateError("damp_gram contains non-finite entries")
+        scale, asym, lam_min = _gram_extremes(blocks)
         if scale > 0.0:
             if asym > _SYM_RTOL * scale:
                 raise DomainError("damp_gram is not symmetric to 1e-14 relative")
@@ -118,42 +148,91 @@ class ModalSystem:
                 raise DomainError(
                     f"damp_gram not positive semidefinite: min eigenvalue {lam_min:g}"
                 )
-        D.setflags(write=False)  # D is already a private float copy
-
-        bstar = _readonly(np.sqrt(np.maximum(np.diag(D), 0.0)))
+        diag = np.zeros(eta.size)
+        for idx, gram in blocks:
+            gram.setflags(write=False)  # each block is a private copy
+            diag[idx] = np.diagonal(gram, axis1=1, axis2=2)
+        bstar = _readonly(np.sqrt(np.maximum(diag, 0.0)))
 
         if labels is None:
             labels = ()
         labels = tuple(labels)
-        if labels and len(labels) != n:
-            raise DimensionMismatchError("labels", n, len(labels))
+        if labels and len(labels) != eta.size:
+            raise DimensionMismatchError("labels", eta.size, len(labels))
 
-        out = cls(eta=eta, mu=mu_arr, damp_gram=D, bstar_norms=bstar, labels=labels)
+        out = cls(eta=eta, mu=mu, bstar_norms=bstar, labels=labels)
         object.__setattr__(out, "groups", groups)
+        object.__setattr__(out, "blocks", tuple(blocks))
         return out
 
 
-def _gram_extremes(D: np.ndarray, groups) -> tuple:
+def _spectrum(eta, mu) -> tuple:
+    """Validated read-only ``eta`` and ``mu`` (``sqrt(eta)`` if None)."""
+    eta = _readonly(np.atleast_1d(eta))
+    if eta.ndim != 1 or eta.size == 0:
+        raise DomainError("eta must be a nonempty 1-d vector")
+    if not np.all(np.isfinite(eta)):
+        raise NonFiniteStateError("eta contains non-finite entries")
+    if np.any(eta <= 0.0):
+        raise DomainError("eta must be strictly positive")
+    if np.any(np.diff(eta) < 0.0):
+        raise DomainError("eta must be nondecreasing")
+    if mu is None:
+        return eta, _readonly(np.sqrt(eta))
+    mu = np.asarray(mu, dtype=float)
+    if mu.shape != eta.shape:
+        raise DimensionMismatchError("mu", eta.size, mu.size)
+    if np.max(np.abs(mu**2 - eta)) > 1e-12 * np.max(eta):
+        raise DomainError("mu**2 inconsistent with eta")
+    return eta, _readonly(mu)
+
+
+def _gram_blocks(n: int, groups, i, j, v) -> list:
+    """Per group size: the (g, s) indices of the groups of that size and
+    their (g, s, s) Gram blocks, from the entries ``D[i, j] = v``, all
+    inside ``groups``."""
+    by_size = groups_by_size(groups)
+    slot, row, pos = _places(n, by_size)
+    blocks = [(idx, np.zeros(idx.shape + idx.shape[1:])) for idx in by_size]
+    for k, (_, gram) in enumerate(blocks):
+        at = slot[i] == k
+        gram[row[i[at]], pos[i[at]], pos[j[at]]] = v[at]
+    return blocks
+
+
+def _places(n: int, by_size) -> tuple:
+    """Per mode of the (g, s) index stacks ``by_size``: its stack, its
+    group's row in that stack and its place in its group."""
+    slot, row, pos = (np.zeros(n, dtype=int) for _ in range(3))
+    for k, idx in enumerate(by_size):
+        slot[idx], row[idx], pos[idx] = k, np.arange(idx.shape[0])[:, None], np.arange(idx.shape[1])
+    return slot, row, pos
+
+
+def _gram_extremes(blocks) -> tuple:
     """``max |D|``, ``max |D - D^T|`` and ``eigvalsh(D)[0]`` of a Gram that is
-    zero outside its groups' blocks: one batched eigvalsh per group size."""
-    blocks = [D[idx[:, :, None], idx[:, None, :]] for idx in groups_by_size(groups)]
-    return (max(np.abs(b).max() for b in blocks),
-            max(np.abs(b - b.transpose(0, 2, 1)).max() for b in blocks),
-            min(float(np.linalg.eigvalsh(b).min()) for b in blocks))
+    zero outside its group blocks: one batched eigvalsh per group size."""
+    grams = [gram for _, gram in blocks]
+    return (max(np.abs(b).max() for b in grams),
+            max(np.abs(b - b.transpose(0, 2, 1)).max() for b in grams),
+            min(float(np.linalg.eigvalsh(b).min()) for b in grams))
 
 
 def mode_groups(damp_gram) -> list:
-    """Independent mode groups: connected components of the symmetric
-    sparsity pattern ``(D != 0) | (D.T != 0)`` of a damping Gram.
+    """Independent mode groups of a dense damping Gram: connected components
+    of the symmetric sparsity pattern ``(D != 0) | (D.T != 0)``.
 
     Returns the groups as ascending index arrays, ordered by smallest mode.
-    Components are found by min-label propagation with pointer jumping
-    along the nonzero entries ``(i, j)``, each also read as ``(j, i)``,
-    until every entry joins two equal labels.
     """
     D = np.asarray(damp_gram)
-    n = D.shape[0]
-    i, j = np.divmod(np.flatnonzero(D != 0.0), n)
+    return _components(D.shape[0], *np.nonzero(D))
+
+
+def _components(n: int, i, j) -> list:
+    """``mode_groups`` of the n-mode Gram whose nonzero entries are at
+    ``(i, j)``.  Components are found by min-label propagation with pointer
+    jumping along the entries, each also read as ``(j, i)``, until every
+    entry joins two equal labels."""
     label = np.arange(n)
     while not np.array_equal(label[i], label[j]):
         np.minimum.at(label, i, label[j])

@@ -53,7 +53,8 @@ the stepped generator is undamped.
 
 **Mode groups.**  The propagators are block-diagonal over the system's
 mode groups (``ModalSystem.groups``, found once when the system is built;
-``mode_groups`` is re-exported here).  Groups of one size are stacked, and
+``mode_groups`` is re-exported here).  Groups of one size are stacked, as
+the system stores them with their Gram blocks (``ModalSystem.blocks``), and
 ``P`` and ``L`` are built per group by batched numpy calls (one batched
 solve per size).  Every step goes through the time blocks below: a single
 step (``step``) is a one-step trajectory.  Another scheme of the family is
@@ -101,7 +102,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DiagnosticFailure, DomainError, NonFiniteStateError, check_int
-from .modal import ModalState, ModalSystem, groups_by_size, mode_groups
+from .modal import ModalState, ModalSystem, mode_groups
 
 __all__ = [
     "SchemeConfig",
@@ -270,10 +271,9 @@ class SchemeSolver:
         n, eta = sys.n, sys.eta
         mu = np.sqrt(eta)
         self._groups = []
-        for idx in groups_by_size(sys.groups):
+        for idx, gram in sys.blocks:
             rows = np.concatenate([idx, idx + n], axis=1)
             scale = np.concatenate([mu[idx], np.ones(idx.shape)], axis=1)[:, :, None]
-            gram = sys.damp_gram[idx[:, :, None], idx[:, None, :]]
             self._groups.append(_Groups(rows, scale, eta[rows % n], gram))
         self._damped = cfg.damping and any(grp.gram.any() for grp in self._groups)
         self._doubled_maps = {1: self._propagators()}
@@ -496,5 +496,5 @@ class SchemeSolver:
 
 def factorize(sys: ModalSystem, cfg: SchemeConfig) -> SchemeSolver:
     """Build the per-group propagators of a scheme configuration on the
-    system's stored mode groups (``sys.groups``)."""
+    system's stored mode groups and Gram blocks (``sys.blocks``)."""
     return SchemeSolver(sys, cfg)

@@ -93,12 +93,11 @@ def build_coupled_waves(p: ExampleParams) -> ModalSystem:
     eta[1::2] = base + p.alpha  # (+, k) branch
     labels = [(branch, int(k)) for k in ks for branch in "-+"]
 
-    D = np.zeros((2 * p.k_max, 2 * p.k_max))
+    # the 4 entries of each k's block, passed without forming the (n, n) Gram
     j = np.arange(0, 2 * p.k_max, 2)
-    D[j, j] = D[j + 1, j + 1] = 0.5 * p.gamma
-    D[j, j + 1] = D[j + 1, j] = -0.5 * p.gamma
-
-    return ModalSystem.from_eta(eta, damp_gram=D, labels=labels)
+    rows, cols = np.concatenate([j, j + 1, j, j + 1]), np.concatenate([j, j + 1, j + 1, j])
+    vals = np.repeat([0.5 * p.gamma, 0.5 * p.gamma, -0.5 * p.gamma, -0.5 * p.gamma], j.size)
+    return ModalSystem._from_entries(eta, rows, cols, vals, labels)
 
 
 def _branch_map(alpha: float, labels):
@@ -239,6 +238,10 @@ def check_obs_lower_bound(sys: ModalSystem, beta: float) -> ObsLowerBound:
 
     gamma1 = check_gap(sys).gamma1
     partition = cluster_partition(sys.mu, gamma1)
+    # every 2-cluster's 2x2 Gram, read from the group blocks at once
+    pairs = [c for c in partition if len(c) == 2]
+    ij = np.array(pairs, dtype=int).reshape(-1, 2)
+    grams = dict(zip(pairs, sys.gram_at(ij[:, :, None], ij[:, None, :])))
     vals = []
     degenerate = []
     for cluster in partition:
@@ -251,8 +254,8 @@ def check_obs_lower_bound(sys: ModalSystem, beta: float) -> ObsLowerBound:
         if gap == 0.0:
             degenerate.append(cluster)
             continue
-        G = sys.damp_gram[np.ix_([i, j], [i, j])]
-        M = G + gap**2 * np.diag([0.0, sys.damp_gram[j, j]])
+        G = grams[cluster]
+        M = G + gap**2 * np.diag([0.0, G[1, 1]])
         lam_min = float(np.linalg.eigvalsh(M)[0])
         vals.append(math.sqrt(max(lam_min, 0.0)) * sys.mu[i] ** power)
     cluster_theta_hat = float(min(vals)) if vals else math.inf

@@ -339,6 +339,17 @@ class TestHighFreqContraction:
             high_freq_contraction(sys_, ModalState([1.0], [0.5]), 0.0, 0.1, 10.0, steps)
         assert calls == []
 
+    @pytest.mark.parametrize("cutoff", [math.nan, -5.0, math.inf], ids=["nan", "negative", "inf"])
+    def test_bad_cutoff_raises_before_stepping(self, monkeypatch, cutoff):
+        # a NaN bound would select no ratio and -5 passes as delta^2 = 0.25:
+        # both used to return five unchecked ratios
+        sys_ = ModalSystem.from_eta([400.0])
+        calls = []
+        monkeypatch.setattr(SchemeSolver, "iterate_raw", lambda *args: calls.append(1))
+        with pytest.raises(DomainError, match="cutoff must be positive and finite; got"):
+            high_freq_contraction(sys_, ModalState([1.0], [0.5]), 0.0, 0.1, cutoff, 5)
+        assert calls == []
+
     def test_blocks_match_per_record_ratios(self, monkeypatch):
         # 300 steps of one column: full time blocks and a partial last one
         sys_ = build_coupled_waves(ExampleParams(0.5, 1.0, 8))

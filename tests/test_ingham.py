@@ -90,6 +90,9 @@ class TestRatioScalar:
             InghamConfig(sigma=1.0, J=4.5, gamma=2.0)  # N = 2J + 1 counts samples
         with pytest.raises(DomainError, match="seed must be a non-negative integer"):
             InghamConfig(sigma=1.0, J=4, gamma=2.0, seed=-1)
+        for gamma in (0.0, math.inf, math.nan):
+            with pytest.raises(DomainError, match=r"gamma must be positive and finite; got"):
+                InghamConfig(sigma=1.0, J=4, gamma=gamma)
 
     @pytest.mark.parametrize("field, value", [("trials", True), ("seed", False), ("J", True)])
     def test_bools_are_not_integers(self, field, value):

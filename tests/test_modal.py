@@ -2,13 +2,16 @@
 
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from helpers import modal_systems, time_steps
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from polystab import modal
+from polystab import SchemeConfig, SchemeSolver, modal
+from polystab.spectra import ExampleParams, build_coupled_waves
 from polystab import (
     DimensionMismatchError,
     DomainError,
@@ -195,6 +198,11 @@ class TestValidation:
         with pytest.raises(DomainError):
             ModalSystem.from_eta([1.0, 2.0], damp_gram=[[1.0, 2.0], [2.0, 1.0]])
 
+    @pytest.mark.parametrize("D", [5.0, [1.0, 2.0], np.eye(3)], ids=["scalar", "vector", "3x3"])
+    def test_gram_shape_mismatch(self, D):
+        with pytest.raises(DimensionMismatchError, match="damp_gram rows: expected length 2"):
+            ModalSystem.from_eta([1.0, 2.0], damp_gram=D)
+
     def test_bstar_norms_match_diagonal(self):
         D = np.array([[2.0, 0.0], [0.0, 0.5]])
         sys_ = ModalSystem.from_eta([1.0, 2.0], damp_gram=D)
@@ -257,7 +265,9 @@ class TestGramBlockChecks:
             mask = rng.random((n, n)) < 0.3
             D = D + 0.4e-14 * np.abs(D).max() * rng.uniform(-1.0, 1.0, (n, n)) * mask
         scale = np.abs(D).max()
-        got_scale, asym, lam_min = modal._gram_extremes(D, modal.mode_groups(D))
+        i, j = np.nonzero(D)
+        blocks = modal._gram_blocks(n, modal.mode_groups(D), i, j, D[i, j])
+        got_scale, asym, lam_min = modal._gram_extremes(blocks)
         dense_min = np.linalg.eigvalsh(D)[0]
         assert got_scale == scale
         assert asym == np.abs(D - D.T).max()
@@ -303,3 +313,50 @@ class TestGramBlockChecks:
         assert "groups" not in repr(sys_)
         field = {f.name: f for f in dataclasses.fields(ModalSystem)}["groups"]
         assert not (field.init or field.repr or field.compare)
+
+
+class TestGramBlockStorage:
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(sys_=modal_systems(), seed=st.integers(0, 2**32 - 1), dt=time_steps())
+    def test_entry_build_matches_dense_build(self, sys_, seed, dt):
+        # every entry of the dense Gram, zeros included, in a random order
+        D = sys_.damp_gram
+        n = sys_.n
+        i, j = np.divmod(np.random.default_rng(seed).permutation(n * n), n)
+        other = ModalSystem._from_entries(sys_.eta, i, j, D[i, j])
+        assert [g.tolist() for g in sys_.groups] == [g.tolist() for g in other.groups]
+        assert [g.tolist() for g in sys_.groups] == [g.tolist() for g in modal.mode_groups(D)]
+        for (idx, gram), (idx2, gram2) in zip(sys_.blocks, other.blocks, strict=True):
+            assert np.array_equal(idx, idx2)
+            # the blocks are the dense Gram's gathered (g, s, s) blocks
+            assert gram.tobytes() == D[idx[:, :, None], idx[:, None, :]].tobytes()
+            assert gram.tobytes() == gram2.tobytes()
+            assert not gram.flags.writeable
+        assert sys_.bstar_norms.tobytes() == other.bstar_norms.tobytes()
+        assert D.tobytes() == other.damp_gram.tobytes()
+        cfg = SchemeConfig(dt=dt, t_final=dt)
+        maps = SchemeSolver(sys_, cfg)._doubled(1)
+        for M, M2 in zip(maps, SchemeSolver(other, cfg)._doubled(1), strict=True):
+            assert M.tobytes() == M2.tobytes()
+        # entries read back from the blocks, inside and across groups
+        rows, cols = np.divmod(np.arange(n * n), n)
+        assert sys_.gram_at(rows, cols).tobytes() == D.reshape(-1).tobytes()
+
+    def test_undamped_coupled_waves_are_singletons(self):
+        sys_ = build_coupled_waves(ExampleParams(0.5, 0.0, 8))
+        assert [g.tolist() for g in sys_.groups] == [[j] for j in range(16)]
+        ((idx, gram),) = sys_.blocks
+        assert idx.shape == (16, 1) and not gram.any()
+        assert not sys_.bstar_norms.any()
+
+    def test_coupled_waves_build_forms_no_dense_gram(self):
+        # n = 4096: a dense Gram and its copy would allocate 2 x 128 MiB
+        build_coupled_waves(ExampleParams(0.5, 1.0, 4))
+        tracemalloc.start()
+        try:
+            sys_ = build_coupled_waves(ExampleParams(0.5, 1.0, 2048))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert sys_.n == 4096 and len(sys_.groups) == 2048
+        assert peak < 4 * 2**20

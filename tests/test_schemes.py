@@ -285,14 +285,13 @@ class TestModeGroups:
 
     def test_factorize_reads_system_groups(self, monkeypatch):
         calls = []
-        real = modal.mode_groups
+        real = modal._components  # the component search behind every build
 
-        def counting(damp_gram):
+        def counting(n, i, j):
             calls.append(1)
-            return real(damp_gram)
+            return real(n, i, j)
 
-        monkeypatch.setattr(modal, "mode_groups", counting)
-        monkeypatch.setattr(schemes, "mode_groups", counting)
+        monkeypatch.setattr(modal, "_components", counting)
         sys_ = build_coupled_waves(ExampleParams(alpha=0.5, gamma=1.0, k_max=8))
         assert len(calls) == 1
         z = random_state(np.random.default_rng(0), sys_.n)

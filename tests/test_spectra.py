@@ -196,6 +196,28 @@ class TestObsLowerBound:
         assert vals[0] == pytest.approx(vals[-1], rel=1e-9)
         assert vals[-1] > 0.4
 
+    @pytest.mark.parametrize("build,k_max", [
+        (build_coupled_waves, 8), (build_coupled_waves, 64), (build_boundary_coupled_waves, 16),
+    ], ids=["coupled_8", "coupled_64", "boundary_16"])
+    def test_cluster_grams_match_dense_indexing(self, build, k_max):
+        # each 2-cluster's 2x2 Gram indexed from the dense matrix, as the
+        # bound was computed before the Gram was stored as group blocks
+        sys_ = build(ExampleParams(0.5, 1.0, k_max))
+        D, power = sys_.damp_gram, 1.0
+        vals = []
+        for cluster in cluster_partition(sys_.mu, check_gap(sys_).gamma1):
+            if len(cluster) == 1:
+                vals.append(sys_.bstar_norms[cluster[0]] * sys_.mu[cluster[0]] ** power)
+                continue
+            i, j = cluster
+            gap = sys_.mu[j] - sys_.mu[i]
+            M = D[np.ix_([i, j], [i, j])] + gap**2 * np.diag([0.0, D[j, j]])
+            vals.append(math.sqrt(max(float(np.linalg.eigvalsh(M)[0]), 0.0)) * sys_.mu[i] ** power)
+        obs = check_obs_lower_bound(sys_, beta=0.0)
+        assert any(len(c) == 2 for c in obs.partition)
+        assert obs.cluster_theta_hat == float(min(vals))
+        assert obs.theta_hat == float(np.min(np.sqrt(np.diag(D)) * sys_.mu))
+
     def test_degenerate_cluster_reported(self):
         eta = np.array([1.0, 1.0, 16.0])
         sys_ = ModalSystem.from_eta(eta, damp_gram=0.5 * np.eye(3))

@@ -32,7 +32,7 @@ from .diagnostics import (
     uniform_decay_study,
 )
 from .errors import (ConfigError, DiagnosticFailure, NonFiniteStateError, PolystabError,
-                     check_int)
+                     check_int, check_positive)
 from .ingham import InghamConfig, estimate_clustered, estimate_scalar, ingham_ratio_scalar
 from .schemes import SchemeConfig, factorize
 from .spectra import audit_spectrum, boundary_fixedpoint_residuals, ExampleParams
@@ -217,14 +217,16 @@ def cmd_ingham(cfg: ExperimentConfig, out: str, seed) -> int:
     report = audit_spectrum(sys_, beta=st.beta, dt=_scheme_dt(cfg), delta=st.delta)
     mu_max = float(np.max(sys_.mu))
 
-    def auto_config(gap: float) -> InghamConfig:
+    def auto_config(name: str, gap: float) -> InghamConfig:
+        check_positive(name, gap)
         sigma = st.sigma if st.sigma is not None else 0.9 * math.pi / (mu_max + 0.5 * gap)
+        check_positive("sigma", sigma)
         J = st.J if st.J is not None else int(math.ceil((math.pi / gap) / sigma)) + 1
         return InghamConfig(sigma=sigma, J=J, gamma=gap, trials=st.trials, seed=use_seed)
 
     payload = {"config": cfg.to_dict(), "seed": use_seed}
     gamma = st.gamma if st.gamma is not None else report.gamma
-    scalar_cfg = auto_config(gamma)
+    scalar_cfg = auto_config("gamma", gamma)
     scalar = estimate_scalar(sys_.mu, scalar_cfg)
     payload["scalar"] = {
         "sigma": scalar_cfg.sigma,
@@ -232,7 +234,7 @@ def cmd_ingham(cfg: ExperimentConfig, out: str, seed) -> int:
         "gamma": scalar_cfg.gamma,
         "estimate": scalar,
     }
-    clustered_cfg = auto_config(report.gamma1)
+    clustered_cfg = auto_config("gamma1", report.gamma1)
     clustered = estimate_clustered(sys_.mu, clustered_cfg)
     payload["clustered"] = {
         "sigma": clustered_cfg.sigma,

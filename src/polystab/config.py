@@ -28,10 +28,11 @@ Schema (all blocks optional except ``system``; defaults in parentheses):
     }
 
 Unknown keys are rejected so typos fail loudly, as is a value whose type
-does not fit its field (a bool is no number), or an int field's value that
+does not fit its field (a bool is no number), an int field's value that
 is no integer of at least 1 (at least 0 for ``mode``, ``pair`` and the
-seeds), whether or not the subcommand reads it.  No key moves a pass/fail
-threshold (``schemes.AUDIT_RTOL``, ``diagnostics.UNIFORMITY_FACTOR`` and
+seeds), or a float field's value that is not finite, whether or not the
+subcommand reads it.  No key moves a pass/fail threshold
+(``schemes.AUDIT_RTOL``, ``diagnostics.UNIFORMITY_FACTOR`` and
 ``EXPONENT_FLOOR``).  ``parse -> serialize -> parse`` is the identity.
 """
 
@@ -39,6 +40,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 import numbers
 import typing
 from dataclasses import dataclass, field
@@ -166,12 +168,14 @@ class ExperimentConfig:
             raise ConfigError(f"study.fit_window must be two numbers [lo, hi]; got {window!r}")
         if self.init.kind not in _INIT_KINDS:
             raise ConfigError(f"init.kind must be one of {_INIT_KINDS}")
-        for name, (_, hints) in _BLOCKS.items():  # every int field, read or not
+        for name, (_, hints) in _BLOCKS.items():  # every number field, read or not
             for key, hint in hints.items():
-                value = getattr(getattr(self, name), key)
-                if int in (typing.get_args(hint) or (hint,)) and value is not None:
+                value, kinds = getattr(getattr(self, name), key), typing.get_args(hint) or (hint,)
+                if int in kinds and value is not None:
                     check_int(f"{name}.{key}", value, 0 if key in _NON_NEGATIVE else 1,
                               ConfigError)
+                if float in kinds and value is not None and not -math.inf < value < math.inf:
+                    raise ConfigError(f"{name}.{key} must be finite; got {value!r}")
 
 
 # each block's class and its field types, resolved once
@@ -235,6 +239,8 @@ def build_init(block: InitBlock, sys: ModalSystem, seed: int | None = None) -> M
     # highpass
     if block.cutoff is None:
         raise ConfigError("init.kind=highpass needs init.cutoff")
+    if not block.cutoff > 0.0:
+        raise ConfigError(f"init.cutoff must be positive; got {block.cutoff!r}")
     rng = np.random.default_rng(use_seed)
     a = rng.standard_normal(n)
     b = rng.standard_normal(n)

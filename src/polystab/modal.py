@@ -21,13 +21,14 @@ weighted by powers of ``eta``:
 so the energy is E = (1/2) ||(a, b)||_{1/2-scale}^2 with exact constants
 (no hidden norm equivalences).
 
-**Mode groups.**  Modes couple only through ``D``: ``from_eta`` finds the
-connected components of ``(D != 0) | (D.T != 0)`` once from the nonzero
-entries of ``D``, stores them on the system with their Gram blocks (one
-stack per group size) and checks ``D`` block by block.  No (n, n) array is
-kept: ``ModalSystem.damp_gram`` assembles one, O(n^2) in memory, on
-request.  ``build_coupled_waves`` passes its entries directly, so its
-build forms no (n, n) array at all.
+**Mode groups.**  Modes couple only through ``D``, so a system stores
+``D`` as its group blocks (one stack per group size), and every system is
+built from such blocks, which are checked block by block.
+``build_coupled_waves`` gives its closed-form blocks and forms no (n, n)
+array; ``from_eta`` gathers the blocks of a dense ``D`` over the connected
+components of ``(D != 0) | (D.T != 0)`` (``mode_groups``).  No (n, n)
+array is kept: ``ModalSystem.damp_gram`` assembles one, O(n^2) in memory,
+on request.
 
 Everything in this module is pure; systems and states are immutable value
 types and safe to share across threads.
@@ -57,8 +58,9 @@ class ModalSystem:
 
     The damping Gram is stored per mode group only: ``blocks`` holds, per
     group size s, the stacked (g, s) mode indices of the g groups of that
-    size and their (g, s, s) Gram blocks.  No (n, n) array is kept;
-    ``damp_gram`` assembles one, O(n^2) in memory, each time it is read.
+    size and their (g, s, s) Gram blocks.  ``groups`` and ``damp_gram`` are
+    read from them; no (n, n) array is kept, and ``damp_gram`` assembles
+    one, O(n^2) in memory, each time it is read.
 
     Attributes
     ----------
@@ -66,7 +68,6 @@ class ModalSystem:
     mu : (n,) frequencies, ``mu_j = sqrt(eta_j)``.
     bstar_norms : (n,) per-mode observation norms, ``sqrt(diag(damp_gram))``.
     labels : per-mode branch tags, e.g. ``("-", 3)``; empty tuple if unused.
-    groups : the ``mode_groups`` of the Gram, found when the system is built.
     blocks : per group size, the ``(idx, gram)`` pair described above.
     """
 
@@ -74,12 +75,17 @@ class ModalSystem:
     mu: np.ndarray
     bstar_norms: np.ndarray
     labels: tuple = field(default=())
-    groups: tuple = field(init=False, repr=False, compare=False)
     blocks: tuple = field(init=False, repr=False, compare=False)
 
     @property
     def n(self) -> int:
         return self.eta.shape[0]
+
+    @property
+    def groups(self) -> tuple:
+        """The mode groups, the ``mode_groups`` of the Gram: the rows of the
+        ``blocks`` index stacks, ordered by smallest mode."""
+        return tuple(sorted((grp for idx, _ in self.blocks for grp in idx), key=lambda g: g[0]))
 
     @property
     def damp_gram(self) -> np.ndarray:
@@ -112,32 +118,24 @@ class ModalSystem:
         ``mu`` may be supplied when the frequencies are the natural data
         (e.g. closed-form spectra); it is checked against ``sqrt(eta)``.
         """
-        if damp_gram is None:
-            return cls._from_entries(eta, [], [], [], labels, mu)
         eta, mu = _spectrum(eta, mu)
         n = eta.size
+        if damp_gram is None:
+            return cls._assemble(eta, [(np.arange(n)[:, None], np.zeros((n, 1, 1)))], labels, mu)
         D = np.asarray(damp_gram, dtype=float)
         if D.shape != (n, n):
             raise DimensionMismatchError("damp_gram rows", n, D.shape[0] if D.ndim else 0)
-        groups = tuple(mode_groups(D))
-        blocks = [(idx, D[idx[:, :, None], idx[:, None, :]]) for idx in groups_by_size(groups)]
-        return cls._assemble(eta, mu, groups, blocks, labels)
+        blocks = [(idx, D[idx[:, :, None], idx[:, None, :]])
+                  for idx in groups_by_size(mode_groups(D))]
+        return cls._assemble(eta, blocks, labels, mu)
 
     @classmethod
-    def _from_entries(cls, eta, i, j, v, labels=None, mu=None) -> "ModalSystem":
-        """``from_eta`` for the Gram given by its entries ``D[i, j] = v``, each
-        (i, j) at most once and zero elsewhere (zero values couple nothing):
-        no (n, n) array is formed."""
+    def _assemble(cls, eta, blocks, labels=None, mu=None) -> "ModalSystem":
+        """The system whose Gram is zero outside the group ``blocks``: per
+        group size, private (g, s) mode indices covering every mode once and
+        their (g, s, s) Gram blocks.  Checks the spectrum and the Gram block
+        by block and stores the blocks read-only."""
         eta, mu = _spectrum(eta, mu)
-        v = np.asarray(v, dtype=float)
-        keep = v != 0.0
-        i, j, v = np.asarray(i, dtype=int)[keep], np.asarray(j, dtype=int)[keep], v[keep]
-        groups = tuple(_components(eta.size, i, j))
-        return cls._assemble(eta, mu, groups, _gram_blocks(eta.size, groups, i, j, v), labels)
-
-    @classmethod
-    def _assemble(cls, eta, mu, groups, blocks, labels) -> "ModalSystem":
-        """Check the Gram block by block and store it as ``blocks``."""
         if not all(np.isfinite(gram).all() for _, gram in blocks):
             raise NonFiniteStateError("damp_gram contains non-finite entries")
         scale, asym, lam_min = _gram_extremes(blocks)
@@ -150,7 +148,8 @@ class ModalSystem:
                 )
         diag = np.zeros(eta.size)
         for idx, gram in blocks:
-            gram.setflags(write=False)  # each block is a private copy
+            idx.setflags(write=False)  # each stack is private
+            gram.setflags(write=False)
             diag[idx] = np.diagonal(gram, axis1=1, axis2=2)
         bstar = _readonly(np.sqrt(np.maximum(diag, 0.0)))
 
@@ -161,7 +160,6 @@ class ModalSystem:
             raise DimensionMismatchError("labels", eta.size, len(labels))
 
         out = cls(eta=eta, mu=mu, bstar_norms=bstar, labels=labels)
-        object.__setattr__(out, "groups", groups)
         object.__setattr__(out, "blocks", tuple(blocks))
         return out
 
@@ -185,19 +183,6 @@ def _spectrum(eta, mu) -> tuple:
     if np.max(np.abs(mu**2 - eta)) > 1e-12 * np.max(eta):
         raise DomainError("mu**2 inconsistent with eta")
     return eta, _readonly(mu)
-
-
-def _gram_blocks(n: int, groups, i, j, v) -> list:
-    """Per group size: the (g, s) indices of the groups of that size and
-    their (g, s, s) Gram blocks, from the entries ``D[i, j] = v``, all
-    inside ``groups``."""
-    by_size = groups_by_size(groups)
-    slot, row, pos = _places(n, by_size)
-    blocks = [(idx, np.zeros(idx.shape + idx.shape[1:])) for idx in by_size]
-    for k, (_, gram) in enumerate(blocks):
-        at = slot[i] == k
-        gram[row[i[at]], pos[i[at]], pos[j[at]]] = v[at]
-    return blocks
 
 
 def _places(n: int, by_size) -> tuple:

@@ -52,11 +52,9 @@ and ``L = sqrt(dt) D^{1/2} M``, evaluated with the system's Gram even when
 the stepped generator is undamped.
 
 **Mode groups.**  The propagators are block-diagonal over the system's
-mode groups (``ModalSystem.groups``, found once when the system is built;
-``mode_groups`` is re-exported here).  Groups of one size are stacked, as
-the system stores them with their Gram blocks (``ModalSystem.blocks``), and
-``P`` and ``L`` are built per group by batched numpy calls (one batched
-solve per size).  Every step goes through the time blocks below: a single
+mode groups.  Groups of one size are stacked, as the system stores them
+with their Gram blocks (``ModalSystem.blocks``), and ``P`` and ``L`` are
+built per group by batched numpy calls (one batched solve per size).  Every step goes through the time blocks below: a single
 step (``step``) is a one-step trajectory.  Another scheme of the family is
 another solver: ``factorize(sys, dataclasses.replace(cfg, damping=False))``
 steps the conservative scheme, and with ``viscosity=False`` as well the
@@ -102,7 +100,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DiagnosticFailure, DomainError, NonFiniteStateError, check_int
-from .modal import ModalState, ModalSystem, mode_groups
+from .modal import ModalState, ModalSystem
 
 __all__ = [
     "SchemeConfig",
@@ -111,7 +109,6 @@ __all__ = [
     "SchemeSolver",
     "factorize",
     "modal_multiplier",
-    "mode_groups",
     "substep_count",
 ]
 

@@ -61,8 +61,8 @@ class ExampleParams:
     def __post_init__(self):
         if not (self.alpha > 0.0):
             raise DomainError("alpha must be positive")
-        if self.gamma < 0.0:
-            raise DomainError("gamma must be nonnegative")
+        if not 0.0 <= self.gamma < math.inf:
+            raise DomainError(f"gamma must be nonnegative and finite; got {self.gamma!r}")
         check_int("k_max", self.k_max)
 
 
@@ -93,11 +93,12 @@ def build_coupled_waves(p: ExampleParams) -> ModalSystem:
     eta[1::2] = base + p.alpha  # (+, k) branch
     labels = [(branch, int(k)) for k in ks for branch in "-+"]
 
-    # the 4 entries of each k's block, passed without forming the (n, n) Gram
-    j = np.arange(0, 2 * p.k_max, 2)
-    rows, cols = np.concatenate([j, j + 1, j, j + 1]), np.concatenate([j, j + 1, j + 1, j])
-    vals = np.repeat([0.5 * p.gamma, 0.5 * p.gamma, -0.5 * p.gamma, -0.5 * p.gamma], j.size)
-    return ModalSystem._from_entries(eta, rows, cols, vals, labels)
+    # the per-k blocks, without forming the (n, n) Gram
+    g = 0.5 * p.gamma
+    if g == 0.0:  # zero blocks couple nothing: n modes of their own
+        return ModalSystem.from_eta(eta, labels=labels)
+    blocks = [(np.arange(eta.size).reshape(-1, 2), np.tile([[g, -g], [-g, g]], (p.k_max, 1, 1)))]
+    return ModalSystem._assemble(eta, blocks, labels)
 
 
 def _branch_map(alpha: float, labels):

@@ -141,7 +141,11 @@ class TestHighpassInit:
     @pytest.mark.parametrize("init, message", [
         ({}, "init.kind=highpass needs init.cutoff"),
         ({"cutoff": 1e3}, "init.cutoff leaves no modes above it"),
-    ], ids=["cutoff_missing", "cutoff_above_every_mode"])
+        ({"cutoff": 0.0}, "init.cutoff must be positive; got 0.0"),
+        ({"cutoff": -1.0}, "init.cutoff must be positive; got -1.0"),
+        ({"cutoff": math.nan}, "init.cutoff must be finite; got nan"),
+    ], ids=["cutoff_missing", "cutoff_above_every_mode", "cutoff_zero", "cutoff_negative",
+            "cutoff_nan"])
     def test_bad_cutoff_exits_2(self, tmp_path, capsys, init, message):
         p = write_config(tmp_path / "c.json", self.payload(**init))
         out = tmp_path / "out"
@@ -149,6 +153,13 @@ class TestHighpassInit:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and message in err[0], err
         assert not out.exists() or not any(out.iterdir())
+
+    def test_build_refuses_nan_cutoff(self):
+        # loading refuses a NaN cutoff; building refuses one set afterwards
+        cfg = ExperimentConfig.from_dict(self.payload(cutoff=1.0))
+        cfg.init.cutoff = math.nan
+        with pytest.raises(ConfigError, match="init.cutoff must be positive; got nan"):
+            build_init(cfg.init, build_system(cfg.system))
 
 
 def per_value_trace_csv(trace):
@@ -338,11 +349,24 @@ class TestFieldTypes:
         ("trace", "init", "mode", -1),
         ("trace", "init", "pair", 0.5),
         ("trace", "init", "seed", 2.0),
+        # float fields must be finite, also where the subcommand does not read them
+        ("trace", "study", "beta", math.nan),
+        ("observability", "study", "beta", math.nan),
+        ("spectrum", "study", "beta", math.nan),
+        ("observability", "study", "beta", math.inf),
+        ("trace", "system", "gamma", math.nan),
+        ("trace", "system", "alpha", -math.inf),
+        ("trace", "scheme", "dt", math.nan),
+        ("trace", "init", "cutoff", math.inf),
+        ("trace", "study", "sigma", math.nan),
+        ("trace", "study", "synthetic_exponent", math.inf),
     ], ids=["dt_string", "alpha_string", "beta_string", "delta_string", "trials_bool",
             "prefix_int", "viscosity_string", "k_max_bool", "dt_bool", "dt_list_number",
             "t_final_null", "eta_number", "fit_window_string", "trials_fraction",
             "trials_zero", "J_fraction", "k_max_float", "mode_fraction", "mode_negative",
-            "pair_fraction", "init_seed_float"])
+            "pair_fraction", "init_seed_float", "trace_beta_nan", "observability_beta_nan",
+            "spectrum_beta_nan", "observability_beta_inf", "gamma_nan", "alpha_minus_inf",
+            "dt_nan", "cutoff_inf", "sigma_nan", "synthetic_exponent_inf"])
     def test_wrong_type_exits_2(self, tmp_path, capsys, command, block, key, value):
         payload = base_trace_config()
         payload["study"] = {"t_star": 2.0, "trials": 3}
@@ -659,6 +683,30 @@ class TestInghamCommand:
         p = write_config(tmp_path / "c.json", payload)
         assert main(["ingham", "--config", str(p), "--out", str(tmp_path)]) == 3
         assert "outside the exact envelope" in capsys.readouterr().err
+        assert not (tmp_path / "i_ingham.json").exists()
+
+    @pytest.mark.parametrize("blocks, message", [
+        ({"study": {"sigma": 0.0}}, "error: sigma must be positive and finite; got 0.0"),
+        ({"study": {"sigma": math.nan}}, "config error: study.sigma must be finite; got nan"),
+        ({"study": {"gamma": 0.0}}, "error: gamma must be positive and finite; got 0.0"),
+        ({"study": {"gamma": math.nan}}, "config error: study.gamma must be finite; got nan"),
+        # fewer than 3 modes: the 2-separated gap is +inf
+        ({"system": {"k_max": 1}}, "error: gamma1 must be positive and finite; got inf"),
+        ({"system": {"type": "custom", "eta": [1.0, 4.0]}},
+         "error: gamma1 must be positive and finite; got inf"),
+    ], ids=["sigma_zero", "sigma_nan", "gamma_zero", "gamma_nan", "two_modes", "custom_two_modes"])
+    def test_bad_sampling_exits_2(self, tmp_path, capsys, blocks, message):
+        payload = {
+            "system": {"type": "coupled_waves", "alpha": 0.5, "gamma": 1.0, "k_max": 4},
+            "scheme": {"dt": 0.01},
+            "study": {"trials": 5, "seed": 0},
+            "output": {"prefix": "i"},
+        }
+        for name, fields in blocks.items():
+            payload[name].update(fields)
+        p = write_config(tmp_path / "c.json", payload)
+        assert main(["ingham", "--config", str(p), "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err.splitlines() == [message]
         assert not (tmp_path / "i_ingham.json").exists()
 
     def test_fractional_trials_exits_2(self, tmp_path, capsys):

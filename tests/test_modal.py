@@ -1,12 +1,13 @@
 """Modal state space: graded norms, energy, projections, block generator."""
 
 import dataclasses
+import itertools
 import math
 import tracemalloc
 
 import numpy as np
 import pytest
-from helpers import modal_systems, time_steps
+from helpers import modal_systems
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -265,8 +266,8 @@ class TestGramBlockChecks:
             mask = rng.random((n, n)) < 0.3
             D = D + 0.4e-14 * np.abs(D).max() * rng.uniform(-1.0, 1.0, (n, n)) * mask
         scale = np.abs(D).max()
-        i, j = np.nonzero(D)
-        blocks = modal._gram_blocks(n, modal.mode_groups(D), i, j, D[i, j])
+        blocks = [(idx, D[idx[:, :, None], idx[:, None, :]])
+                  for idx in modal.groups_by_size(modal.mode_groups(D))]
         got_scale, asym, lam_min = modal._gram_extremes(blocks)
         dense_min = np.linalg.eigvalsh(D)[0]
         assert got_scale == scale
@@ -310,37 +311,46 @@ class TestGramBlockChecks:
         sys_ = ModalSystem.from_eta(np.arange(1.0, 7.0), damp_gram=D)
         assert [g.tolist() for g in sys_.groups] == [g.tolist() for g in modal.mode_groups(D)]
         assert not any(g.flags.writeable for g in sys_.groups)
+        # a read-only property read from the blocks, not a field
         assert "groups" not in repr(sys_)
-        field = {f.name: f for f in dataclasses.fields(ModalSystem)}["groups"]
-        assert not (field.init or field.repr or field.compare)
+        assert "groups" not in {f.name for f in dataclasses.fields(ModalSystem)}
+        assert isinstance(vars(ModalSystem)["groups"], property)
+        with pytest.raises(AttributeError):
+            sys_.groups = ()
 
 
 class TestGramBlockStorage:
     @settings(max_examples=60, deadline=None, derandomize=True)
-    @given(sys_=modal_systems(), seed=st.integers(0, 2**32 - 1), dt=time_steps())
-    def test_entry_build_matches_dense_build(self, sys_, seed, dt):
-        # every entry of the dense Gram, zeros included, in a random order
+    @given(sys_=modal_systems())
+    def test_blocks_are_dense_gram_gathers(self, sys_):
         D = sys_.damp_gram
         n = sys_.n
-        i, j = np.divmod(np.random.default_rng(seed).permutation(n * n), n)
-        other = ModalSystem._from_entries(sys_.eta, i, j, D[i, j])
-        assert [g.tolist() for g in sys_.groups] == [g.tolist() for g in other.groups]
         assert [g.tolist() for g in sys_.groups] == [g.tolist() for g in modal.mode_groups(D)]
-        for (idx, gram), (idx2, gram2) in zip(sys_.blocks, other.blocks, strict=True):
-            assert np.array_equal(idx, idx2)
+        for idx, gram in sys_.blocks:
             # the blocks are the dense Gram's gathered (g, s, s) blocks
             assert gram.tobytes() == D[idx[:, :, None], idx[:, None, :]].tobytes()
-            assert gram.tobytes() == gram2.tobytes()
             assert not gram.flags.writeable
-        assert sys_.bstar_norms.tobytes() == other.bstar_norms.tobytes()
-        assert D.tobytes() == other.damp_gram.tobytes()
-        cfg = SchemeConfig(dt=dt, t_final=dt)
-        maps = SchemeSolver(sys_, cfg)._doubled(1)
-        for M, M2 in zip(maps, SchemeSolver(other, cfg)._doubled(1), strict=True):
-            assert M.tobytes() == M2.tobytes()
         # entries read back from the blocks, inside and across groups
         rows, cols = np.divmod(np.arange(n * n), n)
         assert sys_.gram_at(rows, cols).tobytes() == D.reshape(-1).tobytes()
+
+    def test_coupled_waves_build_matches_dense_build(self):
+        cfg = SchemeConfig(dt=0.01, t_final=0.01)
+        for k_max, gamma in itertools.product([1, 8, 64], [0.0, 0.3, 1.0]):
+            sys_ = build_coupled_waves(ExampleParams(0.5, gamma, k_max))
+            other = ModalSystem.from_eta(sys_.eta, sys_.damp_gram)
+            for (idx, gram), (idx2, gram2) in zip(sys_.blocks, other.blocks, strict=True):
+                assert idx.dtype == idx2.dtype and idx.tobytes() == idx2.tobytes()
+                assert gram.shape == gram2.shape and gram.tobytes() == gram2.tobytes()
+            # the idx stacks cover every mode exactly once
+            modes = np.concatenate([idx.ravel() for idx, _ in sys_.blocks])
+            assert np.array_equal(np.sort(modes), np.arange(sys_.n))
+            assert [g.tolist() for g in sys_.groups] == [g.tolist() for g in other.groups]
+            assert sys_.bstar_norms.tobytes() == other.bstar_norms.tobytes()
+            assert sys_.damp_gram.tobytes() == other.damp_gram.tobytes()
+            maps = SchemeSolver(sys_, cfg)._doubled(1)
+            for M, M2 in zip(maps, SchemeSolver(other, cfg)._doubled(1), strict=True):
+                assert M.tobytes() == M2.tobytes()
 
     def test_undamped_coupled_waves_are_singletons(self):
         sys_ = build_coupled_waves(ExampleParams(0.5, 0.0, 8))

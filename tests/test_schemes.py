@@ -222,17 +222,17 @@ class TestStageSolveProperty:
 class TestModeGroups:
     def test_coupled_waves_pairs(self):
         sys_ = build_coupled_waves(ExampleParams(alpha=0.5, gamma=1.0, k_max=8))
-        groups = schemes.mode_groups(sys_.damp_gram)
+        groups = modal.mode_groups(sys_.damp_gram)
         assert [g.tolist() for g in groups] == [[2 * k, 2 * k + 1] for k in range(8)]
 
     def test_undamped_singletons(self):
         sys_ = build_coupled_waves(ExampleParams(alpha=0.5, gamma=0.0, k_max=8))
-        groups = schemes.mode_groups(sys_.damp_gram)
+        groups = modal.mode_groups(sys_.damp_gram)
         assert [g.tolist() for g in groups] == [[j] for j in range(16)]
 
     def test_boundary_system_one_group(self):
         sys_ = build_boundary_coupled_waves(ExampleParams(alpha=0.5, gamma=1.0, k_max=8))
-        groups = schemes.mode_groups(sys_.damp_gram)
+        groups = modal.mode_groups(sys_.damp_gram)
         assert [g.tolist() for g in groups] == [list(range(16))]
 
     def test_permuted_blocks_recovered(self):
@@ -249,7 +249,7 @@ class TestModeGroups:
         D[1, :] = D[:, 1] = 0.0  # a zero row splits off a singleton
         blocks = [{0, 2}, {1}] + blocks[1:]
         perm = rng.permutation(n)  # new index i holds old mode perm[i]
-        groups = schemes.mode_groups(D[np.ix_(perm, perm)])
+        groups = modal.mode_groups(D[np.ix_(perm, perm)])
         got = sorted(sorted(int(perm[i]) for i in g) for g in groups)
         assert got == sorted(sorted(b) for b in blocks)
         assert all(np.all(np.diff(g) > 0) for g in groups)
@@ -274,32 +274,36 @@ class TestModeGroups:
                         stack.append(v)
             seen |= comp
             want.append(sorted(comp))
-        assert [g.tolist() for g in schemes.mode_groups(D)] == want
+        assert [g.tolist() for g in modal.mode_groups(D)] == want
 
     @pytest.mark.parametrize("entry", [(2, 0), (0, 2)])
     def test_one_sided_entry_joins_groups(self, entry):
         # the pattern is (D != 0) | (D.T != 0): either triangle couples
         D = np.diag([1.0, 2.0, 3.0])
         D[entry] = 1e-16
-        assert [g.tolist() for g in schemes.mode_groups(D)] == [[0, 2], [1]]
+        assert [g.tolist() for g in modal.mode_groups(D)] == [[0, 2], [1]]
 
     def test_factorize_reads_system_groups(self, monkeypatch):
         calls = []
-        real = modal._components  # the component search behind every build
+        real = modal._components  # the component search of a dense Gram
 
         def counting(n, i, j):
             calls.append(1)
             return real(n, i, j)
 
         monkeypatch.setattr(modal, "_components", counting)
+        # the builder gives its blocks; only a dense Gram is searched
         sys_ = build_coupled_waves(ExampleParams(alpha=0.5, gamma=1.0, k_max=8))
+        assert len(calls) == 0
+        dense = ModalSystem.from_eta(sys_.eta, sys_.damp_gram)
         assert len(calls) == 1
         z = random_state(np.random.default_rng(0), sys_.n)
-        sol = factorize(sys_, SchemeConfig(dt=0.05, t_final=1.0))
-        sol.run(z)
-        sol.step(z)
-        for stages in ({"damping": False}, {"damping": False, "viscosity": False}):
-            factorize(sys_, dataclasses.replace(sol.cfg, **stages)).step(z)
+        for system in (sys_, dense):
+            sol = factorize(system, SchemeConfig(dt=0.05, t_final=1.0))
+            sol.run(z)
+            sol.step(z)
+            for stages in ({"damping": False}, {"damping": False, "viscosity": False}):
+                factorize(system, dataclasses.replace(sol.cfg, **stages)).step(z)
         assert len(calls) == 1
 
 

@@ -69,6 +69,11 @@ class TestCoupledWaves:
         with pytest.raises(DomainError):
             build_coupled_waves(ExampleParams(math.pi**2, 1.0, 4))
 
+    @pytest.mark.parametrize("gamma", [math.nan, math.inf, -1.0])
+    def test_gamma_must_be_finite_and_nonnegative(self, gamma):
+        with pytest.raises(DomainError, match="gamma must be nonnegative and finite; got"):
+            ExampleParams(0.5, gamma, 4)
+
 
 class TestBoundaryCoupledWaves:
     def test_fixed_point_residuals(self):

@@ -233,6 +233,7 @@ def test_criterion_10_extremal_recursion():
         prod = res.values * k
         assert math.isfinite(res.M)
         assert res.M == pytest.approx(float(np.max(prod)), rel=1e-15)
+        assert res.resid_max <= 2 * np.finfo(float).eps
         # no growth trend across the last decade of k
         last_decade = prod[10**5 :]
         assert float(np.max(last_decade)) <= float(prod[10**5]) * (1.0 + 1e-9)

@@ -2,12 +2,13 @@
 
 import dataclasses
 import math
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import numpy as np
 import pytest
 from helpers import block_schedule, scalar_observability_sums
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from polystab import diagnostics, schemes
@@ -740,3 +741,108 @@ class TestRecursionProperty:
             else:
                 assert new <= prev
         assert e[1] == pytest.approx(bisect_root(float(e[0]), C, p), rel=1e-13)
+
+
+def scalar_recursion(C, alpha, E0, steps):
+    """Reference sequence: one scalar root per step, as the oracle's head takes."""
+    p = 2.0 + alpha
+    out = [float(E0)]
+    for _ in range(steps):
+        e = out[-1]
+        if e == 0.0:
+            out.append(0.0)
+        elif alpha == 0.0:
+            out.append(2.0 * e / (1.0 + math.sqrt(1.0 + 4.0 * C * e)))
+        else:
+            out.append(diagnostics._recursion_root(e, C, p))
+    return np.array(out)
+
+
+def exact_residual(prev, new, C, p):
+    """(new + C new^p - prev) / prev, exact for integer p, else to 40 digits."""
+    if p == int(p):
+        F = Fraction(new) + Fraction(C) * Fraction(new) ** int(p) - Fraction(prev)
+        return float(F / Fraction(prev))
+    with localcontext() as ctx:
+        ctx.prec = 40
+        F = Decimal(new) + Decimal(C) * Decimal(new) ** Decimal(p) - Decimal(prev)
+        return float(F / Decimal(prev))
+
+
+TINY = np.finfo(float).tiny  # values below hold fewer than 53 bits
+
+
+class TestRecursionTail:
+    @settings(max_examples=10, deadline=None, derandomize=True)
+    @given(
+        log_C=st.floats(-9.0, 9.0),
+        log_E0=st.floats(-6.0, 6.0),
+        alpha=st.one_of(st.just(0.0), st.just(-1.0 + 2.0**-52), st.just(100.0),
+                        st.floats(-0.99, 3.0)),
+        steps=st.integers(2, 5 * 10**4),
+    )
+    @example(log_C=math.log10(9e-4), log_E0=0.0, alpha=-1.0 + 2.0**-52, steps=5 * 10**4)
+    @example(log_C=0.0, log_E0=0.0, alpha=100.0, steps=5 * 10**4)
+    @example(log_C=9.0, log_E0=0.0, alpha=0.0, steps=5 * 10**4)
+    @example(log_C=-9.0, log_E0=0.0, alpha=0.0, steps=5 * 10**4)
+    def test_tail_matches_scalar_steps(self, log_C, log_E0, alpha, steps):
+        # the oracle raises OverflowError where C E0^{2+alpha} overflows
+        assume(log_C + (2.0 + alpha) * log_E0 < 290.0)
+        C, E0, p = 10.0**log_C, 10.0**log_E0, 2.0 + alpha
+        with np.errstate(over="ignore", invalid="ignore"):  # M overflows as alpha -> -1
+            res = decay_recursion_oracle(C=C, alpha=alpha, E0=E0, steps=steps)
+        e = res.values
+        assert np.all(e[1:] <= e[:-1])
+        ref = scalar_recursion(C, alpha, E0, steps)
+        # relative bounds hold while e^{2+alpha} is a normal number
+        full = (ref >= TINY) & (ref**p >= TINY)
+        # a step loop rounds every step; where e barely moves the rounding
+        # repeats, so the loop drifts from the exact sequence by up to
+        # steps * eps / 2 (1.5e-12 over 3e4 steps at C e^{1+alpha} ~ 1e-13)
+        err = np.abs(e[full] - ref[full]) / ref[full]
+        assert np.max(err, initial=0.0) <= 1e-12 + steps * EPS / 2
+        # sampled steps, both sides of the head/tail boundary and of chunk ends
+        ks = {1, steps, res.head_steps, res.head_steps + 1}
+        ks |= {res.head_steps + m * diagnostics.CHUNK + d for m in (1, 2, 3) for d in (0, 1)}
+        ks |= set(range(1, steps + 1, max(1, steps // 25)))
+        for k in sorted(k for k in ks if 1 <= k <= steps and full[k - 1] and full[k]):
+            bound = 4 * EPS if alpha == 0.0 or k > res.head_steps else 1e-13
+            assert abs(exact_residual(float(e[k - 1]), float(e[k]), C, p)) <= bound
+
+    def test_stagnant_tail_matches_40_digit_recursion(self):
+        C, steps = 1e-9, 5 * 10**4
+        res = decay_recursion_oracle(C=C, alpha=0.0, E0=1.0, steps=steps)
+        assert res.head_steps == 0 and res.stagnant
+        with localcontext() as ctx:
+            ctx.prec = 40
+            c4, e, exact = 4 * Decimal(C), Decimal(1), [1.0]
+            for _ in range(steps):
+                e = 2 * e / (1 + (1 + c4 * e).sqrt())
+                exact.append(float(e))
+        assert np.max(np.abs(res.values - exact) / exact) <= 4 * EPS
+
+    @pytest.mark.parametrize("C,E0,steps", [(1.0, 1.0, 3000), (9e-4, 1e-300, 7 * 10**4)],
+                             ids=["in_head", "in_tail"])
+    def test_underflow_to_zero(self, C, E0, steps):
+        # e falls through the subnormal range to 0 and stays there
+        alpha = -1.0 + 2.0**-52
+        with np.errstate(over="ignore", invalid="ignore"):  # M: inf * 0
+            res = decay_recursion_oracle(C=C, alpha=alpha, E0=E0, steps=steps)
+        e = res.values
+        assert np.all(e[1:] <= e[:-1]) and e[-1] == 0.0
+        ref = scalar_recursion(C, alpha, E0, steps)
+        full = ref >= TINY
+        err = np.abs(e[full] - ref[full]) / ref[full]
+        assert np.max(err) <= 1e-12 + steps * EPS / 2
+
+    def test_sweep_cap_raises(self, monkeypatch):
+        monkeypatch.setattr(diagnostics, "MAX_SWEEPS", 1)
+        with pytest.raises(DiagnosticFailure, match="did not converge"):
+            decay_recursion_oracle(C=1.0, alpha=0.0, E0=1.0, steps=5000)
+
+    def test_reports_head_and_residual(self):
+        res = decay_recursion_oracle(C=2.5, alpha=0.5, E0=3.0, steps=500)
+        assert res.head_steps == 500
+        e = res.values
+        resid = np.abs((e[1:] - e[:-1]) + 2.5 * e[1:] ** 2.5) / e[:-1]
+        assert res.resid_max == pytest.approx(float(np.max(resid)), rel=1e-2)

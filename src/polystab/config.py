@@ -48,7 +48,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, check_int
-from .modal import ModalState, ModalSystem
+from .modal import ModalState, ModalSystem, project_filter
 from .spectra import (
     ExampleParams,
     build_boundary_coupled_waves,
@@ -221,9 +221,6 @@ def build_init(block: InitBlock, sys: ModalSystem, seed: int | None = None) -> M
         a = np.zeros(n)
         a[block.mode] = 1.0
         return ModalState(a, np.zeros(n))
-    if block.kind == "random":
-        rng = np.random.default_rng(use_seed)
-        return ModalState(rng.standard_normal(n), rng.standard_normal(n))
     if block.kind == "cluster_pair":
         gamma1 = check_gap(sys).gamma1
         pairs = [c for c in cluster_partition(sys.mu, gamma1) if len(c) == 2]
@@ -236,17 +233,15 @@ def build_init(block: InitBlock, sys: ModalSystem, seed: int | None = None) -> M
         a = np.zeros(n)
         a[i] = a[j] = 1.0
         return ModalState(a, np.zeros(n))
-    # highpass
+    rng = np.random.default_rng(use_seed)
+    state = ModalState(rng.standard_normal(n), rng.standard_normal(n))
+    if block.kind == "random":
+        return state
+    # highpass: the random state above the cutoff
     if block.cutoff is None:
         raise ConfigError("init.kind=highpass needs init.cutoff")
     if not block.cutoff > 0.0:
         raise ConfigError(f"init.cutoff must be positive; got {block.cutoff!r}")
-    rng = np.random.default_rng(use_seed)
-    a = rng.standard_normal(n)
-    b = rng.standard_normal(n)
-    low = sys.mu <= block.cutoff
-    a[low] = 0.0
-    b[low] = 0.0
-    if not np.any(~low):
+    if not np.any(sys.mu > block.cutoff):
         raise ConfigError("init.cutoff leaves no modes above it")
-    return ModalState(a, b)
+    return project_filter(sys, state, block.cutoff)[1]

@@ -626,6 +626,7 @@ CHUNK = 2**14  # tail steps per Newton system; prod(1/a) over one stays above e^
 STEP_TOL = 1e-8  # a Newton step this small leaves an error of order its square
 MAX_SWEEPS = 12  # Newton sweeps per tail chunk before DiagnosticFailure
 _EPS = float(np.finfo(float).eps)
+_TINY = float(np.finfo(float).tiny)  # the least normal float
 
 
 @dataclass(frozen=True)
@@ -635,8 +636,9 @@ class DecayRecursionResult:
     rate: float
     stagnant: bool
     head_steps: int  # steps taken by scalar roots before the Newton tail
-    # largest |e_k + C e_k^{2+alpha} - e_{k-1}| / e_{k-1}; the tail's as
-    # solved, before any value is rounded below the normal range
+    # largest |e_k + C e_k^{2+alpha} - e_{k-1}| / e_{k-1} over the steps from
+    # a normal e_{k-1}; the tail's as solved, before any value is rounded
+    # below the normal range
     resid_max: float
 
 
@@ -647,17 +649,19 @@ def _recursion_root(prev: float, C: float, p: float) -> float:
     the root descends onto it; a step that leaves the bracket [lo, hi], or
     returns to the iterate before x (a two-cycle, which subnormal values
     fall into), is replaced by a bisection.  Stops once a step moves x by
-    at most 1e-15 x.
+    at most 1e-15 x.  ``C x^p`` is formed as ``C x^(p-1) x``: with alpha
+    near -1 and C large, ``x^p`` falls below the normal range while
+    ``C x^p`` (and x) are still normal, and would lose its low bits.
     """
-    f = C * prev**p
+    f = C * prev ** (p - 1.0) * prev
     lo = max(prev - f, 0.0)
     # second-order estimate of the root as a candidate upper endpoint
     hi = lo + 1.25 * p * C * f * (f / prev)
-    if hi >= prev or hi + C * hi**p < prev:
+    if hi >= prev or hi + C * hi ** (p - 1.0) * hi < prev:
         hi = prev
     x, last = hi, math.nan
     while True:
-        g = x + C * x**p - prev
+        g = x + C * x ** (p - 1.0) * x - prev
         if g > 0.0:
             hi = x
         else:
@@ -756,8 +760,9 @@ def decay_recursion_oracle(
     scalar ``head_steps`` and ``resid_max``, the largest per-step residual
     relative to the previous value.  A sequence that barely moves (C too
     small for the horizon) is flagged ``stagnant``.  C and E0 must be
-    positive and finite, alpha finite and above -1 and steps a positive
-    integer (else DomainError).
+    positive and finite, alpha finite and above -1, ``E0^{1+alpha}`` and
+    ``C E0^{2+alpha}`` finite floats and steps a positive integer (else
+    DomainError).  ``M`` is +inf where the supremum overflows a float.
     """
     check_positive("C", C)
     check_positive("E0", E0)
@@ -767,6 +772,12 @@ def decay_recursion_oracle(
 
     C, alpha = float(C), float(alpha)  # numpy scalars would slow the scalar loop several-fold
     p, q = alpha + 2.0, alpha + 1.0
+    log_E0 = math.log(E0)
+    if max(q * log_E0, math.log(C) + p * log_E0) > math.log(np.finfo(float).max):
+        raise DomainError(
+            f"E0^(1+alpha) or C E0^(2+alpha) overflows a float; got C={C!r}, "
+            f"alpha={alpha!r}, E0={E0!r}"
+        )
     values = np.empty(steps + 1)
     out = memoryview(values)  # scalar stores here skip numpy's indexing
     out[0] = e = float(E0)
@@ -778,17 +789,19 @@ def decay_recursion_oracle(
             e = _recursion_root(e, C, p)
         head += 1
         out[head] = e
-    resid = 0.0
-    if head:
-        e, prev = values[1 : head + 1], values[:head]  # prev > 0 throughout the head
-        resid = float(np.max(np.abs((e - prev) + C * e**q * e) / prev))
+    # the head's steps from a normal value, its first ones as e decreases
+    normal = int(np.count_nonzero(values[:head] >= _TINY))
+    e, prev = values[1 : normal + 1], values[:normal]
+    resid = float(np.max(np.abs((e - prev) + C * e**q * e) / prev, initial=0.0))
     if head < steps:
         resid = max(resid, _newton_tail(values, head, C, alpha))
 
+    # zeros contribute 0 to M, and the sequence decreases: they are its end
+    live = values.size if values[-1] > 0.0 else int(np.count_nonzero(values))
     rate = 1.0 / q
-    w = np.arange(1.0, steps + 2.0)
+    w = np.arange(1.0, live + 1.0)
     w **= rate
-    w *= values
+    w *= values[:live]
     return DecayRecursionResult(
         values=values,
         M=float(w.max()),

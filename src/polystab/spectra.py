@@ -18,7 +18,8 @@ Two builders produce `ModalSystem` truncations with explicit spectra:
 The audit functions measure the spectral hypotheses the downstream
 inequalities rest on: uniform frequency gaps (pairwise and 2-separated),
 per-mode and per-cluster observation lower bounds, and the admissible
-low-pass filtering cutoff ``delta / dt``.
+low-pass filtering cutoff ``delta / dt``, all reported together by
+``audit_spectrum(sys, beta, dt, delta)``.
 """
 
 from __future__ import annotations
@@ -223,6 +224,13 @@ class ObsLowerBound:
     degenerate: tuple  # clusters with zero frequency gap
 
 
+def _libm_pow(x: np.ndarray, y: float) -> np.ndarray:
+    """``x ** y`` elementwise by the C library's pow, as the per-cluster
+    values were always formed: numpy's vectorised pow (and its squaring
+    shortcut) can differ from it in the last bit."""
+    return (x.astype(object) ** y).astype(float)
+
+
 def check_obs_lower_bound(sys: ModalSystem, beta: float) -> ObsLowerBound:
     """Per-mode and per-cluster observation lower-bound constants.
 
@@ -232,39 +240,34 @@ def check_obs_lower_bound(sys: ModalSystem, beta: float) -> ObsLowerBound:
     are the observed eigenvectors (inner products from the damping Gram)
     and ``gap`` the intra-cluster frequency difference, scaled by
     ``mu^(2 beta + 1)``.  Zero-gap clusters are reported as degenerate
-    and excluded from the minimum.
+    and excluded from the minimum.  Every 2-cluster's 2x2 Gram is read
+    from the group blocks at once and all are solved in one batched
+    eigen-solve.
     """
     power = 2.0 * beta + 1.0
     theta_hat = float(np.min(sys.bstar_norms * sys.mu**power))
 
-    gamma1 = check_gap(sys).gamma1
-    partition = cluster_partition(sys.mu, gamma1)
-    # every 2-cluster's 2x2 Gram, read from the group blocks at once
-    pairs = [c for c in partition if len(c) == 2]
-    ij = np.array(pairs, dtype=int).reshape(-1, 2)
-    grams = dict(zip(pairs, sys.gram_at(ij[:, :, None], ij[:, None, :])))
-    vals = []
-    degenerate = []
-    for cluster in partition:
-        if len(cluster) == 1:
-            i = cluster[0]
-            vals.append(sys.bstar_norms[i] * sys.mu[i] ** power)
-            continue
-        i, j = cluster
-        gap = sys.mu[j] - sys.mu[i]
-        if gap == 0.0:
-            degenerate.append(cluster)
-            continue
-        G = grams[cluster]
-        M = G + gap**2 * np.diag([0.0, G[1, 1]])
-        lam_min = float(np.linalg.eigvalsh(M)[0])
-        vals.append(math.sqrt(max(lam_min, 0.0)) * sys.mu[i] ** power)
-    cluster_theta_hat = float(min(vals)) if vals else math.inf
+    partition = cluster_partition(sys.mu, check_gap(sys).gamma1)
+    size = np.fromiter(map(len, partition), int, len(partition))
+    first = np.cumsum(size) - size  # each cluster's first mode
+    scale = _libm_pow(sys.mu[first], power)
+    single, pair = size == 1, size == 2
+    i = first[pair]
+    gap = sys.mu[i + 1] - sys.mu[i]
+    live = gap != 0.0
+    ij = np.stack([i, i + 1], axis=1)
+    M = sys.gram_at(ij[live, :, None], ij[live, None, :])
+    M[:, 1, 1] += _libm_pow(gap[live], 2) * M[:, 1, 1]
+    lam_min = np.linalg.eigvalsh(M)[:, 0]
+    vals = np.concatenate([
+        sys.bstar_norms[first[single]] * scale[single],
+        np.sqrt(np.maximum(lam_min, 0.0)) * scale[pair][live],
+    ])
     return ObsLowerBound(
         theta_hat=theta_hat,
-        cluster_theta_hat=cluster_theta_hat,
+        cluster_theta_hat=float(np.min(vals, initial=math.inf)),
         partition=partition,
-        degenerate=tuple(degenerate),
+        degenerate=tuple(map(tuple, ij[~live].tolist())),
     )
 
 
@@ -279,24 +282,18 @@ class FilterCutoff:
     retained: np.ndarray
 
 
-def admissible_delta0(sys: ModalSystem, dt: float) -> float:
-    """Upper limit min(pi - dt*gamma/2, pi - dt*gamma1/2) over finite gaps."""
-    audit = check_gap(sys)
-    terms = [
-        math.pi - 0.5 * dt * g for g in (audit.gamma, audit.gamma1) if math.isfinite(g)
-    ]
-    return min(terms) if terms else math.pi
-
-
 def filtering_cutoff(sys: ModalSystem, dt: float, delta: float) -> FilterCutoff:
     """Cutoff ``delta / dt`` and the retained mode indices.
 
-    Requires ``0 < delta < delta0`` where ``delta0`` comes from the gap
-    audit of this system.
+    Requires ``0 < delta < delta0``, where ``delta0`` is the least of
+    ``pi - dt * gamma / 2`` and ``pi - dt * gamma1 / 2`` over the finite gap
+    constants of this system (pi when neither is finite).
     """
     if not (dt > 0.0):
         raise DomainError("dt must be positive")
-    delta0 = admissible_delta0(sys, dt)
+    audit = check_gap(sys)
+    delta0 = min((math.pi - 0.5 * dt * g for g in (audit.gamma, audit.gamma1)
+                  if math.isfinite(g)), default=math.pi)
     if not (0.0 < delta < delta0):
         raise DomainError(f"delta must lie in (0, {delta0:.6g}); got {delta}")
     cutoff = delta / dt
@@ -315,50 +312,23 @@ class SpectrumReport:
     theta_hat: float
     cluster_theta_hat: float
     beta: float
-    dt: float | None
-    delta: float | None
-    delta0: float | None
-    cutoff: float | None
-    retained_count: int | None
+    dt: float
+    delta: float
+    delta0: float
+    cutoff: float
+    retained_count: int
     partition: tuple
     degenerate: tuple
     mu: np.ndarray
     bstar_norms: np.ndarray
 
 
-def audit_spectrum(
-    sys: ModalSystem, beta: float = 0.0, dt: float | None = None, delta: float | None = None
-) -> SpectrumReport:
-    """Assemble gap constants, observation bounds and filtering data.
-
-    The cutoff block is populated when ``dt`` is given; ``delta`` defaults
-    to half the admissible limit.
-    """
-    gaps = check_gap(sys)
-    obs = check_obs_lower_bound(sys, beta)
-    delta0 = cutoff = retained_count = None
-    if dt is not None:
-        delta0 = admissible_delta0(sys, dt)
-        if delta is None:
-            delta = 0.5 * delta0
-        fc = filtering_cutoff(sys, dt, delta)
-        cutoff = fc.cutoff
-        retained_count = int(fc.retained.size)
-    return SpectrumReport(
-        min_pairwise_gap=gaps.min_pairwise_gap,
-        weak_gap_2=gaps.weak_gap_2,
-        gamma=gaps.gamma,
-        gamma1=gaps.gamma1,
-        theta_hat=obs.theta_hat,
-        cluster_theta_hat=obs.cluster_theta_hat,
-        beta=beta,
-        dt=dt,
-        delta=delta if dt is not None else None,
-        delta0=delta0,
-        cutoff=cutoff,
-        retained_count=retained_count,
-        partition=obs.partition,
-        degenerate=obs.degenerate,
-        mu=sys.mu,
+def audit_spectrum(sys: ModalSystem, beta: float, dt: float, delta: float) -> SpectrumReport:
+    """Gap constants, observation bounds and the filtering cutoff of one system."""
+    gaps, obs = check_gap(sys), check_obs_lower_bound(sys, beta)
+    fc = filtering_cutoff(sys, dt, delta)
+    return SpectrumReport(  # the gap and bound fields carry over by name
+        **vars(gaps), **vars(obs), beta=beta, dt=dt, delta=delta, delta0=fc.delta0,
+        cutoff=fc.cutoff, retained_count=int(fc.retained.size), mu=sys.mu,
         bstar_norms=sys.bstar_norms,
     )

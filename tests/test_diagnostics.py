@@ -8,7 +8,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 from helpers import block_schedule, scalar_observability_sums
-from hypothesis import assume, example, given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from polystab import diagnostics, schemes
@@ -687,8 +687,11 @@ class TestLemma31:
         ({"steps": 2.5}, "steps must be a positive integer"),
         ({"steps": True}, "steps must be a positive integer"),
         ({"steps": 0}, "steps must be a positive integer"),
+        ({"alpha": 100.0, "E0": 1e8}, "overflows a float"),
+        ({"C": 1e300, "E0": 1e5}, "overflows a float"),
     ], ids=["C_inf", "C_nan", "E0_inf", "E0_negative", "alpha_inf", "alpha_nan",
-            "steps_fraction", "steps_bool", "steps_zero"])
+            "steps_fraction", "steps_bool", "steps_zero", "E0_power_overflows",
+            "C_E0_power_overflows"])
     def test_malformed_input_rejected(self, kwargs, message):
         args = {"C": 1.0, "alpha": 0.0, "E0": 1.0, "steps": 10, **kwargs}
         with pytest.raises(DomainError, match=message):
@@ -785,17 +788,22 @@ class TestRecursionTail:
     @example(log_C=0.0, log_E0=0.0, alpha=100.0, steps=5 * 10**4)
     @example(log_C=9.0, log_E0=0.0, alpha=0.0, steps=5 * 10**4)
     @example(log_C=-9.0, log_E0=0.0, alpha=0.0, steps=5 * 10**4)
+    @example(log_C=-300.0, log_E0=200.0, alpha=0.0, steps=1000)  # only E0^{2+alpha} overflows
     def test_tail_matches_scalar_steps(self, log_C, log_E0, alpha, steps):
-        # the oracle raises OverflowError where C E0^{2+alpha} overflows
-        assume(log_C + (2.0 + alpha) * log_E0 < 290.0)
         C, E0, p = 10.0**log_C, 10.0**log_E0, 2.0 + alpha
-        with np.errstate(over="ignore", invalid="ignore"):  # M overflows as alpha -> -1
+        if max((1.0 + alpha) * log_E0, log_C + p * log_E0) > math.log10(np.finfo(float).max):
+            # E0^{1+alpha} or C E0^{2+alpha} is beyond the float range
+            with pytest.raises(DomainError, match="overflows a float"):
+                decay_recursion_oracle(C=C, alpha=alpha, E0=E0, steps=steps)
+            return
+        with np.errstate(over="ignore"):  # M overflows as alpha -> -1
             res = decay_recursion_oracle(C=C, alpha=alpha, E0=E0, steps=steps)
         e = res.values
         assert np.all(e[1:] <= e[:-1])
         ref = scalar_recursion(C, alpha, E0, steps)
-        # relative bounds hold while e^{2+alpha} is a normal number
-        full = (ref >= TINY) & (ref**p >= TINY)
+        # relative bounds hold while e^{2+alpha} is a normal number (or above)
+        with np.errstate(over="ignore"):
+            full = (ref >= TINY) & (ref**p >= TINY)
         # a step loop rounds every step; where e barely moves the rounding
         # repeats, so the loop drifts from the exact sequence by up to
         # steps * eps / 2 (1.5e-12 over 3e4 steps at C e^{1+alpha} ~ 1e-13)
@@ -826,14 +834,38 @@ class TestRecursionTail:
     def test_underflow_to_zero(self, C, E0, steps):
         # e falls through the subnormal range to 0 and stays there
         alpha = -1.0 + 2.0**-52
-        with np.errstate(over="ignore", invalid="ignore"):  # M: inf * 0
+        with np.errstate(over="ignore"):  # (k+1)^{1/(1+alpha)} overflows
             res = decay_recursion_oracle(C=C, alpha=alpha, E0=E0, steps=steps)
         e = res.values
         assert np.all(e[1:] <= e[:-1]) and e[-1] == 0.0
+        # the zeros add nothing to M, whose true value overflows
+        assert not math.isnan(res.M) and res.M == math.inf
         ref = scalar_recursion(C, alpha, E0, steps)
         full = ref >= TINY
         err = np.abs(e[full] - ref[full]) / ref[full]
         assert np.max(err) <= 1e-12 + steps * EPS / 2
+
+    def test_subnormal_powers_match_60_digit_recursion(self):
+        # e^{2+alpha} falls below the normal range some steps before e does
+        C, alpha, E0, steps = 7.65e8, -0.977066, 1.47e-8, 80
+        res = decay_recursion_oracle(C=C, alpha=alpha, E0=E0, steps=steps)
+        with localcontext() as ctx:
+            ctx.prec = 60
+            c, p, e, exact = Decimal(C), Decimal(alpha) + 2, Decimal(E0), [E0]
+            for _ in range(steps):
+                x = e  # Newton from above descends onto the root of x + C x^p = e
+                while True:
+                    step = (x + c * x**p - e) / (1 + p * c * x ** (p - 1))
+                    x -= step
+                    if abs(step) <= x * Decimal("1e-50"):
+                        break
+                e = x
+                exact.append(float(e))
+        exact = np.array(exact)
+        full = exact >= TINY
+        assert 0 < np.count_nonzero(full) < steps  # the case reaches below TINY
+        assert np.max(np.abs(res.values[full] - exact[full]) / exact[full]) <= 8 * EPS
+        assert res.resid_max <= 2 * EPS
 
     def test_sweep_cap_raises(self, monkeypatch):
         monkeypatch.setattr(diagnostics, "MAX_SWEEPS", 1)

@@ -178,6 +178,18 @@ class TestGapAudit:
             cluster_partition(np.array([2.0, 1.0]), 1.0)
 
 
+def dense_with_zero_gap(seed):
+    """Nine frequencies, at least 1 apart but for three pairs, one of them
+    with zero gap, and a dense positive semi-definite damping Gram."""
+    rng = np.random.default_rng(seed)
+    mu = np.cumsum(rng.uniform(1.0, 2.0, 9))
+    gaps = rng.uniform(0.0, 0.1, 3)
+    gaps[rng.integers(3)] = 0.0
+    mu[[1, 4, 7]] = mu[[0, 3, 6]] + gaps
+    A = rng.standard_normal((9, 9))
+    return ModalSystem.from_eta(mu**2, damp_gram=A @ A.T / 9)
+
+
 class TestObsLowerBound:
     def test_single_mode_value(self):
         gamma = 1.0
@@ -201,27 +213,39 @@ class TestObsLowerBound:
         assert vals[0] == pytest.approx(vals[-1], rel=1e-9)
         assert vals[-1] > 0.4
 
-    @pytest.mark.parametrize("build,k_max", [
-        (build_coupled_waves, 8), (build_coupled_waves, 64), (build_boundary_coupled_waves, 16),
-    ], ids=["coupled_8", "coupled_64", "boundary_16"])
-    def test_cluster_grams_match_dense_indexing(self, build, k_max):
-        # each 2-cluster's 2x2 Gram indexed from the dense matrix, as the
-        # bound was computed before the Gram was stored as group blocks
-        sys_ = build(ExampleParams(0.5, 1.0, k_max))
-        D, power = sys_.damp_gram, 1.0
-        vals = []
+    @pytest.mark.parametrize("build,arg,beta", [
+        (build_coupled_waves, ExampleParams(0.5, 1.0, 8), 0.0),
+        (build_coupled_waves, ExampleParams(0.5, 1.0, 64), 0.0),
+        (build_boundary_coupled_waves, ExampleParams(0.5, 1.0, 16), 0.0),
+        (build_boundary_coupled_waves, ExampleParams(0.5, 1.0, 256), 0.0),
+        (dense_with_zero_gap, 0, 0.0), (dense_with_zero_gap, 1, 0.5),
+        # a case where numpy's vectorised pow (AVX-512) differs from libm's
+        (dense_with_zero_gap, 21, 0.3),
+    ], ids=["coupled_8", "coupled_64", "boundary_16", "boundary_256",
+            "dense_0", "dense_1", "dense_21"])
+    def test_cluster_grams_match_dense_indexing(self, build, arg, beta):
+        # the bound computed cluster by cluster from the dense matrix, as
+        # before the Gram was stored as group blocks and the 2x2 solves batched
+        sys_ = build(arg)
+        D, power = sys_.damp_gram, 2.0 * beta + 1.0
+        vals, degenerate = [], []
         for cluster in cluster_partition(sys_.mu, check_gap(sys_).gamma1):
             if len(cluster) == 1:
                 vals.append(sys_.bstar_norms[cluster[0]] * sys_.mu[cluster[0]] ** power)
                 continue
             i, j = cluster
             gap = sys_.mu[j] - sys_.mu[i]
+            if gap == 0.0:
+                degenerate.append(cluster)
+                continue
             M = D[np.ix_([i, j], [i, j])] + gap**2 * np.diag([0.0, D[j, j]])
             vals.append(math.sqrt(max(float(np.linalg.eigvalsh(M)[0]), 0.0)) * sys_.mu[i] ** power)
-        obs = check_obs_lower_bound(sys_, beta=0.0)
+        obs = check_obs_lower_bound(sys_, beta=beta)
         assert any(len(c) == 2 for c in obs.partition)
+        assert bool(degenerate) == (build is dense_with_zero_gap)
+        assert obs.degenerate == tuple(degenerate)
         assert obs.cluster_theta_hat == float(min(vals))
-        assert obs.theta_hat == float(np.min(np.sqrt(np.diag(D)) * sys_.mu))
+        assert obs.theta_hat == float(np.min(np.sqrt(np.diag(D)) * sys_.mu**power))
 
     def test_degenerate_cluster_reported(self):
         eta = np.array([1.0, 1.0, 16.0])

@@ -25,12 +25,7 @@ import numpy as np
 
 from . import __version__
 from .config import ExperimentConfig, build_init, build_system, load_config
-from .diagnostics import (
-    decay_fit,
-    observability_constant_study,
-    synthetic_trace,
-    uniform_decay_study,
-)
+from .diagnostics import observability_constant_study, uniform_decay_study
 from .errors import (ConfigError, DiagnosticFailure, NonFiniteStateError, PolystabError,
                      check_int, check_positive)
 from .ingham import InghamConfig, estimate_clustered, estimate_scalar, ingham_ratio_scalar
@@ -131,39 +126,19 @@ def cmd_trace(cfg: ExperimentConfig, out: str, seed) -> int:
 
 
 def cmd_decay(cfg: ExperimentConfig, out: str, seed) -> int:
-    prefix = os.path.join(out, cfg.output.prefix)
-    st = cfg.study
-    if st.synthetic_exponent is not None:
-        # self-test: fit an exact power law and echo the exponent
-        T = st.T if st.T is not None else cfg.scheme.t_final
-        dt = SchemeConfig(dt=_scheme_dt(cfg), t_final=T).dt  # checks dt and T
-        t = np.arange(0.0, T + dt, dt)
-        energy = (1.0 + t) ** (-st.synthetic_exponent)
-        fit = decay_fit(synthetic_trace(t, energy), st.beta, (0.0, T))
-        _write_json(
-            prefix + "_decay.json",
-            {
-                "config": cfg.to_dict(),
-                "self_test": {
-                    "exponent_in": st.synthetic_exponent,
-                    "exponent_fit": fit.exponent,
-                    "M_hat": fit.M_hat,
-                    "r_squared": fit.r_squared,
-                },
-            },
-        )
-        return 0
     sys_ = build_system(cfg.system)
+    st = cfg.study
     study = uniform_decay_study(
         sys_,
         beta=st.beta,
         dt_list=_dt_list(cfg),
-        T=st.T if st.T is not None else cfg.scheme.t_final,
+        T=cfg.scheme.t_final,
         fit_window=tuple(st.fit_window) if st.fit_window else None,
         t_star=st.t_star,
         viscosity=cfg.scheme.viscosity,
         damping=cfg.scheme.damping,
     )
+    prefix = os.path.join(out, cfg.output.prefix)
     _write_json(
         prefix + "_decay.json",
         {"config": cfg.to_dict(), "seed_override": seed, "study": study},

@@ -19,20 +19,20 @@ Schema (all blocks optional except ``system``; defaults in parentheses):
       },
       "study": {
         "beta": float (0.0), "delta": float (1.0), "trials": int (200),
-        "seed": int (0), "t_star": float | null, "T": float | null,
+        "seed": int (0), "t_star": float | null,
         "fit_window": [lo, hi] | null, "sigma": float | null,
-        "J": int | null, "gamma": float | null,
-        "synthetic_exponent": float | null
+        "J": int | null, "gamma": float | null
       },
       "output": {"prefix": str ("run")}
     }
 
-Unknown keys are rejected so typos fail loudly, as is a value whose type
-does not fit its field (a bool is no number), an int field's value that
-is no integer of at least 1 (at least 0 for ``mode``, ``pair`` and the
-seeds), or a float field's value that is not finite, whether or not the
-subcommand reads it.  No key moves a pass/fail threshold
-(``schemes.AUDIT_RTOL``, ``diagnostics.UNIFORMITY_FACTOR`` and
+``scheme.t_final`` is the horizon of both stepping subcommands, ``trace``
+and ``decay``.  Unknown keys are rejected so typos fail loudly, as is a
+value whose type does not fit its field (a bool is no number), an int
+field's value that is no integer of at least 1 (at least 0 for ``mode``,
+``pair`` and the seeds), or a float field's value that is not finite,
+whether or not the subcommand reads it.  No key moves a pass/fail
+threshold (``schemes.AUDIT_RTOL``, ``diagnostics.UNIFORMITY_FACTOR`` and
 ``EXPONENT_FLOOR``).  ``parse -> serialize -> parse`` is the identity.
 """
 
@@ -104,12 +104,10 @@ class StudyBlock:
     trials: int = 200
     seed: int = 0
     t_star: float | None = None
-    T: float | None = None
     fit_window: list | None = None
     sigma: float | None = None
     J: int | None = None
     gamma: float | None = None
-    synthetic_exponent: float | None = None
 
 
 @dataclass

@@ -44,26 +44,6 @@ from .modal import ModalState, ModalSystem, norm_domain
 from .schemes import EnergyTrace, SchemeConfig, factorize, substep_count
 from .spectra import check_gap, cluster_partition
 
-__all__ = [
-    "ObservabilityReport",
-    "ObservabilityStudy",
-    "TStarPolicy",
-    "DecayFit",
-    "DecayStudy",
-    "DecayRecursionResult",
-    "observation_time",
-    "observability_functional",
-    "observability_constant_study",
-    "inverse_inequality_check",
-    "high_freq_contraction",
-    "high_freq_observability",
-    "decay_fit",
-    "synthetic_trace",
-    "worst_case_family",
-    "uniform_decay_study",
-    "decay_recursion_oracle",
-]
-
 UNIFORMITY_FACTOR = 4.0  # criterion 7: largest envelope M_hat spread across dt
 EXPONENT_FLOOR = 0.7  # criterion 7: smallest envelope exponent
 

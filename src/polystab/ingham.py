@@ -53,17 +53,6 @@ import numpy as np
 from .errors import DiagnosticFailure, DomainError, check_int, check_positive
 from .spectra import cluster_partition
 
-__all__ = [
-    "InghamConfig",
-    "InghamEstimate",
-    "support_threshold",
-    "ingham_ratio_scalar",
-    "estimate_scalar",
-    "q_form",
-    "estimate_clustered",
-    "cluster_seminorm",
-]
-
 
 @dataclass(frozen=True)
 class InghamConfig:
@@ -228,16 +217,14 @@ def _cluster_matrix(freqs: np.ndarray, partition) -> np.ndarray:
     return np.array(rows).reshape(-1, freqs.size)
 
 
-def q_form(freqs, coeffs, gamma1: float | None = None, partition=None) -> float:
-    """Cluster-aware coefficient form Q(x) for a sorted frequency family."""
+def q_form(freqs, coeffs, partition) -> float:
+    """Cluster-aware coefficient form Q(x) for a sorted frequency family,
+    split into isolated modes and 2-clusters by ``partition`` (for example
+    ``cluster_partition(freqs, gamma1)``)."""
     freqs = np.asarray(freqs, dtype=float)
     coeffs = np.asarray(coeffs)
     if coeffs.shape != freqs.shape:
         raise DomainError("coeffs must match freqs in length")
-    if partition is None:
-        if gamma1 is None:
-            raise DomainError("q_form needs gamma1 or an explicit partition")
-        partition = cluster_partition(freqs, gamma1)
     return float(np.sum(np.abs(_cluster_matrix(freqs, partition) @ coeffs) ** 2))
 
 

@@ -25,10 +25,11 @@ so the energy is E = (1/2) ||(a, b)||_{1/2-scale}^2 with exact constants
 ``D`` as its group blocks (one stack per group size), and every system is
 built from such blocks, which are checked block by block.
 ``build_coupled_waves`` gives its closed-form blocks and forms no (n, n)
-array; ``from_eta`` gathers the blocks of a dense ``D`` over the connected
-components of ``(D != 0) | (D.T != 0)`` (``mode_groups``).  No (n, n)
-array is kept: ``ModalSystem.damp_gram`` assembles one, O(n^2) in memory,
-on request.
+array; ``build_boundary_coupled_waves`` gives its dense ``D`` as one block
+of all modes; ``from_eta`` gathers the blocks of a dense ``D`` over the
+connected components of ``(D != 0) | (D.T != 0)`` (``mode_groups``).  No
+(n, n) array is kept: ``ModalSystem.damp_gram`` assembles one, O(n^2) in
+memory, on request.
 
 Everything in this module is pure; systems and states are immutable value
 types and safe to share across threads.

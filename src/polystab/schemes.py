@@ -102,16 +102,6 @@ import numpy as np
 from .errors import DiagnosticFailure, DomainError, NonFiniteStateError, check_int
 from .modal import ModalState, ModalSystem
 
-__all__ = [
-    "SchemeConfig",
-    "StepRecord",
-    "EnergyTrace",
-    "SchemeSolver",
-    "factorize",
-    "modal_multiplier",
-    "substep_count",
-]
-
 # the energy-identity audit: every step's residual is at most AUDIT_RTOL * E0
 AUDIT_RTOL = 1e-12
 

@@ -33,23 +33,6 @@ import numpy as np
 from .errors import DomainError, check_int
 from .modal import ModalSystem
 
-__all__ = [
-    "ExampleParams",
-    "GapAudit",
-    "ObsLowerBound",
-    "FilterCutoff",
-    "SpectrumReport",
-    "build_coupled_waves",
-    "build_boundary_coupled_waves",
-    "boundary_fixedpoint_residuals",
-    "sine_overlap",
-    "check_gap",
-    "cluster_partition",
-    "check_obs_lower_bound",
-    "filtering_cutoff",
-    "audit_spectrum",
-]
-
 
 @dataclass(frozen=True)
 class ExampleParams:
@@ -155,10 +138,13 @@ def build_boundary_coupled_waves(p: ExampleParams) -> ModalSystem:
             stacklevel=2,
         )
 
+    if p.gamma == 0.0:  # no damping: n modes of their own
+        return ModalSystem.from_eta(mu**2, labels=labels, mu=mu)
     D = p.gamma * (b[:, None] * b[None, :]) * S
     D = 0.5 * (D + D.T)  # enforce exact symmetry against rounding
-
-    return ModalSystem.from_eta(mu**2, damp_gram=D, labels=labels, mu=mu)
+    # all modes form one group, whose block is a private copy of D
+    blocks = [(np.arange(mu.size)[None], D[None].copy())]
+    return ModalSystem._assemble(mu**2, blocks, labels, mu)
 
 
 def boundary_fixedpoint_residuals(p: ExampleParams, sys: ModalSystem) -> np.ndarray:
@@ -224,13 +210,6 @@ class ObsLowerBound:
     degenerate: tuple  # clusters with zero frequency gap
 
 
-def _libm_pow(x: np.ndarray, y: float) -> np.ndarray:
-    """``x ** y`` elementwise by the C library's pow, as the per-cluster
-    values were always formed: numpy's vectorised pow (and its squaring
-    shortcut) can differ from it in the last bit."""
-    return (x.astype(object) ** y).astype(float)
-
-
 def check_obs_lower_bound(sys: ModalSystem, beta: float) -> ObsLowerBound:
     """Per-mode and per-cluster observation lower-bound constants.
 
@@ -244,20 +223,20 @@ def check_obs_lower_bound(sys: ModalSystem, beta: float) -> ObsLowerBound:
     from the group blocks at once and all are solved in one batched
     eigen-solve.
     """
-    power = 2.0 * beta + 1.0
-    theta_hat = float(np.min(sys.bstar_norms * sys.mu**power))
+    w = sys.mu ** (2.0 * beta + 1.0)
+    theta_hat = float(np.min(sys.bstar_norms * w))
 
     partition = cluster_partition(sys.mu, check_gap(sys).gamma1)
     size = np.fromiter(map(len, partition), int, len(partition))
     first = np.cumsum(size) - size  # each cluster's first mode
-    scale = _libm_pow(sys.mu[first], power)
+    scale = w[first]
     single, pair = size == 1, size == 2
     i = first[pair]
     gap = sys.mu[i + 1] - sys.mu[i]
     live = gap != 0.0
     ij = np.stack([i, i + 1], axis=1)
     M = sys.gram_at(ij[live, :, None], ij[live, None, :])
-    M[:, 1, 1] += _libm_pow(gap[live], 2) * M[:, 1, 1]
+    M[:, 1, 1] += gap[live] * gap[live] * M[:, 1, 1]
     lam_min = np.linalg.eigvalsh(M)[:, 0]
     vals = np.concatenate([
         sys.bstar_norms[first[single]] * scale[single],

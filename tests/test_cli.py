@@ -98,6 +98,8 @@ class TestConfig:
         ("scheme", "solve_tol", 1e-13),
         ("study", "uniformity_factor", 4.0),
         ("study", "exponent_floor", 0.7),
+        ("study", "T", 60.0),
+        ("study", "synthetic_exponent", 1.0),
     ])
     def test_threshold_keys_are_unknown(self, tmp_path, capsys, block, key, value):
         # the pass/fail thresholds are constants, not config keys
@@ -302,7 +304,7 @@ class TestExitCodes:
         ("trace", {"scheme": {"dt": math.inf, "t_final": math.inf}}),
         ("trace", {"init": {"kind": "single_mode", "mode": 2.5}}),
         ("trace", {"init": {"kind": "cluster_pair", "pair": 0.5}}),
-        ("decay", {"scheme": {"t_final": math.inf}, "study": {"synthetic_exponent": 1.0}}),
+        ("decay", {"scheme": {"t_final": math.inf}}),
     ], ids=["k_max_fraction", "k_max_string", "dt_string", "t_final_infinite",
             "dt_and_t_final_infinite", "mode_fraction", "pair_fraction",
             "synthetic_t_final_infinite"])
@@ -359,14 +361,13 @@ class TestFieldTypes:
         ("trace", "scheme", "dt", math.nan),
         ("trace", "init", "cutoff", math.inf),
         ("trace", "study", "sigma", math.nan),
-        ("trace", "study", "synthetic_exponent", math.inf),
     ], ids=["dt_string", "alpha_string", "beta_string", "delta_string", "trials_bool",
             "prefix_int", "viscosity_string", "k_max_bool", "dt_bool", "dt_list_number",
             "t_final_null", "eta_number", "fit_window_string", "trials_fraction",
             "trials_zero", "J_fraction", "k_max_float", "mode_fraction", "mode_negative",
             "pair_fraction", "init_seed_float", "trace_beta_nan", "observability_beta_nan",
             "spectrum_beta_nan", "observability_beta_inf", "gamma_nan", "alpha_minus_inf",
-            "dt_nan", "cutoff_inf", "sigma_nan", "synthetic_exponent_inf"])
+            "dt_nan", "cutoff_inf", "sigma_nan"])
     def test_wrong_type_exits_2(self, tmp_path, capsys, command, block, key, value):
         payload = base_trace_config()
         payload["study"] = {"t_star": 2.0, "trials": 3}
@@ -432,7 +433,7 @@ class TestDecayCommand:
         payload = {
             "system": {"type": "coupled_waves", "alpha": 0.5, "gamma": 0.0, "k_max": 8},
             "scheme": {"dt_list": [0.05, 0.02], "t_final": 60.0},
-            "study": {"t_star": 8.0, "T": 60.0},
+            "study": {"t_star": 8.0},
             "output": {"prefix": "d"},
         }
         p = write_config(tmp_path / "c.json", payload)
@@ -446,7 +447,7 @@ class TestDecayCommand:
         payload = {
             "system": {"type": "coupled_waves", "alpha": 0.5, "gamma": 1.0, "k_max": 4},
             "scheme": {"dt_list": [0.05], "t_final": 4.0},
-            "study": {"t_star": 4.0, "T": 4.0},
+            "study": {"t_star": 4.0},
             "output": {"prefix": "d"},
         }
         p = write_config(tmp_path / "c.json", payload)
@@ -493,37 +494,10 @@ class TestDecayCommand:
         assert study["envelope_spread"] == "nan"
         assert [cell["envelope"] for cell in study["cells"]] == [None]
 
-    def test_synthetic_self_test_echoes_exponent(self, tmp_path):
-        payload = {
-            "system": {"type": "coupled_waves", "k_max": 2},
-            "scheme": {"dt": 0.01, "t_final": 50.0},
-            "study": {"synthetic_exponent": 1.0},
-            "output": {"prefix": "d"},
-        }
-        p = write_config(tmp_path / "c.json", payload)
-        assert main(["decay", "--config", str(p), "--out", str(tmp_path)]) == 0
-        data = json.loads((tmp_path / "d_decay.json").read_text())
-        assert data["self_test"]["exponent_fit"] == pytest.approx(1.0, abs=1e-10)
-        assert data["self_test"]["M_hat"] == pytest.approx(1.0, rel=1e-10)
-
-    @pytest.mark.parametrize("dt", [0.0, -0.01], ids=["dt_zero", "dt_negative"])
-    def test_synthetic_self_test_bad_dt_exits_2(self, tmp_path, capsys, dt):
-        payload = {
-            "system": {"type": "coupled_waves", "k_max": 2},
-            "scheme": {"dt": dt, "t_final": 50.0},
-            "study": {"synthetic_exponent": 1.0},
-            "output": {"prefix": "d"},
-        }
-        p = write_config(tmp_path / "c.json", payload)
-        assert main(["decay", "--config", str(p), "--out", str(tmp_path)]) == 2
-        assert "dt must be positive" in capsys.readouterr().err
-        assert not (tmp_path / "d_decay.json").exists()
-
     def test_verdict_field_enumeration(self, tmp_path):
         payload = {
             "system": {"type": "coupled_waves", "alpha": 0.5, "gamma": 1.0, "k_max": 8},
             "scheme": {"dt_list": [0.05], "t_final": 60.0},
-            "study": {"T": 60.0},
             "output": {"prefix": "d"},
         }
         p = write_config(tmp_path / "c.json", payload)
@@ -593,7 +567,7 @@ class TestObservabilityCommand:
 
 class TestStudyDeterminism:
     @pytest.mark.parametrize("command, study, name", [
-        ("decay", {"T": 10.0, "t_star": 4.0}, "s_decay.json"),
+        ("decay", {"t_star": 4.0}, "s_decay.json"),
         ("observability", {"trials": 6, "seed": 3}, "s_observability.json"),
         ("ingham", {"trials": 6, "seed": 3}, "s_ingham.json"),
     ])

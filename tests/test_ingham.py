@@ -339,7 +339,7 @@ class TestQForm:
     def test_isolated_family_is_plain_mass(self):
         freqs = np.array([1.0, 5.0, 9.0])
         x = np.array([1.0 + 1j, -2.0, 0.5j])
-        assert q_form(freqs, x, gamma1=2.0) == pytest.approx(
+        assert q_form(freqs, x, cluster_partition(freqs, 2.0)) == pytest.approx(
             float(np.sum(np.abs(x) ** 2)), rel=1e-15
         )
 
@@ -347,10 +347,12 @@ class TestQForm:
         g = 0.01
         freqs = np.array([5.0, 5.0 + g])
         x = np.array([1.0 + 0j, -1.0 + 0j])
-        assert q_form(freqs, x, gamma1=1.0) == pytest.approx(2.0 * g**2, rel=1e-12)
+        q = q_form(freqs, x, cluster_partition(freqs, 1.0))
+        assert q == pytest.approx(2.0 * g**2, rel=1e-12)
 
     def test_zero(self):
-        assert q_form(np.array([1.0, 1.005]), np.zeros(2), gamma1=1.0) == 0.0
+        freqs = np.array([1.0, 1.005])
+        assert q_form(freqs, np.zeros(2), cluster_partition(freqs, 1.0)) == 0.0
 
     def test_degeneracy_iff_zero(self):
         # Q(x) = 0 with nonzero cluster gaps forces x = 0
@@ -358,7 +360,7 @@ class TestQForm:
         rng = np.random.default_rng(3)
         for _ in range(100):
             x = rng.standard_normal(3) + 1j * rng.standard_normal(3)
-            assert q_form(freqs, x, gamma1=1.0) > 0.0
+            assert q_form(freqs, x, cluster_partition(freqs, 1.0)) > 0.0
 
 
 def q_reference(freqs, x, partition):
@@ -455,7 +457,7 @@ class TestEstimateClustered:
         num = cfg.sigma * np.sum(
             np.abs(np.exp(1j * np.outer(cfg.sigma * np.arange(-cfg.J, cfg.J + 1), freqs)) @ x) ** 2
         )
-        q = q_form(freqs, x, gamma1=1.0)
+        q = q_form(freqs, x, cluster_partition(freqs, 1.0))
         est = estimate_clustered(freqs, cfg)
         assert est.c_lo <= num / q <= est.c_hi
         assert est.c_lo > 0.0

@@ -146,6 +146,19 @@ class TestBoundaryCoupledWaves:
         with pytest.raises(DomainError):
             build_boundary_coupled_waves(ExampleParams(1.0, 1.0, 4))
 
+    @pytest.mark.parametrize("k_max", [1, 16, 64])
+    @pytest.mark.parametrize("alpha, gamma", [(0.5, 1.0), (0.9, 0.3), (0.1, 2.0), (0.5, 0.0)])
+    def test_blocks_match_dense_gather(self, k_max, alpha, gamma):
+        # the builder's blocks are those from_eta gathers from the dense Gram
+        sys_ = build_boundary_coupled_waves(ExampleParams(alpha, gamma, k_max))
+        ref = ModalSystem.from_eta(sys_.mu**2, sys_.damp_gram, sys_.labels, sys_.mu)
+        assert len(sys_.blocks) == len(ref.blocks)
+        for (idx, gram), (ref_idx, ref_gram) in zip(sys_.blocks, ref.blocks):
+            assert idx.dtype == ref_idx.dtype and np.array_equal(idx, ref_idx)
+            assert gram.tobytes() == ref_gram.tobytes()
+        assert sys_.bstar_norms.tobytes() == ref.bstar_norms.tobytes()
+        assert sys_.labels == ref.labels
+
 
 class TestGapAudit:
     def test_coupled_waves_pairwise_gap_shrinks(self):
@@ -219,7 +232,6 @@ class TestObsLowerBound:
         (build_boundary_coupled_waves, ExampleParams(0.5, 1.0, 16), 0.0),
         (build_boundary_coupled_waves, ExampleParams(0.5, 1.0, 256), 0.0),
         (dense_with_zero_gap, 0, 0.0), (dense_with_zero_gap, 1, 0.5),
-        # a case where numpy's vectorised pow (AVX-512) differs from libm's
         (dense_with_zero_gap, 21, 0.3),
     ], ids=["coupled_8", "coupled_64", "boundary_16", "boundary_256",
             "dense_0", "dense_1", "dense_21"])
@@ -227,25 +239,36 @@ class TestObsLowerBound:
         # the bound computed cluster by cluster from the dense matrix, as
         # before the Gram was stored as group blocks and the 2x2 solves batched
         sys_ = build(arg)
-        D, power = sys_.damp_gram, 2.0 * beta + 1.0
+        D, w = sys_.damp_gram, sys_.mu ** (2.0 * beta + 1.0)
         vals, degenerate = [], []
         for cluster in cluster_partition(sys_.mu, check_gap(sys_).gamma1):
             if len(cluster) == 1:
-                vals.append(sys_.bstar_norms[cluster[0]] * sys_.mu[cluster[0]] ** power)
+                vals.append(sys_.bstar_norms[cluster[0]] * w[cluster[0]])
                 continue
             i, j = cluster
             gap = sys_.mu[j] - sys_.mu[i]
             if gap == 0.0:
                 degenerate.append(cluster)
                 continue
-            M = D[np.ix_([i, j], [i, j])] + gap**2 * np.diag([0.0, D[j, j]])
-            vals.append(math.sqrt(max(float(np.linalg.eigvalsh(M)[0]), 0.0)) * sys_.mu[i] ** power)
+            M = D[np.ix_([i, j], [i, j])] + gap * gap * np.diag([0.0, D[j, j]])
+            vals.append(math.sqrt(max(float(np.linalg.eigvalsh(M)[0]), 0.0)) * w[i])
         obs = check_obs_lower_bound(sys_, beta=beta)
         assert any(len(c) == 2 for c in obs.partition)
         assert bool(degenerate) == (build is dense_with_zero_gap)
         assert obs.degenerate == tuple(degenerate)
         assert obs.cluster_theta_hat == float(min(vals))
-        assert obs.theta_hat == float(np.min(np.sqrt(np.diag(D)) * sys_.mu**power))
+        assert obs.theta_hat == float(np.min(np.sqrt(np.diag(D)) * w))
+
+    def test_singleton_cluster_value_is_its_mode_value(self):
+        # both values scale by the same power, so they agree bit for bit
+        rng = np.random.default_rng(0)
+        for _ in range(200):
+            n = int(rng.integers(3, 40))
+            mu = np.cumsum(rng.uniform(1.0, 2.0, n)) + 0.5
+            sys_ = ModalSystem.from_eta(mu**2, damp_gram=np.diag(rng.uniform(0.1, 2.0, n)))
+            obs = check_obs_lower_bound(sys_, beta=rng.uniform(-0.45, 2.0))
+            assert all(len(c) == 1 for c in obs.partition)
+            assert obs.cluster_theta_hat == obs.theta_hat
 
     def test_degenerate_cluster_reported(self):
         eta = np.array([1.0, 1.0, 16.0])

@@ -47,6 +47,12 @@ def check_int(name: str, value, low: int = 1, error: type = DomainError) -> None
         raise error(f"{name} must be a {what} integer; got {value!r}")
 
 
+def check_finite(name: str, value) -> None:
+    """Raise DomainError unless ``value`` is a finite number."""
+    if not -math.inf < value < math.inf:
+        raise DomainError(f"{name} must be finite; got {value!r}")
+
+
 def check_positive(name: str, value) -> None:
     """Raise DomainError unless ``value`` is positive and finite."""
     if not 0.0 < value < math.inf:

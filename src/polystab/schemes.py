@@ -99,7 +99,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DiagnosticFailure, DomainError, NonFiniteStateError, check_int
+from .errors import DiagnosticFailure, DomainError, NonFiniteStateError, check_finite, check_int
 from .modal import ModalState, ModalSystem
 
 # the energy-identity audit: every step's residual is at most AUDIT_RTOL * E0
@@ -310,7 +310,9 @@ class SchemeSolver:
     def _weights(self, beta: float) -> list:
         """Per group size: (5, g, r) weights of the squared map rows for
         E, visc1, visc2 and the weak norm (on the state rows) and the
-        observed damping (on the L rows); cached per beta."""
+        observed damping (on the L rows); cached per beta, which must be
+        finite (else DomainError, before any step)."""
+        check_finite("beta", beta)
         if beta not in self._weight_sets:
             out = []
             for grp, M in zip(self._groups, self._doubled(1)):

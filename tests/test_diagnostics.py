@@ -351,6 +351,14 @@ class TestHighFreqContraction:
             high_freq_contraction(sys_, ModalState([1.0], [0.5]), 0.0, 0.1, cutoff, 5)
         assert calls == []
 
+    @pytest.mark.parametrize("dt", [math.nan, -1.0, 0.0, math.inf],
+                             ids=["nan", "negative", "zero", "inf"])
+    def test_zero_state_bad_dt_raises(self, dt):
+        # dt is checked before the zero-state early return
+        sys_ = ModalSystem.from_eta([400.0])
+        with pytest.raises(DomainError, match="dt must be positive and finite; got"):
+            high_freq_contraction(sys_, ModalState.zero(1), 0.0, dt, 10.0, 5)
+
     def test_blocks_match_per_record_ratios(self, monkeypatch):
         # 300 steps of one column: full time blocks and a partial last one
         sys_ = build_coupled_waves(ExampleParams(0.5, 1.0, 8))
@@ -614,6 +622,35 @@ def test_criterion_7_bounds_are_fixed():
         uniform_decay_study(sys_, 0.0, [0.05], T=4.0, t_star=4.0, uniformity_factor=100.0)
 
 
+class TestNonFiniteBeta:
+    @pytest.mark.parametrize("beta", [math.nan, math.inf, -math.inf],
+                             ids=["nan", "inf", "minus_inf"])
+    @pytest.mark.parametrize("study", ["functional", "constant_study", "inverse_inequality",
+                                       "zero_state_contraction", "decay_study", "run"])
+    def test_raises_before_stepping(self, monkeypatch, study, beta):
+        # a non-finite beta never reaches the kernel, where +inf reads as a
+        # zero weak norm and NaN as a non-finite state
+        sys_ = build_coupled_waves(ExampleParams(0.5, 1.0, 4))
+        u0 = ModalState(np.ones(8), np.ones(8))
+        calls = []
+        doubled = SchemeSolver._doubled  # every stepped run reads the one-step maps first
+        monkeypatch.setattr(SchemeSolver, "_doubled",
+                            lambda self, K: calls.append(K) or doubled(self, K))
+        runs = {
+            "functional": lambda: observability_functional(sys_, u0, beta, 0.05, 2.0),
+            "constant_study": lambda: observability_constant_study(
+                sys_, beta, [0.05], 4, 0, t_star=2.0),
+            "inverse_inequality": lambda: inverse_inequality_check(sys_, 0.1, 10.0, beta),
+            "zero_state_contraction": lambda: high_freq_contraction(
+                sys_, ModalState.zero(8), beta, 0.1, 10.0, 5),
+            "decay_study": lambda: uniform_decay_study(sys_, beta, [0.1], T=4.0, t_star=4.0),
+            "run": lambda: SchemeSolver(sys_, SchemeConfig(dt=0.1, t_final=1.0)).run(u0, beta),
+        }
+        with pytest.raises(DomainError, match="beta must be finite; got"):
+            runs[study]()
+        assert calls == []
+
+
 class TestIdentityAudit:
     @pytest.fixture(autouse=True)
     def tight_audit(self, monkeypatch):
@@ -875,6 +912,17 @@ class TestRecursionTail:
     def test_reports_head_and_residual(self):
         res = decay_recursion_oracle(C=2.5, alpha=0.5, E0=3.0, steps=500)
         assert res.head_steps == 500
+        assert res.tail_solves == 0
         e = res.values
         resid = np.abs((e[1:] - e[:-1]) + 2.5 * e[1:] ** 2.5) / e[:-1]
         assert res.resid_max == pytest.approx(float(np.max(resid)), rel=1e-2)
+
+    @pytest.mark.parametrize("steps", [2 * 10**5, 10**6])
+    def test_one_solve_per_chunk(self, steps):
+        # from the second-order start every chunk past the first takes one
+        # bidiagonal solve
+        res = decay_recursion_oracle(C=1.0, alpha=0.0, E0=1.0, steps=steps)
+        chunks = -(-(steps - res.head_steps) // diagnostics.CHUNK)
+        assert res.head_steps == 2007 and chunks == {2 * 10**5: 13, 10**6: 61}[steps]
+        assert res.tail_solves <= chunks + 1
+        assert res.resid_max <= 2 * EPS

@@ -20,12 +20,8 @@ from .errors import (
 from .modal import (
     ModalState,
     ModalSystem,
-    apply_A,
     energy,
-    inner_h,
     norm_domain,
-    norm_graded,
-    norm_pair,
     pair_norm_sq,
     project_filter,
 )
@@ -56,7 +52,6 @@ from .spectra import (
 from .ingham import (
     InghamConfig,
     InghamEstimate,
-    cluster_seminorm,
     estimate_clustered,
     estimate_scalar,
     ingham_ratio_scalar,

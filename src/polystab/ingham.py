@@ -247,38 +247,3 @@ def estimate_clustered(freqs, cfg: InghamConfig) -> InghamEstimate:
     C = np.linalg.solve(Rt, np.linalg.solve(Rt, G).T)
     MD = _apply(M, D)
     return _envelope(np.linalg.eigvalsh(C), G, D, np.einsum("dkn,dkn->d", MD, MD))
-
-
-def cluster_seminorm(freqs, coeffs, partition, gram=None) -> float:
-    """Cluster seminorm sum ||T_n C_n||^2 for vector-valued coefficients.
-
-    ``coeffs`` has one row per frequency; rows are coordinates of Y-valued
-    coefficients in a frame whose Gram matrix is ``gram`` (identity when
-    omitted).  Isolated modes contribute ``||x_k||^2``; a 2-cluster with
-    frequency gap g contributes ``||x_k + x_{k+1}||^2 + g^2 ||x_{k+1}||^2``
-    (the printed row convention of the cluster matrices).
-    """
-    freqs = np.asarray(freqs, dtype=float)
-    C = np.atleast_2d(np.asarray(coeffs))
-    if C.shape[0] != freqs.size:
-        # allow a 1-d scalar coefficient vector
-        if C.shape == (1, freqs.size):
-            C = C.T
-        else:
-            raise DomainError("coeffs must have one row per frequency")
-    if gram is None:
-        gram = np.eye(C.shape[1])
-    gram = np.asarray(gram, dtype=float)
-
-    def norm_sq(v):
-        return float(np.real(np.conj(v) @ gram @ v))
-
-    total = 0.0
-    for cluster in partition:
-        if len(cluster) == 1:
-            total += norm_sq(C[cluster[0]])
-        else:
-            i, j = cluster
-            gap = freqs[j] - freqs[i]
-            total += norm_sq(C[i] + C[j]) + gap**2 * norm_sq(C[j])
-    return total

@@ -286,23 +286,6 @@ def _check_conforms(sys: ModalSystem, state: ModalState) -> None:
         raise DimensionMismatchError("state", sys.n, state.n)
 
 
-def _check_vector(sys: ModalSystem, w: np.ndarray, what: str = "vector") -> np.ndarray:
-    w = np.asarray(w, dtype=float)
-    if w.ndim != 1 or w.shape[0] != sys.n:
-        raise DimensionMismatchError(what, sys.n, w.shape[0] if w.ndim == 1 else -1)
-    return w
-
-
-def norm_graded(sys: ModalSystem, w, s: float) -> float:
-    """Graded modal norm ``sqrt(sum eta_j^{2s} w_j^2)``.
-
-    ``s = 1/2`` gives the V-norm of a displacement, ``s = 0`` the X-norm,
-    negative ``s`` the dual (weak) scales.
-    """
-    w = _check_vector(sys, w)
-    return float(np.sqrt(np.sum(sys.eta ** (2.0 * s) * w**2)))
-
-
 def pair_norm_sq(sys: ModalSystem, a, b, beta: float):
     """Squared pair norm on the ``-beta`` scale; broadcasts over columns.
 
@@ -316,16 +299,6 @@ def pair_norm_sq(sys: ModalSystem, a, b, beta: float):
     return np.sum(wa * np.square(a), axis=0) + np.sum(wb * np.square(b), axis=0)
 
 
-def norm_pair(sys: ModalSystem, state: ModalState, beta: float) -> float:
-    """Pair norm ``sqrt(||a||_{-beta}^2 + ||b||_{-beta-1/2}^2)``.
-
-    ``beta = -1/2`` gives the finite-energy (H) norm, ``beta = 0`` the weak
-    norm used by the observability inequalities.
-    """
-    _check_conforms(sys, state)
-    return float(np.sqrt(pair_norm_sq(sys, state.a, state.b, beta)))
-
-
 def norm_domain(sys: ModalSystem, state: ModalState) -> float:
     """Generator-domain norm ``sqrt(sum eta^2 a^2 + sum eta b^2)``."""
     _check_conforms(sys, state)
@@ -336,13 +309,6 @@ def energy(sys: ModalSystem, state: ModalState) -> float:
     """Energy ``(1/2)(sum eta a^2 + sum b^2)``; equals half the squared H-norm."""
     _check_conforms(sys, state)
     return 0.5 * float(np.sum(sys.eta * state.a**2) + np.sum(state.b**2))
-
-
-def inner_h(sys: ModalSystem, z1: ModalState, z2: ModalState) -> float:
-    """H-inner product ``sum eta a1 a2 + sum b1 b2`` inducing the pair norm."""
-    _check_conforms(sys, z1)
-    _check_conforms(sys, z2)
-    return float(np.sum(sys.eta * z1.a * z2.a) + np.sum(z1.b * z2.b))
 
 
 def project_filter(sys: ModalSystem, state: ModalState, cutoff: float):
@@ -359,9 +325,3 @@ def project_filter(sys: ModalSystem, state: ModalState, cutoff: float):
     low = ModalState(np.where(keep, state.a, 0.0), np.where(keep, state.b, 0.0))
     high = ModalState(np.where(keep, 0.0, state.a), np.where(keep, 0.0, state.b))
     return low, high
-
-
-def apply_A(sys: ModalSystem, state: ModalState) -> ModalState:
-    """Apply the first-order block generator: ``(a, b) -> (b, -eta * a)``."""
-    _check_conforms(sys, state)
-    return ModalState(state.b.copy(), -sys.eta * state.a)

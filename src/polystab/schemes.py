@@ -54,35 +54,44 @@ the stepped generator is undamped.
 **Mode groups.**  The propagators are block-diagonal over the system's
 mode groups.  Groups of one size are stacked, as the system stores them
 with their Gram blocks (``ModalSystem.blocks``), and ``P`` and ``L`` are
-built per group by batched numpy calls (one batched solve per size).  Every step goes through the time blocks below: a single
-step (``step``) is a one-step trajectory.  Another scheme of the family is
+built per group by batched numpy calls (one batched solve per size).
+Every step goes through the time blocks below: a single step (``step``) is
+a one-step trajectory.  Another scheme of the family is
 another solver: ``factorize(sys, dataclasses.replace(cfg, damping=False))``
 steps the conservative scheme, and with ``viscosity=False`` as well the
 midpoint map, whose ``z_next`` is the midpoint stage ``z~``.
 
 **Time blocks.**  A (2n, m) column batch holds its last K states
-``x_{k-K+1} .. x_k`` as one (g, 2s, K m) block per group size; one batched
-product with ``M_K = [P^K; L P^{K-1}]`` gives the next K states and the
-square roots of the observed damping of steps ``k .. k+K-1``.  The known
-block starts at ``x_0`` and doubles, so the time blocks have 1, 2, 4, ...,
-B steps, then B each (``_block_length``); ``M_{2K} = M_K P^K`` is cached
-per K.  The energy, visc1, visc2 and ``-beta`` weak-norm weights are
-diagonal in energy coordinates (``1/2``, ``dt^3 eta``, ``dt^6 eta^2 / 2``,
-``eta^{-2 beta - 1}``), so every term of the block is one weight product
-with the squared product.  Full blocks alternate two buffers per group
-size: the product goes into one, its squares into the other, whose states
-the product has just read, so the states after a block are valid until the
-next block.  Products of several columns are padded to whole 8-column BLAS
-panels, so a column's bits do not depend on its place in the batch.  Only
-groups some column occupies are stepped; the others stay exactly zero.  A
-dense group of size n runs with B = 1 at ~5n^2 multiply-adds per column-step.
+``x_{k-K+1} .. x_k`` as one block per group size; one batched product with
+``M_K = [P^K; L P^{K-1}]`` gives the next K states and the square roots of
+the observed damping of steps ``k .. k+K-1``.  The known block starts at
+``x_0`` and doubles, so the time blocks have 1, 2, 4, ..., B steps, then B
+each; ``M_{2K} = M_K P^K`` is cached per K.  The energy, visc1, visc2 and
+``-beta`` weak-norm weights are diagonal in energy coordinates (``1/2``,
+``dt^3 eta``, ``dt^6 eta^2 / 2``, ``eta^{-2 beta - 1}``), so every term of
+the block is a weight product with the squared product.  Full blocks
+alternate two buffers per group size: the product goes into one, its
+squares into the other, whose states the product has just read, so the
+states after a block are valid until the next block.
+
+Only what the batch occupies is stepped; ``P`` keeps every other group
+exactly zero.  Per group size, if some group holds every column, the
+occupied groups are stepped in all m columns as one (g, 2s, K m) block
+(column-aligned), whose products of several columns are padded to whole
+8-column BLAS panels.  Otherwise each occupied (group, column) pair is
+stepped alone, as one (p, 2s, K) block, and a column's terms are summed
+over its pairs in group order: the decay family, one or two groups per
+column, steps 8 pairs instead of 6 groups in 8 columns.  Either way a
+column's bits do not depend on the other columns or on its place in the
+batch.  B follows the state entries stepped (``_block_length``).  A dense
+group of size n runs with B = 1 at ~5n^2 multiply-adds per column-step.
 
 **Audit.**  The residual of the per-step identity measures how accurately
 ``P``, ``L`` and their doubled powers were built; its tolerance is the
 constant ``AUDIT_RTOL * E0`` (``E0`` per column), which no config moves.
 Each state of a time block comes from a state K steps back through
-``P^K``, so the residual carries the rounding of ``P^K`` (~30 eps E0 over
-2 * 10^5 steps of the criterion-7 family at B = 128).  ``iterate_raw``
+``P^K``, so the residual carries the rounding of ``P^K`` (~20 eps E0 over
+2 * 10^5 steps of the criterion-7 family at B = 512).  ``iterate_raw``
 checks every time block against it before yielding the block's steps and
 raises DiagnosticFailure naming the first failing step; ``run`` flags a
 violation on the returned trace instead, and also telescopes the identity
@@ -224,13 +233,14 @@ class _Groups(NamedTuple):
     gram: np.ndarray  # (g, s, s) damping Gram of each group
 
 
-def _block_length(rows: int, m: int, groups) -> int:
+def _block_length(entries: int, groups) -> int:
     """Longest time block B (blocks run 1, 2, 4, ..., B steps, then B each)
-    for m columns of ``rows`` stepped rows: ~2^15 stepped state entries, at
-    most 128 and 2^18 / (entries of the P of all ``groups``) steps, rounded
-    down to a power of two.  The last cap keeps a dense group at B = 1."""
+    for ``entries`` stepped state entries per step: ~2^15 stepped entries
+    per block and at most 2^18 / (entries of the P of all ``groups``) steps,
+    rounded down to a power of two.  The last cap keeps a dense group at
+    B = 1."""
     sq = sum(grp.rows.size * grp.rows.shape[1] for grp in groups)
-    b = min(2**15 // max(rows * m, 1), 2**18 // sq, 128)
+    b = min(2**15 // max(entries, 1), 2**18 // sq)
     return 1 << (max(b, 1).bit_length() - 1)
 
 
@@ -240,6 +250,36 @@ def _lanes(cols: int) -> int:
     panel in another, so padded, a column's terms depend neither on where it
     sits nor on the zero rows of unoccupied groups."""
     return cols if cols == 1 else -(-cols // 8) * 8
+
+
+class _Layout(NamedTuple):
+    """The stepped part of group size ``j``: the groups ``sel`` (``grp``),
+    either column-aligned (``pair_cols`` None: (5, g, r) weights, m state
+    columns per group) or one per occupied (group, column) pair, column by
+    column ((p, 5, r) weights, one state column; ``pair_cols`` the pairs'
+    columns)."""
+
+    j: int
+    sel: np.ndarray | slice
+    grp: _Groups
+    w: np.ndarray
+    pair_cols: list | None
+    mc: int
+
+
+def _add_terms(T: np.ndarray, w: np.ndarray, y2: np.ndarray, pair_cols) -> None:
+    """Add to the (k, nb, m) terms ``T`` of nb steps the weighted squares
+    ``y2``: of a (g, r, >= nb m) column-aligned block by one product with
+    the (k, g, r) weights, or of a (p, r, >= nb) pair block by one product
+    per pair with the (p, k, r) weights, added to the pair's column in
+    pair order."""
+    k, nb, m = T.shape
+    if pair_cols is None:
+        g, r = w.shape[1:]
+        T += (w.reshape(k, g * r) @ y2.reshape(g * r, -1))[:, :nb * m].reshape(k, nb, m)
+    else:
+        for c, terms in zip(pair_cols, np.matmul(w, y2[:, :, :nb])):
+            T[:, :, c] += terms
 
 
 class SchemeSolver:
@@ -338,56 +378,71 @@ class SchemeSolver:
     def _blocks(self, x: np.ndarray, n_steps: int, beta: float = 0.0):
         """Advance a (2n, m) batch ``n_steps`` times, yielding per time block
         a _Block and the energy-coordinate state after it as (groups, state)
-        pairs, one per group size: views that the next block overwrites.
+        pairs, one per stepped group size: views that the next block
+        overwrites.
 
-        The batch's last K states are one (g, 2s, K m) block per group size,
-        advanced by ``M_K``; K doubles from 1 to B (from the rows the batch
-        steps, at most ``n_steps``); a block of several columns carries zero
-        columns up to ``_lanes``.  Only groups some column occupies are
-        stepped: ``P`` keeps a group that is zero in every column exactly
-        zero, adding exact zeros to every term.  The per-step identity
-        residual is ``|E(x_{k+1}) + visc1 + visc2 + damp - E(x_k)|``.  A
-        non-finite state or term raises NonFiniteStateError.
+        Only what the batch occupies is stepped: ``P`` keeps a zero group
+        exactly zero, adding exact zeros to every term.  Per group size, if
+        some group holds every column, the occupied groups are stepped in
+        all m columns (column-aligned: the last K states are one
+        (g, 2s, K m) block, padded with zero columns up to ``_lanes``);
+        otherwise each occupied (group, column) pair is stepped alone (one
+        (p, 2s, K) block, so the states after it are one column per pair)
+        and a column's terms are summed over its pairs in group order.  K
+        doubles from 1 to B (``_block_length`` of the entries stepped, at
+        most ``n_steps``).  The per-step identity residual is
+        ``|E(x_{k+1}) + visc1 + visc2 + damp - E(x_k)|``.  A non-finite
+        state or term raises NonFiniteStateError.
         """
         m = x.shape[1]
-        occupied = [x[grp.rows].any(axis=(1, 2)) for grp in self._groups]
-        B = min(_block_length(sum(grp.rows[occ].size for grp, occ in zip(self._groups, occupied)),
-                              m, self._groups), 1 << (max(n_steps, 1).bit_length() - 1))
-        width = _lanes(B * m)
-        groups, W, bufs, xs = [], [], [], []
-        for grp, w, M, occ in zip(self._groups, self._weights(beta), self._doubled(1), occupied):
-            if not occ.all():  # a size may keep no group: its maps are then empty
-                grp, w = _Groups(*(a[occ] for a in grp)), w[:, occ]
-            groups.append(grp)
-            W.append(w)
-            bufs.append(np.zeros((2, len(grp.rows), M.shape[1], width)))
-            xs.append(bufs[-1][0, :, : grp.rows.shape[1]])
-            xs[-1][:, :, :m] = x[grp.rows] * grp.scale
-        prev = sum(w[:4, :, : xg.shape[1]].reshape(4, -1) @ (xg * xg).reshape(-1, width)
-                   for w, xg in zip(W, xs))[:, :m]
+        lays, xs = [], []
+        for j, (grp, w) in enumerate(zip(self._groups, self._weights(beta))):
+            nz = x[grp.rows].any(axis=1)  # (g, m): the columns that occupy each group
+            occ = nz.any(axis=1)
+            if not occ.any():
+                continue
+            if nz.all(axis=1).any():  # a slice when every group is occupied: views, no copies
+                sel, pair_cols = slice(None) if occ.all() else np.flatnonzero(occ), None
+                x0, w = x[grp.rows[sel]], w[:, sel]
+            else:  # pairs column by column, each column's in group order
+                pair_cols, sel = np.nonzero(nz.T)
+                x0 = x[grp.rows[sel], pair_cols[:, None]][:, :, None]
+                w, pair_cols = w[:, sel].transpose(1, 0, 2), pair_cols.tolist()
+            grp = _Groups(*(a[sel] for a in grp))
+            lays.append(_Layout(j, sel, grp, np.ascontiguousarray(w), pair_cols, x0.shape[2]))
+            xs.append(x0 * grp.scale)
+        B = min(_block_length(sum(xg.size for xg in xs), self._groups),
+                1 << (max(n_steps, 1).bit_length() - 1))
+        bufs, prev = [], np.zeros((4, 1, m))
+        for j, (lay, x0) in enumerate(zip(lays, xs)):
+            g, s2, mc = x0.shape
+            bufs.append(np.zeros((2, g, self._doubled(1)[lay.j].shape[1], _lanes(B * mc))))
+            xs[j] = bufs[-1][0, :, :s2]
+            xs[j][:, :, :mc] = x0
+            w4 = lay.w[:4, :, :s2] if lay.pair_cols is None else lay.w[:, :4, :s2]
+            _add_terms(prev, w4, xs[j] * xs[j], lay.pair_cols)
+        prev = prev[:, 0]
         K, k0 = 1, 0
         while k0 < n_steps:
             nb = min(K, n_steps - k0)
-            cols = nb * m
             if k0 == K - 1:  # the first block of this K
-                maps = [M if occ.all() else M[occ] for M, occ in zip(self._doubled(K), occupied)]
+                maps = [self._doubled(K)[lay.j][lay.sel] for lay in lays]
             # full blocks alternate a size's two (g, r, width) buffers: the product goes into the
             # one not holding the states it reads (matmul copies those), its squares into the other
             full, i = nb == B, k0 // B % 2
             # E, visc1, visc2, weak of x_{k+1}; observed damping and residual of step k
             T = np.zeros((6, nb, m))
             after = []
-            for j, (M, w, xg, grp) in enumerate(zip(maps, W, xs, groups)):
-                g, r, s2 = M.shape
+            for j, (lay, M, xg) in enumerate(zip(lays, maps, xs)):
+                s2, cols = M.shape[2], nb * lay.mc
                 # columns past ``cols`` are zero or later states: they round no other column
                 y = np.matmul(M, xg[:, :, :_lanes(cols)], out=bufs[j][1 - i] if full else None)
-                y2 = np.square(y.reshape(g * r, y.shape[2]),
-                               out=bufs[j][i].reshape(g * r, width) if full else None)
-                T[:5] += (w.reshape(5, g * r) @ y2)[:, :cols].reshape(5, nb, m)
+                y2 = np.square(y, out=bufs[j][i] if full else None)
+                _add_terms(T[:5], lay.w, y2, lay.pair_cols)
                 if K < B:  # the known block doubles in place
                     xg[:, :, cols: 2 * cols] = y[:, :s2, :cols]
                 xs[j] = xg if K < B else y[:, :s2]
-                after.append((grp, y[:, :s2, cols - m: cols]))
+                after.append((lay.grp, y[:, :s2, cols - lay.mc: cols]))
             energy = np.concatenate([prev[0][None], T[0]])
             res = np.add(T[0], T[1], out=T[5])
             res += T[2]

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, check_int
+from .errors import DomainError, check_finite, check_int
 from .modal import ModalSystem
 
 
@@ -221,8 +221,9 @@ def check_obs_lower_bound(sys: ModalSystem, beta: float) -> ObsLowerBound:
     ``mu^(2 beta + 1)``.  Zero-gap clusters are reported as degenerate
     and excluded from the minimum.  Every 2-cluster's 2x2 Gram is read
     from the group blocks at once and all are solved in one batched
-    eigen-solve.
+    eigen-solve.  A non-finite ``beta`` raises DomainError.
     """
+    check_finite("beta", beta)
     w = sys.mu ** (2.0 * beta + 1.0)
     theta_hat = float(np.min(sys.bstar_norms * w))
 

@@ -9,7 +9,7 @@ import numpy as np
 import scipy.linalg
 from hypothesis import strategies as st
 
-from polystab import ModalSystem
+from polystab import ModalState, ModalSystem
 
 
 def physical_coupled_waves_energy(alpha, gamma, k_max, a0, b0, dt, t_final,
@@ -117,6 +117,17 @@ def stage1_matrix(sys_, dt, damped=True):
     if damped:
         M[n:, n:] += h * sys_.damp_gram
     return M
+
+
+def inner_h(sys_, z1, z2):
+    """H-inner product ``sum eta a1 a2 + sum b1 b2`` of two modal states
+    (twice the energy form: ``inner_h(z, z) = 2 E(z)``)."""
+    return float(np.sum(sys_.eta * z1.a * z2.a) + np.sum(z1.b * z2.b))
+
+
+def apply_a(sys_, z):
+    """The block generator ``A (a, b) = (b, -eta a)``, skew in ``inner_h``."""
+    return ModalState(z.b.copy(), -sys_.eta * z.a)
 
 
 def scalar_two_stage_step(eta, d, a, b, dt, damped=True, viscous=True):

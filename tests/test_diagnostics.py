@@ -360,16 +360,17 @@ class TestHighFreqContraction:
             high_freq_contraction(sys_, ModalState.zero(1), 0.0, dt, 10.0, 5)
 
     def test_blocks_match_per_record_ratios(self, monkeypatch):
-        # 300 steps of one column: full time blocks and a partial last one
+        # 2500 steps of one column in 5 of 8 groups (B = 1024): full time
+        # blocks and a partial last one
         sys_ = build_coupled_waves(ExampleParams(0.5, 1.0, 8))
-        dt, cutoff, steps, beta = 0.1, 10.0, 300, 0.25
+        dt, cutoff, steps, beta = 0.1, 10.0, 2500, 0.25
         high = sys_.mu > cutoff
         rng = np.random.default_rng(4)
         u0 = ModalState(np.where(high, rng.standard_normal(16), 0.0),
                         np.where(high, rng.standard_normal(16), 0.0))
         lengths = record_block_lengths(monkeypatch)
         ratios = high_freq_contraction(sys_, u0, beta, dt, cutoff, steps)
-        assert lengths == block_schedule(128, steps) and lengths[-2:] == [128, 45]
+        assert lengths == block_schedule(1024, steps) and lengths[-2:] == [1024, 453]
         cfg = SchemeConfig(dt=dt, t_final=steps * dt, viscosity=True, damping=False)
         per_record = [block.weak_sq[row + 1, 0] / block.weak_sq[row, 0] for _, block, row in
                       SchemeSolver(sys_, cfg).iterate_raw(u0.stacked(), steps, beta=beta)]
@@ -580,11 +581,12 @@ class TestUniformDecayStudy:
         # the study's member-major E gives exactly the member and envelope
         # values of a step-major E assembled one record at a time and
         # fitted through _loglog_fit, for the damped system and the gamma = 0
-        # control, also past a partial last block.  The window spans the
-        # whole grid, so every sample counts, and then is the default
-        # (T*/2, T), so the study fits a view of E that starts inside it.
+        # control, also past a full and a partial last block (B = 1024 for
+        # both family batches).  The window spans the whole grid, so every
+        # sample counts, and then is the default (T*/2, T), so the study
+        # fits a view of E that starts inside it.
         sys_ = build_coupled_waves(ExampleParams(0.5, gamma, 4))
-        T, dt = 40.0, 0.05
+        T, dt = 150.0, 0.05
         family = worst_case_family(sys_)
         X0 = np.column_stack([st.stacked() for _, st in family])
         t = np.arange(substep_count(T, dt) + 2) * dt
@@ -608,8 +610,9 @@ class TestUniformDecayStudy:
                               list(E[win].T) + [E[win].max(axis=1)]):
                 slope, r_sq = diagnostics._loglog_fit(x, np.log(e))
                 assert got == (float(np.max(w * e)), -slope, r_sq)
-        B = max(lengths)  # two studies, each with full blocks and a partial last one
-        assert lengths == 2 * block_schedule(B, t.size - 1) and lengths[-1] < B
+        # two studies, each with a full block and a partial last one
+        assert lengths == 2 * block_schedule(1024, t.size - 1)
+        assert lengths.count(1024) == 2 and lengths[-1] < 1024
 
 
 def test_criterion_7_bounds_are_fixed():

@@ -17,7 +17,6 @@ from polystab import (
     build_boundary_coupled_waves,
     build_coupled_waves,
     check_gap,
-    cluster_seminorm,
     estimate_clustered,
     estimate_scalar,
     ingham_ratio_scalar,
@@ -405,18 +404,15 @@ class TestClusterMatrix:
         assert est.sampled_lo == pytest.approx(float(np.min(num / q)), rel=1e-12)
         assert est.sampled_hi == pytest.approx(float(np.max(num / q)), rel=1e-12)
 
-    def test_conventions_of_q_form_and_cluster_seminorm(self):
-        # q_form charges g^2 (|x_k|^2 + |x_{k+1}|^2); cluster_seminorm
-        # charges g^2 ||x_{k+1}||^2.  Pinned as they stand.
+    def test_convention_of_q_form(self):
+        # q_form charges g^2 (|x_k|^2 + |x_{k+1}|^2) on a 2-cluster; the
+        # package has no other cluster form.  Pinned as it stands.
         g = 0.5
         freqs = np.array([2.0, 2.0 + g])
         a, b = 1.0 + 2.0j, -0.5 + 0.25j
         common = abs(a + b) ** 2
         assert q_form(freqs, np.array([a, b]), partition=((0, 1),)) == pytest.approx(
             common + g**2 * (abs(a) ** 2 + abs(b) ** 2), rel=1e-14
-        )
-        assert cluster_seminorm(freqs, np.array([[a], [b]]), ((0, 1),)) == pytest.approx(
-            common + g**2 * abs(b) ** 2, rel=1e-14
         )
         assert np.array_equal(
             _cluster_matrix(freqs, ((0, 1),)), np.array([[1.0, 1.0], [g, 0.0], [0.0, g]])
@@ -464,30 +460,21 @@ class TestEstimateClustered:
 
 
 class TestClusterSeminorm:
+    """Hand values of the cluster seminorm ``Q(x)`` (``q_form``)."""
+
     def test_scalar_isolated(self):
         freqs = np.array([1.0, 4.0])
-        x = np.array([[2.0], [3.0]])
+        x = np.array([2.0, 3.0])
         part = ((0,), (1,))
-        assert cluster_seminorm(freqs, x, part) == pytest.approx(13.0, rel=1e-15)
+        assert q_form(freqs, x, part) == pytest.approx(13.0, rel=1e-15)
 
     def test_cancelling_pair(self):
+        # |x_k + x_{k+1}|^2 vanishes; g^2 (|x_k|^2 + |x_{k+1}|^2) remains
         g = 0.25
         freqs = np.array([3.0, 3.0 + g])
-        x = np.array([[1.5], [-1.5]])
+        x = np.array([1.5, -1.5])
         part = ((0, 1),)
-        assert cluster_seminorm(freqs, x, part) == pytest.approx(
-            g**2 * 1.5**2, rel=1e-13
-        )
+        assert q_form(freqs, x, part) == pytest.approx(2.0 * g**2 * 1.5**2, rel=1e-13)
 
     def test_zero_coefficients(self):
-        assert cluster_seminorm(np.array([1.0, 1.1]), np.zeros((2, 3)), ((0, 1),)) == 0.0
-
-    def test_gram_weighted_vectors(self):
-        freqs = np.array([2.0, 2.2])
-        gram = np.array([[2.0, 0.3], [0.3, 1.0]])
-        u = np.array([1.0 + 0.5j, -0.25])
-        v = np.array([0.5, 1.0 - 1j])
-        got = cluster_seminorm(freqs, np.stack([u, v]), ((0, 1),), gram=gram)
-        s = u + v
-        expect = np.real(np.conj(s) @ gram @ s) + 0.2**2 * np.real(np.conj(v) @ gram @ v)
-        assert got == pytest.approx(float(expect), rel=1e-13)
+        assert q_form(np.array([1.0, 1.1]), np.zeros(2), ((0, 1),)) == 0.0

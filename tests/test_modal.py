@@ -1,4 +1,4 @@
-"""Modal state space: graded norms, energy, projections, block generator."""
+"""Modal state space: graded norms, energy, projections."""
 
 import dataclasses
 import itertools
@@ -7,7 +7,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from helpers import modal_systems
+from helpers import apply_a, inner_h, modal_systems
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -19,12 +19,9 @@ from polystab import (
     ModalState,
     ModalSystem,
     NonFiniteStateError,
-    apply_A,
     energy,
-    inner_h,
     norm_domain,
-    norm_graded,
-    norm_pair,
+    pair_norm_sq,
     project_filter,
 )
 
@@ -46,6 +43,17 @@ def random_state(rng, n):
     return ModalState(rng.standard_normal(n), rng.standard_normal(n))
 
 
+def norm_graded(sys_, w, s):
+    """Graded norm ``sqrt(sum eta^{2s} w^2)``: the pair norm of (w, 0) on
+    the ``-s`` scale."""
+    return float(np.sqrt(pair_norm_sq(sys_, w, np.zeros_like(w), -s)))
+
+
+def norm_pair(sys_, z, beta):
+    """Pair norm ``sqrt(||a||_{-beta}^2 + ||b||_{-beta-1/2}^2)``."""
+    return float(np.sqrt(pair_norm_sq(sys_, z.a, z.b, beta)))
+
+
 class TestNormGraded:
     def test_zero_vector(self):
         sys_ = make_system([2.0, 5.0])
@@ -65,10 +73,11 @@ class TestNormGraded:
 
     def test_dimension_mismatch(self):
         sys_ = make_system([1.0, 2.0])
-        with pytest.raises(DimensionMismatchError) as err:
-            norm_graded(sys_, np.ones(3), 0.0)
-        assert err.value.expected == 2
-        assert err.value.actual == 3
+        for norm in (norm_domain, energy):
+            with pytest.raises(DimensionMismatchError) as err:
+                norm(sys_, ModalState(np.ones(3), np.ones(3)))
+            assert err.value.expected == 2
+            assert err.value.actual == 3
 
     def test_monotone_in_scale_for_mu_above_one(self):
         rng = np.random.default_rng(7)
@@ -163,25 +172,13 @@ class TestProjectFilter:
 
 
 class TestApplyA:
-    def test_block_action(self):
-        sys_ = make_system([4.0])
-        out = apply_A(sys_, ModalState([1.0], [0.0]))
-        assert np.array_equal(out.a, [0.0])
-        assert np.array_equal(out.b, [-4.0])
-
-    def test_square_is_diagonal(self):
-        sys_ = make_system([4.0])
-        out = apply_A(sys_, apply_A(sys_, ModalState([1.0], [0.0])))
-        assert np.array_equal(out.a, [-4.0])
-        assert np.array_equal(out.b, [0.0])
-
     def test_skew_adjoint(self):
         rng = np.random.default_rng(5)
         for n in (2, 64, 256):
             sys_ = random_system(rng, n, with_damping=False)
             z = random_state(rng, n)
             h_sq = norm_pair(sys_, z, -0.5) ** 2
-            assert abs(inner_h(sys_, apply_A(sys_, z), z)) <= 1e-12 * h_sq
+            assert abs(inner_h(sys_, apply_a(sys_, z), z)) <= 1e-12 * h_sq
 
 
 class TestValidation:

@@ -5,8 +5,8 @@ import math
 
 import numpy as np
 import pytest
-from helpers import (block_schedule, modal_systems, scalar_two_stage_step, stage1_matrix,
-                     time_steps)
+from helpers import (block_schedule, inner_h, modal_systems, scalar_two_stage_step,
+                     stage1_matrix, time_steps)
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -21,7 +21,6 @@ from polystab import (
     energy,
     factorize,
     modal_multiplier,
-    norm_pair,
     build_coupled_waves,
     build_boundary_coupled_waves,
     ExampleParams,
@@ -307,6 +306,33 @@ class TestModeGroups:
         assert len(calls) == 1
 
 
+def chained_steps(sol, X, n_steps):
+    """Energy (n_steps + 1, m) and damp, visc1, visc2 (n_steps, m) of
+    ``n_steps`` single steps chained from the columns of X: the solver's
+    one-step map P, assembled densely in energy coordinates from its groups,
+    applied one step at a time, and each step's terms from the defining
+    formulas in modal coordinates (the midpoint stage is
+    ``z~ = (1 + dt^3 eta) z+``)."""
+    sys_, dt = sol.sys, sol.cfg.dt
+    n, eta = sys_.n, sys_.eta[:, None]
+    e = np.concatenate([sys_.mu, np.ones(n)])[:, None]  # modal -> energy coordinates
+    P = np.zeros((2 * n, 2 * n))
+    for grp, M in zip(sol._groups, sol._doubled(1)):
+        for rows, Mg in zip(grp.rows, M):
+            P[np.ix_(rows, rows)] = Mg[:rows.size]
+    x = np.empty((n_steps + 1, 2 * n, X.shape[1]))
+    x[0] = e * X
+    for k in range(n_steps):
+        np.matmul(P, x[k], out=x[k + 1])
+    a, b = (x / e)[:, :n], x[:, n:]
+    E = 0.5 * np.sum(eta * a**2 + b**2, axis=1)
+    visc1 = dt**3 * np.sum(eta**2 * a[1:]**2 + eta * b[1:]**2, axis=1)
+    visc2 = 0.5 * dt**6 * np.sum(eta**3 * a[1:]**2 + eta**2 * b[1:]**2, axis=1)
+    mid = 0.5 * (b[:-1] + (1.0 + dt**3 * eta) * b[1:])
+    damp = dt * np.einsum("kim,ij,kjm->km", mid, sys_.damp_gram, mid) if sol._damped else 0.0
+    return E, damp, visc1, visc2
+
+
 class TestBlockedKernelProperty:
     @settings(max_examples=40, deadline=None, derandomize=True)
     @given(
@@ -339,27 +365,24 @@ class TestBlockedKernelProperty:
         cfg = SchemeConfig(dt=10.0**log_dt, t_final=1.0)
         sol = factorize(sys_, cfg)
         X = rng.standard_normal((2 * n, m))
-        B = schemes._block_length(2 * n, m, sol._groups)
+        B = schemes._block_length(2 * n * m, sol._groups)
         n_steps = B + extra if B > 1 else 1 + extra
         assert B == 1 or n_steps % B != 0
 
         recs = list(sol.iterate_raw(X, n_steps))
         assert [k for k, _, _ in recs] == list(range(n_steps))
-        E = np.array([raw(recs[0], "energy_prev")] + [raw(r, "energy") for r in recs])
+        blocks = [block for _, block, row in recs if not row]
+        assert [len(b.resid) for b in blocks] == block_schedule(B, n_steps)
+        E = np.concatenate([blocks[0].energy[:1]] + [b.energy[1:] for b in blocks])
         e0 = E[0]
         assert np.all(np.diff(E, axis=0) <= 0.0)
-        resid = np.array([raw(r, "identity_residual") for r in recs])
+        resid = np.concatenate([b.resid for b in blocks])
         assert np.all(resid <= 1e-12 * e0)
-        for c in range(m):
-            z = ModalState.from_stacked(X[:, c])
-            for r in recs:
-                rec = sol.step(z)
-                z = rec.z_next
-                tol = 1e-12 * e0[c]
-                assert abs(raw(r, "energy")[c] - energy(sys_, z)) <= tol
-                assert abs(raw(r, "damp")[c] - rec.damp_term) <= tol
-                assert abs(raw(r, "visc1")[c] - rec.visc1) <= tol
-                assert abs(raw(r, "visc2")[c] - rec.visc2) <= tol
+        tol = 1e-12 * e0
+        for got, want in zip([E] + [np.concatenate([getattr(b, name) for b in blocks])
+                                    for name in ("damp", "visc1", "visc2")],
+                             chained_steps(sol, X, n_steps)):
+            assert np.all(np.abs(got - want) <= tol)
 
 
 class TestIterateRawAudit:
@@ -431,33 +454,59 @@ def block_diagonal_system(rng, sizes):
     return ModalSystem.from_eta(eta, damp_gram=D[np.ix_(perm, perm)])
 
 
+def stepped_entries(sol, X):
+    """State entries per step that the batch X steps: per group size, every
+    column of each occupied group if some group holds every column, else
+    each occupied (group, column) pair."""
+    total = 0
+    for grp in sol._groups:
+        occ = X[grp.rows].any(axis=1)  # (g, m)
+        pairs = occ.any(axis=1).sum() * X.shape[1] if occ.all(axis=1).any() else occ.sum()
+        total += grp.rows.shape[1] * int(pairs)
+    return total
+
+
+def block_terms(blocks):
+    """Every (steps, m) array of a ``_blocks`` stream, joined over its time
+    blocks (the states after each block are overwritten, so not kept)."""
+    blocks = [b for b, _ in blocks]
+    out = {name: np.concatenate([getattr(b, name) for b in blocks]) for name in
+           ("visc1", "visc2", "damp", "observed", "resid")}
+    for name in ("energy", "weak_sq"):
+        out[name] = np.concatenate([getattr(blocks[0], name)[:1]]
+                                   + [getattr(b, name)[1:] for b in blocks])
+    return out, [len(b.resid) for b in blocks]
+
+
 class TestOccupiedGroups:
-    """Only the mode groups some column occupies are stepped; the others
-    stay exactly zero and add exact zeros, so every column must match the
-    same column stepped in a batch that occupies every group.  The group
-    states match exactly (``test_one_group_final_state``); the terms to
-    1e-15 of the column's E0 (of its initial weak norm for ``weak_sq``),
-    because BLAS may sum a narrow product in another order once the zero
-    rows are gone (up to ~3.3e-16 seen before the block products were
-    padded to whole 8-column panels; bit-identical since).  Both batches
-    take the same time blocks, so they read the same doubled maps: the
-    dense one already sits at the 128-step cap, and the subset batch steps
-    fewer rows of the same column count.  A column sits one place further
-    right in the dense batch, which the padded products do not see
-    (``TestColumnPosition``)."""
+    """Only what a batch occupies is stepped.  Per group size, if some group
+    holds every column, the occupied groups are stepped in every column;
+    else each occupied (group, column) pair is stepped alone and a column's
+    terms are summed over its pairs in group order.  Groups no column
+    occupies stay exactly zero and add exact zeros, and a column's terms
+    are its own: rolling the columns rolls every term bit for bit, and
+    each column matches the same column stepped alone (one column, which
+    some group holds, with the longer time blocks of its own entries)
+    within ``SPARSE_EPS`` eps of its E0 (of ``E0 / min eta``, which bounds
+    it, for ``weak_sq``).  The two runs reach a step through different
+    powers of P; over 2000 other draws the largest gap was 8.7 eps (energy
+    and residual) and 16.1 eps (``weak_sq``)."""
+
+    SPARSE_EPS = 32
 
     @settings(max_examples=40, deadline=None, derandomize=True)
     @given(
         seed=st.integers(0, 2**32 - 1),
         sizes=st.lists(st.integers(1, 3), min_size=1, max_size=5),
         support=st.sampled_from(["one", "several", "all"]),
-        m=st.integers(1, 3),
+        m=st.integers(2, 4),
         zero_col=st.booleans(),
+        full_col=st.booleans(),
         damping=st.booleans(),
         extra=st.integers(1, 63),
     )
-    def test_subset_batch_matches_dense_batch(self, seed, sizes, support, m, zero_col,
-                                              damping, extra):
+    def test_sparse_batch_matches_columns_alone(self, seed, sizes, support, m, zero_col,
+                                                full_col, damping, extra):
         rng = np.random.default_rng(seed)
         sys_ = block_diagonal_system(rng, sizes)
         n, groups = sys_.n, sys_.groups
@@ -469,33 +518,33 @@ class TestOccupiedGroups:
             for i in rng.choice(len(groups), size=count, replace=False):
                 rows = np.concatenate([groups[i], groups[i] + n])
                 X[rows, c] = rng.standard_normal(rows.size)
+        if full_col:  # a column that occupies every group
+            X[:, rng.integers(m)] = rng.standard_normal(2 * n)
         if zero_col:
             X[:, rng.integers(m)] = 0.0
-        # an all-zero column pads the subset batch at the end; a full one
-        # leads the dense batch, so no single column sets the occupied groups
-        dense = np.column_stack([rng.standard_normal(2 * n), X])
-        B = schemes._block_length(2 * n, m + 1, sol._groups)
-        assert B == 128
-        n_steps = B + extra
-        recs = list(sol.iterate_raw(np.column_stack([X, np.zeros(2 * n)]), n_steps))
-        refs = list(sol.iterate_raw(dense, n_steps))
-        assert len(recs) == n_steps
-        for stream in (recs, refs):
-            assert [len(b.resid) for _, b, row in stream if not row] == block_schedule(B, n_steps)
-        e0, w0 = raw(refs[0], "energy_prev")[1:], raw(refs[0], "weak_sq_prev")[1:]
-        for r, q in zip(recs, refs):
-            k = r[0]
-            assert k == q[0]
-            for name in RAW_FIELDS:
-                assert not raw(r, name)[m], (k, name)
-                tol = 1e-15 * (w0 if name.startswith("weak") else e0)
-                assert np.all(np.abs(raw(r, name)[:m] - raw(q, name)[1:]) <= tol), (k, name)
-        # and the energies of chained single steps, which step every group
+        B = schemes._block_length(stepped_entries(sol, X), sol._groups)
+        n_steps = 2 * B + extra  # doubling blocks, a full one and a partial one
+        got, lengths = block_terms(sol._blocks(X, n_steps))
+        assert lengths == block_schedule(B, n_steps)
+        # the rolled batch rolls every term bit for bit, block by block
+        for (b, _), (q, _) in zip(sol._blocks(X, n_steps),
+                                  sol._blocks(np.roll(X, 1, axis=1), n_steps)):
+            for name in b._fields[1:]:
+                assert np.array_equal(np.roll(getattr(b, name), 1, axis=1), getattr(q, name))
+        eps = np.finfo(float).eps
         for c in range(m):
-            z = ModalState.from_stacked(X[:, c])
-            for r in recs:
-                z = sol.step(z).z_next
-                assert abs(raw(r, "energy")[c] - energy(sys_, z)) <= 1e-12 * e0[c], (r[0], c)
+            alone, _ = block_terms(sol._blocks(X[:, c:c + 1], n_steps))
+            if not X[:, c].any():
+                assert not any(got[name][:, c].any() or alone[name].any() for name in got)
+                continue
+            e0 = alone["energy"][0, 0]
+            for name in got:
+                scale = e0 / sys_.eta.min() if name == "weak_sq" else e0
+                gap = np.abs(got[name][:, c] - alone[name][:, 0]).max() / (eps * scale)
+                assert gap <= self.SPARSE_EPS, (c, name, gap)
+        # and the energies of chained single steps, which step every group
+        E = chained_steps(sol, X, n_steps)[0]
+        assert np.all(np.abs(got["energy"] - E) <= 1e-12 * E[0])
 
     @pytest.mark.parametrize("damping", [True, False])
     def test_one_group_final_state(self, damping):
@@ -530,57 +579,66 @@ class TestColumnPosition:
         sys_ = block_diagonal_system(rng, [3, 3, 2, 3, 1, 2])
         sol = factorize(sys_, SchemeConfig(dt=0.02, t_final=1.0, damping=damping))
         X = rng.standard_normal((2 * sys_.n, m))
+        B = schemes._block_length(2 * sys_.n * m, sol._groups)
+        n_steps = 3 * B + 45  # two full blocks after the doubling ones, then a partial one
         lengths = []
         # the states after a block are views into reused buffers: compare as they come
-        for (b, after), (q, after_q) in zip(sol._blocks(X, 300),
-                                            sol._blocks(np.roll(X, 1, axis=1), 300)):
+        for (b, after), (q, after_q) in zip(sol._blocks(X, n_steps),
+                                            sol._blocks(np.roll(X, 1, axis=1), n_steps)):
             lengths.append(len(b.resid))
             for name in b._fields[1:]:
                 assert np.array_equal(np.roll(getattr(b, name), 1, axis=1), getattr(q, name)), name
             for (_, x), (_, xq) in zip(after, after_q):
                 assert np.array_equal(np.roll(x, 1, axis=2), xq)
-        B = schemes._block_length(2 * sys_.n, m, sol._groups)
-        assert B >= 64 and lengths == block_schedule(B, 300)
+        assert B >= 64 and lengths == block_schedule(B, n_steps)
 
 
 class TestBlockLength:
     def test_follows_stepped_rows(self):
-        # criterion-7 system, 32 groups of two modes: a batch that occupies
-        # one group takes longer blocks than a dense batch of the same width
+        # criterion-7 system, 32 groups of two modes (4 rows each), 8 columns:
+        # a dense batch steps 1024 entries per step (B = 32); one group held
+        # by every column steps 32, and so does the batch whose column c
+        # occupies group c alone, stepped as 8 (group, column) pairs: both
+        # reach the 2^18 / (entries of P) cap, B = 512
         sys_ = build_coupled_waves(ExampleParams(0.5, 1.0, 32))
         n, m = sys_.n, 8
         sol = factorize(sys_, SchemeConfig(dt=0.01, t_final=1.0))
         rng = np.random.default_rng(5)
-        one = np.zeros((2 * n, m))
-        rows = np.concatenate([sys_.groups[3], sys_.groups[3] + n])
-        one[rows] = rng.standard_normal((rows.size, m))
+        one, split = np.zeros((2 * n, m)), np.zeros((2 * n, m))
+        for c in range(m):
+            rows = np.concatenate([sys_.groups[3], sys_.groups[3] + n])
+            one[rows, c] = rng.standard_normal(rows.size)
+            rows = np.concatenate([sys_.groups[c], sys_.groups[c] + n])
+            split[rows, c] = rng.standard_normal(rows.size)
 
         def lengths(x):
-            return [len(b.resid) for b, _ in sol._blocks(x, 300)]
+            return [len(b.resid) for b, _ in sol._blocks(x, 1100)]
 
-        assert lengths(rng.standard_normal((2 * n, m))) == block_schedule(32, 300)
-        assert lengths(one) == block_schedule(128, 300)
+        assert lengths(rng.standard_normal((2 * n, m))) == block_schedule(32, 1100)
+        assert lengths(one) == lengths(split) == block_schedule(512, 1100)
 
     def test_power_of_two_and_few_maps(self):
         sys_ = build_coupled_waves(ExampleParams(0.5, 1.0, 8))
         sol = factorize(sys_, SchemeConfig(dt=0.01, t_final=1.0))
         for rows in range(1, 2 * sys_.n + 1):
             for m in (1, 3, 7, 50, 1000, 10**5):
-                B = schemes._block_length(rows, m, sol._groups)
-                assert 1 <= B <= 128 and B & (B - 1) == 0, (rows, m)
+                B = schemes._block_length(rows * m, sol._groups)
+                # 2^18 / (entries of P): 8 groups of 4 x 4
+                assert 1 <= B <= 2048 and B & (B - 1) == 0, (rows, m)
         rng = np.random.default_rng(6)
         for m in range(1, 400, 7):
             list(sol.iterate_raw(rng.standard_normal((2 * sys_.n, m)), 300))
-        # one doubled map per power of two up to the longest block
-        assert sorted(sol._doubled_maps) == [1 << i for i in range(8)]
+        # one doubled map per power of two up to the longest block, which
+        # the 300 steps cap at 256
+        assert sorted(sol._doubled_maps) == [1 << i for i in range(9)]
 
     @pytest.mark.parametrize("m", [1, 8])
     def test_short_runs_build_no_unstepped_powers(self, m):
-        # the rule alone gives B = 128 (one column) and 32 (eight columns)
+        # the rule alone gives B = 256 (one column) and 32 (eight columns)
         sys_ = build_coupled_waves(ExampleParams(0.5, 1.0, 32))
         x = np.random.default_rng(7).standard_normal((2 * sys_.n, m))
         cfg = SchemeConfig(dt=0.01, t_final=1.0)
-        B = schemes._block_length(2 * sys_.n, m, factorize(sys_, cfg)._groups)
+        B = schemes._block_length(2 * sys_.n * m, factorize(sys_, cfg)._groups)
         assert B >= 32
         for n_steps in [1, 2, 3, 5, 17, 31, 33, 127, 129]:
             sol = factorize(sys_, cfg)
@@ -671,11 +729,12 @@ class TestDoubledMaps:
 
 class TestLongHorizon:
     def test_identity_residual_over_200001_steps(self):
-        # the criterion-7 family (k_max 32, 8 members, B = 128) at dt = 1e-3
-        # to T = 200.  Each state of a time block is P^128 times a state 128
-        # steps back, so the per-step residual carries the rounding of the
-        # doubled powers: 30.6 eps E0 (6.8e-15) at most here; the audit
-        # allows 1e-12 E0.
+        # the criterion-7 family (k_max 32, 8 members in 6 groups, stepped as
+        # 8 (group, column) pairs, B = 512) at dt = 1e-3 to T = 200.  Each
+        # state of a time block is P^512 times a state 512 steps back, so the
+        # per-step residual carries the rounding of the doubled powers:
+        # 19.5 eps E0 (4.3e-15) at most here (30.6 eps at B = 128 with every
+        # occupied group stepped in every column); the audit allows 1e-12 E0.
         sys_ = build_coupled_waves(ExampleParams(0.5, 1.0, 32))
         family = [z for _, z in worst_case_family(sys_)]
         X0, e0 = np.column_stack([z.stacked() for z in family]), [energy(sys_, z) for z in family]
@@ -685,7 +744,7 @@ class TestLongHorizon:
         sol = factorize(sys_, cfg)
         worst = max((block.resid / e0).max()
                     for _, block, row in sol.iterate_raw(X0, n_steps) if not row)
-        assert max(sol._doubled_maps) == 128
+        assert max(sol._doubled_maps) == 512
         assert worst <= 64 * np.finfo(float).eps, worst
 
 
@@ -703,7 +762,7 @@ class TestDenseGroup:
 
     @pytest.mark.parametrize("m", [1, 8])
     def test_single_steps_and_no_doubling(self, solver, m):
-        assert schemes._block_length(2 * solver.sys.n, m, solver._groups) == 1
+        assert schemes._block_length(2 * solver.sys.n * m, solver._groups) == 1
         X = np.random.default_rng(m).standard_normal((2 * solver.sys.n, m))
         recs = list(solver.iterate_raw(X, 5))
         assert [(block.k0, len(block.resid)) for _, block, _ in recs] == [(k, 1) for k in range(5)]
@@ -713,7 +772,7 @@ class TestDenseGroup:
 class TestRawStepRecords:
     """The per-step records of ``iterate_raw`` are bare step tuples."""
 
-    @pytest.mark.parametrize("m, B", [(1, 128), (64, 4), (200, 1)])
+    @pytest.mark.parametrize("m, B", [(1, 256), (64, 4), (200, 1)])
     def test_protocol(self, m, B):
         # plain (k, block, row) 3-tuples, k = 0..n_steps-1, one block object per
         # time block, n_steps items; blocks of 1, 2, 4, ... steps up to B,
@@ -721,7 +780,7 @@ class TestRawStepRecords:
         sys_ = build_coupled_waves(ExampleParams(0.5, 1.0, 32))
         sol = factorize(sys_, SchemeConfig(dt=0.01, t_final=1.0))
         X = np.random.default_rng(2).standard_normal((2 * sys_.n, m))
-        assert schemes._block_length(2 * sys_.n, m, sol._groups) == B
+        assert schemes._block_length(2 * sys_.n * m, sol._groups) == B
         n_steps = (B - 1) + 2 * B + 3 if B > 1 else 7
         recs = list(sol.iterate_raw(X, n_steps))
         assert len(recs) == n_steps
@@ -739,13 +798,13 @@ class TestRawStepRecords:
 
     def test_records_outlive_iteration(self):
         # several full time blocks and a partial one, column batches of 3 and
-        # 8 columns (B = 128) and the 400 of the observability draws (B = 1),
+        # 8 columns (B = 512 and 256) and the 400 of the observability draws (B = 1),
         # whose full blocks reuse the two block buffers alternately
-        for k_max, m, B in [(4, 3, 128), (4, 8, 128), (32, 400, 1)]:
+        for k_max, m, B in [(4, 3, 512), (4, 8, 256), (32, 400, 1)]:
             sys_ = build_coupled_waves(ExampleParams(0.5, 1.0, k_max))
             sol = factorize(sys_, SchemeConfig(dt=0.05, t_final=1.0))
             X = np.random.default_rng(4).standard_normal((2 * sys_.n, m))
-            assert schemes._block_length(2 * sys_.n, m, sol._groups) == B
+            assert schemes._block_length(2 * sys_.n * m, sol._groups) == B
             n_steps = 3 * B + 5
             seen, recs = [], []
             for rec in sol.iterate_raw(X, n_steps, beta=0.5):
@@ -770,11 +829,11 @@ class TestBufferLifetime:
     def test_final_state_matches_chained_steps(self, gamma, extra):
         # the doubling blocks hold B - 1 steps, so 3B - 1 steps end on the
         # second full block and 3B, 3B + 1 on a partial one
-        sys_ = build_coupled_waves(ExampleParams(0.5, gamma, 4))
-        B = 128
+        sys_ = build_coupled_waves(ExampleParams(0.5, gamma, 32))
+        B = 256
         n_steps = 3 * B + extra
         sol = factorize(sys_, SchemeConfig(dt=0.05, t_final=(n_steps - 1) * 0.05))
-        assert schemes._block_length(2 * sys_.n, 1, sol._groups) == B
+        assert schemes._block_length(2 * sys_.n, sol._groups) == B
         assert sol._damped == (gamma > 0)
         assert (block_schedule(B, n_steps)[-1] == B) == (extra == -1)
         z = z0 = ModalState.from_stacked(np.random.default_rng(5).standard_normal(2 * sys_.n))
@@ -853,8 +912,9 @@ class TestEnergyIdentity:
             sys_ = random_system(rng, n)
             sol = factorize(sys_, SchemeConfig(dt=0.02, t_final=1.0, damping=False))
             u = random_state(rng, n)
-            assert norm_pair(sys_, midpoint_stage(sol, u), -0.5) == pytest.approx(
-                norm_pair(sys_, u, -0.5), rel=1e-13
+            mid = midpoint_stage(sol, u)
+            assert math.sqrt(inner_h(sys_, mid, mid)) == pytest.approx(
+                math.sqrt(inner_h(sys_, u, u)), rel=1e-13
             )
 
     def test_viscosity_off_and_undamped_reduces_to_midpoint(self):

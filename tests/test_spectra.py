@@ -276,6 +276,16 @@ class TestObsLowerBound:
         obs = check_obs_lower_bound(sys_, beta=0.0)
         assert obs.degenerate == ((0, 1),)
 
+    @pytest.mark.parametrize("beta", [math.nan, math.inf, -math.inf],
+                             ids=["nan", "inf", "-inf"])
+    def test_nonfinite_beta_raises(self, beta):
+        # NaN gave NaN constants and +inf gave +inf; the audit raises too
+        sys_ = build_coupled_waves(ExampleParams(0.5, 1.0, 4))
+        for call in (lambda: check_obs_lower_bound(sys_, beta),
+                     lambda: audit_spectrum(sys_, beta, 0.1, 1.0)):
+            with pytest.raises(DomainError, match="beta must be finite; got"):
+                call()
+
 
 class TestFilteringCutoff:
     def test_cutoff_definition(self):

@@ -7,9 +7,12 @@ Subcommands: ``trace``, ``decay``, ``observability``, ``spectrum``,
 Exit codes: 0 success, 1 I/O failure, 2 config error, 3 numerical
 diagnostic failure (energy-identity violation, non-finite states).
 
-Outputs are written atomically (unique temp file + rename).  CSV floats carry 17
-significant digits; JSON uses sorted keys and shortest round-trip floats,
-so identical config + seed gives byte-identical files.
+Each subcommand returns its outputs by file suffix; ``main`` writes them in
+order to ``<out>/<prefix><suffix>``, each atomically (unique temp file +
+rename) and every JSON with the config echo, so one that raises writes
+nothing.  CSV floats carry 17 significant digits; JSON uses sorted keys
+and shortest round-trip floats, so identical config + seed gives
+byte-identical files.
 """
 
 from __future__ import annotations
@@ -69,30 +72,23 @@ def _atomic_write(path: str, text: str) -> None:
         raise
 
 
-def _write_json(path: str, payload) -> None:
-    _atomic_write(path, json.dumps(_jsonable(payload), sort_keys=True, indent=2) + "\n")
-
-
-def _scheme_dt(cfg: ExperimentConfig) -> float:
-    if cfg.scheme.dt is not None:
-        return cfg.scheme.dt
-    return cfg.scheme.dt_list[0]
+def _json_text(payload) -> str:
+    return json.dumps(_jsonable(payload), sort_keys=True, indent=2) + "\n"
 
 
 def _dt_list(cfg: ExperimentConfig) -> list:
-    if cfg.scheme.dt_list is not None:
-        return list(cfg.scheme.dt_list)
-    return [cfg.scheme.dt]
+    """The configured time steps: ``scheme.dt_list``, or ``[scheme.dt]``."""
+    return [cfg.scheme.dt] if cfg.scheme.dt_list is None else list(cfg.scheme.dt_list)
 
 
 # -- subcommands -----------------------------------------------------------
+# (cfg, system, --seed) -> ({file suffix: str, or a JSON payload}, exit code)
 
 
-def cmd_trace(cfg: ExperimentConfig, out: str, seed) -> int:
-    sys_ = build_system(cfg.system)
+def cmd_trace(cfg: ExperimentConfig, sys_, seed) -> tuple:
     z0 = build_init(cfg.init, sys_, seed)
     scheme = SchemeConfig(
-        dt=_scheme_dt(cfg),
+        dt=_dt_list(cfg)[0],
         t_final=cfg.scheme.t_final,
         viscosity=cfg.scheme.viscosity,
         damping=cfg.scheme.damping,
@@ -106,48 +102,35 @@ def cmd_trace(cfg: ExperimentConfig, out: str, seed) -> int:
     row = "{}" + ",{:.17g}" * 7
     cols = (c.tolist() for c in [trace.t, trace.energy, trace.weak_sq, *terms])
     lines = [TRACE_HEADER] + [row.format(k, *vals) for k, vals in enumerate(zip(*cols))]
-    prefix = os.path.join(out, cfg.output.prefix)
-    _atomic_write(prefix + "_trace.csv", "\n".join(lines) + "\n")
-    _write_json(
-        prefix + "_summary.json",
-        {
-            "config": cfg.to_dict(),
-            "seed_override": seed,
-            "E0": trace.e0,
-            "E_final": trace.e_final,
-            "telescope_residual": trace.telescope_residual,
-            "telescope_tol": trace.telescope_tol,
-            "identity_ok": trace.identity_ok,
-            "monotone_ok": trace.monotone_ok,
-            "steps": int(trace.damp.shape[0]),
-        },
-    )
-    return 0 if trace.identity_ok else 3
+    summary = {
+        "seed_override": seed,
+        "E0": trace.e0,
+        "E_final": trace.e_final,
+        "telescope_residual": trace.telescope_residual,
+        "telescope_tol": trace.telescope_tol,
+        "identity_ok": trace.identity_ok,
+        "monotone_ok": trace.monotone_ok,
+        "steps": int(trace.damp.shape[0]),
+    }
+    outputs = {"_trace.csv": "\n".join(lines) + "\n", "_summary.json": summary}
+    return outputs, 0 if trace.identity_ok else 3
 
 
-def cmd_decay(cfg: ExperimentConfig, out: str, seed) -> int:
-    sys_ = build_system(cfg.system)
+def cmd_decay(cfg: ExperimentConfig, sys_, seed) -> tuple:
     st = cfg.study
     study = uniform_decay_study(
         sys_,
         beta=st.beta,
         dt_list=_dt_list(cfg),
         T=cfg.scheme.t_final,
-        fit_window=tuple(st.fit_window) if st.fit_window else None,
         t_star=st.t_star,
         viscosity=cfg.scheme.viscosity,
         damping=cfg.scheme.damping,
     )
-    prefix = os.path.join(out, cfg.output.prefix)
-    _write_json(
-        prefix + "_decay.json",
-        {"config": cfg.to_dict(), "seed_override": seed, "study": study},
-    )
-    return 0
+    return {"_decay.json": {"seed_override": seed, "study": study}}, 0
 
 
-def cmd_observability(cfg: ExperimentConfig, out: str, seed) -> int:
-    sys_ = build_system(cfg.system)
+def cmd_observability(cfg: ExperimentConfig, sys_, seed) -> tuple:
     st = cfg.study
     study = observability_constant_study(
         sys_,
@@ -159,37 +142,22 @@ def cmd_observability(cfg: ExperimentConfig, out: str, seed) -> int:
         t_star=st.t_star,
         viscosity=cfg.scheme.viscosity,
     )
-    prefix = os.path.join(out, cfg.output.prefix)
-    _write_json(
-        prefix + "_observability.json",
-        {"config": cfg.to_dict(), "seed_override": seed, "study": study},
-    )
-    return 0
+    return {"_observability.json": {"seed_override": seed, "study": study}}, 0
 
 
-def cmd_spectrum(cfg: ExperimentConfig, out: str, seed) -> int:
-    sys_ = build_system(cfg.system)
-    report = audit_spectrum(
-        sys_, beta=cfg.study.beta, dt=_scheme_dt(cfg), delta=cfg.study.delta
-    )
-    payload = {
-        "config": cfg.to_dict(),
-        "report": report,
-        "labels": [list(lab) for lab in sys_.labels],
-    }
+def cmd_spectrum(cfg: ExperimentConfig, sys_, seed) -> tuple:
+    report = audit_spectrum(sys_, beta=cfg.study.beta, dt=_dt_list(cfg)[0], delta=cfg.study.delta)
+    payload = {"report": report, "labels": [list(lab) for lab in sys_.labels]}
     if cfg.system.type == "boundary_coupled_waves":
         p = ExampleParams(cfg.system.alpha, cfg.system.gamma, cfg.system.k_max)
         payload["fixedpoint_residuals"] = boundary_fixedpoint_residuals(p, sys_)
-    prefix = os.path.join(out, cfg.output.prefix)
-    _write_json(prefix + "_spectrum.json", payload)
-    return 0
+    return {"_spectrum.json": payload}, 0
 
 
-def cmd_ingham(cfg: ExperimentConfig, out: str, seed) -> int:
-    sys_ = build_system(cfg.system)
+def cmd_ingham(cfg: ExperimentConfig, sys_, seed) -> tuple:
     st = cfg.study
     use_seed = st.seed if seed is None else seed
-    report = audit_spectrum(sys_, beta=st.beta, dt=_scheme_dt(cfg), delta=st.delta)
+    report = audit_spectrum(sys_, beta=st.beta, dt=_dt_list(cfg)[0], delta=st.delta)
     mu_max = float(np.max(sys_.mu))
 
     def auto_config(name: str, gap: float) -> InghamConfig:
@@ -199,7 +167,7 @@ def cmd_ingham(cfg: ExperimentConfig, out: str, seed) -> int:
         J = st.J if st.J is not None else int(math.ceil((math.pi / gap) / sigma)) + 1
         return InghamConfig(sigma=sigma, J=J, gamma=gap, trials=st.trials, seed=use_seed)
 
-    payload = {"config": cfg.to_dict(), "seed": use_seed}
+    payload = {"seed": use_seed}
     gamma = st.gamma if st.gamma is not None else report.gamma
     scalar_cfg = auto_config("gamma", gamma)
     scalar = estimate_scalar(sys_.mu, scalar_cfg)
@@ -224,9 +192,7 @@ def cmd_ingham(cfg: ExperimentConfig, out: str, seed) -> int:
         "ratio": ratio,
         "expected": self_cfg.sigma * (2 * self_cfg.J + 1),
     }
-    prefix = os.path.join(out, cfg.output.prefix)
-    _write_json(prefix + "_ingham.json", payload)
-    return 0
+    return {"_ingham.json": payload}, 0
 
 
 _COMMANDS = {
@@ -260,7 +226,12 @@ def main(argv=None) -> int:
             check_int("--seed", args.seed, 0, ConfigError)
         cfg = load_config(args.config)
         os.makedirs(args.out, exist_ok=True)
-        return _COMMANDS[args.command](cfg, args.out, args.seed)
+        outputs, code = _COMMANDS[args.command](cfg, build_system(cfg.system), args.seed)
+        for suffix, payload in outputs.items():
+            if not isinstance(payload, str):
+                payload = _json_text(dict(payload, config=cfg.to_dict()))
+            _atomic_write(os.path.join(args.out, cfg.output.prefix + suffix), payload)
+        return code
     except ConfigError as exc:
         print(f"config error: {exc}", file=_sys.stderr)
         return 2

@@ -19,21 +19,24 @@ Schema (all blocks optional except ``system``; defaults in parentheses):
       },
       "study": {
         "beta": float (0.0), "delta": float (1.0), "trials": int (200),
-        "seed": int (0), "t_star": float | null,
-        "fit_window": [lo, hi] | null, "sigma": float | null,
+        "seed": int (0), "t_star": float | null, "sigma": float | null,
         "J": int | null, "gamma": float | null
       },
       "output": {"prefix": str ("run")}
     }
 
+A config sets exactly one of ``scheme.dt`` and ``scheme.dt_list``; the
+subcommands that take one time step read its first entry.
 ``scheme.t_final`` is the horizon of both stepping subcommands, ``trace``
 and ``decay``.  Unknown keys are rejected so typos fail loudly, as is a
 value whose type does not fit its field (a bool is no number), an int
 field's value that is no integer of at least 1 (at least 0 for ``mode``,
 ``pair`` and the seeds), or a float field's value that is not finite,
 whether or not the subcommand reads it.  No key moves a pass/fail
-threshold (``schemes.AUDIT_RTOL``, ``diagnostics.UNIFORMITY_FACTOR`` and
-``EXPONENT_FLOOR``).  ``parse -> serialize -> parse`` is the identity.
+verdict: its thresholds (``schemes.AUDIT_RTOL``,
+``diagnostics.UNIFORMITY_FACTOR`` and ``EXPONENT_FLOOR``) are constants and
+the decay fit window is always ``(T*/2, scheme.t_final)``.
+``parse -> serialize -> parse`` is the identity.
 """
 
 from __future__ import annotations
@@ -104,7 +107,6 @@ class StudyBlock:
     trials: int = 200
     seed: int = 0
     t_star: float | None = None
-    fit_window: list | None = None
     sigma: float | None = None
     J: int | None = None
     gamma: float | None = None
@@ -157,13 +159,10 @@ class ExperimentConfig:
             raise ConfigError(f"system.type must be one of {_SYSTEM_TYPES}")
         if sys_b.type == "custom" and sys_b.eta is None:
             raise ConfigError("custom systems need system.eta")
-        if sch.dt is None and sch.dt_list is None:
-            raise ConfigError("scheme needs dt or dt_list")
+        if (sch.dt is None) == (sch.dt_list is None):
+            raise ConfigError("scheme needs exactly one of dt and dt_list")
         if sch.dt_list is not None and len(sch.dt_list) == 0:
             raise ConfigError("scheme.dt_list must be nonempty")
-        window = self.study.fit_window
-        if not (window is None or len(window) == 2 and all(_fits(v, (float,)) for v in window)):
-            raise ConfigError(f"study.fit_window must be two numbers [lo, hi]; got {window!r}")
         if self.init.kind not in _INIT_KINDS:
             raise ConfigError(f"init.kind must be one of {_INIT_KINDS}")
         for name, (_, hints) in _BLOCKS.items():  # every number field, read or not

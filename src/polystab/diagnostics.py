@@ -23,11 +23,10 @@ advances all columns of a study cell together with the per-mode-group
 propagators of ``schemes`` a time block at a time and yields one bare
 ``(k, block, row)`` tuple per step.  Every study reads each time block
 once, at its first tuple (``_blocks_of``), while every tuple is still
-drained; the observability sums add the block's rows in step order, so
-they do not depend on the block length.  ``iterate_raw`` audits every step
-it yields: a per-step energy-identity residual above the fixed
-``AUDIT_RTOL * E0`` of its column raises DiagnosticFailure, which the
-studies pass on.  The decay verdict's bounds are fixed too
+drained; the observability sums add the block's rows in step order.
+``iterate_raw`` audits every step it yields: a per-step energy-identity
+residual above the fixed ``AUDIT_RTOL * E0`` of its column raises
+DiagnosticFailure, which the studies pass on.  The decay verdict's bounds are fixed too
 (``UNIFORMITY_FACTOR`` and ``EXPONENT_FLOOR``).
 """
 
@@ -43,7 +42,7 @@ import numpy as np
 from .errors import DiagnosticFailure, DomainError, check_finite, check_int, check_positive
 from .modal import ModalState, ModalSystem, norm_domain
 from .schemes import EnergyTrace, SchemeConfig, factorize, substep_count
-from .spectra import check_gap, cluster_partition
+from .spectra import FilterCutoff, check_gap, cluster_partition, filtering_cutoff
 
 UNIFORMITY_FACTOR = 4.0  # criterion 7: largest envelope M_hat spread across dt
 EXPONENT_FLOOR = 0.7  # criterion 7: smallest envelope exponent
@@ -74,19 +73,20 @@ def observation_time(sys: ModalSystem, t_star: float | None = None) -> TStarPoli
 
     The pairwise route is used when the smallest pairwise gap is genuinely
     uniform (at least gamma1/2, i.e. no 2-clusters); otherwise the
-    2-separated constant drives the horizon.  An explicit ``t_star``
+    2-separated constant drives the horizon; with neither constant positive
+    and finite, DomainError asks for ``t_star``.  An explicit ``t_star``
     bypasses the audit; it must be positive and finite (else DomainError).
     """
     audit = check_gap(sys)
     if t_star is not None:
         check_positive("t_star", t_star)
         return TStarPolicy(float(t_star), audit.gamma, audit.gamma1, "override")
-    pairwise_usable = math.isfinite(audit.gamma) and (
+    pairwise_usable = 0.0 < audit.gamma < math.inf and (
         not math.isfinite(audit.gamma1) or audit.gamma >= 0.5 * audit.gamma1
     )
     if pairwise_usable:
         return TStarPolicy(2.0 * (2.0 * math.pi / audit.gamma), audit.gamma, audit.gamma1, "pairwise")
-    if not math.isfinite(audit.gamma1):
+    if not 0.0 < audit.gamma1 < math.inf:
         raise DomainError("no usable gap constant; pass t_star explicitly")
     return TStarPolicy(2.0 * (2.0 * math.pi / audit.gamma1), audit.gamma, audit.gamma1, "clustered")
 
@@ -138,9 +138,8 @@ def observability_functional(
     beta: float,
     dt: float,
     T_star: float,
-    viscosity: bool = True,
 ) -> ObservabilityReport:
-    """Observation + viscosity budget of the conservative run from ``u0``.
+    """Observation + viscosity budget of the conservative viscous run from ``u0``.
 
     Returns the ratio of
     ``dt sum ||B*(u^k + u~^{k+1})/2||^2 + dt sum dt^2 ||A u^{k+1}||^2
@@ -150,7 +149,7 @@ def observability_functional(
     if not 0.0 <= T_star < math.inf:
         raise DomainError(f"T_star must be non-negative and finite; got {T_star!r}")
     x0 = u0.stacked()[:, None]
-    cfg = SchemeConfig(dt=dt, t_final=max(T_star, dt), viscosity=viscosity, damping=False)
+    cfg = SchemeConfig(dt=dt, t_final=max(T_star, dt), damping=False)
     damp, v1, v2, weak, nsteps = _observability_sums(sys, x0, beta, cfg, T_star)
     if weak[0] == 0.0:
         raise DomainError("zero initial state: observability ratio undefined")
@@ -204,28 +203,29 @@ def observability_constant_study(
 
     The same seeded Gaussian draws are reused across all dt values (so the
     study isolates the dt dependence); each dt also gets low-pass-filtered
-    variants with cutoff ``delta / dt``.  Uniformity holds when the per-dt
-    minima stay above a common positive floor.
+    variants, split at ``filtering_cutoff(sys, dt, delta)``.  Uniformity
+    holds when the per-dt minima stay above a common positive floor.
 
-    ``t_star``, ``trials`` (a positive integer), ``delta`` (positive and
-    finite) and every dt are checked before anything is drawn or stepped:
-    a bad value raises DomainError.
+    ``t_star``, ``trials`` (a positive integer), every dt (a nonempty list)
+    and ``delta`` (in ``filtering_cutoff``'s range at every dt) are checked
+    before anything is drawn or stepped: a bad value raises DomainError.
     """
     policy = observation_time(sys, t_star)
     check_int("trials", trials)
-    check_positive("delta", delta)
-    cfgs = [SchemeConfig(dt=dt, t_final=max(policy.t_star, dt), viscosity=viscosity,
-                         damping=False) for dt in dt_list]
+    grids = [(SchemeConfig(dt=dt, t_final=max(policy.t_star, dt), viscosity=viscosity,
+                           damping=False), filtering_cutoff(sys, dt, delta)) for dt in dt_list]
+    if not grids:
+        raise DomainError("dt_list must be nonempty")
     n = sys.n
     children = np.random.SeedSequence(seed).spawn(trials)
     X = np.empty((2 * n, trials))
     for i, child in enumerate(children):
         X[:, i] = np.random.default_rng(child).standard_normal(2 * n)
 
-    def run_cell(cfg: SchemeConfig) -> ObservabilityCell:
-        cutoff = delta / cfg.dt
-        keep = np.concatenate([sys.mu <= cutoff, sys.mu <= cutoff])
-        XL = np.where(keep[:, None], X, 0.0)
+    def run_cell(cfg: SchemeConfig, low: FilterCutoff) -> ObservabilityCell:
+        keep = np.concatenate([low.retained, n + low.retained])  # rows of the low modes
+        XL = np.zeros_like(X)
+        XL[keep] = X[keep]
         damp, v1, v2, weak, _ = _observability_sums(
             sys, np.hstack([X, XL]), beta, cfg, policy.t_star)
         total = damp + v1 + v2
@@ -236,13 +236,12 @@ def observability_constant_study(
         return ObservabilityCell(
             dt=cfg.dt,
             t_star=policy.t_star,
-            cutoff=cutoff,
+            cutoff=low.cutoff,
             min_ratio=float(np.min(ratios)),
             min_ratio_lowpass=float(np.min(ratios_low)) if active.any() else math.nan,
             n_lowpass_active=int(np.count_nonzero(active)),
         )
 
-    cells = tuple(map(run_cell, cfgs))
     return ObservabilityStudy(
         beta=beta,
         delta=delta,
@@ -251,7 +250,7 @@ def observability_constant_study(
         route=policy.route,
         trials=trials,
         seed=seed,
-        cells=cells,
+        cells=tuple(run_cell(cfg, low) for cfg, low in grids),
     )
 
 
@@ -355,7 +354,7 @@ def high_freq_observability(
     T_star: float,
 ) -> float:
     """Viscosity-sum share of the observability ratio for a high state."""
-    rep = observability_functional(sys, u0_high, beta, dt, T_star, viscosity=True)
+    rep = observability_functional(sys, u0_high, beta, dt, T_star)
     return (rep.visc_sum1 + rep.visc_sum2) / rep.weak_norm_sq
 
 
@@ -533,7 +532,6 @@ def uniform_decay_study(
     beta: float,
     dt_list,
     T: float = 200.0,
-    fit_window=None,
     t_star: float | None = None,
     viscosity: bool = True,
     damping: bool = True,
@@ -550,14 +548,14 @@ def uniform_decay_study(
     fit window (every member's energy underflows there) or has a non-finite
     M_hat.  Per-member fits are reported alongside.
 
-    Every cell's SchemeConfig and the fit window (default ``(T*/2, T)``,
-    at least two samples on every dt grid) are checked before anything is
-    stepped: a bad dt, T, window or a beta that is not finite or not above
-    -1/2 raises DomainError.
+    Every cell's SchemeConfig and the fit window ``(T*/2, T)``, which must
+    hold at least two samples on every dt grid, are checked before
+    anything is stepped: a bad dt, T, window or a beta that is not finite
+    or not above -1/2 raises DomainError.
     """
     policy = observation_time(sys, t_star)
     p0 = _decay_rate(beta)
-    lo, hi = (0.5 * policy.t_star, T) if fit_window is None else fit_window
+    lo, hi = 0.5 * policy.t_star, T
     grids = []
     for dt in dt_list:
         cfg = SchemeConfig(dt=dt, t_final=T, viscosity=viscosity, damping=damping)

@@ -140,11 +140,10 @@ def build_boundary_coupled_waves(p: ExampleParams) -> ModalSystem:
 
     if p.gamma == 0.0:  # no damping: n modes of their own
         return ModalSystem.from_eta(mu**2, labels=labels, mu=mu)
+    # all modes form one group; its block is exactly symmetric, since S and
+    # the products b_j b_m are
     D = p.gamma * (b[:, None] * b[None, :]) * S
-    D = 0.5 * (D + D.T)  # enforce exact symmetry against rounding
-    # all modes form one group, whose block is a private copy of D
-    blocks = [(np.arange(mu.size)[None], D[None].copy())]
-    return ModalSystem._assemble(mu**2, blocks, labels, mu)
+    return ModalSystem._assemble(mu**2, [(np.arange(mu.size)[None], D[None])], labels, mu)
 
 
 def boundary_fixedpoint_residuals(p: ExampleParams, sys: ModalSystem) -> np.ndarray:

@@ -79,6 +79,30 @@ class TestConfig:
         with pytest.raises(ConfigError):
             build_init(cfg.init, sys_)
 
+    def test_key_census(self):
+        # every settable config value: a new key needs a deliberate edit here
+        keys = {f"{f.name}.{g.name}" for f in dataclasses.fields(ExperimentConfig)
+                for g in dataclasses.fields(f.default_factory)}
+        assert keys == {
+            "system.type", "system.alpha", "system.gamma", "system.k_max", "system.eta",
+            "system.damp_gram", "scheme.dt", "scheme.dt_list", "scheme.t_final",
+            "scheme.viscosity", "scheme.damping", "init.kind", "init.mode", "init.pair",
+            "init.seed", "init.cutoff", "study.beta", "study.delta", "study.trials",
+            "study.seed", "study.t_star", "study.sigma", "study.J", "study.gamma",
+            "output.prefix",
+        }
+        assert len(keys) == 25
+
+    def test_dt_and_dt_list_together_exit_2(self, tmp_path, capsys):
+        # one source for the time step: setting both is refused at load
+        p = write_config(tmp_path / "c.json", base_trace_config(dt_list=[0.05, 0.02]))
+        out = tmp_path / "out"
+        for command in ("trace", "decay"):
+            assert main([command, "--config", p, "--out", str(out)]) == 2
+            assert capsys.readouterr().err.splitlines() == [
+                "config error: scheme needs exactly one of dt and dt_list"]
+            assert not out.exists()
+
     def test_schema_docstring_lists_every_field(self):
         # the documented schema names exactly the blocks and fields the loader takes
         schema = re.search(r"\n    \{\n(.*?)\n    \}\n", config.__doc__, re.S).group(1)
@@ -100,6 +124,7 @@ class TestConfig:
         ("study", "exponent_floor", 0.7),
         ("study", "T", 60.0),
         ("study", "synthetic_exponent", 1.0),
+        ("study", "fit_window", [2.0, 8.0]),
     ])
     def test_threshold_keys_are_unknown(self, tmp_path, capsys, block, key, value):
         # the pass/fail thresholds are constants, not config keys
@@ -341,7 +366,6 @@ class TestFieldTypes:
         ("trace", "scheme", "dt_list", 0.05),
         ("trace", "scheme", "t_final", None),
         ("trace", "system", "eta", 3),
-        ("decay", "study", "fit_window", [2.0, "8"]),
         # int fields are checked at load, also where trace does not read them
         ("trace", "study", "trials", 2.5),
         ("trace", "study", "trials", 0),
@@ -363,7 +387,7 @@ class TestFieldTypes:
         ("trace", "study", "sigma", math.nan),
     ], ids=["dt_string", "alpha_string", "beta_string", "delta_string", "trials_bool",
             "prefix_int", "viscosity_string", "k_max_bool", "dt_bool", "dt_list_number",
-            "t_final_null", "eta_number", "fit_window_string", "trials_fraction",
+            "t_final_null", "eta_number", "trials_fraction",
             "trials_zero", "J_fraction", "k_max_float", "mode_fraction", "mode_negative",
             "pair_fraction", "init_seed_float", "trace_beta_nan", "observability_beta_nan",
             "spectrum_beta_nan", "observability_beta_inf", "gamma_nan", "alpha_minus_inf",
@@ -382,9 +406,9 @@ class TestFieldTypes:
     def test_numbers_fit_float_fields(self):
         payload = base_trace_config(dt=1, t_final=2)
         payload["system"]["alpha"] = 1
-        payload["study"] = {"beta": 0, "fit_window": [1, 2.0], "seed": 3}
+        payload["study"] = {"beta": 0, "seed": 3}
         cfg = ExperimentConfig.from_dict(payload)
-        assert (cfg.scheme.dt, cfg.system.alpha, cfg.study.fit_window) == (1, 1, [1, 2.0])
+        assert (cfg.scheme.dt, cfg.system.alpha, cfg.study.beta) == (1, 1, 0)
 
 
 class TestSpectrumCommand:
@@ -457,17 +481,17 @@ class TestDecayCommand:
     @pytest.mark.parametrize("scheme, study", [
         ({"dt_list": [-0.05], "t_final": 10.0}, {}),
         ({"dt_list": [0.5], "t_final": 0.2}, {}),
-        ({"dt_list": [0.05], "t_final": 10.0}, {"fit_window": [20.0, 30.0]}),
-        ({"dt_list": [0.05], "t_final": 10.0}, {"fit_window": [5.01, 5.06]}),
+        # the window (T*/2, t_final): beyond t_final, and holding t = 10 alone
+        ({"dt_list": [0.05], "t_final": 10.0}, {"t_star": 30.0}),
+        ({"dt_list": [0.05], "t_final": 10.0}, {"t_star": 19.95}),
         ({"dt_list": [0.05], "t_final": 10.0}, {"beta": -0.5}),
-        ({"dt_list": [0.05], "t_final": 10.0}, {"fit_window": [1.0]}),
         ({"dt_list": [0.05], "t_final": math.inf}, {}),
         ({"dt_list": ["0.05"], "t_final": 10.0}, {}),
         ({"dt_list": [0.05], "t_final": 10.0}, {"t_star": -4.0}),
-        ({"dt_list": [0.05], "t_final": 10.0}, {"t_star": math.inf, "fit_window": [2.0, 8.0]}),
+        ({"dt_list": [0.05], "t_final": 10.0}, {"t_star": math.inf}),
     ], ids=["dt_negative", "T_below_dt", "window_beyond_T", "one_sample_window",
-            "beta_at_minus_half", "window_not_a_pair", "t_final_infinite", "dt_string",
-            "t_star_negative", "t_star_infinite"])
+            "beta_at_minus_half", "t_final_infinite", "dt_string", "t_star_negative",
+            "t_star_infinite"])
     def test_bad_inputs_exit_2(self, tmp_path, capsys, scheme, study):
         payload = {
             "system": {"type": "coupled_waves", "alpha": 0.5, "gamma": 1.0, "k_max": 4},
@@ -563,6 +587,40 @@ class TestObservabilityCommand:
         assert main(["observability", "--config", str(p), "--out", str(tmp_path)]) == 2
         assert len(capsys.readouterr().err.splitlines()) == 1
         assert not (tmp_path / "o_observability.json").exists()
+
+    def test_delta_above_delta0_exits_2_as_in_spectrum(self, tmp_path, capsys):
+        # filtering_cutoff checks delta for every subcommand that reads it
+        payload = {
+            "system": {"type": "coupled_waves", "alpha": 0.5, "gamma": 1.0, "k_max": 4},
+            "scheme": {"dt": 0.05},
+            "study": {"trials": 3, "t_star": 2.0, "delta": 5.0},
+            "output": {"prefix": "o"},
+        }
+        p = write_config(tmp_path / "c.json", payload)
+        out = tmp_path / "out"
+        for command in ("observability", "spectrum", "ingham"):
+            assert main([command, "--config", p, "--out", str(out)]) == 2
+            assert capsys.readouterr().err.splitlines() == [
+                "error: delta must lie in (0, 3.10281); got 5.0"]
+            assert not out.exists() or not any(out.iterdir())
+
+
+class TestZeroGap:
+    @pytest.mark.parametrize("command", ["decay", "observability"])
+    def test_repeated_frequency_exits_2(self, tmp_path, capsys, command):
+        # gamma = 0 and no 2-separated gap: no horizon without study.t_star
+        payload = {
+            "system": {"type": "custom", "eta": [1.0, 1.0]},
+            "scheme": {"dt_list": [0.05], "t_final": 4.0},
+            "study": {"trials": 3},
+            "output": {"prefix": "z"},
+        }
+        p = write_config(tmp_path / "c.json", payload)
+        out = tmp_path / "out"
+        assert main([command, "--config", p, "--out", str(out)]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "error: no usable gap constant; pass t_star explicitly"]
+        assert not out.exists() or not any(out.iterdir())
 
 
 class TestStudyDeterminism:

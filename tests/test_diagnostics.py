@@ -70,6 +70,20 @@ class TestObservationTime:
         sys_ = build_coupled_waves(ExampleParams(0.5, 1.0, 4))
         assert observation_time(sys_, t_star=3.25).t_star == 3.25
 
+    @pytest.mark.parametrize("eta", [[1.0, 1.0], [1.0, 1.0, 1.0]])
+    def test_zero_gap_needs_t_star(self, eta):
+        # a repeated frequency leaves no positive gap constant to divide by
+        sys_ = ModalSystem.from_eta(eta)
+        with pytest.raises(DomainError, match="no usable gap constant; pass t_star explicitly"):
+            observation_time(sys_)
+        assert observation_time(sys_, t_star=2.0).t_star == 2.0
+
+    def test_repeated_pair_takes_clustered_route(self):
+        # mu = (1, 1, 2): gamma = 0, gamma1 = 1/2
+        pol = observation_time(ModalSystem.from_eta([1.0, 1.0, 4.0]))
+        assert (pol.route, pol.gamma, pol.gamma1) == ("clustered", 0.0, 0.5)
+        assert pol.t_star == 2.0 * 2.0 * math.pi / 0.5
+
     @pytest.mark.parametrize("t_star", [0.0, -1.0, math.inf, math.nan])
     def test_bad_override_rejected(self, t_star):
         sys_ = build_coupled_waves(ExampleParams(0.5, 1.0, 4))
@@ -147,7 +161,8 @@ class TestObservabilityFunctional:
 class TestObservabilitySums:
     """The sums add each time block's rows in step order, so they equal a
     step-by-step loop over the same blocks bit for bit; a block
-    ``sum(axis=0)`` would reassociate them."""
+    ``sum(axis=0)`` would reassociate them.  Other blocks give other bits:
+    the per-step terms depend on the block length."""
 
     @pytest.mark.parametrize("m, B", [(4, 64), (200, 1)])
     def test_step_order_sums(self, monkeypatch, m, B):
@@ -232,10 +247,14 @@ class TestObservabilityStudy:
         {"delta": 0.0},
         {"delta": -1.0},
         {"delta": math.inf},
+        {"delta": 5.0},
+        {"dt_list": [0.02, 0.05], "delta": 3.104},
+        {"dt_list": []},
         {"t_star": -1.0},
         {"t_star": math.inf},
     ], ids=["trials_zero", "trials_negative", "trials_fraction", "trials_bool", "dt_zero",
-            "later_dt_zero", "delta_zero", "delta_negative", "delta_infinite", "t_star_negative",
+            "later_dt_zero", "delta_zero", "delta_negative", "delta_infinite",
+            "delta_above_delta0", "delta_above_later_delta0", "no_dt", "t_star_negative",
             "t_star_infinite"])
     def test_bad_inputs_raise_before_stepping(self, monkeypatch, bad):
         sys_ = build_coupled_waves(ExampleParams(0.5, 1.0, 4))
@@ -501,13 +520,13 @@ class TestUniformDecayStudy:
         {"dt_list": [-0.05]},
         {"dt_list": [0.05, 0.0]},
         {"dt_list": [0.5], "T": 0.2},
-        {"fit_window": (20.0, 30.0)},
-        {"fit_window": (5.01, 5.06)},
+        {"t_star": 30.0},  # the window (T*/2, T) starts beyond T
+        {"t_star": 19.95},  # the window holds t = 10 alone
         {"dt_list": []},
         {"beta": -0.5},
         {"T": math.inf},
         {"t_star": -4.0},
-        {"t_star": math.inf, "fit_window": (2.0, 8.0)},
+        {"t_star": math.inf},
     ], ids=["dt_negative", "later_dt_zero", "T_below_dt", "window_beyond_T",
             "one_sample_window", "no_dt", "beta_at_minus_half", "T_infinite",
             "t_star_negative", "t_star_infinite"])
@@ -582,9 +601,10 @@ class TestUniformDecayStudy:
         # values of a step-major E assembled one record at a time and
         # fitted through _loglog_fit, for the damped system and the gamma = 0
         # control, also past a full and a partial last block (B = 1024 for
-        # both family batches).  The window spans the whole grid, so every
-        # sample counts, and then is the default (T*/2, T), so the study
-        # fits a view of E that starts inside it.
+        # both family batches).  The window (T*/2, T) first spans the whole
+        # grid but its ends (t = 0 and the step past T), through T* = dt, so
+        # every other sample counts, and then starts inside it (T* = 4), so
+        # the study fits a view of E that starts there.
         sys_ = build_coupled_waves(ExampleParams(0.5, gamma, 4))
         T, dt = 150.0, 0.05
         family = worst_case_family(sys_)
@@ -597,11 +617,11 @@ class TestUniformDecayStudy:
                 E[0] = block.energy[0]
             E[k + 1] = block.energy[row + 1]
         lengths = record_block_lengths(monkeypatch)
-        for fit_window in [(0.0, t[-1]), None]:
-            study = uniform_decay_study(sys_, 0.0, [dt], T=T, fit_window=fit_window, t_star=4.0)
+        for t_star in [dt, 4.0]:
+            study = uniform_decay_study(sys_, 0.0, [dt], T=T, t_star=t_star)
             lo, hi = study.fit_window
             win = (t >= lo) & (t <= hi)
-            assert win.all() == (fit_window is not None)
+            assert not win[0] and not win[-1] and win[1:-1].all() == (t_star == dt)
             x, w = np.log1p(t[win]), (1.0 + t[win]) ** study.p0
             (cell,) = study.cells
             fits = [(mf.m_hat, mf.exponent, mf.r_squared) for mf in cell.member_fits]

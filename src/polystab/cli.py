@@ -10,14 +10,16 @@ diagnostic failure (energy-identity violation, non-finite states).
 Each subcommand returns its outputs by file suffix; ``main`` writes them in
 order to ``<out>/<prefix><suffix>``, each atomically (unique temp file +
 rename) and every JSON with the config echo, so one that raises writes
-nothing.  CSV floats carry 17 significant digits; JSON uses sorted keys
-and shortest round-trip floats, so identical config + seed gives
+nothing and leaves behind no ``--out`` directory that the run created.
+CSV floats carry 17 significant digits; JSON uses sorted keys and
+shortest round-trip floats, so identical config + seed gives
 byte-identical files.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import json
 import math
@@ -70,6 +72,18 @@ def _atomic_write(path: str, text: str) -> None:
     except BaseException:
         os.unlink(tmp)
         raise
+
+
+def _make_out_dir(path: str) -> list:
+    """Create the directory ``path`` and its missing parents, before anything
+    runs, so an unwritable ``--out`` fails early; returns the directories
+    created, leaf first."""
+    made, head = [], os.path.abspath(path)
+    while not os.path.isdir(head):
+        made.append(head)
+        head = os.path.dirname(head)
+    os.makedirs(path, exist_ok=True)
+    return made
 
 
 def _json_text(payload) -> str:
@@ -225,8 +239,14 @@ def main(argv=None) -> int:
         if args.seed is not None:
             check_int("--seed", args.seed, 0, ConfigError)
         cfg = load_config(args.config)
-        os.makedirs(args.out, exist_ok=True)
-        outputs, code = _COMMANDS[args.command](cfg, build_system(cfg.system), args.seed)
+        made = _make_out_dir(args.out)
+        try:
+            outputs, code = _COMMANDS[args.command](cfg, build_system(cfg.system), args.seed)
+        except Exception:
+            with contextlib.suppress(OSError):  # rmdir refuses a directory that holds anything
+                for path in made:
+                    os.rmdir(path)
+            raise
         for suffix, payload in outputs.items():
             if not isinstance(payload, str):
                 payload = _json_text(dict(payload, config=cfg.to_dict()))

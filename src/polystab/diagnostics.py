@@ -28,6 +28,12 @@ drained; the observability sums add the block's rows in step order.
 residual above the fixed ``AUDIT_RTOL * E0`` of its column raises
 DiagnosticFailure, which the studies pass on.  The decay verdict's bounds are fixed too
 (``UNIFORMITY_FACTOR`` and ``EXPONENT_FLOOR``).
+
+The observability study steps each (mode group, draw) state once: per dt,
+the draws' low-pass parts and their high-mode remainders go as two
+batches of ``trials`` columns, and a draw's sums are the two parts' sums
+added, since no group holds both (a group that straddles the cutoff is
+stepped whole in the remainder).
 """
 
 from __future__ import annotations
@@ -109,18 +115,22 @@ class ObservabilityReport:
     n_steps: int
 
 
-def _observability_sums(sys, X0, beta, cfg, T_star):
-    """Per-column (damp, visc1, visc2, weak) sums of the conservative run
-    ``cfg`` (undamped, ``t_final = max(T_star, dt)``) from the batch ``X0``.
+def _observability_sums(solver, X0, beta, T_star):
+    """Per-column (damp, visc1, visc2, weak) sums of the conservative run of
+    ``solver`` (undamped, ``t_final = max(T_star, dt)``) from the batch ``X0``.
 
     The observation uses the system's damping Gram even though the
     dynamics are undamped; the viscosity sums vanish when the viscous stage
     is off.  The functional charges ``dt^6 ||A^2 u||^2`` where the energy
-    identity charges half of it, hence ``2 * visc2``.
+    identity charges half of it, hence ``2 * visc2``.  ``P`` and ``L``
+    are block-diagonal over the mode groups and the weights diagonal, so
+    each sum is a sum over groups: split a batch into two batches that
+    occupy no group in common, and its sums are theirs added, column by
+    column (up to rounding).
     """
-    nsteps = substep_count(T_star, cfg.dt) + 1
+    nsteps = substep_count(T_star, solver.cfg.dt) + 1
     damp, visc1, visc2 = np.zeros((3, X0.shape[1]))
-    for b in _blocks_of(factorize(sys, cfg).iterate_raw(X0, nsteps, beta=beta)):
+    for b in _blocks_of(solver.iterate_raw(X0, nsteps, beta=beta)):
         if b.k0 == 0:
             weak = b.weak_sq[0]
         # row by row, in step order: a block sum would reassociate the sums
@@ -150,7 +160,7 @@ def observability_functional(
         raise DomainError(f"T_star must be non-negative and finite; got {T_star!r}")
     x0 = u0.stacked()[:, None]
     cfg = SchemeConfig(dt=dt, t_final=max(T_star, dt), damping=False)
-    damp, v1, v2, weak, nsteps = _observability_sums(sys, x0, beta, cfg, T_star)
+    damp, v1, v2, weak, nsteps = _observability_sums(factorize(sys, cfg), x0, beta, T_star)
     if weak[0] == 0.0:
         raise DomainError("zero initial state: observability ratio undefined")
     total = damp[0] + v1[0] + v2[0]
@@ -201,10 +211,21 @@ def observability_constant_study(
 ) -> ObservabilityStudy:
     """Minimum observability ratios over random draws, per time step.
 
-    The same seeded Gaussian draws are reused across all dt values (so the
-    study isolates the dt dependence); each dt also gets low-pass-filtered
-    variants, split at ``filtering_cutoff(sys, dt, delta)``.  Uniformity
-    holds when the per-dt minima stay above a common positive floor.
+    The same seeded Gaussian draws X are reused across all dt values (so
+    the study isolates the dt dependence); each dt also gets their
+    low-pass parts XL, the modes up to ``filtering_cutoff(sys, dt, delta)``
+    kept and the rest zeroed.  Uniformity holds when the per-dt minima stay
+    above a common positive floor.
+
+    Per dt one solver steps two batches of ``trials`` columns: XL, whose
+    sums give the low-pass ratios, and the remainder ``R = X - XL``
+    (exact, since XL holds X's entries or zeros).  When no mode group holds
+    both a retained and a dropped mode, XL and R share no group and X's
+    sums are theirs added; a group that straddles the cutoff (the boundary
+    system's one dense group, a split ``custom`` Gram block) would couple
+    them, so there R is X itself and X's sums are R's.  When every mode is
+    retained R is all zero; it is stepped all the same, which keeps the
+    study at 2 * trials column-steps per step.
 
     ``t_star``, ``trials`` (a positive integer), every dt (a nonempty list)
     and ``delta`` (in ``filtering_cutoff``'s range at every dt) are checked
@@ -226,13 +247,21 @@ def observability_constant_study(
         keep = np.concatenate([low.retained, n + low.retained])  # rows of the low modes
         XL = np.zeros_like(X)
         XL[keep] = X[keep]
-        damp, v1, v2, weak, _ = _observability_sums(
-            sys, np.hstack([X, XL]), beta, cfg, policy.t_star)
-        total = damp + v1 + v2
-        ratios = total[:trials] / weak[:trials]
-        weakl = weak[trials:]
+        kept = np.isin(np.arange(n), low.retained)
+        straddle = any((kept[idx].any(axis=1) & ~kept[idx].all(axis=1)).any()
+                       for idx, _ in sys.blocks)
+        solver = factorize(sys, cfg)
+        low_sums = np.array(_observability_sums(solver, XL, beta, policy.t_star)[:4])
+        # X - XL is exact: XL holds X's entries or zeros
+        sums = np.array(_observability_sums(
+            solver, X if straddle else X - XL, beta, policy.t_star)[:4])
+        if not straddle:
+            sums += low_sums
+        damp, v1, v2, weak = sums
+        ratios = (damp + v1 + v2) / weak
+        damp, v1, v2, weakl = low_sums
         active = weakl > 0.0
-        ratios_low = total[trials:][active] / weakl[active]
+        ratios_low = (damp + v1 + v2)[active] / weakl[active]
         return ObservabilityCell(
             dt=cfg.dt,
             t_star=policy.t_star,

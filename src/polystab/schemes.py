@@ -83,7 +83,8 @@ stepped alone, as one (p, 2s, K) block, and a column's terms are summed
 over its pairs in group order: the decay family, one or two groups per
 column, steps 8 pairs instead of 6 groups in 8 columns.  Either way a
 column's bits do not depend on the other columns or on its place in the
-batch.  B follows the state entries stepped (``_block_length``).  A dense
+batch.  B follows the state entries stepped, at least one per column
+(``_block_length``).  A dense
 group of size n runs with B = 1 at ~5n^2 multiply-adds per column-step.
 
 **Audit.**  The residual of the per-step identity measures how accurately
@@ -238,7 +239,9 @@ def _block_length(entries: int, groups) -> int:
     for ``entries`` stepped state entries per step: ~2^15 stepped entries
     per block and at most 2^18 / (entries of the P of all ``groups``) steps,
     rounded down to a power of two.  The last cap keeps a dense group at
-    B = 1."""
+    B = 1.  ``_blocks`` counts at least one entry per column: a block's
+    (6, B, m) terms are filled even where nothing is stepped, so an
+    all-zero m-column batch runs at B <= 2^15 / m."""
     sq = sum(grp.rows.size * grp.rows.shape[1] for grp in groups)
     b = min(2**15 // max(entries, 1), 2**18 // sq)
     return 1 << (max(b, 1).bit_length() - 1)
@@ -390,7 +393,7 @@ class SchemeSolver:
         (p, 2s, K) block, so the states after it are one column per pair)
         and a column's terms are summed over its pairs in group order.  K
         doubles from 1 to B (``_block_length`` of the entries stepped, at
-        most ``n_steps``).  The per-step identity residual is
+        least m, and at most ``n_steps``).  The per-step identity residual is
         ``|E(x_{k+1}) + visc1 + visc2 + damp - E(x_k)|``.  A non-finite
         state or term raises NonFiniteStateError.
         """
@@ -411,7 +414,7 @@ class SchemeSolver:
             grp = _Groups(*(a[sel] for a in grp))
             lays.append(_Layout(j, sel, grp, np.ascontiguousarray(w), pair_cols, x0.shape[2]))
             xs.append(x0 * grp.scale)
-        B = min(_block_length(sum(xg.size for xg in xs), self._groups),
+        B = min(_block_length(max(sum(xg.size for xg in xs), m), self._groups),
                 1 << (max(n_steps, 1).bit_length() - 1))
         bufs, prev = [], np.zeros((4, 1, m))
         for j, (lay, x0) in enumerate(zip(lays, xs)):

@@ -350,6 +350,47 @@ class TestExitCodes:
         assert main(["trace", "--config", cfg_path, "--out", str(target)]) == 1
 
 
+class TestOutDir:
+    """``main`` creates ``--out`` before the command runs (so an unwritable
+    one exits 1 early); a command that raises removes the directories this
+    run created, leaf first, and no other."""
+
+    # decay exits 2 (no usable gap constant), trace 3 (non-finite state)
+    FAILING = {
+        2: ("decay", {"system": {"type": "custom", "eta": [1.0, 1.0]},
+                      "scheme": {"dt_list": [0.05], "t_final": 4.0}}),
+        3: ("trace", {"system": {"type": "custom", "eta": [1e300]},
+                      "scheme": {"dt": 1e100, "t_final": 2e100, "damping": False},
+                      "init": {"kind": "single_mode", "mode": 0}}),
+    }
+
+    def run(self, tmp_path, code, out):
+        command, payload = self.FAILING[code]
+        p = write_config(tmp_path / "c.json", payload)
+        with np.errstate(all="ignore"):
+            assert main([command, "--config", p, "--out", str(out)]) == code
+
+    @pytest.mark.parametrize("code", [2, 3])
+    def test_new_nested_out_is_removed(self, tmp_path, code):
+        self.run(tmp_path, code, tmp_path / "a" / "b" / "c")
+        assert os.listdir(tmp_path) == ["c.json"]
+
+    @pytest.mark.parametrize("code", [2, 3])
+    def test_existing_out_is_kept(self, tmp_path, code):
+        (tmp_path / "a" / "b").mkdir(parents=True)
+        self.run(tmp_path, code, tmp_path / "a" / "b")
+        assert (tmp_path / "a" / "b").is_dir() and not any((tmp_path / "a" / "b").iterdir())
+        # only the missing leaf under an existing parent goes
+        self.run(tmp_path, code, tmp_path / "a" / "new")
+        assert os.listdir(tmp_path / "a") == ["b"]
+
+    def test_new_nested_out_holds_outputs_on_success(self, tmp_path):
+        p = write_config(tmp_path / "c.json", base_trace_config())
+        out = tmp_path / "a" / "b"
+        assert main(["trace", "--config", p, "--out", str(out)]) == 0
+        assert sorted(os.listdir(out)) == ["t_summary.json", "t_trace.csv"]
+
+
 class TestFieldTypes:
     """Every config value is checked against its field's annotation."""
 

@@ -617,6 +617,44 @@ class TestBlockLength:
         assert lengths(rng.standard_normal((2 * n, m))) == block_schedule(32, 1100)
         assert lengths(one) == lengths(split) == block_schedule(512, 1100)
 
+    @staticmethod
+    def rule_length(monkeypatch, sol, x):
+        """The ``_block_length`` a batch ``x`` gets, before the step-count cap."""
+        got, rule = [], schemes._block_length
+        monkeypatch.setattr(schemes, "_block_length", lambda e, g: got.append(rule(e, g)) or got[-1])
+        next(sol._blocks(x, 1))
+        return got[-1]
+
+    def test_zero_batch_counts_one_entry_per_column(self, monkeypatch):
+        # an all-zero batch steps no entry but still fills (6, B, m) terms
+        sys_ = build_coupled_waves(ExampleParams(0.5, 1.0, 32))
+        sol = factorize(sys_, SchemeConfig(dt=0.01, t_final=1.0, damping=False))
+        for m, B in [(1, 512), (8, 512), (200, 128), (1000, 32)]:
+            x = np.zeros((2 * sys_.n, m))
+            assert self.rule_length(monkeypatch, sol, x) == B and B <= 2**15 // m
+            steps = list(sol.iterate_raw(x, 300))
+            assert len(steps) == 300 and not any(b.energy.any() for _, b, _ in steps)
+
+    def test_benchmark_batches_keep_their_length(self, monkeypatch):
+        # batches with no zero column: the criterion-7 family (8 columns;
+        # damped and the gamma = 0 control), a k_max 512 trace column and
+        # the 200 low-pass observability draws at dt 0.02 and 0.01
+        for gamma, B in [(1.0, 512), (0.0, 1024)]:
+            sys_ = build_coupled_waves(ExampleParams(0.5, gamma, 32))
+            x = np.column_stack([st.stacked() for _, st in worst_case_family(sys_)])
+            assert self.rule_length(monkeypatch, factorize(sys_, SchemeConfig(0.01, 1.0)), x) == B
+        sys_ = build_coupled_waves(ExampleParams(0.5, 1.0, 512))
+        x = np.random.default_rng(7).standard_normal((2 * sys_.n, 1))
+        assert self.rule_length(monkeypatch, factorize(sys_, SchemeConfig(0.01, 1.0)), x) == 16
+        sys_ = build_coupled_waves(ExampleParams(0.5, 1.0, 32))
+        X = np.random.default_rng(606).standard_normal((2 * sys_.n, 200))
+        for dt, B in [(0.02, 2), (0.01, 1)]:
+            keep = filtering_cutoff(sys_, dt, 1.0).retained
+            XL = np.zeros_like(X)
+            XL[np.concatenate([keep, sys_.n + keep])] = X[np.concatenate([keep, sys_.n + keep])]
+            sol = factorize(sys_, SchemeConfig(dt, 1.0, damping=False))
+            assert self.rule_length(monkeypatch, sol, XL) == B
+
     def test_power_of_two_and_few_maps(self):
         sys_ = build_coupled_waves(ExampleParams(0.5, 1.0, 8))
         sol = factorize(sys_, SchemeConfig(dt=0.01, t_final=1.0))

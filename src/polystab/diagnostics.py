@@ -502,17 +502,13 @@ def worst_case_family(sys: ModalSystem):
         a = np.zeros(n)
         a[j] = 1.0
         members.append((f"mode[{j}]", ModalState(a, np.zeros(n))))
-    gamma1 = check_gap(sys).gamma1
-    if math.isfinite(gamma1):
-        pairs = [c for c in cluster_partition(sys.mu, gamma1) if len(c) == 2]
-        if pairs:
-            chosen = sorted({0, len(pairs) // 2, len(pairs) - 1})
-            for c in chosen:
-                i, j = pairs[c]
-                a = np.zeros(n)
-                a[i] = 1.0
-                a[j] = 1.0
-                members.append((f"pair[{i},{j}]", ModalState(a, np.zeros(n))))
+    pairs = [c for c in cluster_partition(sys.mu, check_gap(sys).gamma1) if len(c) == 2]
+    if pairs:
+        for c in sorted({0, len(pairs) // 2, len(pairs) - 1}):
+            i, j = pairs[c]
+            a = np.zeros(n)
+            a[i] = a[j] = 1.0
+            members.append((f"pair[{i},{j}]", ModalState(a, np.zeros(n))))
     out = []
     for label, st in members:
         d = norm_domain(sys, st)

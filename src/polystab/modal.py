@@ -22,8 +22,10 @@ so the energy is E = (1/2) ||(a, b)||_{1/2-scale}^2 with exact constants
 (no hidden norm equivalences).
 
 **Mode groups.**  Modes couple only through ``D``, so a system stores
-``D`` as its group blocks (one stack per group size), and every system is
-built from such blocks, which are checked block by block.
+``D`` as its group blocks (one stack per group size).  The constructor
+``ModalSystem(eta, blocks, labels, mu)`` is the one way a system is built:
+it checks the spectrum, that the index stacks cover every mode exactly
+once and each Gram block, and keeps read-only copies.
 ``build_coupled_waves`` gives its closed-form blocks and forms no (n, n)
 array; ``build_boundary_coupled_waves`` gives its dense ``D`` as one block
 of all modes; ``from_eta`` gathers the blocks of a dense ``D`` over the
@@ -57,26 +59,77 @@ def _readonly(x) -> np.ndarray:
 class ModalSystem:
     """Finite modal truncation: eigenvalues, frequencies and damping Gram.
 
-    The damping Gram is stored per mode group only: ``blocks`` holds, per
-    group size s, the stacked (g, s) mode indices of the g groups of that
-    size and their (g, s, s) Gram blocks.  ``groups`` and ``damp_gram`` are
-    read from them; no (n, n) array is kept, and ``damp_gram`` assembles
-    one, O(n^2) in memory, each time it is read.
+    The one way a system is built.  The damping Gram is stored per mode
+    group only: ``blocks`` holds, per group size s, the stacked (g, s)
+    integer mode indices of the g groups of that size and their (g, s, s)
+    Gram blocks.  The index stacks must cover every mode exactly once;
+    each block must be finite, symmetric to 1e-14 and positive
+    semidefinite to 1e-12, relative to the largest entry of all blocks.
+    ``groups`` and ``damp_gram`` are read from the blocks; no (n, n) array
+    is kept, and ``damp_gram`` assembles one, O(n^2) in memory, each time
+    it is read.
 
     Attributes
     ----------
     eta : (n,) positive eigenvalues of the spatial operator, nondecreasing.
-    mu : (n,) frequencies, ``mu_j = sqrt(eta_j)``.
-    bstar_norms : (n,) per-mode observation norms, ``sqrt(diag(damp_gram))``.
-    labels : per-mode branch tags, e.g. ``("-", 3)``; empty tuple if unused.
     blocks : per group size, the ``(idx, gram)`` pair described above.
+    labels : per-mode branch tags, e.g. ``("-", 3)``; empty tuple if unused.
+    mu : (n,) frequencies, ``sqrt(eta)`` if None, else checked against it.
+    bstar_norms : (n,) per-mode observation norms, ``sqrt(diag(damp_gram))``
+        (derived, not passed).
     """
 
     eta: np.ndarray
-    mu: np.ndarray
-    bstar_norms: np.ndarray
-    labels: tuple = field(default=())
-    blocks: tuple = field(init=False, repr=False, compare=False)
+    blocks: tuple = field(repr=False, compare=False)
+    labels: tuple = ()
+    mu: np.ndarray | None = None
+    bstar_norms: np.ndarray = field(init=False)
+
+    def __post_init__(self):
+        eta = _readonly(np.atleast_1d(self.eta))
+        if eta.ndim != 1 or eta.size == 0:
+            raise DomainError("eta must be a nonempty 1-d vector")
+        if not np.all(np.isfinite(eta)):
+            raise NonFiniteStateError("eta contains non-finite entries")
+        if np.any(eta <= 0.0):
+            raise DomainError("eta must be strictly positive")
+        if np.any(np.diff(eta) < 0.0):
+            raise DomainError("eta must be nondecreasing")
+        mu = np.sqrt(eta) if self.mu is None else np.asarray(self.mu, dtype=float)
+        if mu.shape != eta.shape:
+            raise DimensionMismatchError("mu", eta.size, mu.size)
+        if self.mu is not None and np.max(np.abs(mu**2 - eta)) > 1e-12 * np.max(eta):
+            raise DomainError("mu**2 inconsistent with eta")
+
+        blocks = tuple((np.array(idx), _readonly(gram)) for idx, gram in self.blocks)
+        for idx, gram in blocks:
+            if (not np.issubdtype(idx.dtype, np.integer) or idx.ndim != 2 or idx.size == 0
+                    or gram.shape != (*idx.shape, idx.shape[1])):
+                raise DomainError("each block must be a nonempty (g, s) integer index stack "
+                                  "and its (g, s, s) Gram")
+            idx.setflags(write=False)
+        modes = np.sort(np.concatenate([idx.ravel() for idx, _ in blocks] or [[]]))
+        if not np.array_equal(modes, np.arange(eta.size)):
+            raise DomainError(
+                f"the block index stacks must cover each of the {eta.size} modes exactly once")
+        if not all(np.isfinite(gram).all() for _, gram in blocks):
+            raise NonFiniteStateError("damp_gram contains non-finite entries")
+        scale, asym, lam_min = _gram_extremes(blocks)
+        if scale > 0.0:
+            if asym > _SYM_RTOL * scale:
+                raise DomainError("damp_gram is not symmetric to 1e-14 relative")
+            if lam_min < -_PSD_RTOL * scale:
+                raise DomainError(
+                    f"damp_gram not positive semidefinite: min eigenvalue {lam_min:g}")
+        diag = np.zeros(eta.size)
+        for idx, gram in blocks:
+            diag[idx] = np.diagonal(gram, axis1=1, axis2=2)
+
+        labels = tuple(self.labels)
+        if labels and len(labels) != eta.size:
+            raise DimensionMismatchError("labels", eta.size, len(labels))
+        self.__dict__.update(eta=eta, blocks=blocks, labels=labels, mu=_readonly(mu),
+                             bstar_norms=_readonly(np.sqrt(np.maximum(diag, 0.0))))
 
     @property
     def n(self) -> int:
@@ -111,79 +164,19 @@ class ModalSystem:
         return out
 
     @classmethod
-    def from_eta(cls, eta, damp_gram=None, labels=None, mu=None) -> "ModalSystem":
-        """Build and validate a system from eigenvalues and a dense damping Gram
-        (zero if omitted): its groups come from its nonzero entries
-        (``mode_groups``) and each group's block is gathered from it.
-
-        ``mu`` may be supplied when the frequencies are the natural data
-        (e.g. closed-form spectra); it is checked against ``sqrt(eta)``.
-        """
-        eta, mu = _spectrum(eta, mu)
-        n = eta.size
+    def from_eta(cls, eta, damp_gram=None, labels=(), mu=None) -> "ModalSystem":
+        """The system of eigenvalues ``eta`` and a dense damping Gram (zero if
+        omitted): its groups come from its nonzero entries (``mode_groups``)
+        and each group's block is gathered from it."""
+        n = np.size(eta)
         if damp_gram is None:
-            return cls._assemble(eta, [(np.arange(n)[:, None], np.zeros((n, 1, 1)))], labels, mu)
+            return cls(eta, [(np.arange(n)[:, None], np.zeros((n, 1, 1)))], labels, mu)
         D = np.asarray(damp_gram, dtype=float)
         if D.shape != (n, n):
             raise DimensionMismatchError("damp_gram rows", n, D.shape[0] if D.ndim else 0)
         blocks = [(idx, D[idx[:, :, None], idx[:, None, :]])
                   for idx in groups_by_size(mode_groups(D))]
-        return cls._assemble(eta, blocks, labels, mu)
-
-    @classmethod
-    def _assemble(cls, eta, blocks, labels=None, mu=None) -> "ModalSystem":
-        """The system whose Gram is zero outside the group ``blocks``: per
-        group size, private (g, s) mode indices covering every mode once and
-        their (g, s, s) Gram blocks.  Checks the spectrum and the Gram block
-        by block and stores the blocks read-only."""
-        eta, mu = _spectrum(eta, mu)
-        if not all(np.isfinite(gram).all() for _, gram in blocks):
-            raise NonFiniteStateError("damp_gram contains non-finite entries")
-        scale, asym, lam_min = _gram_extremes(blocks)
-        if scale > 0.0:
-            if asym > _SYM_RTOL * scale:
-                raise DomainError("damp_gram is not symmetric to 1e-14 relative")
-            if lam_min < -_PSD_RTOL * scale:
-                raise DomainError(
-                    f"damp_gram not positive semidefinite: min eigenvalue {lam_min:g}"
-                )
-        diag = np.zeros(eta.size)
-        for idx, gram in blocks:
-            idx.setflags(write=False)  # each stack is private
-            gram.setflags(write=False)
-            diag[idx] = np.diagonal(gram, axis1=1, axis2=2)
-        bstar = _readonly(np.sqrt(np.maximum(diag, 0.0)))
-
-        if labels is None:
-            labels = ()
-        labels = tuple(labels)
-        if labels and len(labels) != eta.size:
-            raise DimensionMismatchError("labels", eta.size, len(labels))
-
-        out = cls(eta=eta, mu=mu, bstar_norms=bstar, labels=labels)
-        object.__setattr__(out, "blocks", tuple(blocks))
-        return out
-
-
-def _spectrum(eta, mu) -> tuple:
-    """Validated read-only ``eta`` and ``mu`` (``sqrt(eta)`` if None)."""
-    eta = _readonly(np.atleast_1d(eta))
-    if eta.ndim != 1 or eta.size == 0:
-        raise DomainError("eta must be a nonempty 1-d vector")
-    if not np.all(np.isfinite(eta)):
-        raise NonFiniteStateError("eta contains non-finite entries")
-    if np.any(eta <= 0.0):
-        raise DomainError("eta must be strictly positive")
-    if np.any(np.diff(eta) < 0.0):
-        raise DomainError("eta must be nondecreasing")
-    if mu is None:
-        return eta, _readonly(np.sqrt(eta))
-    mu = np.asarray(mu, dtype=float)
-    if mu.shape != eta.shape:
-        raise DimensionMismatchError("mu", eta.size, mu.size)
-    if np.max(np.abs(mu**2 - eta)) > 1e-12 * np.max(eta):
-        raise DomainError("mu**2 inconsistent with eta")
-    return eta, _readonly(mu)
+        return cls(eta, blocks, labels, mu)
 
 
 def _places(n: int, by_size) -> tuple:

@@ -212,15 +212,16 @@ class EnergyTrace:
 class _Block(NamedTuple):
     """Steps k0 .. k0+B-1 of a batch: (B+1, m) state rows, (B, m) step rows
     (fresh arrays in every block, so the records pointing at them stay
-    valid).  ``weak_sq`` is on the ``-beta`` scale; ``observed`` is ``damp``
-    evaluated with the system's damping Gram even when the step is undamped."""
+    valid).  ``weak_sq`` is on the ``-beta`` scale; ``observed`` is the damping
+    term evaluated with the system's damping Gram even when the step is
+    undamped: the step's own damping term is ``observed`` if the solver is
+    damped and zero otherwise."""
 
     k0: int
     energy: np.ndarray
     weak_sq: np.ndarray
     visc1: np.ndarray
     visc2: np.ndarray
-    damp: np.ndarray
     observed: np.ndarray
     resid: np.ndarray
 
@@ -449,13 +450,13 @@ class SchemeSolver:
             energy = np.concatenate([prev[0][None], T[0]])
             res = np.add(T[0], T[1], out=T[5])
             res += T[2]
-            if self._damped:  # damp is zero otherwise
+            if self._damped:  # the damping term is zero otherwise
                 res += T[4]
             np.abs(np.subtract(res, energy[:-1], out=res), out=res)
             if not np.isfinite(T).all():
                 raise NonFiniteStateError("time step produced non-finite state or terms")
-            yield (_Block(k0, energy, np.concatenate([prev[3][None], T[3]]), T[1], T[2],
-                          T[4] if self._damped else np.zeros((nb, m)), T[4], T[5]), after)
+            yield (_Block(k0, energy, np.concatenate([prev[3][None], T[3]]), T[1], T[2], T[4],
+                          T[5]), after)
             prev = T[:4, -1]
             k0, K = k0 + nb, min(2 * K, B)
 
@@ -466,8 +467,9 @@ class SchemeSolver:
         ((b, after),) = self._blocks(z.stacked()[:, None], 1)
         # finite terms imply finite states, so they skip ModalState's copy and scan
         z_next = ModalState._wrap_stacked(self._to_modal(after))
-        terms = (b.damp, b.visc1, b.visc2, b.resid, b.observed)
-        return StepRecord(z_next, *(float(t[0, 0]) for t in terms))
+        observed = float(b.observed[0, 0])
+        return StepRecord(z_next, observed if self._damped else 0.0,
+                          *(float(t[0, 0]) for t in (b.visc1, b.visc2, b.resid)), observed)
 
     # -- trajectories ----------------------------------------------------
 
@@ -490,8 +492,9 @@ class SchemeSolver:
             return np.concatenate([getattr(blocks[0], name)[:1, 0]]
                                   + [getattr(b, name)[1:, 0] for b in blocks])
 
-        energy, damp, visc1, visc2, resid = (
-            states("energy"), steps("damp"), steps("visc1"), steps("visc2"), steps("resid"))
+        energy, visc1, visc2, resid, observed = (
+            states("energy"), steps("visc1"), steps("visc2"), steps("resid"), steps("observed"))
+        damp = observed.copy() if self._damped else np.zeros_like(observed)
         eta = self.sys.eta
         domain_sq0 = float(np.sum(eta**2 * z0.a**2) + np.sum(eta * z0.b**2))
 
@@ -505,7 +508,7 @@ class SchemeSolver:
         return EnergyTrace(
             dt=cfg.dt, beta=beta, t=np.arange(nsteps + 1) * cfg.dt, energy=energy,
             weak_sq=states("weak_sq"), damp=damp, visc1=visc1, visc2=visc2,
-            identity_residual=resid, observed_damp=steps("observed"), domain_sq0=domain_sq0,
+            identity_residual=resid, observed_damp=observed, domain_sq0=domain_sq0,
             telescope_residual=tel_resid, telescope_tol=tel_tol,
             identity_ok=identity_ok, monotone_ok=monotone_ok,
             final_state=ModalState._wrap_stacked(self._to_modal(states_after[-1])))

@@ -82,7 +82,7 @@ def build_coupled_waves(p: ExampleParams) -> ModalSystem:
     if g == 0.0:  # zero blocks couple nothing: n modes of their own
         return ModalSystem.from_eta(eta, labels=labels)
     blocks = [(np.arange(eta.size).reshape(-1, 2), np.tile([[g, -g], [-g, g]], (p.k_max, 1, 1)))]
-    return ModalSystem._assemble(eta, blocks, labels)
+    return ModalSystem(eta, blocks, labels)
 
 
 def _branch_map(alpha: float, labels):
@@ -130,8 +130,10 @@ def build_boundary_coupled_waves(p: ExampleParams) -> ModalSystem:
     b = 1.0 / np.sqrt(2.0 * diag_overlap)
 
     S = sine_overlap(mu[:, None], mu[None, :])
-    gram = (signs[:, None] * signs[None, :] + 1.0) * S * (b[:, None] * b[None, :])
-    dev = float(np.max(np.abs(gram - np.eye(mu.size))))
+    # the pair Gram is a temporary of this check, so the system's copy of D
+    # below adds no peak memory
+    dev = float(np.max(np.abs(
+        (signs[:, None] * signs[None, :] + 1.0) * S * (b[:, None] * b[None, :]) - np.eye(mu.size))))
     if dev > 1e-10:
         warnings.warn(
             f"boundary eigenfunctions deviate from orthonormality by {dev:.3e}",
@@ -143,7 +145,7 @@ def build_boundary_coupled_waves(p: ExampleParams) -> ModalSystem:
     # all modes form one group; its block is exactly symmetric, since S and
     # the products b_j b_m are
     D = p.gamma * (b[:, None] * b[None, :]) * S
-    return ModalSystem._assemble(mu**2, [(np.arange(mu.size)[None], D[None])], labels, mu)
+    return ModalSystem(mu**2, [(np.arange(mu.size)[None], D[None])], labels, mu)
 
 
 def boundary_fixedpoint_residuals(p: ExampleParams, sys: ModalSystem) -> np.ndarray:
@@ -181,7 +183,8 @@ def cluster_partition(freqs, gamma1: float):
     """Greedy split of sorted frequencies into isolated modes and 2-clusters.
 
     Consecutive frequencies closer than ``gamma1 / 2`` are paired; each
-    frequency belongs to exactly one cluster.
+    frequency belongs to exactly one cluster.  A ``gamma1`` that is not
+    finite (``check_gap`` of fewer than 3 modes) pairs none.
     """
     freqs = np.asarray(freqs, dtype=float)
     if np.any(np.diff(freqs) < 0.0):
@@ -190,7 +193,7 @@ def cluster_partition(freqs, gamma1: float):
     i = 0
     n = freqs.size
     while i < n:
-        if i + 1 < n and freqs[i + 1] - freqs[i] < 0.5 * gamma1:
+        if i + 1 < n and math.isfinite(gamma1) and freqs[i + 1] - freqs[i] < 0.5 * gamma1:
             out.append((i, i + 1))
             i += 2
         else:

@@ -3,6 +3,7 @@
 import dataclasses
 import itertools
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -12,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from polystab import SchemeConfig, SchemeSolver, modal
-from polystab.spectra import ExampleParams, build_coupled_waves
+from polystab.spectra import ExampleParams, build_boundary_coupled_waves, build_coupled_waves
 from polystab import (
     DimensionMismatchError,
     DomainError,
@@ -222,6 +223,96 @@ class TestValidation:
         assert np.max(np.abs(sys_.mu**2 - sys_.eta)) <= 4 * np.finfo(float).eps * eta[-1]
 
 
+def dense_blocks(D):
+    """The group blocks of a dense Gram, gathered as ``from_eta`` gathers them."""
+    D = np.asarray(D, dtype=float)
+    return [(idx, D[idx[:, :, None], idx[:, None, :]])
+            for idx in modal.groups_by_size(modal.mode_groups(D))]
+
+
+# inputs that ``from_eta`` refuses: eta, and optionally a dense Gram, labels, mu
+INVALID = {
+    "nonfinite_eta": {"eta": [1.0, np.nan]},
+    "nonpositive_eta": {"eta": [0.0, 1.0]},
+    "decreasing_eta": {"eta": [2.0, 1.0]},
+    "eta_2d": {"eta": [[1.0, 2.0]]},
+    "empty_eta": {"eta": []},
+    "mu_inconsistent": {"eta": [1.0, 4.0], "mu": [1.0, 2.1]},
+    "mu_length": {"eta": [1.0, 4.0], "mu": [1.0]},
+    "labels_length": {"eta": [1.0, 4.0], "labels": ("a",)},
+    "nonfinite_block": {"eta": [1.0, 4.0], "D": [[np.inf, 0.1], [0.1, 1.0]]},
+    "asymmetric_block": {"eta": [1.0, 4.0], "D": [[1.0, 0.5], [0.2, 1.0]]},
+    "indefinite_block": {"eta": [1.0, 4.0], "D": [[1.0, 2.0], [2.0, 1.0]]},
+}
+
+
+class TestConstructor:
+    """``ModalSystem(eta, blocks, labels, mu)`` is the one validated path."""
+
+    @pytest.mark.parametrize("case", INVALID.values(), ids=INVALID)
+    def test_refuses_what_from_eta_refuses(self, case):
+        eta, labels, mu = case["eta"], case.get("labels", ()), case.get("mu")
+        D = case.get("D", np.zeros((np.size(eta), np.size(eta))))
+        with pytest.raises((DomainError, NonFiniteStateError, DimensionMismatchError)) as want:
+            ModalSystem.from_eta(eta, case.get("D"), labels, mu)
+        with pytest.raises(type(want.value), match=f"^{re.escape(str(want.value))}$"):
+            ModalSystem(eta, dense_blocks(D), labels, mu)
+
+    @pytest.mark.parametrize("idx", [
+        [[0], [1]],  # misses mode 2
+        [[0], [1], [1]],  # repeats mode 1, misses mode 2
+        [[0], [1], [2], [1]],  # repeats mode 1
+        [[0], [1], [3]],  # past the last mode
+        [[0], [1], [-1]],
+    ])
+    def test_refuses_stacks_that_do_not_cover_each_mode_once(self, idx):
+        idx = np.array(idx)
+        with pytest.raises(DomainError, match="cover each of the 3 modes exactly once"):
+            ModalSystem([1.0, 4.0, 9.0], [(idx, np.ones((len(idx), 1, 1)))])
+
+    def test_a_missed_mode_cannot_vanish(self):
+        # mode 1 of a 2-mode system in no block: refused, not run with its
+        # energy silently dropped
+        with pytest.raises(DomainError, match="exactly once"):
+            ModalSystem([1.0, 4.0], [(np.array([[0]]), np.ones((1, 1, 1)))])
+        with pytest.raises(DomainError, match="exactly once"):
+            ModalSystem([1.0, 4.0], [(np.array([[0]]), np.ones((1, 1, 1))),
+                                     (np.array([[0, 1]]), np.eye(2)[None])])
+
+    @pytest.mark.parametrize("blocks", [
+        [(np.array([[0.0], [1.0]]), np.zeros((2, 1, 1)))],  # float indices
+        [(np.array([0, 1]), np.zeros((2, 1, 1)))],  # 1-d stack
+        [(np.array([[0, 1]]), np.zeros((1, 1, 1)))],  # gram of the wrong shape
+        [(np.zeros((0, 1), int), np.zeros((0, 1, 1))), (np.array([[0, 1]]), np.eye(2)[None])],
+    ], ids=["float", "1d", "gram_shape", "empty_stack"])
+    def test_refuses_malformed_blocks(self, blocks):
+        with pytest.raises(DomainError, match="index stack"):
+            ModalSystem([1.0, 4.0], blocks)
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(sys_=st.one_of(
+        modal_systems(),
+        *(st.builds(build, st.builds(ExampleParams, st.floats(0.1, 0.9),
+                                     st.sampled_from([0.0, 0.3, 1.0]), st.integers(1, 8)))
+          for build in (build_coupled_waves, build_boundary_coupled_waves))))
+    def test_rebuild_is_byte_identical(self, sys_):
+        other = ModalSystem(sys_.eta, sys_.blocks, sys_.labels, sys_.mu)
+        for (idx, gram), (idx2, gram2) in zip(sys_.blocks, other.blocks, strict=True):
+            assert idx.dtype == idx2.dtype and idx.shape == idx2.shape
+            assert idx.tobytes() == idx2.tobytes()
+            assert gram.shape == gram2.shape and gram.tobytes() == gram2.tobytes()
+            # read-only copies of what was passed
+            assert not (idx2.flags.writeable or gram2.flags.writeable)
+            assert not np.shares_memory(gram, gram2)
+        for name in ("eta", "mu", "bstar_norms", "damp_gram"):
+            assert getattr(sys_, name).tobytes() == getattr(other, name).tobytes(), name
+        assert other.labels == sys_.labels
+        cfg = SchemeConfig(dt=0.01, t_final=0.01)
+        for M, M2 in zip(SchemeSolver(sys_, cfg)._doubled(1), SchemeSolver(other, cfg)._doubled(1),
+                         strict=True):
+            assert M.tobytes() == M2.tobytes()
+
+
 def permuted_block_gram(rng, spectra):
     """Symmetric Gram with one random diagonal block per eigenvalue list in
     ``spectra``, under a random permutation; returns ``(D, perm)`` where the
@@ -263,9 +354,7 @@ class TestGramBlockChecks:
             mask = rng.random((n, n)) < 0.3
             D = D + 0.4e-14 * np.abs(D).max() * rng.uniform(-1.0, 1.0, (n, n)) * mask
         scale = np.abs(D).max()
-        blocks = [(idx, D[idx[:, :, None], idx[:, None, :]])
-                  for idx in modal.groups_by_size(modal.mode_groups(D))]
-        got_scale, asym, lam_min = modal._gram_extremes(blocks)
+        got_scale, asym, lam_min = modal._gram_extremes(dense_blocks(D))
         dense_min = np.linalg.eigvalsh(D)[0]
         assert got_scale == scale
         assert asym == np.abs(D - D.T).max()

@@ -51,10 +51,11 @@ def midpoint_stage(sol, z):
 
 # per-step values of a ``(k, block, row)`` step tuple: (array of its time
 # block, row offset from ``row``); the state arrays hold x_k at ``row`` and
-# x_{k+1} at ``row + 1``
+# x_{k+1} at ``row + 1``.  A damped solver's damping term is ``observed``;
+# an undamped one's is zero.
 RAW_FIELDS = {"energy_prev": ("energy", 0), "energy": ("energy", 1),
               "weak_sq_prev": ("weak_sq", 0), "weak_sq": ("weak_sq", 1),
-              "visc1": ("visc1", 0), "visc2": ("visc2", 0), "damp": ("damp", 0),
+              "visc1": ("visc1", 0), "visc2": ("visc2", 0),
               "observed_damp": ("observed", 0), "identity_residual": ("resid", 0)}
 
 
@@ -380,7 +381,7 @@ class TestBlockedKernelProperty:
         assert np.all(resid <= 1e-12 * e0)
         tol = 1e-12 * e0
         for got, want in zip([E] + [np.concatenate([getattr(b, name) for b in blocks])
-                                    for name in ("damp", "visc1", "visc2")],
+                                    for name in ("observed", "visc1", "visc2")],
                              chained_steps(sol, X, n_steps)):
             assert np.all(np.abs(got - want) <= tol)
 
@@ -471,7 +472,7 @@ def block_terms(blocks):
     blocks (the states after each block are overwritten, so not kept)."""
     blocks = [b for b, _ in blocks]
     out = {name: np.concatenate([getattr(b, name) for b in blocks]) for name in
-           ("visc1", "visc2", "damp", "observed", "resid")}
+           ("visc1", "visc2", "observed", "resid")}
     for name in ("energy", "weak_sq"):
         out[name] = np.concatenate([getattr(blocks[0], name)[:1]]
                                    + [getattr(b, name)[1:] for b in blocks])

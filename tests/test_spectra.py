@@ -8,6 +8,7 @@ from scipy.integrate import quad
 from helpers import physical_coupled_waves_energy
 
 from polystab import (
+    ConfigError,
     DomainError,
     ExampleParams,
     ModalState,
@@ -22,7 +23,9 @@ from polystab import (
     factorize,
     filtering_cutoff,
     sine_overlap,
+    worst_case_family,
 )
+from polystab.config import InitBlock, build_init
 from polystab.spectra import boundary_fixedpoint_residuals
 
 
@@ -189,6 +192,26 @@ class TestGapAudit:
         assert part == ((0, 1), (2,), (3, 4))
         with pytest.raises(DomainError):
             cluster_partition(np.array([2.0, 1.0]), 1.0)
+
+
+class TestTwoClusterRule:
+    """Fewer than 3 modes: ``gamma1`` is inf and no caller forms a 2-cluster."""
+
+    def test_two_modes_form_no_cluster(self):
+        sys_ = ModalSystem.from_eta([1.0, 4.0], damp_gram=[[0.5, 0.2], [0.2, 0.5]])
+        assert math.isinf(check_gap(sys_).gamma1)
+        assert cluster_partition(sys_.mu, check_gap(sys_).gamma1) == ((0,), (1,))
+        with pytest.raises(ConfigError, match="no 2-clusters"):
+            build_init(InitBlock(kind="cluster_pair"), sys_)
+        assert [label for label, _ in worst_case_family(sys_)] == ["mode[0]", "mode[1]"]
+        obs = check_obs_lower_bound(sys_, beta=0.0)
+        assert obs.partition == ((0,), (1,)) and obs.degenerate == ()
+        assert obs.cluster_theta_hat == obs.theta_hat == pytest.approx(math.sqrt(0.5), rel=1e-15)
+
+    def test_three_modes_still_pair(self):
+        sys_ = ModalSystem.from_eta(np.array([1.0, 1.01, 4.0]) ** 2)
+        assert check_obs_lower_bound(sys_, beta=0.0).partition == ((0, 1), (2,))
+        assert build_init(InitBlock(kind="cluster_pair"), sys_).a.tolist() == [1.0, 1.0, 0.0]
 
 
 def dense_with_zero_gap(seed):

@@ -33,8 +33,9 @@ connected components of ``(D != 0) | (D.T != 0)`` (``mode_groups``).  No
 (n, n) array is kept: ``ModalSystem.damp_gram`` assembles one, O(n^2) in
 memory, on request.
 
-Everything in this module is pure; systems and states are immutable value
-types and safe to share across threads.
+Everything in this module is pure; systems and states are immutable and
+safe to share across threads.  They compare and hash by identity: two
+systems or states are equal only when they are the same object.
 """
 
 from __future__ import annotations
@@ -55,7 +56,7 @@ def _readonly(x) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ModalSystem:
     """Finite modal truncation: eigenvalues, frequencies and damping Gram.
 
@@ -80,7 +81,7 @@ class ModalSystem:
     """
 
     eta: np.ndarray
-    blocks: tuple = field(repr=False, compare=False)
+    blocks: tuple = field(repr=False)
     labels: tuple = ()
     mu: np.ndarray | None = None
     bstar_norms: np.ndarray = field(init=False)
@@ -229,7 +230,7 @@ def groups_by_size(groups) -> list:
     return [np.array([grp for grp in groups if grp.size == s]) for s in sizes]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ModalState:
     """Real modal coefficient pair: displacement ``a`` and velocity ``b``."""
 

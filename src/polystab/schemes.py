@@ -87,6 +87,29 @@ batch.  B follows the state entries stepped, at least one per column
 (``_block_length``).  A dense
 group of size n runs with B = 1 at ~5n^2 multiply-adds per column-step.
 
+**Retirement.**  The viscosity stage divides mode ``eta`` by
+``1 + dt^3 eta`` per step, so a column's top modes fall into subnormal
+numbers and then exact zeros.  After each full time block whose index
+``(k0 + 1) / B`` is a power of two, but not after the last (so ``step``
+never retires), each stepped entry -- a group in one column -- gets its
+energy ``e`` at the block's first new state, and each column the witness
+``W_c = max e sigma_min(P)^(2 steps_left)``, a lower bound of its energy at
+every later step.  An entry retires, is no longer stepped, when
+``f e < RETIRE_RTOL W_c / N``: N counts the entries stepped at the start,
+and ``f e`` bounds what the entry would still add to each term, the weak
+norm of any beta included, at any later step (``_retire_bounds``; ``P`` is a
+contraction).  So each later term of a column moves by at most
+``eps^2 E_c(k)`` (to the rounding of ``e``), 1e16 times below the audit.
+Pairs retire alone; a column-aligned group retires where every column
+qualifies, so rolling the columns still rolls every bit.  A column's only
+entry never retires (its witness is its own energy), so a batch of one entry
+per column is never checked; and as no energy falls faster than
+``sigma_min^2`` per step and no later witness exceeds ``E_c`` now, each check
+gives the first step at which an entry could retire,
+``log(f e N / (RETIRE_RTOL E_c)) / -log sigma_min^2`` steps on, and skips the
+checks before it.  Retired entries read exact zero in the states after a
+block.
+
 **Audit.**  The residual of the per-step identity measures how accurately
 ``P``, ``L`` and their doubled powers were built; its tolerance is the
 constant ``AUDIT_RTOL * E0`` (``E0`` per column), which no config moves.
@@ -114,6 +137,9 @@ from .modal import ModalState, ModalSystem
 
 # the energy-identity audit: every step's residual is at most AUDIT_RTOL * E0
 AUDIT_RTOL = 1e-12
+# retirement: what the entries a column no longer steps would still add moves
+# each later term of the column by at most RETIRE_RTOL * E_c(k)
+RETIRE_RTOL = np.finfo(float).eps ** 2
 
 
 @dataclass(frozen=True)
@@ -180,7 +206,9 @@ class EnergyTrace:
     """Scalar per-step summaries of a trajectory of length l+1 steps.
 
     ``energy`` and ``weak_sq`` have l+2 entries (states k = 0..l+1); the
-    per-step term arrays have l+1 entries (steps k = 0..l).
+    per-step term arrays have l+1 entries (steps k = 0..l).  ``final_state``
+    is x_{l+1}, where the groups the kernel retired (module docstring) read
+    exact zero: together they held at most ``RETIRE_RTOL`` times its energy.
     """
 
     dt: float
@@ -309,6 +337,7 @@ class SchemeSolver:
         self._damped = cfg.damping and any(grp.gram.any() for grp in self._groups)
         self._doubled_maps = {1: self._propagators()}
         self._weight_sets = {}
+        self._bound_sets = {}
 
     # -- propagators -----------------------------------------------------
 
@@ -370,6 +399,24 @@ class SchemeSolver:
             self._weight_sets[beta] = out
         return self._weight_sets[beta]
 
+    def _retire_bounds(self, beta: float) -> list:
+        """Per group size: (2, g) ``sigma_min(P)^2``, the least eigenvalue of
+        ``P^T P`` (one batched ``eigvalsh``) less its rounding
+        ``(2s)^2 eps |P|_F^2``, and ``f = 2 max_t sum_r w_t[r] |M_r|^2`` over the
+        terms' weights and the rows of ``[P; L]``, so that ``f e`` bounds each
+        term of a state of energy e; cached per beta."""
+        if beta not in self._bound_sets:
+            out = []
+            for M, w in zip(self._doubled(1), self._weights(beta)):
+                P = M[:, :M.shape[2]]
+                sq = np.square(M).sum(axis=2)  # (g, r)
+                margin = P.shape[1] ** 2 * np.finfo(float).eps * sq[:, :P.shape[1]].sum(axis=1)
+                sig2 = np.linalg.eigvalsh(P.transpose(0, 2, 1) @ P)[:, 0] - margin
+                out.append(np.stack([np.maximum(sig2, 0.0),
+                                     2.0 * (w * sq).sum(axis=2).max(axis=0)]))
+            self._bound_sets[beta] = out
+        return self._bound_sets[beta]
+
     def _to_modal(self, pairs) -> np.ndarray:
         """Stacked modal vector of one-column (groups, state) pairs; other rows zero."""
         out = np.zeros((2 * self.sys.n, 1))
@@ -394,9 +441,11 @@ class SchemeSolver:
         (p, 2s, K) block, so the states after it are one column per pair)
         and a column's terms are summed over its pairs in group order.  K
         doubles from 1 to B (``_block_length`` of the entries stepped, at
-        least m, and at most ``n_steps``).  The per-step identity residual is
-        ``|E(x_{k+1}) + visc1 + visc2 + damp - E(x_k)|``.  A non-finite
-        state or term raises NonFiniteStateError.
+        least m, and at most ``n_steps``).  After each full block of
+        power-of-two index but the last, the entries that can no longer show
+        in their column's terms retire (``_retire``).  The per-step identity
+        residual is ``|E(x_{k+1}) + visc1 + visc2 + damp - E(x_k)|``.  A
+        non-finite state or term raises NonFiniteStateError.
         """
         m = x.shape[1]
         lays, xs = [], []
@@ -417,6 +466,12 @@ class SchemeSolver:
             xs.append(x0 * grp.scale)
         B = min(_block_length(max(sum(xg.size for xg in xs), m), self._groups),
                 1 << (max(n_steps, 1).bit_length() - 1))
+        entries = sum(xg.shape[0] for xg in xs)  # at least the entries of any one column
+        per_col = sum(np.full(m, xg.shape[0]) if lay.pair_cols is None else
+                      np.bincount(lay.pair_cols, minlength=m) for lay, xg in zip(lays, xs))
+        # checks follow the full blocks whose index (k0 + 1) / B is a power of
+        # two, from next_check on: a column's only entry never retires
+        check_at, next_check = B, 0 if np.max(per_col, initial=0) > 1 else n_steps
         bufs, prev = [], np.zeros((4, 1, m))
         for j, (lay, x0) in enumerate(zip(lays, xs)):
             g, s2, mc = x0.shape
@@ -458,7 +513,61 @@ class SchemeSolver:
             yield (_Block(k0, energy, np.concatenate([prev[3][None], T[3]]), T[1], T[2], T[4],
                           T[5]), after)
             prev = T[:4, -1]
+            if k0 + 1 == check_at:
+                check_at *= 2
+                if next_check <= k0 + 1 and k0 + nb < n_steps:
+                    lays, maps, xs, bufs, next_check = self._retire(
+                        lays, maps, bufs, i, T[0, 0], k0 + 1, n_steps, beta, entries)
             k0, K = k0 + nb, min(2 * K, B)
+
+    def _retire(self, lays, maps, bufs, i, E, k, n_steps, beta, entries):
+        """Retirement after a full block (see the module docstring): its
+        states are in ``bufs[j][1 - i]``, the squares of its products in
+        ``bufs[j][i]``, and ``E`` is the columns' energy at its first new
+        state x_k.  Returns the layouts, maps, known blocks and buffers, each
+        layout rebuilt at most once and dropped when nothing of it is left,
+        and the first step at which a kept entry could retire."""
+        bounds = self._retire_bounds(beta)
+        W, fe, sig2s = np.zeros(E.size), [], []  # the column witnesses; f e of every entry
+        for lay, M, buf in zip(lays, maps, bufs):
+            sig2, f = bounds[lay.j][:, lay.sel]
+            e = 0.5 * buf[i, :, :M.shape[2], :lay.mc].sum(axis=1)  # (rows, mc)
+            wit = e * sig2[:, None] ** (n_steps - k)
+            if lay.pair_cols is None:
+                np.maximum(W, wit.max(axis=0), out=W)
+            else:
+                np.maximum.at(W, lay.pair_cols, wit[:, 0])
+            fe.append(f[:, None] * e)
+            sig2s.append(sig2)
+        # no later witness exceeds E, and no energy falls faster than sigma_min^2
+        # per step: an entry waits log(f e / (RETIRE_RTOL E / entries)) / -log(sigma_min^2)
+        # steps at least before it could retire
+        lim, rel = RETIRE_RTOL * W / entries, RETIRE_RTOL * E / entries
+        out, soon = ([], [], [], []), np.inf
+        for lay, M, buf, fe_j, sig2 in zip(lays, maps, bufs, fe, sig2s):
+            aligned = lay.pair_cols is None
+            lim_j, rel_j = (lim, rel) if aligned else (lim[lay.pair_cols, None],
+                                                       rel[lay.pair_cols, None])
+            # a group stays while some column needs it, a pair while its column does
+            keep = (fe_j >= lim_j).any(axis=1)
+            if not keep.any():
+                continue
+            with np.errstate(divide="ignore", invalid="ignore"):
+                wait = np.log((fe_j / rel_j).max(axis=1)) / -np.log(sig2)
+            # nan: 0 / 0 of a zero column, or no decay at ratio 1; neither retires
+            soon = min(soon, np.fmin.reduce(wait[keep], initial=np.inf))
+            if not keep.all():  # the kept states move to the front of their buffer
+                g = int(keep.sum())
+                buf[1 - i, :g] = buf[1 - i][keep]
+                sel = np.flatnonzero(keep) if isinstance(lay.sel, slice) else lay.sel[keep]
+                w = lay.w[:, keep] if aligned else lay.w[keep]
+                pair_cols = None if aligned else np.array(lay.pair_cols)[keep].tolist()
+                lay = _Layout(lay.j, sel, _Groups(*(a[keep] for a in lay.grp)), w, pair_cols,
+                              lay.mc)
+                M, buf = M[keep], buf[:, :g]
+            for items, item in zip(out, (lay, M, buf[1 - i][:, :M.shape[2]], buf)):
+                items.append(item)
+        return (*out, k + soon)
 
     # -- public one-step API -------------------------------------------
 
@@ -483,7 +592,9 @@ class SchemeSolver:
         """
         cfg = self.cfg
         nsteps = substep_count(cfg.t_final, cfg.dt) + 1
-        blocks, states_after = zip(*self._blocks(z0.stacked()[:, None], nsteps, beta))
+        blocks = []
+        for b, after in self._blocks(z0.stacked()[:, None], nsteps, beta):
+            blocks.append(b)
 
         def steps(name):
             return np.concatenate([getattr(b, name)[:, 0] for b in blocks])
@@ -511,7 +622,7 @@ class SchemeSolver:
             identity_residual=resid, observed_damp=observed, domain_sq0=domain_sq0,
             telescope_residual=tel_resid, telescope_tol=tel_tol,
             identity_ok=identity_ok, monotone_ok=monotone_ok,
-            final_state=ModalState._wrap_stacked(self._to_modal(states_after[-1])))
+            final_state=ModalState._wrap_stacked(self._to_modal(after)))
 
     def iterate_raw(self, x0: np.ndarray, n_steps: int, beta: float = 0.0):
         """Yield one bare ``(k, block, row)`` tuple per step of a batched

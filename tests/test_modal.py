@@ -1,5 +1,6 @@
 """Modal state space: graded norms, energy, projections."""
 
+import copy
 import dataclasses
 import itertools
 import math
@@ -12,7 +13,7 @@ from helpers import apply_a, inner_h, modal_systems
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from polystab import SchemeConfig, SchemeSolver, modal
+from polystab import SchemeConfig, SchemeSolver, factorize, modal
 from polystab.spectra import ExampleParams, build_boundary_coupled_waves, build_coupled_waves
 from polystab import (
     DimensionMismatchError,
@@ -311,6 +312,25 @@ class TestConstructor:
         for M, M2 in zip(SchemeSolver(sys_, cfg)._doubled(1), SchemeSolver(other, cfg)._doubled(1),
                          strict=True):
             assert M.tobytes() == M2.tobytes()
+
+
+class TestIdentity:
+    """Systems and states compare and hash by identity: their array fields
+    have no truth value, so field-wise ``==`` would raise, and ``hash``
+    would hash unhashable arrays."""
+
+    def test_equal_only_to_itself_and_hashable(self):
+        sys_ = build_coupled_waves(ExampleParams(0.5, 1.0, 3))
+        z = ModalState(np.arange(1.0, sys_.n + 1), np.zeros(sys_.n))
+        for a in (sys_, z):
+            twin = copy.copy(a)
+            assert a == a and not a != a
+            assert a != twin and not a == twin
+            assert hash(a) == hash(a) and {a, a, twin} == {a, twin}
+        # a step record holding a state compares and hashes through it
+        rec = factorize(sys_, SchemeConfig(dt=0.1, t_final=1.0)).step(z)
+        assert rec == rec and rec != dataclasses.replace(rec, z_next=copy.copy(rec.z_next))
+        assert {rec, rec} == {rec}
 
 
 def permuted_block_gram(rng, spectra):

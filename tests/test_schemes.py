@@ -439,9 +439,10 @@ class TestIterateRawAudit:
         assert schemes.AUDIT_RTOL == 1e-12 == 10.0 * 1e-13
 
 
-def block_diagonal_system(rng, sizes):
+def block_diagonal_system(rng, sizes, permute=True):
     """Random damped system whose Gram has one random PSD block per size
-    (blocks of rank 1..s; a size-1 block may be zero), rows permuted."""
+    (blocks of rank 1..s; a size-1 block may be zero), rows permuted unless
+    ``permute`` is false (then each group holds consecutive modes)."""
     n = sum(sizes)
     eta = np.sort(10.0 ** rng.uniform(-2.0, 3.0, n))
     D = np.zeros((n, n))
@@ -451,7 +452,7 @@ def block_diagonal_system(rng, sizes):
         keep = rng.integers(0, 2) if s == 1 else 1
         D[start:start + s, start:start + s] = keep * (R @ R.T)
         start += s
-    perm = rng.permutation(n)
+    perm = rng.permutation(n) if permute else np.arange(n)
     return ModalSystem.from_eta(eta, damp_gram=D[np.ix_(perm, perm)])
 
 
@@ -592,6 +593,219 @@ class TestColumnPosition:
             for (_, x), (_, xq) in zip(after, after_q):
                 assert np.array_equal(np.roll(x, 1, axis=2), xq)
         assert B >= 64 and lengths == block_schedule(B, n_steps)
+
+
+def stepped_groups(blocks):
+    """Per time block of a ``_blocks`` stream, the groups stepped (pairs, on
+    the pair path): the rows of the groups of its states after the block."""
+    return [sum(grp.rows.shape[0] for grp, _ in after) for _, after in blocks]
+
+
+class TestRetirement:
+    """A (group, column) entry whose energy e, after a full time block of
+    power-of-two index, satisfies ``f e < RETIRE_RTOL W_c / N`` is no longer
+    stepped: what it would still add moves each later term of its column by
+    at most ``RETIRE_RTOL`` times the column's final energy, whatever beta
+    (``f`` carries the weak-norm weights).  The block length is pinned at 4,
+    so a 70-step run may check after steps 4, 8, 16, 32 and 64.
+
+    Against the same batch with ``RETIRE_RTOL = 0`` (no entry retires, as
+    ``f e >= 0``), which steps the other entries alike, the gap is that bound
+    plus the rounding of the sums that skip the retired entries, a few eps
+    of each term (of ``E_k`` for the residual, which cancels).  Against the
+    same groups stepped one per column, which never retire, it is that
+    bound plus ``SPARSE_EPS`` eps of E0, as in ``TestOccupiedGroups`` (of
+    ``2 E0 max eta^(-2 beta - 1)``, which bounds it, for ``weak_sq``)."""
+
+    SPARSE_EPS = TestOccupiedGroups.SPARSE_EPS
+    N_STEPS = 70
+
+    @settings(max_examples=25, deadline=None, derandomize=True)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        sizes=st.lists(st.integers(1, 3), min_size=1, max_size=4),
+        m=st.integers(2, 3),
+        dense=st.booleans(),
+        log_decay=st.floats(2.0, 4.0),
+        beta=st.sampled_from([-1.0, 0.0, 0.5]),
+        damping=st.booleans(),
+    )
+    def test_terms_within_bound(self, seed, sizes, m, dense, log_decay, beta, damping):
+        rng = np.random.default_rng(seed)
+        # eta over 5 decades, each group on consecutive modes, the top mode a group alone
+        sys_ = block_diagonal_system(rng, sizes + [1], permute=False)
+        eta = sys_.eta.copy()
+        eta[[0, -1]] = 1e-2, 1e3
+        sys_ = ModalSystem(eta, sys_.blocks)
+        n = sys_.n
+        # the top mode's energy falls by (1 + dt^3 eta)^2 >= 1e4 per step
+        dt = (10.0**log_decay / 1e3) ** (1 / 3)
+        sol = factorize(sys_, SchemeConfig(dt=dt, t_final=100.0, damping=damping))
+        # every group in every column, or each column a random nonempty set of
+        # groups, column 0 holding the top group; a column with the top group
+        # holds the lowest, whose energy outlasts it
+        groups = [rows for grp in sol._groups for rows in grp.rows]  # a column's order of terms
+        occ = np.ones((m, len(groups)), bool) if dense else rng.random((m, len(groups))) < 0.5
+        occ[np.arange(m), rng.integers(len(groups), size=m)] = True
+        top, low = (next(i for i, rows in enumerate(groups) if k in rows) for k in (n - 1, 0))
+        occ[0, top] = True
+        occ[:, low] |= occ[:, top]
+        X = np.zeros((2 * n, m))
+        alone = []  # one column per occupied (group, column)
+        for c, i in zip(*np.nonzero(occ)):
+            X[groups[i], c] = rng.standard_normal(groups[i].size)
+            alone.append((c, groups[i]))
+        Y = np.zeros((2 * n, len(alone)))
+        for col, (c, rows) in enumerate(alone):
+            Y[rows, col] = X[rows, c]
+        mid = factorize(sys_, SchemeConfig(dt, 100.0, viscosity=False, damping=False))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(schemes, "_block_length", lambda entries, groups: 4)
+            runs = [list(solver._blocks(x, self.N_STEPS, beta))
+                    for solver, x in [(sol, X), (sol, Y), (mid, X)]]
+            mp.setattr(schemes, "RETIRE_RTOL", 0.0)
+            kept = block_terms(sol._blocks(X, self.N_STEPS, beta))[0]
+        counts, alone_counts, mid_counts = map(stepped_groups, runs)
+        assert counts[-1] < counts[0]  # the top group retired
+        # single-group columns and the conservative midpoint map retire nothing
+        assert len(set(alone_counts)) == len(set(mid_counts)) == 1
+        got, one = block_terms(runs[0])[0], block_terms(runs[1])[0]
+        eps, weak_w = np.finfo(float).eps, 2.0 * np.max(eta ** (-2.0 * beta - 1.0))
+        for c in range(m):
+            cols = [col for col, (cc, _) in enumerate(alone) if cc == c]
+            bound = schemes.RETIRE_RTOL * kept["energy"][-1, c]
+            e0 = kept["energy"][0, c]
+            for name in got:
+                slack = (5 if name == "resid" else 1) * bound
+                ulps = kept["energy"][:-1, c] if name == "resid" else kept[name][:, c]
+                assert np.all(np.abs(got[name][:, c] - kept[name][:, c])
+                              <= slack + self.SPARSE_EPS * eps * ulps), (c, name)
+                want = sum(one[name][:, col] for col in cols)
+                scale = e0 * weak_w if name == "weak_sq" else e0
+                assert np.all(np.abs(got[name][:, c] - want)
+                              <= slack + self.SPARSE_EPS * eps * scale), (c, name)
+
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(sys_=modal_systems(), dt=time_steps(), beta=st.sampled_from([-1.0, 0.0, 0.5]),
+           damping=st.booleans(), viscosity=st.booleans(), seed=st.integers(0, 2**32 - 1))
+    def test_bounds_hold_for_every_state(self, sys_, dt, beta, damping, viscosity, seed):
+        # per group, for random states x in energy coordinates:
+        # E(P x) >= sigma_min(P)^2 E(x), and each term of M x, weighted as
+        # the kernel weights it, is at most f E(x)
+        sol = factorize(sys_, SchemeConfig(dt, 1.0, viscosity=viscosity, damping=damping))
+        rng = np.random.default_rng(seed)
+        for M, w, (sig2, f) in zip(sol._doubled(1), sol._weights(beta), sol._retire_bounds(beta)):
+            g, _, s2 = M.shape
+            x = rng.standard_normal((g, s2, 8)) * 10.0 ** rng.uniform(-3, 3, (g, s2, 1))
+            y2 = np.square(M @ x)
+            e = 0.5 * np.sum(x**2, axis=1)  # (g, 8)
+            assert np.all(0.5 * y2[:, :s2].sum(axis=1) >= sig2[:, None] * e * (1 - 1e-12))
+            terms = np.einsum("tgr,grk->tgk", w, y2)
+            assert np.all(terms <= f[:, None] * e * (1 + 1e-12))
+
+    def pinned_runs(self, sol, x, beta=0.0):
+        """The stepped groups and terms of ``sol``'s 70-step run from ``x`` at
+        B = 4, and the terms of the same run with no entry retired."""
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(schemes, "_block_length", lambda entries, groups: 4)
+            blocks = list(sol._blocks(x, self.N_STEPS, beta))
+            mp.setattr(schemes, "RETIRE_RTOL", 0.0)
+            kept = block_terms(sol._blocks(x, self.N_STEPS, beta))[0]
+        return stepped_groups(blocks), blocks[-1][1], block_terms(blocks)[0], kept
+
+    def assert_within_bound(self, got, kept):
+        bound = schemes.RETIRE_RTOL * kept["energy"][-1]
+        for name in got:
+            ulps = kept["energy"][:-1] if name == "resid" else kept[name]
+            assert np.all(np.abs(got[name] - kept[name]) <= (5 if name == "resid" else 1) * bound
+                          + self.SPARSE_EPS * np.finfo(float).eps * ulps), name
+
+    @pytest.mark.parametrize("eta_small, beta, ratio, retires", [
+        (1.0, 0.0, 1e-28, False),
+        (1.0, 0.0, 0.05 * np.finfo(float).eps**2, False),  # would retire without the 1/N
+        (1.0, 0.0, 1e-40, True),
+        (1e-2, 0.5, 1e-36, False),  # would retire without the weak weight 1e4 in f
+        (1e-2, 0.5, 1e-40, True),
+    ])
+    def test_midpoint_retires_only_below_eps_squared(self, eta_small, beta, ratio, retires):
+        # the midpoint map keeps each group's energy: eight groups of one mode
+        # beside a ninth, each holding ``ratio`` of its energy, retire when
+        # ratio f < eps^2 / N, with N = 9 groups and f = 2 max(1, 2 eta^(-2 beta - 1))
+        # (4, and 4e4 for eta 1e-2 at beta 1/2); together they then hold at
+        # most eps^2 of the column's energy, the whole gap
+        sys_ = ModalSystem.from_eta(8 * [eta_small] + [1.0])
+        sol = factorize(sys_, SchemeConfig(0.1, 10.0, viscosity=False, damping=False))
+        x = np.zeros((18, 1))
+        x[9:, 0] = np.sqrt(8 * [ratio] + [1.0])  # velocities: energies ratio/2 and 1/2
+        counts, after, got, kept = self.pinned_runs(sol, x, beta)
+        assert counts[0] == 9 and counts[-1] == (1 if retires else 9)
+        assert np.count_nonzero(sol._to_modal(after)) == 2 * counts[-1]
+        self.assert_within_bound(got, kept)
+
+    @pytest.mark.parametrize("c, small, kept_groups", [(9.0, 1e-60, [[[0, 2]]]),
+                                                       (math.sqrt(2.0) - 1.0, 1e-48,
+                                                        [[[0, 2], [1, 3]]])])
+    def test_witness_keeps_a_small_lasting_group(self, c, small, kept_groups):
+        # a group of one mode holding ``small`` of a column's energy beside one
+        # whose energy falls (1 + c)^2-fold per step, P being that factor times
+        # a rotation: the witness is the larger of the small group's energy
+        # and the large one's at the end of the run, so the small group stays.
+        # The large group retires once it is below eps^2 of the small one
+        # (c = 9, 1e2 per step); at 2 per step it ends at 2^-70 > 1e-48 of
+        # its start, and no group retires
+        sys_ = ModalSystem.from_eta([1e-2, 1e3])
+        sol = factorize(sys_, SchemeConfig((c / 1e3) ** (1 / 3), 100.0))
+        x = np.array([[math.sqrt(small)], [1.0], [math.sqrt(small)], [1.0]])
+        counts, after, got, kept = self.pinned_runs(sol, x)
+        assert [grp.rows.tolist() for grp, _ in after] == kept_groups
+        a, b = sol._to_modal(after)[[0, 2]]
+        assert 0.5 * (1e-2 * a**2 + b**2) > 0.25 * (1e-2 + 1.0) * small  # half its start
+        self.assert_within_bound(got, kept)
+
+    def test_checks_skip_what_cannot_retire(self, monkeypatch):
+        # a batch whose columns hold one entry each is never checked; on the
+        # midpoint map, which keeps every group's energy, the first check finds
+        # that no entry could fall eps^2 below its column before the run ends
+        calls = []
+        retire = schemes.SchemeSolver._retire
+        monkeypatch.setattr(schemes.SchemeSolver, "_retire",
+                            lambda self, *args: calls.append(args[5]) or retire(self, *args))
+        monkeypatch.setattr(schemes, "_block_length", lambda entries, groups: 4)
+        sys_ = ModalSystem.from_eta(np.arange(1.0, 10.0))
+        rng = np.random.default_rng(3)
+        one = np.zeros((18, 3))
+        for c in range(3):
+            one[[c, 9 + c], c] = rng.standard_normal(2)
+        for cfg, x, checked in [(SchemeConfig(0.5, 100.0), one, []),
+                                (SchemeConfig(0.1, 10.0, viscosity=False, damping=False),
+                                 rng.standard_normal((18, 2)), [4])]:
+            calls.clear()
+            counts = stepped_groups(factorize(sys_, cfg)._blocks(x, self.N_STEPS))
+            assert calls == checked and len(set(counts)) == 1
+
+    def test_trace_steps_a_quarter_of_the_groups_at_the_end(self):
+        # coupled waves k_max 128 (128 groups of 2 modes) from a random state
+        # over 10^4 steps: structure, not timing
+        sys_ = build_coupled_waves(ExampleParams(0.5, 1.0, 128))
+        sol = factorize(sys_, SchemeConfig(dt=0.01, t_final=100.0))
+        z0 = ModalState.from_stacked(np.random.default_rng(7).standard_normal(2 * sys_.n))
+        counts = stepped_groups(sol._blocks(z0.stacked()[:, None], 10001))
+        assert counts[0] == 128 and counts[-1] <= 128 // 4
+        trace = sol.run(z0)
+        assert trace.identity_ok and trace.telescope_residual <= trace.telescope_tol
+        # the first 50 steps, before any check, against chained single steps
+        z, tol = z0, schemes.AUDIT_RTOL * trace.e0
+        for k in range(50):
+            rec = sol.step(z)
+            z = rec.z_next
+            assert abs(trace.energy[k + 1] - energy(sys_, z)) <= tol
+            for name in ("damp", "visc1", "visc2", "identity_residual"):
+                assert abs(getattr(trace, name)[k] - getattr(rec, name.replace(
+                    "damp", "damp_term"))) <= tol, (k, name)
+        # the retired groups read exact zero in the final state
+        final = trace.final_state.stacked()
+        assert np.count_nonzero(final) == 4 * counts[-1]
+        assert abs(energy(sys_, trace.final_state) - trace.e_final) <= tol
 
 
 class TestBlockLength:

@@ -21,6 +21,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import dataclasses
+import functools
 import json
 import math
 import os
@@ -113,9 +114,9 @@ def cmd_trace(cfg: ExperimentConfig, sys_, seed) -> tuple:
     n_rows = trace.t.shape[0]
     terms = [np.pad(v, (0, n_rows - v.shape[0]))
              for v in (trace.damp, trace.visc1, trace.visc2, trace.identity_residual)]
-    row = "{}" + ",{:.17g}" * 7
+    row = "%d" + ",%.17g" * 7
     cols = (c.tolist() for c in [trace.t, trace.energy, trace.weak_sq, *terms])
-    lines = [TRACE_HEADER] + [row.format(k, *vals) for k, vals in enumerate(zip(*cols))]
+    lines = [TRACE_HEADER] + [row % vals for vals in zip(range(n_rows), *cols)]
     summary = {
         "seed_override": seed,
         "E0": trace.e0,
@@ -191,14 +192,17 @@ def cmd_ingham(cfg: ExperimentConfig, sys_, seed) -> tuple:
         "gamma": scalar_cfg.gamma,
         "estimate": scalar,
     }
-    clustered_cfg = auto_config("gamma1", report.gamma1)
-    clustered = estimate_clustered(sys_.mu, clustered_cfg)
-    payload["clustered"] = {
-        "sigma": clustered_cfg.sigma,
-        "J": clustered_cfg.J,
-        "gamma1": clustered_cfg.gamma,
-        "estimate": clustered,
-    }
+    if math.isinf(report.gamma1):  # check_gap of fewer than 3 modes
+        payload["clustered"] = {"gamma1": report.gamma1, "estimate": None,
+                                "note": "fewer than 3 modes: no 2-cluster exists"}
+    else:
+        clustered_cfg = auto_config("gamma1", report.gamma1)
+        payload["clustered"] = {
+            "sigma": clustered_cfg.sigma,
+            "J": clustered_cfg.J,
+            "gamma1": clustered_cfg.gamma,
+            "estimate": estimate_clustered(sys_.mu, clustered_cfg),
+        }
     # single-frequency self-test: the ratio collapses to sigma * (2J + 1)
     self_cfg = InghamConfig(sigma=1.0, J=4, gamma=2.0, trials=1, seed=use_seed)
     ratio = ingham_ratio_scalar(np.array([1.0]), np.array([1.0 + 0j]), self_cfg)
@@ -218,6 +222,7 @@ _COMMANDS = {
 }
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="polystab",

@@ -84,15 +84,20 @@ over its pairs in group order: the decay family, one or two groups per
 column, steps 8 pairs instead of 6 groups in 8 columns.  Either way a
 column's bits do not depend on the other columns or on its place in the
 batch.  B follows the state entries stepped, at least one per column
-(``_block_length``).  A dense
-group of size n runs with B = 1 at ~5n^2 multiply-adds per column-step.
+(``_block_length``), and grows with them once entries retire (below): the
+known block of the last B states then doubles on, as it did from ``x_0``,
+to the new B, which is at most the steps left, so every cached ``M_K`` is
+stepped.  A dense group of size n runs with B = 1 at ~5n^2 multiply-adds
+per column-step.
 
 **Retirement.**  The viscosity stage divides mode ``eta`` by
 ``1 + dt^3 eta`` per step, so a column's top modes fall into subnormal
-numbers and then exact zeros.  After each full time block whose index
-``(k0 + 1) / B`` is a power of two, but not after the last (so ``step``
-never retires), each stepped entry -- a group in one column -- gets its
-energy ``e`` at the block's first new state, and each column the witness
+numbers and then exact zeros.  After the first full time block whose
+first new state is x_k with k >= B, then the first with k at least twice
+that, and so on (O(log n) checks, at k = B, 2B, 4B, ... while B stays), but
+not after the last block (so ``step`` never retires), each stepped entry --
+a group in one column -- gets its energy ``e`` at the block's first new
+state x_k, and each column the witness
 ``W_c = max e sigma_min(P)^(2 steps_left)``, a lower bound of its energy at
 every later step.  An entry retires, is no longer stepped, when
 ``f e < RETIRE_RTOL W_c / N``: N counts the entries stepped at the start,
@@ -103,12 +108,15 @@ contraction).  So each later term of a column moves by at most
 Pairs retire alone; a column-aligned group retires where every column
 qualifies, so rolling the columns still rolls every bit.  A column's only
 entry never retires (its witness is its own energy), so a batch of one entry
-per column is never checked; and as no energy falls faster than
-``sigma_min^2`` per step and no later witness exceeds ``E_c`` now, each check
-gives the first step at which an entry could retire,
-``log(f e N / (RETIRE_RTOL E_c)) / -log sigma_min^2`` steps on, and skips the
-checks before it.  Retired entries read exact zero in the states after a
-block.
+per column is never checked.  No entry's energy falls faster than
+``sigma_min^2`` per step, and t steps on a column's energy, which bounds
+every later witness, is at most ``Lambda_c^t E_c``, with ``Lambda_c`` the
+largest ``lambda_max`` (top eigenvalue of ``P^T P``) of its entries.  So
+the initial state and each check give the first step at which an entry
+could retire, ``log(f e N / (RETIRE_RTOL E_c)) / log(Lambda_c / sigma_min^2)``
+steps on, and the checks before it are skipped: where a column's entries
+decay at nearly one rate (the criterion-7 control family) none is run.
+Retired entries read exact zero in the states after a block.
 
 **Audit.**  The residual of the per-step identity measures how accurately
 ``P``, ``L`` and their doubled powers were built; its tolerance is the
@@ -266,11 +274,12 @@ class _Groups(NamedTuple):
 def _block_length(entries: int, groups) -> int:
     """Longest time block B (blocks run 1, 2, 4, ..., B steps, then B each)
     for ``entries`` stepped state entries per step: ~2^15 stepped entries
-    per block and at most 2^18 / (entries of the P of all ``groups``) steps,
+    per block and at most 2^18 / (entries of the P of ``groups``) steps,
     rounded down to a power of two.  The last cap keeps a dense group at
-    B = 1.  ``_blocks`` counts at least one entry per column: a block's
-    (6, B, m) terms are filled even where nothing is stepped, so an
-    all-zero m-column batch runs at B <= 2^15 / m."""
+    B = 1.  ``_blocks`` passes every group of the system at the start and
+    the groups still stepped once some retire, and counts at least one entry
+    per column: a block's (6, B, m) terms are filled even where nothing is
+    stepped, so an all-zero m-column batch runs at B <= 2^15 / m."""
     sq = sum(grp.rows.size * grp.rows.shape[1] for grp in groups)
     b = min(2**15 // max(entries, 1), 2**18 // sq)
     return 1 << (max(b, 1).bit_length() - 1)
@@ -400,19 +409,20 @@ class SchemeSolver:
         return self._weight_sets[beta]
 
     def _retire_bounds(self, beta: float) -> list:
-        """Per group size: (2, g) ``sigma_min(P)^2``, the least eigenvalue of
-        ``P^T P`` (one batched ``eigvalsh``) less its rounding
-        ``(2s)^2 eps |P|_F^2``, and ``f = 2 max_t sum_r w_t[r] |M_r|^2`` over the
-        terms' weights and the rows of ``[P; L]``, so that ``f e`` bounds each
-        term of a state of energy e; cached per beta."""
+        """Per group size: (3, g) ``sigma_min(P)^2`` and ``lambda_max``, the
+        least and the largest eigenvalue of ``P^T P`` (one batched
+        ``eigvalsh``) less and plus its rounding ``(2s)^2 eps |P|_F^2``, and
+        ``f = 2 max_t sum_r w_t[r] |M_r|^2`` over the terms' weights and the
+        rows of ``[P; L]``, so that ``f e`` bounds each term of a state of
+        energy e; cached per beta."""
         if beta not in self._bound_sets:
             out = []
             for M, w in zip(self._doubled(1), self._weights(beta)):
                 P = M[:, :M.shape[2]]
                 sq = np.square(M).sum(axis=2)  # (g, r)
                 margin = P.shape[1] ** 2 * np.finfo(float).eps * sq[:, :P.shape[1]].sum(axis=1)
-                sig2 = np.linalg.eigvalsh(P.transpose(0, 2, 1) @ P)[:, 0] - margin
-                out.append(np.stack([np.maximum(sig2, 0.0),
+                lam = np.linalg.eigvalsh(P.transpose(0, 2, 1) @ P)
+                out.append(np.stack([np.maximum(lam[:, 0] - margin, 0.0), lam[:, -1] + margin,
                                      2.0 * (w * sq).sum(axis=2).max(axis=0)]))
             self._bound_sets[beta] = out
         return self._bound_sets[beta]
@@ -441,11 +451,13 @@ class SchemeSolver:
         (p, 2s, K) block, so the states after it are one column per pair)
         and a column's terms are summed over its pairs in group order.  K
         doubles from 1 to B (``_block_length`` of the entries stepped, at
-        least m, and at most ``n_steps``).  After each full block of
-        power-of-two index but the last, the entries that can no longer show
-        in their column's terms retire (``_retire``).  The per-step identity
-        residual is ``|E(x_{k+1}) + visc1 + visc2 + damp - E(x_k)|``.  A
-        non-finite state or term raises NonFiniteStateError.
+        least m, and at most ``n_steps``).  After full blocks at
+        geometrically spaced steps but the last, the entries that can no
+        longer show in their column's terms retire (``_retire``); when some
+        do, B follows the entries left (at most the steps left) and K
+        doubles on from the old B.  The per-step identity residual is
+        ``|E(x_{k+1}) + visc1 + visc2 + damp - E(x_k)|``.  A non-finite state
+        or term raises NonFiniteStateError.
         """
         m = x.shape[1]
         lays, xs = [], []
@@ -464,31 +476,48 @@ class SchemeSolver:
             grp = _Groups(*(a[sel] for a in grp))
             lays.append(_Layout(j, sel, grp, np.ascontiguousarray(w), pair_cols, x0.shape[2]))
             xs.append(x0 * grp.scale)
-        B = min(_block_length(max(sum(xg.size for xg in xs), m), self._groups),
-                1 << (max(n_steps, 1).bit_length() - 1))
+
+        def stepped():  # state entries stepped per step, at least one per column
+            return max(sum(xg.shape[0] * xg.shape[1] * lay.mc for lay, xg in zip(lays, xs)), m)
+
+        def known_blocks(states, slot):
+            """Fresh pairs of (g, r, _lanes(B mc)) buffers, ``states`` (g, 2s, cols) at the
+            front of buffer ``slot``, and the known blocks there."""
+            bufs, known = [], []
+            for lay, xg in zip(lays, states):
+                g, s2, cols = xg.shape
+                bufs.append(np.zeros((2, g, self._doubled(1)[lay.j].shape[1], _lanes(B * lay.mc))))
+                known.append(bufs[-1][slot, :, :s2])
+                known[-1][:, :, :cols] = xg
+            return bufs, known
+
+        B = min(_block_length(stepped(), self._groups), 1 << (max(n_steps, 1).bit_length() - 1))
         entries = sum(xg.shape[0] for xg in xs)  # at least the entries of any one column
         per_col = sum(np.full(m, xg.shape[0]) if lay.pair_cols is None else
                       np.bincount(lay.pair_cols, minlength=m) for lay, xg in zip(lays, xs))
-        # checks follow the full blocks whose index (k0 + 1) / B is a power of
-        # two, from next_check on: a column's only entry never retires
-        check_at, next_check = B, 0 if np.max(per_col, initial=0) > 1 else n_steps
-        bufs, prev = [], np.zeros((4, 1, m))
-        for j, (lay, x0) in enumerate(zip(lays, xs)):
-            g, s2, mc = x0.shape
-            bufs.append(np.zeros((2, g, self._doubled(1)[lay.j].shape[1], _lanes(B * mc))))
-            xs[j] = bufs[-1][0, :, :s2]
-            xs[j][:, :, :mc] = x0
-            w4 = lay.w[:4, :, :s2] if lay.pair_cols is None else lay.w[:, :4, :s2]
-            _add_terms(prev, w4, xs[j] * xs[j], lay.pair_cols)
+        bufs, xs = known_blocks(xs, 0)
+        prev, es = np.zeros((4, 1, m)), []
+        for lay, xg in zip(lays, xs):
+            w4 = lay.w[:4, :, :xg.shape[1]] if lay.pair_cols is None else lay.w[:, :4, :xg.shape[1]]
+            x2 = xg * xg
+            _add_terms(prev, w4, x2, lay.pair_cols)
+            es.append(0.5 * x2[:, :, :lay.mc].sum(axis=1))
         prev = prev[:, 0]
-        K, k0 = 1, 0
+        # checks follow the full blocks at geometrically spaced steps from
+        # check_at on, and none comes before the first step at which an entry
+        # could retire, next_check: a column's only entry never retires
+        check_at, next_check = B, n_steps
+        if np.max(per_col, initial=0) > 1:
+            waits = self._retire_waits(lays, es, prev[0], beta, entries, n_steps)[1]
+            next_check = min(np.fmin.reduce(wait, initial=np.inf) for wait in waits)
+        K, k0, i, maps_K = 1, 0, 0, 0
         while k0 < n_steps:
             nb = min(K, n_steps - k0)
-            if k0 == K - 1:  # the first block of this K
-                maps = [self._doubled(K)[lay.j][lay.sel] for lay in lays]
-            # full blocks alternate a size's two (g, r, width) buffers: the product goes into the
-            # one not holding the states it reads (matmul copies those), its squares into the other
-            full, i = nb == B, k0 // B % 2
+            if K != maps_K:
+                maps, maps_K = [self._doubled(K)[lay.j][lay.sel] for lay in lays], K
+            # full blocks alternate a size's two (g, r, width) buffers: the product goes into
+            # buffer 1 - i, not the one holding the states it reads, its squares into buffer i
+            full = nb == B
             # E, visc1, visc2, weak of x_{k+1}; observed damping and residual of step k
             T = np.zeros((6, nb, m))
             after = []
@@ -513,12 +542,53 @@ class SchemeSolver:
             yield (_Block(k0, energy, np.concatenate([prev[3][None], T[3]]), T[1], T[2], T[4],
                           T[5]), after)
             prev = T[:4, -1]
-            if k0 + 1 == check_at:
-                check_at *= 2
-                if next_check <= k0 + 1 and k0 + nb < n_steps:
+            k, k0, K = k0 + 1, k0 + nb, min(2 * K, B)
+            if full and k >= check_at:
+                check_at = 2 * k
+                if next_check <= k and k0 < n_steps:
+                    held = stepped()
                     lays, maps, xs, bufs, next_check = self._retire(
-                        lays, maps, bufs, i, T[0, 0], k0 + 1, n_steps, beta, entries)
-            k0, K = k0 + nb, min(2 * K, B)
+                        lays, maps, bufs, i, T[0, 0], k, n_steps, beta, entries)
+                    if stepped() < held:  # B follows the entries left, at most the steps left
+                        grown = min(_block_length(stepped(), [lay.grp for lay in lays]),
+                                    1 << ((n_steps - k0).bit_length() - 1))
+                        if grown > B:  # the known block of the last K states doubles on
+                            B = grown
+                            bufs, xs = known_blocks(
+                                [xg[:, :, :K * lay.mc] for lay, xg in zip(lays, xs)], 1 - i)
+            i ^= full
+
+    def _retire_waits(self, lays, es, E, beta, entries, left):
+        """Retirement at a state x_k (see the module docstring) with ``left``
+        steps to go, from the energies ``es`` of the stepped entries (per
+        layout, (rows, mc)) and ``E`` of the columns: per layout, which
+        entries stay (``f e >= RETIRE_RTOL W_c / N`` in some column), and the
+        steps before each could first retire (its energy falls at most
+        ``sigma_min^2``-fold per step, and t steps on its column's energy,
+        which bounds every witness, is at most ``Lambda_c^t E_c``, with
+        ``Lambda_c`` the largest ``lambda_max`` of the column's entries);
+        inf or nan where it never can (nan: a zero column)."""
+        bounds = self._retire_bounds(beta)
+        W, lam = np.zeros(E.size), np.zeros(E.size)  # per column: witness, largest lambda_max
+        for lay, e in zip(lays, es):
+            sig2, lmax, _ = bounds[lay.j][:, lay.sel]
+            if lay.pair_cols is None:
+                np.maximum(W, (e * sig2[:, None] ** left).max(axis=0), out=W)
+                np.maximum(lam, lmax.max(), out=lam)
+            else:
+                np.maximum.at(W, lay.pair_cols, e[:, 0] * sig2 ** left)
+                np.maximum.at(lam, lay.pair_cols, lmax)
+        lim, rel = RETIRE_RTOL * W / entries, RETIRE_RTOL * E / entries
+        keeps, waits = [], []
+        for lay, e in zip(lays, es):
+            sig2, _, f = bounds[lay.j][:, lay.sel]
+            at = np.s_[:] if lay.pair_cols is None else np.s_[lay.pair_cols, None]
+            fe = f[:, None] * e
+            # a group stays while some column needs it, a pair while its column does
+            keeps.append((fe >= lim[at]).any(axis=1))
+            with np.errstate(divide="ignore", invalid="ignore"):
+                waits.append((np.log(fe / rel[at]) / np.log(lam[at] / sig2[:, None])).max(axis=1))
+        return keeps, waits
 
     def _retire(self, lays, maps, bufs, i, E, k, n_steps, beta, entries):
         """Retirement after a full block (see the module docstring): its
@@ -527,38 +597,19 @@ class SchemeSolver:
         state x_k.  Returns the layouts, maps, known blocks and buffers, each
         layout rebuilt at most once and dropped when nothing of it is left,
         and the first step at which a kept entry could retire."""
-        bounds = self._retire_bounds(beta)
-        W, fe, sig2s = np.zeros(E.size), [], []  # the column witnesses; f e of every entry
-        for lay, M, buf in zip(lays, maps, bufs):
-            sig2, f = bounds[lay.j][:, lay.sel]
-            e = 0.5 * buf[i, :, :M.shape[2], :lay.mc].sum(axis=1)  # (rows, mc)
-            wit = e * sig2[:, None] ** (n_steps - k)
-            if lay.pair_cols is None:
-                np.maximum(W, wit.max(axis=0), out=W)
-            else:
-                np.maximum.at(W, lay.pair_cols, wit[:, 0])
-            fe.append(f[:, None] * e)
-            sig2s.append(sig2)
-        # no later witness exceeds E, and no energy falls faster than sigma_min^2
-        # per step: an entry waits log(f e / (RETIRE_RTOL E / entries)) / -log(sigma_min^2)
-        # steps at least before it could retire
-        lim, rel = RETIRE_RTOL * W / entries, RETIRE_RTOL * E / entries
+        es = [0.5 * buf[i, :, :M.shape[2], :lay.mc].sum(axis=1)
+              for lay, M, buf in zip(lays, maps, bufs)]
+        keeps, waits = self._retire_waits(lays, es, E, beta, entries, n_steps - k)
         out, soon = ([], [], [], []), np.inf
-        for lay, M, buf, fe_j, sig2 in zip(lays, maps, bufs, fe, sig2s):
-            aligned = lay.pair_cols is None
-            lim_j, rel_j = (lim, rel) if aligned else (lim[lay.pair_cols, None],
-                                                       rel[lay.pair_cols, None])
-            # a group stays while some column needs it, a pair while its column does
-            keep = (fe_j >= lim_j).any(axis=1)
+        for lay, M, buf, keep, wait in zip(lays, maps, bufs, keeps, waits):
             if not keep.any():
                 continue
-            with np.errstate(divide="ignore", invalid="ignore"):
-                wait = np.log((fe_j / rel_j).max(axis=1)) / -np.log(sig2)
-            # nan: 0 / 0 of a zero column, or no decay at ratio 1; neither retires
+            # nan: a zero column, which keeps every entry
             soon = min(soon, np.fmin.reduce(wait[keep], initial=np.inf))
             if not keep.all():  # the kept states move to the front of their buffer
                 g = int(keep.sum())
                 buf[1 - i, :g] = buf[1 - i][keep]
+                aligned = lay.pair_cols is None
                 sel = np.flatnonzero(keep) if isinstance(lay.sel, slice) else lay.sel[keep]
                 w = lay.w[:, keep] if aligned else lay.w[keep]
                 pair_cols = None if aligned else np.array(lay.pair_cols)[keep].tolist()

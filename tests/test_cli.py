@@ -278,6 +278,50 @@ class TestTraceCommand:
         E = np.array([float(line.split(",")[2]) for line in lines])
         assert np.max(np.abs(E - E[0])) <= 1e-12 * E[0]
 
+    def test_float_fields_round_trip_at_17_digits(self, tmp_path):
+        # the conservative midpoint map adds exact zeros to damp, visc1 and
+        # visc2, the final row pads every step term with them, and the first
+        # row is t = 0: every float field is the 17-digit form of its value
+        cfg_path = write_config(tmp_path / "c.json",
+                                base_trace_config(viscosity=False, damping=False))
+        assert main(["trace", "--config", cfg_path, "--out", str(tmp_path)]) == 0
+        rows = [line.split(",") for line in (tmp_path / "t_trace.csv").read_text().splitlines()]
+        assert rows[0] == TRACE_HEADER.split(",") and rows[1][1] == "0"
+        assert [row[0] for row in rows[1:]] == [str(k) for k in range(len(rows) - 1)]
+        fields = [f for row in rows[1:] for f in row[1:]]
+        assert len(fields) == 7 * (len(rows) - 1) and fields.count("0") >= 3 * (len(rows) - 1)
+        assert all(f == format(float(f), ".17g") for f in fields)
+
+    def test_repeated_calls_write_what_each_writes_alone(self, tmp_path):
+        # main builds its parser once per process: a call writes the bytes it
+        # writes in a fresh process, and no --seed carries over to the next
+        obs = {
+            "system": {"type": "coupled_waves", "alpha": 0.5, "gamma": 1.0, "k_max": 4},
+            "scheme": {"dt_list": [0.1]},
+            "study": {"trials": 4, "seed": 3, "t_star": 2.0},
+            "output": {"prefix": "o"},
+        }
+        calls = [["trace", "--config", write_config(tmp_path / "t.json", base_trace_config()),
+                  "--seed", "99"],
+                 ["observability", "--config", write_config(tmp_path / "o.json", obs)],
+                 ["trace", "--config", str(tmp_path / "t.json")]]
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p))
+        for i, args in enumerate(calls):
+            assert main(args + ["--out", str(tmp_path / f"in{i}")]) == 0
+            alone = [sys.executable, "-m", "polystab.cli", *args, "--out", str(tmp_path / f"a{i}")]
+            assert subprocess.run(alone, env=env).returncode == 0
+        for i in range(len(calls)):
+            names = sorted(p.name for p in (tmp_path / f"a{i}").iterdir())
+            assert names == sorted(p.name for p in (tmp_path / f"in{i}").iterdir())
+            for name in names:
+                assert (tmp_path / f"in{i}" / name).read_bytes() == (
+                    tmp_path / f"a{i}" / name).read_bytes(), (i, name)
+        seeds = [json.loads((tmp_path / f"in{i}" / "t_summary.json").read_text())["seed_override"]
+                 for i in (0, 2)]
+        assert seeds == [99, None]
+
     def test_seed_override_changes_data(self, tmp_path):
         cfg_path = write_config(tmp_path / "c.json", base_trace_config())
         main(["trace", "--config", cfg_path, "--out", str(tmp_path / "a")])
@@ -763,11 +807,10 @@ class TestInghamCommand:
         ({"study": {"sigma": math.nan}}, "config error: study.sigma must be finite; got nan"),
         ({"study": {"gamma": 0.0}}, "error: gamma must be positive and finite; got 0.0"),
         ({"study": {"gamma": math.nan}}, "config error: study.gamma must be finite; got nan"),
-        # fewer than 3 modes: the 2-separated gap is +inf
-        ({"system": {"k_max": 1}}, "error: gamma1 must be positive and finite; got inf"),
-        ({"system": {"type": "custom", "eta": [1.0, 4.0]}},
-         "error: gamma1 must be positive and finite; got inf"),
-    ], ids=["sigma_zero", "sigma_nan", "gamma_zero", "gamma_nan", "two_modes", "custom_two_modes"])
+        # a frequency three times over: the 2-separated gap is 0
+        ({"system": {"type": "custom", "eta": [1.0, 1.0, 1.0]}, "study": {"gamma": 1.0}},
+         "error: gamma1 must be positive and finite; got 0.0"),
+    ], ids=["sigma_zero", "sigma_nan", "gamma_zero", "gamma_nan", "gamma1_zero"])
     def test_bad_sampling_exits_2(self, tmp_path, capsys, blocks, message):
         payload = {
             "system": {"type": "coupled_waves", "alpha": 0.5, "gamma": 1.0, "k_max": 4},
@@ -781,6 +824,25 @@ class TestInghamCommand:
         assert main(["ingham", "--config", str(p), "--out", str(tmp_path)]) == 2
         assert capsys.readouterr().err.splitlines() == [message]
         assert not (tmp_path / "i_ingham.json").exists()
+
+    @pytest.mark.parametrize("system", [{"k_max": 1}, {"type": "custom", "eta": [1.0, 4.0]}],
+                             ids=["two_modes", "custom_two_modes"])
+    def test_fewer_than_three_modes_report_no_cluster(self, tmp_path, system):
+        # the 2-separated gap is +inf below 3 modes: no 2-cluster, so only the
+        # scalar envelope is estimated
+        payload = {
+            "system": {"type": "coupled_waves", "alpha": 0.5, "gamma": 1.0, "k_max": 4, **system},
+            "scheme": {"dt": 0.01},
+            "study": {"trials": 5, "seed": 0},
+            "output": {"prefix": "i"},
+        }
+        p = write_config(tmp_path / "c.json", payload)
+        assert main(["ingham", "--config", str(p), "--out", str(tmp_path)]) == 0
+        data = json.loads((tmp_path / "i_ingham.json").read_text())
+        assert data["scalar"]["estimate"]["c_lo"] > 0.0
+        assert data["scalar"]["estimate"]["n_active"] == 2
+        assert data["clustered"] == {"gamma1": "inf", "estimate": None,
+                                     "note": "fewer than 3 modes: no 2-cluster exists"}
 
     def test_fractional_trials_exits_2(self, tmp_path, capsys):
         payload = {

@@ -25,7 +25,9 @@ from polystab import (
     build_boundary_coupled_waves,
     ExampleParams,
     filtering_cutoff,
+    observation_time,
     substep_count,
+    uniform_decay_study,
     worst_case_family,
 )
 
@@ -619,6 +621,10 @@ class TestRetirement:
 
     SPARSE_EPS = TestOccupiedGroups.SPARSE_EPS
     N_STEPS = 70
+    # terms of a run whose block length grows, against the run at the
+    # initial B: eps of each term (of E_k for the residual) beyond the
+    # retirement bound; the worst of the k_max 128 trace is 57 (observed damping)
+    GROWN_EPS = 128
 
     @settings(max_examples=25, deadline=None, derandomize=True)
     @given(
@@ -690,16 +696,18 @@ class TestRetirement:
            damping=st.booleans(), viscosity=st.booleans(), seed=st.integers(0, 2**32 - 1))
     def test_bounds_hold_for_every_state(self, sys_, dt, beta, damping, viscosity, seed):
         # per group, for random states x in energy coordinates:
-        # E(P x) >= sigma_min(P)^2 E(x), and each term of M x, weighted as
-        # the kernel weights it, is at most f E(x)
+        # sigma_min(P)^2 E(x) <= E(P x) <= lambda_max E(x), and each term of
+        # M x, weighted as the kernel weights it, is at most f E(x)
         sol = factorize(sys_, SchemeConfig(dt, 1.0, viscosity=viscosity, damping=damping))
         rng = np.random.default_rng(seed)
-        for M, w, (sig2, f) in zip(sol._doubled(1), sol._weights(beta), sol._retire_bounds(beta)):
+        for M, w, (sig2, lmax, f) in zip(sol._doubled(1), sol._weights(beta),
+                                         sol._retire_bounds(beta)):
             g, _, s2 = M.shape
             x = rng.standard_normal((g, s2, 8)) * 10.0 ** rng.uniform(-3, 3, (g, s2, 1))
             y2 = np.square(M @ x)
             e = 0.5 * np.sum(x**2, axis=1)  # (g, 8)
             assert np.all(0.5 * y2[:, :s2].sum(axis=1) >= sig2[:, None] * e * (1 - 1e-12))
+            assert np.all(0.5 * y2[:, :s2].sum(axis=1) <= lmax[:, None] * e * (1 + 1e-12))
             terms = np.einsum("tgr,grk->tgk", w, y2)
             assert np.all(terms <= f[:, None] * e * (1 + 1e-12))
 
@@ -713,12 +721,12 @@ class TestRetirement:
             kept = block_terms(sol._blocks(x, self.N_STEPS, beta))[0]
         return stepped_groups(blocks), blocks[-1][1], block_terms(blocks)[0], kept
 
-    def assert_within_bound(self, got, kept):
+    def assert_within_bound(self, got, kept, ulps_eps=SPARSE_EPS):
         bound = schemes.RETIRE_RTOL * kept["energy"][-1]
         for name in got:
             ulps = kept["energy"][:-1] if name == "resid" else kept[name]
             assert np.all(np.abs(got[name] - kept[name]) <= (5 if name == "resid" else 1) * bound
-                          + self.SPARSE_EPS * np.finfo(float).eps * ulps), name
+                          + ulps_eps * np.finfo(float).eps * ulps), name
 
     @pytest.mark.parametrize("eta_small, beta, ratio, retires", [
         (1.0, 0.0, 1e-28, False),
@@ -762,26 +770,46 @@ class TestRetirement:
         assert 0.5 * (1e-2 * a**2 + b**2) > 0.25 * (1e-2 + 1.0) * small  # half its start
         self.assert_within_bound(got, kept)
 
-    def test_checks_skip_what_cannot_retire(self, monkeypatch):
-        # a batch whose columns hold one entry each is never checked; on the
-        # midpoint map, which keeps every group's energy, the first check finds
-        # that no entry could fall eps^2 below its column before the run ends
+    @staticmethod
+    def count_checks(monkeypatch):
+        """The steps x_k of every ``_retire`` call from now on."""
         calls = []
         retire = schemes.SchemeSolver._retire
         monkeypatch.setattr(schemes.SchemeSolver, "_retire",
                             lambda self, *args: calls.append(args[5]) or retire(self, *args))
+        return calls
+
+    def test_checks_skip_what_cannot_retire(self, monkeypatch):
+        # a batch whose columns hold one entry each is never checked; on the
+        # midpoint map, which keeps every group's energy (sigma_min^2 and
+        # lambda_max are 1 to rounding), the initial state shows that no entry
+        # could fall eps^2 below its column before the run ends
+        calls = self.count_checks(monkeypatch)
         monkeypatch.setattr(schemes, "_block_length", lambda entries, groups: 4)
         sys_ = ModalSystem.from_eta(np.arange(1.0, 10.0))
         rng = np.random.default_rng(3)
         one = np.zeros((18, 3))
         for c in range(3):
             one[[c, 9 + c], c] = rng.standard_normal(2)
-        for cfg, x, checked in [(SchemeConfig(0.5, 100.0), one, []),
-                                (SchemeConfig(0.1, 10.0, viscosity=False, damping=False),
-                                 rng.standard_normal((18, 2)), [4])]:
-            calls.clear()
+        for cfg, x in [(SchemeConfig(0.5, 100.0), one),
+                       (SchemeConfig(0.1, 10.0, viscosity=False, damping=False),
+                        rng.standard_normal((18, 2)))]:
             counts = stepped_groups(factorize(sys_, cfg)._blocks(x, self.N_STEPS))
-            assert calls == checked and len(set(counts)) == 1
+            assert calls == [] and len(set(counts)) == 1
+
+    def test_control_sweep_runs_no_check(self, monkeypatch):
+        # the criterion-7 gamma = 0 control family: 11 pairs in 8 columns,
+        # whose entries of one column decay at nearly one rate, so that no
+        # entry could fall eps^2 below its column's energy within T = 200
+        calls = self.count_checks(monkeypatch)
+        damped = build_coupled_waves(ExampleParams(0.5, 1.0, 32))
+        sys_ = build_coupled_waves(ExampleParams(0.5, 0.0, 32))
+        x = np.column_stack([z.stacked() for _, z in worst_case_family(sys_)])
+        assert x.shape[1] == 8 and stepped_groups(
+            factorize(sys_, SchemeConfig(0.01, 1.0))._blocks(x, 1)) == [11]
+        study = uniform_decay_study(sys_, beta=0.0, dt_list=[0.02, 0.01, 0.005], T=200.0,
+                                    t_star=observation_time(damped).t_star)
+        assert study.verdict == "non-uniform" and calls == []
 
     def test_trace_steps_a_quarter_of_the_groups_at_the_end(self):
         # coupled waves k_max 128 (128 groups of 2 modes) from a random state
@@ -789,8 +817,21 @@ class TestRetirement:
         sys_ = build_coupled_waves(ExampleParams(0.5, 1.0, 128))
         sol = factorize(sys_, SchemeConfig(dt=0.01, t_final=100.0))
         z0 = ModalState.from_stacked(np.random.default_rng(7).standard_normal(2 * sys_.n))
-        counts = stepped_groups(sol._blocks(z0.stacked()[:, None], 10001))
+        blocks = list(sol._blocks(z0.stacked()[:, None], 10001))
+        counts, (got, lengths) = stepped_groups(blocks), block_terms(blocks)
         assert counts[0] == 128 and counts[-1] <= 128 // 4
+        # once groups retire, B follows the entries left: after the last
+        # retirement every block but the partial last one is a power of two
+        # above the initial B = 64, and each cached power of P was stepped
+        B, first = schemes._block_length(2 * sys_.n, sol._groups), np.argmax(np.less(counts, 128))
+        assert B == 64 and lengths[:first] == block_schedule(B, 10001)[:first]
+        assert all(n > B and n & (n - 1) == 0 for n in lengths[counts.index(counts[-1]):-1])
+        assert set(sol._doubled_maps) == {n for n in lengths if n & (n - 1) == 0}
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(schemes, "RETIRE_RTOL", 0.0)
+            kept, kept_lengths = block_terms(sol._blocks(z0.stacked()[:, None], 10001))
+        assert kept_lengths == block_schedule(B, 10001)
+        self.assert_within_bound(got, kept, self.GROWN_EPS)
         trace = sol.run(z0)
         assert trace.identity_ok and trace.telescope_residual <= trace.telescope_tol
         # the first 50 steps, before any check, against chained single steps

@@ -3,9 +3,12 @@
 Subcommands: ``trace``, ``decay``, ``observability``, ``spectrum``,
 ``ingham``.  Global flags: ``--config <path>`` (JSON, see config module),
 ``--out <dir>``, ``--seed <int>`` (overrides the config seeds).
+``decay``, ``observability`` and ``ingham`` report one cell per time step
+of the config; ``trace`` and ``spectrum`` read its first.
 
 Exit codes: 0 success, 1 I/O failure, 2 config error, 3 numerical
-diagnostic failure (energy-identity violation, non-finite states).
+diagnostic failure (energy-identity violation, non-finite states, a
+sampled Ingham ratio outside its exact envelope).
 
 Each subcommand returns its outputs by file suffix; ``main`` writes them in
 order to ``<out>/<prefix><suffix>``, each atomically (unique temp file +
@@ -31,12 +34,12 @@ import numpy as np
 
 from . import __version__
 from .config import ExperimentConfig, build_init, build_system, load_config
-from .diagnostics import observability_constant_study, uniform_decay_study
-from .errors import (ConfigError, DiagnosticFailure, NonFiniteStateError, PolystabError,
-                     check_int, check_positive)
-from .ingham import InghamConfig, estimate_clustered, estimate_scalar, ingham_ratio_scalar
-from .schemes import SchemeConfig, factorize
-from .spectra import audit_spectrum, boundary_fixedpoint_residuals, ExampleParams
+from .diagnostics import observability_constant_study, observation_time, uniform_decay_study
+from .errors import (ConfigError, DiagnosticFailure, DomainError, NonFiniteStateError,
+                     PolystabError, check_int, check_positive)
+from .ingham import InghamConfig, estimate_clustered, estimate_scalar
+from .schemes import SchemeConfig, factorize, modal_multiplier, substep_count
+from .spectra import audit_spectrum, boundary_fixedpoint_residuals, ExampleParams, filtering_cutoff
 
 TRACE_HEADER = "k,t,E,E_weak,damp_term,visc1,visc2,identity_residual"
 
@@ -170,47 +173,30 @@ def cmd_spectrum(cfg: ExperimentConfig, sys_, seed) -> tuple:
 
 
 def cmd_ingham(cfg: ExperimentConfig, sys_, seed) -> tuple:
+    # per dt, the scheme's own observation sum: the midpoint frequencies +-alpha(mu) of
+    # the low-pass modes sampled at sigma = dt, J = floor(T*/dt) // 2 (README "CLI")
     st = cfg.study
     use_seed = st.seed if seed is None else seed
-    report = audit_spectrum(sys_, beta=st.beta, dt=_dt_list(cfg)[0], delta=st.delta)
-    mu_max = float(np.max(sys_.mu))
-
-    def auto_config(name: str, gap: float) -> InghamConfig:
-        check_positive(name, gap)
-        sigma = st.sigma if st.sigma is not None else 0.9 * math.pi / (mu_max + 0.5 * gap)
-        check_positive("sigma", sigma)
-        J = st.J if st.J is not None else int(math.ceil((math.pi / gap) / sigma)) + 1
-        return InghamConfig(sigma=sigma, J=J, gamma=gap, trials=st.trials, seed=use_seed)
-
-    payload = {"seed": use_seed}
-    gamma = st.gamma if st.gamma is not None else report.gamma
-    scalar_cfg = auto_config("gamma", gamma)
-    scalar = estimate_scalar(sys_.mu, scalar_cfg)
-    payload["scalar"] = {
-        "sigma": scalar_cfg.sigma,
-        "J": scalar_cfg.J,
-        "gamma": scalar_cfg.gamma,
-        "estimate": scalar,
-    }
-    if math.isinf(report.gamma1):  # check_gap of fewer than 3 modes
-        payload["clustered"] = {"gamma1": report.gamma1, "estimate": None,
-                                "note": "fewer than 3 modes: no 2-cluster exists"}
-    else:
-        clustered_cfg = auto_config("gamma1", report.gamma1)
-        payload["clustered"] = {
-            "sigma": clustered_cfg.sigma,
-            "J": clustered_cfg.J,
-            "gamma1": clustered_cfg.gamma,
-            "estimate": estimate_clustered(sys_.mu, clustered_cfg),
-        }
-    # single-frequency self-test: the ratio collapses to sigma * (2J + 1)
-    self_cfg = InghamConfig(sigma=1.0, J=4, gamma=2.0, trials=1, seed=use_seed)
-    ratio = ingham_ratio_scalar(np.array([1.0]), np.array([1.0 + 0j]), self_cfg)
-    payload["self_test"] = {
-        "ratio": ratio,
-        "expected": self_cfg.sigma * (2 * self_cfg.J + 1),
-    }
-    return {"_ingham.json": payload}, 0
+    t_star = observation_time(sys_, st.t_star).t_star
+    cells = []
+    for dt in _dt_list(cfg):
+        alpha = modal_multiplier(sys_.mu[filtering_cutoff(sys_, dt, st.delta).retained], dt)[0]
+        freqs = np.concatenate([-alpha[::-1], alpha])
+        J = substep_count(t_star, dt) // 2
+        cell = {"dt": dt, "sigma": dt, "J": J, "n_freqs": freqs.size}
+        cells.append(cell)
+        # the family's least pairwise gap and half its least 2-gap, inf when it has none
+        for key, name, gaps, estimate in (
+                ("scalar", "gamma", np.diff(freqs), estimate_scalar),
+                ("clustered", "gamma1", 0.5 * (freqs[2:] - freqs[:-2]), estimate_clustered)):
+            gap = float(np.min(gaps, initial=math.inf))
+            entry = cell[key] = {name: gap, "estimate": None}
+            try:
+                check_positive(name, gap)
+                entry["estimate"] = estimate(freqs, InghamConfig(dt, J, gap, st.trials, use_seed))
+            except DomainError as exc:
+                entry["note"] = str(exc)
+    return {"_ingham.json": {"seed": use_seed, "t_star": t_star, "cells": cells}}, 0
 
 
 _COMMANDS = {

@@ -19,8 +19,7 @@ Schema (all blocks optional except ``system``; defaults in parentheses):
       },
       "study": {
         "beta": float (0.0), "delta": float (1.0), "trials": int (200),
-        "seed": int (0), "t_star": float | null, "sigma": float | null,
-        "J": int | null, "gamma": float | null
+        "seed": int (0), "t_star": float | null
       },
       "output": {"prefix": str ("run")}
     }
@@ -107,9 +106,6 @@ class StudyBlock:
     trials: int = 200
     seed: int = 0
     t_star: float | None = None
-    sigma: float | None = None
-    J: int | None = None
-    gamma: float | None = None
 
 
 @dataclass

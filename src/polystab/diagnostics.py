@@ -46,7 +46,7 @@ from operator import itemgetter
 import numpy as np
 
 from .errors import DiagnosticFailure, DomainError, check_finite, check_int, check_positive
-from .modal import ModalState, ModalSystem, norm_domain
+from .modal import ModalState, ModalSystem, _check_conforms, norm_domain
 from .schemes import EnergyTrace, SchemeConfig, factorize, substep_count
 from .spectra import FilterCutoff, check_gap, cluster_partition, filtering_cutoff
 
@@ -344,11 +344,13 @@ def high_freq_contraction(
 
     Every ratio must satisfy ``ratio <= 1 / (1 + 2 dt delta^2) + 1e-12``
     with ``delta = dt * cutoff``; a violation raises DiagnosticFailure.
-    A zero initial state passes trivially (empty ratio sequence).  A
-    ``steps`` that is no positive integer, a ``dt`` or ``cutoff`` that is
-    not positive and finite or a non-finite ``beta`` raises DomainError
-    before stepping, for a zero state too.
+    A zero initial state passes trivially (empty ratio sequence).  A state
+    not of the system's size raises DimensionMismatchError, and a ``steps``
+    that is no positive integer, a ``dt`` or ``cutoff`` that is not positive
+    and finite or a non-finite ``beta`` DomainError, before stepping, for a
+    zero state too.
     """
+    _check_conforms(sys, u0_high)
     check_int("steps", steps)
     check_positive("dt", dt)
     check_positive("cutoff", cutoff)

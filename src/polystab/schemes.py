@@ -87,8 +87,8 @@ batch.  B follows the state entries stepped, at least one per column
 (``_block_length``), and grows with them once entries retire (below): the
 known block of the last B states then doubles on, as it did from ``x_0``,
 to the new B, which is at most the steps left, so every cached ``M_K`` is
-stepped.  A dense group of size n runs with B = 1 at ~5n^2 multiply-adds
-per column-step.
+stepped, in buffers laid out in the old ones' allocation where it fits.  A
+dense group of size n runs with B = 1 at ~5n^2 multiply-adds per column-step.
 
 **Retirement.**  The viscosity stage divides mode ``eta`` by
 ``1 + dt^3 eta`` per step, so a column's top modes fall into subnormal
@@ -140,7 +140,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DiagnosticFailure, DomainError, NonFiniteStateError, check_finite, check_int
+from .errors import (DiagnosticFailure, DimensionMismatchError, DomainError, NonFiniteStateError,
+                     check_finite, check_int)
 from .modal import ModalState, ModalSystem
 
 # the energy-identity audit: every step's residual is at most AUDIT_RTOL * E0
@@ -456,9 +457,12 @@ class SchemeSolver:
         longer show in their column's terms retire (``_retire``); when some
         do, B follows the entries left (at most the steps left) and K
         doubles on from the old B.  The per-step identity residual is
-        ``|E(x_{k+1}) + visc1 + visc2 + damp - E(x_k)|``.  A non-finite state
-        or term raises NonFiniteStateError.
+        ``|E(x_{k+1}) + visc1 + visc2 + damp - E(x_k)|``.  A batch of other
+        than 2n rows raises DimensionMismatchError before any step, and a
+        non-finite state or term NonFiniteStateError.
         """
+        if x.shape[0] != 2 * self.sys.n:
+            raise DimensionMismatchError("state rows", 2 * self.sys.n, x.shape[0])
         m = x.shape[1]
         lays, xs = [], []
         for j, (grp, w) in enumerate(zip(self._groups, self._weights(beta))):
@@ -480,14 +484,22 @@ class SchemeSolver:
         def stepped():  # state entries stepped per step, at least one per column
             return max(sum(xg.shape[0] * xg.shape[1] * lay.mc for lay, xg in zip(lays, xs)), m)
 
-        def known_blocks(states, slot):
-            """Fresh pairs of (g, r, _lanes(B mc)) buffers, ``states`` (g, 2s, cols) at the
-            front of buffer ``slot``, and the known blocks there."""
+        def known_blocks(states, slot, old):
+            """Zeroed pairs of (g, r, _lanes(B mc)) buffers, each laid out in the allocation
+            of its ``old`` array where it fits (the states copied out first), else allocated,
+            ``states`` (g, 2s, cols) at the front of buffer ``slot``, and the known blocks."""
             bufs, known = [], []
-            for lay, xg in zip(lays, states):
+            for lay, xg, prev in zip(lays, states, old):
                 g, s2, cols = xg.shape
-                bufs.append(np.zeros((2, g, self._doubled(1)[lay.j].shape[1], _lanes(B * lay.mc))))
-                known.append(bufs[-1][slot, :, :s2])
+                shape = (2, g, self._doubled(1)[lay.j].shape[1], _lanes(B * lay.mc))
+                root, size = prev if prev.base is None else prev.base, math.prod(shape)
+                if root.size >= size:
+                    xg, buf = xg.copy(), root.reshape(-1)[:size].reshape(shape)
+                    buf[...] = 0.0
+                else:
+                    buf = np.zeros(shape)
+                bufs.append(buf)
+                known.append(buf[slot, :, :s2])
                 known[-1][:, :, :cols] = xg
             return bufs, known
 
@@ -495,7 +507,7 @@ class SchemeSolver:
         entries = sum(xg.shape[0] for xg in xs)  # at least the entries of any one column
         per_col = sum(np.full(m, xg.shape[0]) if lay.pair_cols is None else
                       np.bincount(lay.pair_cols, minlength=m) for lay, xg in zip(lays, xs))
-        bufs, xs = known_blocks(xs, 0)
+        bufs, xs = known_blocks(xs, 0, [np.empty(0)] * len(xs))
         prev, es = np.zeros((4, 1, m)), []
         for lay, xg in zip(lays, xs):
             w4 = lay.w[:4, :, :xg.shape[1]] if lay.pair_cols is None else lay.w[:, :4, :xg.shape[1]]
@@ -555,7 +567,7 @@ class SchemeSolver:
                         if grown > B:  # the known block of the last K states doubles on
                             B = grown
                             bufs, xs = known_blocks(
-                                [xg[:, :, :K * lay.mc] for lay, xg in zip(lays, xs)], 1 - i)
+                                [xg[:, :, :K * lay.mc] for lay, xg in zip(lays, xs)], 1 - i, bufs)
             i ^= full
 
     def _retire_waits(self, lays, es, E, beta, entries, left):
@@ -680,10 +692,10 @@ class SchemeSolver:
         trajectory: row ``row`` of the step arrays of the ``_Block`` ``block``
         (its state arrays hold x_k at ``row`` and x_{k+1} at ``row + 1``).
 
-        ``x0`` is a (2n, m) column batch with m >= 1 or a 2n vector and
-        ``n_steps`` a positive integer (else DomainError); damping and
-        viscosity follow the config, ``beta`` sets the
-        weak-norm scale.  Steps are computed a time block at a time and
+        ``x0`` is a (2n, m) column batch with m >= 1 or a 2n vector (else
+        DimensionMismatchError or DomainError) and ``n_steps`` a positive
+        integer (else DomainError); damping and viscosity follow the config,
+        ``beta`` sets the weak-norm scale.  Steps are computed a time block at a time and
         yielded one by one (``zip`` reuses no tuple that a consumer keeps);
         consumers read the whole block where ``row == 0``.  Each block is
         audited before any of its steps is yielded: a per-step identity
@@ -695,7 +707,7 @@ class SchemeSolver:
         if x.shape[1] == 0:
             raise DomainError("iterate_raw needs a batch of at least one column")
         check_int("n_steps", n_steps)
-        for b, _ in self._blocks(x, n_steps, beta):
+        for b, _ in self._blocks(x, int(n_steps), beta):
             if b.k0 == 0:
                 tol = AUDIT_RTOL * b.energy[0]
             if (b.resid > tol).any():

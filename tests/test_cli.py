@@ -88,10 +88,9 @@ class TestConfig:
             "system.damp_gram", "scheme.dt", "scheme.dt_list", "scheme.t_final",
             "scheme.viscosity", "scheme.damping", "init.kind", "init.mode", "init.pair",
             "init.seed", "init.cutoff", "study.beta", "study.delta", "study.trials",
-            "study.seed", "study.t_star", "study.sigma", "study.J", "study.gamma",
-            "output.prefix",
+            "study.seed", "study.t_star", "output.prefix",
         }
-        assert len(keys) == 25
+        assert len(keys) == 22
 
     def test_dt_and_dt_list_together_exit_2(self, tmp_path, capsys):
         # one source for the time step: setting both is refused at load
@@ -454,7 +453,6 @@ class TestFieldTypes:
         # int fields are checked at load, also where trace does not read them
         ("trace", "study", "trials", 2.5),
         ("trace", "study", "trials", 0),
-        ("trace", "study", "J", 2.5),
         ("trace", "system", "k_max", 8.0),
         ("trace", "init", "mode", 2.5),
         ("trace", "init", "mode", -1),
@@ -469,14 +467,13 @@ class TestFieldTypes:
         ("trace", "system", "alpha", -math.inf),
         ("trace", "scheme", "dt", math.nan),
         ("trace", "init", "cutoff", math.inf),
-        ("trace", "study", "sigma", math.nan),
     ], ids=["dt_string", "alpha_string", "beta_string", "delta_string", "trials_bool",
             "prefix_int", "viscosity_string", "k_max_bool", "dt_bool", "dt_list_number",
             "t_final_null", "eta_number", "trials_fraction",
-            "trials_zero", "J_fraction", "k_max_float", "mode_fraction", "mode_negative",
+            "trials_zero", "k_max_float", "mode_fraction", "mode_negative",
             "pair_fraction", "init_seed_float", "trace_beta_nan", "observability_beta_nan",
             "spectrum_beta_nan", "observability_beta_inf", "gamma_nan", "alpha_minus_inf",
-            "dt_nan", "cutoff_inf", "sigma_nan"])
+            "dt_nan", "cutoff_inf"])
     def test_wrong_type_exits_2(self, tmp_path, capsys, command, block, key, value):
         payload = base_trace_config()
         payload["study"] = {"t_star": 2.0, "trials": 3}
@@ -691,7 +688,7 @@ class TestObservabilityCommand:
 
 
 class TestZeroGap:
-    @pytest.mark.parametrize("command", ["decay", "observability"])
+    @pytest.mark.parametrize("command", ["decay", "observability", "ingham"])
     def test_repeated_frequency_exits_2(self, tmp_path, capsys, command):
         # gamma = 0 and no 2-separated gap: no horizon without study.t_star
         payload = {
@@ -728,130 +725,144 @@ class TestStudyDeterminism:
         assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
 
 
+def ingham_payload(system=None, scheme=None, study=None):
+    """An ``ingham`` config: coupled waves k_max 4 at dt 0.01 unless overridden."""
+    return {
+        "system": system or {"type": "coupled_waves", "alpha": 0.5, "gamma": 1.0, "k_max": 4},
+        "scheme": scheme or {"dt": 0.01},
+        "study": {"trials": 5, "seed": 0, **(study or {})},
+        "output": {"prefix": "i"},
+    }
+
+
+def run_ingham(tmp_path, payload, name="c"):
+    p = write_config(tmp_path / f"{name}.json", payload)
+    out = tmp_path / name
+    assert main(["ingham", "--config", p, "--out", str(out)]) == 0
+    return json.loads((out / "i_ingham.json").read_text())
+
+
 class TestInghamCommand:
+    """``ingham`` reports, per dt, the envelopes of the midpoint frequencies
+    ``±alpha(mu)`` of the low-pass modes sampled at sigma = dt, J = floor(T*/dt) // 2."""
+
     def test_self_test_and_seed_echo(self, tmp_path):
-        payload = {
-            "system": {"type": "boundary_coupled_waves", "alpha": 0.5, "gamma": 1.0,
-                       "k_max": 8},
-            "scheme": {"dt": 0.01},
-            "study": {"trials": 50, "seed": 21},
-            "output": {"prefix": "i"},
-        }
-        p = write_config(tmp_path / "c.json", payload)
-        assert main(["ingham", "--config", str(p), "--out", str(tmp_path)]) == 0
-        data = json.loads((tmp_path / "i_ingham.json").read_text())
-        assert data["seed"] == 21
-        assert data["self_test"]["ratio"] == pytest.approx(
-            data["self_test"]["expected"], rel=1e-13
-        )
-        assert data["scalar"]["estimate"]["c_lo"] > 0.0
-        assert data["clustered"]["estimate"]["c_lo"] > 0.0
+        # no constant self-test; one cell per dt at sigma = dt and J = (N - 1) // 2
+        data = run_ingham(tmp_path, ingham_payload(
+            {"type": "boundary_coupled_waves", "alpha": 0.5, "gamma": 1.0, "k_max": 8},
+            {"dt_list": [0.01, 0.02]}, {"trials": 50, "seed": 21}))
+        assert sorted(data) == ["cells", "config", "seed", "t_star"] and data["seed"] == 21
+        assert [(c["dt"], c["sigma"]) for c in data["cells"]] == [(0.01, 0.01), (0.02, 0.02)]
+        for cell in data["cells"]:
+            assert cell["J"] == schemes.substep_count(data["t_star"], cell["dt"]) // 2
+            assert cell["clustered"]["estimate"]["c_lo"] > 0.0
 
     def test_clustered_vs_scalar_comparison(self, tmp_path):
-        lows = {}
-        for k_max in (8, 32):
-            payload = {
-                "system": {"type": "coupled_waves", "alpha": 1.0, "gamma": 1.0,
-                           "k_max": k_max},
-                "scheme": {"dt": 0.01},
-                # force the gamma1-scale sampling for the scalar estimate too
-                "study": {"trials": 100, "seed": 3, "gamma": 1.5},
-                "output": {"prefix": f"i{k_max}"},
-            }
-            p = write_config(tmp_path / f"c{k_max}.json", payload)
-            assert main(["ingham", "--config", str(p), "--out", str(tmp_path)]) == 0
-            data = json.loads((tmp_path / f"i{k_max}_ingham.json").read_text())
-            lows[k_max] = (
-                data["scalar"]["estimate"]["c_lo"],
-                data["clustered"]["estimate"]["c_lo"],
-            )
-        assert lows[8][0] > 10.0 * lows[32][0]
-        assert lows[32][1] > 0.5
+        # the low-pass family at dt 0.02 and 0.01 is the same at k_max 32 and
+        # 128, so is every clustered number; the pairwise gap of the ± pairs
+        # is too small for J sigma > pi/gamma, so no scalar envelope exists
+        cells = {}
+        for k_max in (32, 128):
+            cells[k_max] = run_ingham(tmp_path, ingham_payload(
+                {"type": "coupled_waves", "alpha": 0.5, "gamma": 1.0, "k_max": k_max},
+                {"dt_list": [0.02, 0.01]}, {"trials": 20}), f"k{k_max}")["cells"]
+        assert cells[32] == cells[128]
+        for cell in cells[32]:
+            assert cell["scalar"]["estimate"] is None
+            assert cell["scalar"]["note"] == "J * sigma must exceed pi/gamma"
+            assert cell["J"] * cell["sigma"] <= math.pi / cell["scalar"]["gamma"]
+
+    @pytest.mark.parametrize("k_max, dt_list, c_lo, n_freqs", [
+        (32, [0.02, 0.01, 0.005], [6.2935, 6.2156, 6.2488], [60, 124, 128]),
+        (128, [0.005], [6.1011], [252]),
+    ])
+    def test_clustered_c_lo_per_dt(self, tmp_path, k_max, dt_list, c_lo, n_freqs):
+        # coupled waves alpha 0.5, gamma 1, delta 1: the envelope the
+        # theorem chain's low-pass observability bound consumes
+        data = run_ingham(tmp_path, ingham_payload(
+            {"type": "coupled_waves", "alpha": 0.5, "gamma": 1.0, "k_max": k_max},
+            {"dt_list": dt_list}, {"trials": 20}))
+        cells = data["cells"]
+        assert [c["n_freqs"] for c in cells] == n_freqs
+        assert [c["clustered"]["estimate"]["c_lo"] for c in cells] == pytest.approx(c_lo,
+                                                                                   rel=1e-4)
 
     def test_boundary_k_max_256_exact_envelope(self, tmp_path):
-        # the auto-sampled scalar J is 721495: the n x n Dirichlet Gram does
-        # not depend on J, so the exact envelope costs what a small J does
-        payload = {
-            "system": {"type": "boundary_coupled_waves", "alpha": 0.5, "gamma": 1.0,
-                       "k_max": 256},
-            "scheme": {"dt": 0.01},
-            "study": {"trials": 10, "seed": 0},
-            "output": {"prefix": "big"},
-        }
-        p = write_config(tmp_path / "c.json", payload)
-        assert main(["ingham", "--config", str(p), "--out", str(tmp_path)]) == 0
-        scalar = json.loads((tmp_path / "big_ingham.json").read_text())["scalar"]
-        assert (scalar["J"], scalar["estimate"]["n_active"]) == (721495, 512)
-        est = scalar["estimate"]
-        assert est["c_lo"] == pytest.approx(3962.6, rel=1e-4)
-        assert est["c_hi"] == pytest.approx(6163.9, rel=1e-4)
+        # the 124 low-pass frequencies of 512 modes at dt 0.01; the n x n
+        # Dirichlet Gram does not depend on J, so J = 405 costs what a small J does
+        data = run_ingham(tmp_path, ingham_payload(
+            {"type": "boundary_coupled_waves", "alpha": 0.5, "gamma": 1.0, "k_max": 256},
+            study={"trials": 10}))
+        (cell,) = data["cells"]
+        assert (cell["J"], cell["n_freqs"]) == (405, 124)
+        assert cell["scalar"]["note"] == "J * sigma must exceed pi/gamma"
+        est = cell["clustered"]["estimate"]
+        assert est["n_active"] == 124
+        assert est["c_lo"] == pytest.approx(6.2052, rel=1e-4)
+        assert est["c_hi"] == pytest.approx(35.552, rel=1e-4)
         assert est["c_lo"] <= est["sampled_lo"] <= est["sampled_hi"] <= est["c_hi"]
 
     def test_envelope_missing_a_draw_exits_3(self, tmp_path, capsys, monkeypatch):
         # an eigen-solve that halves the envelope, so the top draws lie above it
         eigvalsh = np.linalg.eigvalsh
         monkeypatch.setattr(np.linalg, "eigvalsh", lambda A: 0.5 * eigvalsh(A))
-        payload = {
-            "system": {"type": "coupled_waves", "alpha": 0.5, "gamma": 1.0, "k_max": 4},
-            "scheme": {"dt": 0.01},
-            "study": {"trials": 5, "seed": 0},
-            "output": {"prefix": "i"},
-        }
-        p = write_config(tmp_path / "c.json", payload)
+        p = write_config(tmp_path / "c.json", ingham_payload())
         assert main(["ingham", "--config", str(p), "--out", str(tmp_path)]) == 3
         assert "outside the exact envelope" in capsys.readouterr().err
         assert not (tmp_path / "i_ingham.json").exists()
 
     @pytest.mark.parametrize("blocks, message", [
-        ({"study": {"sigma": 0.0}}, "error: sigma must be positive and finite; got 0.0"),
-        ({"study": {"sigma": math.nan}}, "config error: study.sigma must be finite; got nan"),
-        ({"study": {"gamma": 0.0}}, "error: gamma must be positive and finite; got 0.0"),
-        ({"study": {"gamma": math.nan}}, "config error: study.gamma must be finite; got nan"),
-        # a frequency three times over: the 2-separated gap is 0
-        ({"system": {"type": "custom", "eta": [1.0, 1.0, 1.0]}, "study": {"gamma": 1.0}},
-         "error: gamma1 must be positive and finite; got 0.0"),
-    ], ids=["sigma_zero", "sigma_nan", "gamma_zero", "gamma_nan", "gamma1_zero"])
+        ({"study": {"sigma": 0.0}}, "config error: unknown keys in block 'study': ['sigma']"),
+        ({"study": {"sigma": math.nan}}, "config error: unknown keys in block 'study': ['sigma']"),
+        ({"study": {"gamma": 0.0}}, "config error: unknown keys in block 'study': ['gamma']"),
+        ({"study": {"gamma": math.nan}}, "config error: unknown keys in block 'study': ['gamma']"),
+        ({"study": {"J": 2.5}}, "config error: unknown keys in block 'study': ['J']"),
+        # a frequency three times over: no gap constant gives T*
+        ({"system": {"type": "custom", "eta": [1.0, 1.0, 1.0]}},
+         "error: no usable gap constant; pass t_star explicitly"),
+    ], ids=["sigma_zero", "sigma_nan", "gamma_zero", "gamma_nan", "J_fraction", "gamma1_zero"])
     def test_bad_sampling_exits_2(self, tmp_path, capsys, blocks, message):
-        payload = {
-            "system": {"type": "coupled_waves", "alpha": 0.5, "gamma": 1.0, "k_max": 4},
-            "scheme": {"dt": 0.01},
-            "study": {"trials": 5, "seed": 0},
-            "output": {"prefix": "i"},
-        }
+        # sigma = dt, J and the gaps follow from the config: no key sets them
+        payload = ingham_payload()
         for name, fields in blocks.items():
             payload[name].update(fields)
         p = write_config(tmp_path / "c.json", payload)
-        assert main(["ingham", "--config", str(p), "--out", str(tmp_path)]) == 2
+        out = tmp_path / "out"
+        assert main(["ingham", "--config", p, "--out", str(out)]) == 2
         assert capsys.readouterr().err.splitlines() == [message]
-        assert not (tmp_path / "i_ingham.json").exists()
+        assert not out.exists()
 
-    @pytest.mark.parametrize("system", [{"k_max": 1}, {"type": "custom", "eta": [1.0, 4.0]}],
-                             ids=["two_modes", "custom_two_modes"])
-    def test_fewer_than_three_modes_report_no_cluster(self, tmp_path, system):
-        # the 2-separated gap is +inf below 3 modes: no 2-cluster, so only the
-        # scalar envelope is estimated
-        payload = {
-            "system": {"type": "coupled_waves", "alpha": 0.5, "gamma": 1.0, "k_max": 4, **system},
-            "scheme": {"dt": 0.01},
-            "study": {"trials": 5, "seed": 0},
-            "output": {"prefix": "i"},
-        }
-        p = write_config(tmp_path / "c.json", payload)
-        assert main(["ingham", "--config", str(p), "--out", str(tmp_path)]) == 0
-        data = json.loads((tmp_path / "i_ingham.json").read_text())
-        assert data["scalar"]["estimate"]["c_lo"] > 0.0
-        assert data["scalar"]["estimate"]["n_active"] == 2
-        assert data["clustered"] == {"gamma1": "inf", "estimate": None,
-                                     "note": "fewer than 3 modes: no 2-cluster exists"}
+    @pytest.mark.parametrize("system, dt, study, n_freqs, notes", [
+        # no low-pass mode at dt 0.5 (cutoff 2 < mu_min): no frequency, no gap
+        ({"k_max": 4}, 0.5, {}, 0, {"scalar": "gamma must be positive and finite; got inf",
+                                    "clustered": "gamma1 must be positive and finite; got inf"}),
+        # one mode gives the pair ±alpha: a pairwise gap but no 2-cluster
+        ({"type": "custom", "eta": [1.0]}, 0.01, {"t_star": 4.0}, 2,
+         {"clustered": "gamma1 must be positive and finite; got inf"}),
+        # three equal modes: every gap is zero
+        ({"type": "custom", "eta": [1.0, 1.0, 1.0]}, 0.01, {"t_star": 4.0}, 6,
+         {"scalar": "gamma must be positive and finite; got 0.0",
+          "clustered": "gamma1 must be positive and finite; got 0.0"}),
+        # two modes give 4 frequencies and both envelopes, with two 2-clusters
+        # (±alpha of the coupled pair) or none
+        ({"k_max": 1}, 0.01, {}, 4, {}),
+        ({"type": "custom", "eta": [1.0, 4.0]}, 0.01, {}, 4, {}),
+    ], ids=["no_lowpass_mode", "one_mode", "zero_gaps", "two_modes", "custom_two_modes"])
+    def test_failed_conditions_are_noted(self, tmp_path, system, dt, study, n_freqs, notes):
+        # an envelope whose sampling conditions fail exits 0 with a null
+        # estimate and a note naming the condition; the others are estimated
+        data = run_ingham(tmp_path, ingham_payload(
+            {"type": "coupled_waves", "alpha": 0.5, "gamma": 1.0, **system}, {"dt": dt}, study))
+        (cell,) = data["cells"]
+        assert cell["n_freqs"] == n_freqs
+        for key in ("scalar", "clustered"):
+            if key in notes:
+                assert cell[key]["estimate"] is None and cell[key]["note"] == notes[key]
+            else:
+                assert "note" not in cell[key] and cell[key]["estimate"]["n_active"] == n_freqs
 
     def test_fractional_trials_exits_2(self, tmp_path, capsys):
-        payload = {
-            "system": {"type": "coupled_waves", "alpha": 0.5, "gamma": 1.0, "k_max": 4},
-            "scheme": {"dt": 0.01},
-            "study": {"trials": 2.5, "seed": 0},
-            "output": {"prefix": "i"},
-        }
-        p = write_config(tmp_path / "c.json", payload)
+        p = write_config(tmp_path / "c.json", ingham_payload(study={"trials": 2.5}))
         assert main(["ingham", "--config", str(p), "--out", str(tmp_path)]) == 2
         assert "trials must be a positive integer" in capsys.readouterr().err
         assert not (tmp_path / "i_ingham.json").exists()

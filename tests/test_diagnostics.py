@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from polystab import diagnostics, schemes
 from polystab import (
     DiagnosticFailure,
+    DimensionMismatchError,
     DomainError,
     ExampleParams,
     ModalState,
@@ -114,6 +115,14 @@ class TestObservabilityFunctional:
         r1 = observability_functional(sys_, u0, 0.0, 0.01, 2.0)
         r2 = observability_functional(sys_, scaled, 0.0, 0.01, 2.0)
         assert r2.ratio == pytest.approx(r1.ratio, rel=1e-12)
+
+    @pytest.mark.parametrize("extra", [-1, 1], ids=["too_few", "too_many"])
+    def test_wrong_size_state_raises(self, extra):
+        sys_ = build_coupled_waves(ExampleParams(0.5, 1.0, 4))
+        z = ModalState(np.ones(sys_.n + extra), np.ones(sys_.n + extra))
+        with pytest.raises(DimensionMismatchError,
+                           match=f"state rows: expected length 16, got {16 + 2 * extra}$"):
+            observability_functional(sys_, z, 0.0, 0.05, 1.0)
 
     def test_undamped_single_low_mode_viscosity_only(self):
         sys_ = build_coupled_waves(ExampleParams(0.5, 0.0, 8))
@@ -443,6 +452,24 @@ class TestHighFreqContraction:
         monkeypatch.setattr(SchemeSolver, "iterate_raw", counted)
         with pytest.raises(DomainError, match="steps must be a positive integer"):
             high_freq_contraction(sys_, ModalState([1.0], [0.5]), 0.0, 0.1, 10.0, steps)
+        assert calls == []
+
+    def test_numpy_step_count(self):
+        sys_ = ModalSystem.from_eta([400.0, 900.0])
+        u0 = ModalState([1.0, -0.5], [0.5, 2.0])
+        want = high_freq_contraction(sys_, u0, 0.0, 0.1, 10.0, 5)
+        assert want.size == 5
+        assert np.array_equal(high_freq_contraction(sys_, u0, 0.0, 0.1, 10.0, np.int64(5)), want)
+
+    @pytest.mark.parametrize("extra", [-1, 1], ids=["too_few", "too_many"])
+    def test_wrong_size_state_raises_before_stepping(self, monkeypatch, extra):
+        sys_ = ModalSystem.from_eta([400.0, 900.0])
+        calls = []
+        monkeypatch.setattr(SchemeSolver, "iterate_raw", lambda *args: calls.append(1))
+        with pytest.raises(DimensionMismatchError,
+                           match=f"state: expected length 2, got {2 + extra}$"):
+            high_freq_contraction(sys_, ModalState(np.ones(2 + extra), np.zeros(2 + extra)),
+                                  0.0, 0.1, 10.0, 5)
         assert calls == []
 
     @pytest.mark.parametrize("cutoff", [math.nan, -5.0, math.inf], ids=["nan", "negative", "inf"])

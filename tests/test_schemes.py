@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from polystab import modal, schemes
 from polystab import (
     DiagnosticFailure,
+    DimensionMismatchError,
     DomainError,
     ModalState,
     ModalSystem,
@@ -436,6 +437,17 @@ class TestIterateRawAudit:
             next(sol.iterate_raw(x, n_steps))
         assert sorted(sol._doubled_maps) == [1]
 
+    def test_numpy_step_count(self):
+        # check_int takes a numpy integer, so the kernel steps it like an int
+        sys_ = build_coupled_waves(ExampleParams(0.5, 1.0, 4))
+        sol = factorize(sys_, SchemeConfig(dt=0.05, t_final=1.0))
+        x = np.random.default_rng(0).standard_normal((2 * sys_.n, 2))
+        got, want = (list(sol.iterate_raw(x, k)) for k in (np.int64(5), 5))
+        assert [rec[0] for rec in got] == [rec[0] for rec in want] == list(range(5))
+        for g, w in zip(got, want):
+            for name in RAW_FIELDS:
+                assert np.array_equal(raw(g, name), raw(w, name)), name
+
     def test_tolerance_is_fixed(self):
         # 10.0 * 1e-13 (the former default) is 1e-12 to the bit
         assert schemes.AUDIT_RTOL == 1e-12 == 10.0 * 1e-13
@@ -847,6 +859,42 @@ class TestRetirement:
         final = trace.final_state.stacked()
         assert np.count_nonzero(final) == 4 * counts[-1]
         assert abs(energy(sys_, trace.final_state) - trace.e_final) <= tol
+
+
+    def test_grown_blocks_reuse_the_first_allocation(self):
+        # the same trace: each growth lays its buffers out in the old ones'
+        # allocation, which fits as B grows only where the groups fall, so
+        # the states after the last growth lie in the first full block's
+        sys_ = build_coupled_waves(ExampleParams(0.5, 1.0, 128))
+        sol = factorize(sys_, SchemeConfig(dt=0.01, t_final=100.0))
+        z0 = np.random.default_rng(7).standard_normal((2 * sys_.n, 1))
+        blocks = list(sol._blocks(z0, 10001))
+        lengths = [len(b.resid) for b, _ in blocks]
+        first = blocks[lengths.index(64)][1][0][1]
+        last = [after[0][1] for (_, after), n in zip(blocks, lengths) if n == max(lengths)]
+        assert max(lengths) > 64 and first.base is not None
+        assert all(np.shares_memory(first.base, state) for state in last)
+
+
+class TestStateSize:
+    """Every stepping entry point refuses a state that is not of the
+    system's size, before it steps: ``step``, ``run`` and ``iterate_raw``
+    (here 2n - 4 and 2n + 4 rows) through the kernel's row check."""
+
+    @pytest.mark.parametrize("extra", [-2, 2], ids=["too_few", "too_many"])
+    @pytest.mark.parametrize("entry", [
+        lambda sol, z: next(sol.iterate_raw(np.column_stack([z.stacked()] * 3), 5)),
+        lambda sol, z: sol.step(z),
+        lambda sol, z: sol.run(z),
+    ], ids=["iterate_raw", "step", "run"])
+    def test_wrong_size_raises_before_stepping(self, entry, extra):
+        sys_ = build_coupled_waves(ExampleParams(0.5, 1.0, 4))
+        sol = factorize(sys_, SchemeConfig(dt=0.05, t_final=1.0))
+        z = random_state(np.random.default_rng(0), sys_.n + extra)
+        with pytest.raises(DimensionMismatchError,
+                           match=f"state rows: expected length 16, got {16 + 2 * extra}$"):
+            entry(sol, z)
+        assert sorted(sol._doubled_maps) == [1]
 
 
 class TestBlockLength:

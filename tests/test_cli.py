@@ -467,13 +467,15 @@ class TestFieldTypes:
         ("trace", "system", "alpha", -math.inf),
         ("trace", "scheme", "dt", math.nan),
         ("trace", "init", "cutoff", math.inf),
+        # a key that no field declares is refused before any type check
+        ("trace", "study", "sigma", math.nan),
     ], ids=["dt_string", "alpha_string", "beta_string", "delta_string", "trials_bool",
             "prefix_int", "viscosity_string", "k_max_bool", "dt_bool", "dt_list_number",
             "t_final_null", "eta_number", "trials_fraction",
             "trials_zero", "k_max_float", "mode_fraction", "mode_negative",
             "pair_fraction", "init_seed_float", "trace_beta_nan", "observability_beta_nan",
             "spectrum_beta_nan", "observability_beta_inf", "gamma_nan", "alpha_minus_inf",
-            "dt_nan", "cutoff_inf"])
+            "dt_nan", "cutoff_inf", "sigma_nan"])
     def test_wrong_type_exits_2(self, tmp_path, capsys, command, block, key, value):
         payload = base_trace_config()
         payload["study"] = {"t_star": 2.0, "trials": 3}
@@ -482,7 +484,9 @@ class TestFieldTypes:
         out = tmp_path / "out"
         assert main([command, "--config", p, "--out", str(out)]) == 2
         err = capsys.readouterr().err.splitlines()
-        assert len(err) == 1 and f"{block}.{key} must be" in err[0], err
+        fragment = (f"unknown keys in block '{block}': ['{key}']" if key == "sigma"
+                    else f"{block}.{key} must be")
+        assert len(err) == 1 and fragment in err[0], err
         assert not out.exists() or not any(out.iterdir())
 
     def test_numbers_fit_float_fields(self):

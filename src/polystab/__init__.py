@@ -23,7 +23,6 @@ from .modal import (
     energy,
     norm_domain,
     pair_norm_sq,
-    project_filter,
 )
 from .schemes import (
     EnergyTrace,

@@ -94,19 +94,14 @@ def _json_text(payload) -> str:
     return json.dumps(_jsonable(payload), sort_keys=True, indent=2) + "\n"
 
 
-def _dt_list(cfg: ExperimentConfig) -> list:
-    """The configured time steps: ``scheme.dt_list``, or ``[scheme.dt]``."""
-    return [cfg.scheme.dt] if cfg.scheme.dt_list is None else list(cfg.scheme.dt_list)
-
-
 # -- subcommands -----------------------------------------------------------
 # (cfg, system, --seed) -> ({file suffix: str, or a JSON payload}, exit code)
 
 
 def cmd_trace(cfg: ExperimentConfig, sys_, seed) -> tuple:
-    z0 = build_init(cfg.init, sys_, seed)
+    z0 = build_init(cfg, sys_, seed)
     scheme = SchemeConfig(
-        dt=_dt_list(cfg)[0],
+        dt=cfg.time_steps()[0],
         t_final=cfg.scheme.t_final,
         viscosity=cfg.scheme.viscosity,
         damping=cfg.scheme.damping,
@@ -139,7 +134,7 @@ def cmd_decay(cfg: ExperimentConfig, sys_, seed) -> tuple:
     study = uniform_decay_study(
         sys_,
         beta=st.beta,
-        dt_list=_dt_list(cfg),
+        dt_list=cfg.time_steps(),
         T=cfg.scheme.t_final,
         t_star=st.t_star,
         viscosity=cfg.scheme.viscosity,
@@ -153,7 +148,7 @@ def cmd_observability(cfg: ExperimentConfig, sys_, seed) -> tuple:
     study = observability_constant_study(
         sys_,
         beta=st.beta,
-        dt_list=_dt_list(cfg),
+        dt_list=cfg.time_steps(),
         trials=st.trials,
         seed=st.seed if seed is None else seed,
         delta=st.delta,
@@ -164,7 +159,8 @@ def cmd_observability(cfg: ExperimentConfig, sys_, seed) -> tuple:
 
 
 def cmd_spectrum(cfg: ExperimentConfig, sys_, seed) -> tuple:
-    report = audit_spectrum(sys_, beta=cfg.study.beta, dt=_dt_list(cfg)[0], delta=cfg.study.delta)
+    report = audit_spectrum(sys_, beta=cfg.study.beta, dt=cfg.time_steps()[0],
+                            delta=cfg.study.delta)
     payload = {"report": report, "labels": [list(lab) for lab in sys_.labels]}
     if cfg.system.type == "boundary_coupled_waves":
         p = ExampleParams(cfg.system.alpha, cfg.system.gamma, cfg.system.k_max)
@@ -179,7 +175,7 @@ def cmd_ingham(cfg: ExperimentConfig, sys_, seed) -> tuple:
     use_seed = st.seed if seed is None else seed
     t_star = observation_time(sys_, st.t_star).t_star
     cells = []
-    for dt in _dt_list(cfg):
+    for dt in cfg.time_steps():
         alpha = modal_multiplier(sys_.mu[filtering_cutoff(sys_, dt, st.delta).retained], dt)[0]
         freqs = np.concatenate([-alpha[::-1], alpha])
         J = substep_count(t_star, dt) // 2

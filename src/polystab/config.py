@@ -14,8 +14,7 @@ Schema (all blocks optional except ``system``; defaults in parentheses):
       },
       "init": {
         "kind": "single_mode" | "random" | "cluster_pair" | "highpass",
-        "mode": int (0), "pair": int (0), "seed": int (0),
-        "cutoff": float | null
+        "mode": int (0), "pair": int (0), "seed": int (0)
       },
       "study": {
         "beta": float (0.0), "delta": float (1.0), "trials": int (200),
@@ -25,7 +24,10 @@ Schema (all blocks optional except ``system``; defaults in parentheses):
     }
 
 A config sets exactly one of ``scheme.dt`` and ``scheme.dt_list``; the
-subcommands that take one time step read its first entry.
+subcommands that take one time step read its first entry.  A ``highpass``
+init is the seeded ``random`` draw with the low-pass modes of
+``spectra.filtering_cutoff(sys, dt, study.delta)`` zeroed, ``dt`` being that
+first step: every low/high split has this one source.
 ``scheme.t_final`` is the horizon of both stepping subcommands, ``trace``
 and ``decay``.  Unknown keys are rejected so typos fail loudly, as is a
 value whose type does not fit its field (a bool is no number), an int
@@ -50,13 +52,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, check_int
-from .modal import ModalState, ModalSystem, project_filter
+from .modal import ModalState, ModalSystem
 from .spectra import (
     ExampleParams,
     build_boundary_coupled_waves,
     build_coupled_waves,
     check_gap,
     cluster_partition,
+    filtering_cutoff,
 )
 
 _SYSTEM_TYPES = ("coupled_waves", "boundary_coupled_waves", "custom")
@@ -96,7 +99,6 @@ class InitBlock:
     mode: int = 0
     pair: int = 0
     seed: int = 0
-    cutoff: float | None = None
 
 
 @dataclass
@@ -123,6 +125,10 @@ class ExperimentConfig:
 
     def to_dict(self) -> dict:
         return dataclasses.asdict(self)
+
+    def time_steps(self) -> list:
+        """The configured time steps: ``scheme.dt_list``, or ``[scheme.dt]``."""
+        return [self.scheme.dt] if self.scheme.dt_list is None else list(self.scheme.dt_list)
 
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentConfig":
@@ -204,9 +210,11 @@ def build_system(block: SystemBlock) -> ModalSystem:
         raise ConfigError(f"invalid custom system: {exc}") from exc
 
 
-def build_init(block: InitBlock, sys: ModalSystem, seed: int | None = None) -> ModalState:
-    """Instantiate the configured initial state (seed may be overridden)."""
-    n = sys.n
+def build_init(cfg: ExperimentConfig, sys: ModalSystem, seed: int | None = None) -> ModalState:
+    """Instantiate the configured initial state ``cfg.init`` (seed may be
+    overridden); a ``highpass`` init splits at ``cfg``'s first time step and
+    ``study.delta``."""
+    block, n = cfg.init, sys.n
     use_seed = block.seed if seed is None else seed
     if block.kind == "single_mode":
         if not (type(block.mode) is int and 0 <= block.mode < n):  # no bool, no float
@@ -227,14 +235,10 @@ def build_init(block: InitBlock, sys: ModalSystem, seed: int | None = None) -> M
         a[i] = a[j] = 1.0
         return ModalState(a, np.zeros(n))
     rng = np.random.default_rng(use_seed)
-    state = ModalState(rng.standard_normal(n), rng.standard_normal(n))
-    if block.kind == "random":
-        return state
-    # highpass: the random state above the cutoff
-    if block.cutoff is None:
-        raise ConfigError("init.kind=highpass needs init.cutoff")
-    if not block.cutoff > 0.0:
-        raise ConfigError(f"init.cutoff must be positive; got {block.cutoff!r}")
-    if not np.any(sys.mu > block.cutoff):
-        raise ConfigError("init.cutoff leaves no modes above it")
-    return project_filter(sys, state, block.cutoff)[1]
+    a, b = rng.standard_normal(n), rng.standard_normal(n)
+    if block.kind == "highpass":  # the draw above the low-pass modes
+        low = filtering_cutoff(sys, cfg.time_steps()[0], cfg.study.delta).retained
+        if low.size == n:
+            raise ConfigError("init.kind=highpass leaves no mode above study.delta / dt")
+        a[low] = b[low] = 0.0
+    return ModalState(a, b)

@@ -296,38 +296,35 @@ class InverseInequalityReport:
 
 
 def inverse_inequality_check(
-    sys: ModalSystem, dt: float, cutoff: float, beta: float = 0.0
+    sys: ModalSystem, dt: float, delta: float, beta: float = 0.0
 ) -> InverseInequalityReport:
-    """Smallest Rayleigh ratio ``dt ||A y|| / ||y||`` over the high modes.
+    """Smallest Rayleigh ratio ``dt ||A y|| / ||y||`` over the high modes,
+    those above ``filtering_cutoff(sys, dt, delta)``.
 
     Per mode the generator multiplies both the energy and the weak pair
     norm by exactly ``mu``, so the minimum is ``dt * min(high mu)`` in
     either scale (computed explicitly in both as a diagonal oracle); it
-    must dominate ``delta = dt * cutoff``.  An empty high part passes
-    vacuously with +inf ratios.  ``dt`` and ``cutoff`` must be positive and
-    finite and ``beta`` finite (else DomainError).
+    must dominate ``delta``.  An empty high part passes vacuously with +inf
+    ratios.  ``filtering_cutoff`` checks ``dt`` and ``delta``, and ``beta``
+    must be finite (else DomainError).
     """
-    check_positive("dt", dt)
-    check_positive("cutoff", cutoff)
+    eta = np.delete(sys.eta, filtering_cutoff(sys, dt, delta).retained)  # the high modes
     check_finite("beta", beta)
-    high = sys.mu > cutoff
-    delta = dt * cutoff
-    if not np.any(high):
+    if eta.size == 0:
         return InverseInequalityReport(delta, math.inf, math.inf, 0, True)
-    eta = sys.eta[high]
     # basis state (a = e_j): ||A z||^2 / ||z||^2 in the energy scale
     ratios_h = np.sqrt((eta**2) / eta)
-    # same mode in the -beta pair scale
-    wa = eta ** (-2.0 * beta)
-    wb = eta ** (-2.0 * beta - 1.0)
-    ratios_w = np.sqrt((wb * eta**2) / wa)
+    # same mode in the -beta pair scale: the weights eta^(-2 beta) of a and
+    # eta^(-2 beta - 1) of b enter through their quotient, one power of eta,
+    # as each weight alone overflows for |beta| of about 40 and more
+    ratios_w = np.sqrt(eta**2 * eta ** ((-2.0 * beta - 1.0) - (-2.0 * beta)))
     min_h = dt * float(np.min(ratios_h))
     min_w = dt * float(np.min(ratios_w))
     return InverseInequalityReport(
         delta=delta,
         min_ratio_h=min_h,
         min_ratio_weak=min_w,
-        n_high=int(np.count_nonzero(high)),
+        n_high=eta.size,
         ok=bool(min_h >= delta and min_w >= delta),
     )
 
@@ -337,31 +334,28 @@ def high_freq_contraction(
     u0_high: ModalState,
     beta: float,
     dt: float,
-    cutoff: float,
+    delta: float,
     steps: int,
 ) -> np.ndarray:
-    """Per-step weak-norm ratios of the conservative viscous run.
+    """Per-step weak-norm ratios of the conservative viscous run of a state
+    with no component in ``filtering_cutoff(sys, dt, delta).retained``.
 
-    Every ratio must satisfy ``ratio <= 1 / (1 + 2 dt delta^2) + 1e-12``
-    with ``delta = dt * cutoff``; a violation raises DiagnosticFailure.
-    A zero initial state passes trivially (empty ratio sequence).  A state
-    not of the system's size raises DimensionMismatchError, and a ``steps``
-    that is no positive integer, a ``dt`` or ``cutoff`` that is not positive
-    and finite or a non-finite ``beta`` DomainError, before stepping, for a
-    zero state too.
+    Every ratio must satisfy ``ratio <= 1 / (1 + 2 dt delta^2) + 1e-12``;
+    a violation raises DiagnosticFailure.  A zero initial state passes
+    trivially (empty ratio sequence).  A state not of the system's size
+    raises DimensionMismatchError, and a ``steps`` that is no positive
+    integer, a ``dt`` or ``delta`` that ``filtering_cutoff`` refuses or a
+    non-finite ``beta`` DomainError, before stepping, for a zero state too.
     """
     _check_conforms(sys, u0_high)
     check_int("steps", steps)
-    check_positive("dt", dt)
-    check_positive("cutoff", cutoff)
+    low = filtering_cutoff(sys, dt, delta).retained
     check_finite("beta", beta)
-    low = sys.mu <= cutoff
     if np.any(u0_high.a[low]) or np.any(u0_high.b[low]):
         raise DomainError("initial state has components at or below the cutoff")
     x0 = u0_high.stacked()[:, None]
     if not np.any(x0):
         return np.empty(0)
-    delta = dt * cutoff
     bound = 1.0 / (1.0 + 2.0 * dt * delta**2)
     cfg = SchemeConfig(dt=dt, t_final=max(steps * dt, dt), viscosity=True, damping=False)
     ratios = np.empty(steps)

@@ -303,19 +303,3 @@ def energy(sys: ModalSystem, state: ModalState) -> float:
     """Energy ``(1/2)(sum eta a^2 + sum b^2)``; equals half the squared H-norm."""
     _check_conforms(sys, state)
     return 0.5 * float(np.sum(sys.eta * state.a**2) + np.sum(state.b**2))
-
-
-def project_filter(sys: ModalSystem, state: ModalState, cutoff: float):
-    """Split a state into (low, high) parts across a frequency cutoff.
-
-    ``low`` keeps modes with ``mu_j <= cutoff``, ``high`` the rest.  The
-    split is componentwise, so ``low + high`` reproduces the input bitwise
-    and the parts are orthogonal in every graded norm.
-    """
-    _check_conforms(sys, state)
-    if not (cutoff > 0.0):
-        raise DomainError("cutoff must be positive")
-    keep = sys.mu <= cutoff
-    low = ModalState(np.where(keep, state.a, 0.0), np.where(keep, state.b, 0.0))
-    high = ModalState(np.where(keep, 0.0, state.a), np.where(keep, 0.0, state.b))
-    return low, high

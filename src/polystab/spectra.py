@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, check_finite, check_int
+from .errors import DomainError, check_finite, check_int, check_positive
 from .modal import ModalSystem
 
 
@@ -265,14 +265,15 @@ class FilterCutoff:
 
 
 def filtering_cutoff(sys: ModalSystem, dt: float, delta: float) -> FilterCutoff:
-    """Cutoff ``delta / dt`` and the retained mode indices.
+    """Cutoff ``delta / dt`` and the retained mode indices ``mu <= delta / dt``:
+    the one low/high split of the toolkit.
 
-    Requires ``0 < delta < delta0``, where ``delta0`` is the least of
-    ``pi - dt * gamma / 2`` and ``pi - dt * gamma1 / 2`` over the finite gap
-    constants of this system (pi when neither is finite).
+    Requires ``dt`` positive and finite and ``0 < delta < delta0``, where
+    ``delta0`` is the least of ``pi - dt * gamma / 2`` and
+    ``pi - dt * gamma1 / 2`` over the finite gap constants of this system
+    (pi when neither is finite); else DomainError.
     """
-    if not (dt > 0.0):
-        raise DomainError("dt must be positive")
+    check_positive("dt", dt)
     audit = check_gap(sys)
     delta0 = min((math.pi - 0.5 * dt * g for g in (audit.gamma, audit.gamma1)
                   if math.isfinite(g)), default=math.pi)

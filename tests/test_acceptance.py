@@ -112,7 +112,7 @@ def test_criterion_4_high_frequency_contraction():
                 # raises DiagnosticFailure if any per-step ratio exceeds
                 # the bound + 1e-12
                 ratios = high_freq_contraction(
-                    sys_, ModalState(a, b), beta=0.0, dt=dt, cutoff=cutoff, steps=40
+                    sys_, ModalState(a, b), beta=0.0, dt=dt, delta=delta, steps=40
                 )
                 assert ratios.size == 40
 
@@ -122,7 +122,7 @@ def test_criterion_5_inverse_inequality():
         sys_ = build_coupled_waves(ExampleParams(alpha=0.5, gamma=1.0, k_max=64))
         for dt, delta in ((0.1, 1.0), (0.01, 1.0), (0.05, 1.9)):
             cutoff = delta / dt
-            rep = inverse_inequality_check(sys_, dt=dt, cutoff=cutoff, beta=0.0)
+            rep = inverse_inequality_check(sys_, dt=dt, delta=delta, beta=0.0)
             assert rep.n_high > 0
             assert rep.min_ratio_h >= rep.delta
             assert rep.min_ratio_weak >= rep.delta

@@ -14,9 +14,10 @@ import pytest
 
 from polystab.cli import TRACE_HEADER, main
 from polystab.config import ExperimentConfig, build_init, build_system
-from polystab.errors import ConfigError
+from polystab.errors import ConfigError, DomainError
 from polystab import config, schemes
 from polystab.schemes import SchemeConfig, factorize
+from polystab.spectra import filtering_cutoff
 
 
 def write_config(path, payload):
@@ -73,11 +74,11 @@ class TestConfig:
         )
         sys_ = build_system(cfg.system)
         assert sys_.n == 2
-        st = build_init(cfg.init, sys_)
+        st = build_init(cfg, sys_)
         assert st.a[1] == 1.0
         cfg.init.mode = 5
         with pytest.raises(ConfigError):
-            build_init(cfg.init, sys_)
+            build_init(cfg, sys_)
 
     def test_key_census(self):
         # every settable config value: a new key needs a deliberate edit here
@@ -87,10 +88,10 @@ class TestConfig:
             "system.type", "system.alpha", "system.gamma", "system.k_max", "system.eta",
             "system.damp_gram", "scheme.dt", "scheme.dt_list", "scheme.t_final",
             "scheme.viscosity", "scheme.damping", "init.kind", "init.mode", "init.pair",
-            "init.seed", "init.cutoff", "study.beta", "study.delta", "study.trials",
+            "init.seed", "study.beta", "study.delta", "study.trials",
             "study.seed", "study.t_star", "output.prefix",
         }
-        assert len(keys) == 22
+        assert len(keys) == 21
 
     def test_dt_and_dt_list_together_exit_2(self, tmp_path, capsys):
         # one source for the time step: setting both is refused at load
@@ -138,54 +139,63 @@ class TestConfig:
 
 
 class TestHighpassInit:
-    def payload(self, **init):
+    """A ``highpass`` init is the seeded draw with the low-pass modes of
+    ``filtering_cutoff(sys, dt, study.delta)`` zeroed."""
+
+    def payload(self, dt=0.05, **study):
         return {
             "system": {"type": "coupled_waves", "alpha": 0.5, "gamma": 1.0, "k_max": 8},
-            "scheme": {"dt": 0.05, "t_final": 1.0},
-            "init": {"kind": "highpass", "seed": 3, **init},
+            "scheme": {"dt": dt, "t_final": 1.0},
+            "init": {"kind": "highpass", "seed": 3},
+            "study": study,
             "output": {"prefix": "h"},
         }
 
     @pytest.mark.parametrize("seed", [None, 11])
     def test_zero_up_to_cutoff_and_seeded_draw_above(self, seed):
-        sys_ = build_system(ExperimentConfig.from_dict(self.payload(cutoff=0.0)).system)
-        cutoff = float(sys_.mu[5])  # a mode exactly at the cutoff is zeroed too
-        cfg = ExperimentConfig.from_dict(self.payload(cutoff=cutoff))
-        st = build_init(cfg.init, sys_, seed)
-        rng = np.random.default_rng(3 if seed is None else seed)
-        a, b = rng.standard_normal(sys_.n), rng.standard_normal(sys_.n)
-        low = sys_.mu <= cutoff
-        assert np.count_nonzero(low) == 6 and np.count_nonzero(~low) == sys_.n - 6
-        assert not st.a[low].any() and not st.b[low].any()
-        assert np.array_equal(st.a[~low], a[~low]) and np.array_equal(st.b[~low], b[~low])
+        sys_ = build_system(ExperimentConfig.from_dict(self.payload()).system)
+        # delta / dt = 20 keeps 12 of 16 modes; at dt = 2^-4 the cutoff is
+        # exactly mu[5], a mode at the cutoff being zeroed too
+        for dt, delta, kept in ((0.05, 1.0, 12), (0.0625, float(sys_.mu[5]) * 0.0625, 6)):
+            cfg = ExperimentConfig.from_dict(self.payload(dt, delta=delta))
+            low = filtering_cutoff(sys_, dt, delta).retained
+            assert low.tolist() == list(range(kept))
+            st = build_init(cfg, sys_, seed)
+            rng = np.random.default_rng(3 if seed is None else seed)
+            a, b = rng.standard_normal(sys_.n), rng.standard_normal(sys_.n)
+            a[low] = b[low] = 0.0
+            assert np.array_equal(st.a, a) and np.array_equal(st.b, b)
+            assert np.all(st.a[kept:] != 0.0) and np.all(st.b[kept:] != 0.0)
 
     def test_trace_runs(self, tmp_path):
-        p = write_config(tmp_path / "c.json", self.payload(cutoff=10.0))
+        p = write_config(tmp_path / "c.json", self.payload(0.1))
         assert main(["trace", "--config", p, "--out", str(tmp_path)]) == 0
         assert json.loads((tmp_path / "h_summary.json").read_text())["E0"] > 0.0
 
-    @pytest.mark.parametrize("init, message", [
-        ({}, "init.kind=highpass needs init.cutoff"),
-        ({"cutoff": 1e3}, "init.cutoff leaves no modes above it"),
-        ({"cutoff": 0.0}, "init.cutoff must be positive; got 0.0"),
-        ({"cutoff": -1.0}, "init.cutoff must be positive; got -1.0"),
-        ({"cutoff": math.nan}, "init.cutoff must be finite; got nan"),
-    ], ids=["cutoff_missing", "cutoff_above_every_mode", "cutoff_zero", "cutoff_negative",
+    @pytest.mark.parametrize("dt, study, message", [
+        (0.05, {"delta": 3.2}, "delta must lie in (0, 3.10281); got 3.2"),
+        (0.01, {}, "init.kind=highpass leaves no mode above study.delta / dt"),
+        (0.05, {"delta": 0.0}, "delta must lie in (0, 3.10281); got 0.0"),
+        (0.05, {"delta": -1.0}, "delta must lie in (0, 3.10281); got -1.0"),
+        (0.05, {"delta": math.nan}, "study.delta must be finite; got nan"),
+    ], ids=["delta_beyond_delta0", "cutoff_above_every_mode", "cutoff_zero", "cutoff_negative",
             "cutoff_nan"])
-    def test_bad_cutoff_exits_2(self, tmp_path, capsys, init, message):
-        p = write_config(tmp_path / "c.json", self.payload(**init))
+    def test_bad_cutoff_exits_2(self, tmp_path, capsys, dt, study, message):
+        # the cutoff is delta / dt, so a delta outside (0, delta0) or one that
+        # leaves no mode above the cutoff exits 2 and writes nothing
+        p = write_config(tmp_path / "c.json", self.payload(dt, **study))
         out = tmp_path / "out"
         assert main(["trace", "--config", p, "--out", str(out)]) == 2
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and message in err[0], err
-        assert not out.exists() or not any(out.iterdir())
+        assert not out.exists()
 
     def test_build_refuses_nan_cutoff(self):
-        # loading refuses a NaN cutoff; building refuses one set afterwards
-        cfg = ExperimentConfig.from_dict(self.payload(cutoff=1.0))
-        cfg.init.cutoff = math.nan
-        with pytest.raises(ConfigError, match="init.cutoff must be positive; got nan"):
-            build_init(cfg.init, build_system(cfg.system))
+        # loading refuses a NaN delta; building refuses one set afterwards
+        cfg = ExperimentConfig.from_dict(self.payload())
+        cfg.study.delta = math.nan
+        with pytest.raises(DomainError, match="delta must lie in .*; got nan"):
+            build_init(cfg, build_system(cfg.system))
 
 
 def per_value_trace_csv(trace):
@@ -219,7 +229,7 @@ class TestTraceCommand:
         sc = cfg.scheme
         scheme_cfg = SchemeConfig(dt=sc.dt, t_final=sc.t_final, viscosity=sc.viscosity,
                                   damping=sc.damping)
-        trace = factorize(sys_, scheme_cfg).run(build_init(cfg.init, sys_), beta=cfg.study.beta)
+        trace = factorize(sys_, scheme_cfg).run(build_init(cfg, sys_), beta=cfg.study.beta)
         assert (tmp_path / "t_trace.csv").read_bytes() == per_value_trace_csv(trace).encode()
 
     def test_csv_contract_and_determinism(self, tmp_path):
@@ -466,8 +476,8 @@ class TestFieldTypes:
         ("trace", "system", "gamma", math.nan),
         ("trace", "system", "alpha", -math.inf),
         ("trace", "scheme", "dt", math.nan),
-        ("trace", "init", "cutoff", math.inf),
         # a key that no field declares is refused before any type check
+        ("trace", "init", "cutoff", math.inf),
         ("trace", "study", "sigma", math.nan),
     ], ids=["dt_string", "alpha_string", "beta_string", "delta_string", "trials_bool",
             "prefix_int", "viscosity_string", "k_max_bool", "dt_bool", "dt_list_number",
@@ -484,7 +494,7 @@ class TestFieldTypes:
         out = tmp_path / "out"
         assert main([command, "--config", p, "--out", str(out)]) == 2
         err = capsys.readouterr().err.splitlines()
-        fragment = (f"unknown keys in block '{block}': ['{key}']" if key == "sigma"
+        fragment = (f"unknown keys in block '{block}': ['{key}']" if key in ("sigma", "cutoff")
                     else f"{block}.{key} must be")
         assert len(err) == 1 and fragment in err[0], err
         assert not out.exists() or not any(out.iterdir())

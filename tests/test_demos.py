@@ -1,6 +1,8 @@
 """Every demo script and every README Python block runs to completion
-against the in-tree package."""
+against the in-tree package, and every README JSON block is a config the
+loader takes."""
 
+import json
 import os
 import pathlib
 import re
@@ -9,10 +11,13 @@ import sys
 
 import pytest
 
+from polystab.config import ExperimentConfig
+
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
-README_BLOCKS = re.findall(r"^```python\n(.*?)^```", (ROOT / "README.md").read_text("utf-8"),
-                           re.S | re.M)
+README = (ROOT / "README.md").read_text("utf-8")
+README_BLOCKS = re.findall(r"^```python\n(.*?)^```", README, re.S | re.M)
+README_CONFIGS = re.findall(r"^```json\n(.*?)^```", README, re.S | re.M)
 
 
 def run_python(args, cwd):
@@ -46,3 +51,14 @@ def test_readme_blocks_found():
 def test_readme_block_exits_zero(code, tmp_path):
     proc = run_python(["-c", code], tmp_path)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_readme_configs_found():
+    assert README_CONFIGS  # the CLI example config at least
+
+
+@pytest.mark.parametrize("text", README_CONFIGS,
+                         ids=[f"config{i}" for i in range(len(README_CONFIGS))])
+def test_readme_config_loads(text):
+    # the docs keep no key the loader refuses
+    ExperimentConfig.from_dict(json.loads(text))

@@ -32,7 +32,6 @@ from polystab import (
     observability_constant_study,
     observability_functional,
     observation_time,
-    project_filter,
     substep_count,
     synthetic_trace,
     uniform_decay_study,
@@ -142,7 +141,8 @@ class TestObservabilityFunctional:
         sys_ = build_coupled_waves(ExampleParams(0.5, 0.0, 16))
         rng = np.random.default_rng(4)
         st = ModalState(rng.standard_normal(32), rng.standard_normal(32))
-        _, high = project_filter(sys_, st, cutoff=30.0)
+        keep = sys_.mu > 30.0
+        high = ModalState(np.where(keep, st.a, 0.0), np.where(keep, st.b, 0.0))
         rep = observability_functional(sys_, high, 0.0, 0.02, 3.0)
         hf = high_freq_observability(sys_, high, 0.0, 0.02, 3.0)
         # with gamma = 0 the whole budget is the two viscosity sums
@@ -371,25 +371,39 @@ class TestInverseInequality:
     def test_single_mode_exact(self):
         mu = 7.0
         sys_ = ModalSystem.from_eta([mu**2])
-        rep = inverse_inequality_check(sys_, dt=0.1, cutoff=5.0)
+        rep = inverse_inequality_check(sys_, dt=0.1, delta=0.5)
         assert rep.min_ratio_h == pytest.approx(0.1 * mu, rel=1e-14)
         assert rep.min_ratio_weak == pytest.approx(0.1 * mu, rel=1e-14)
         assert rep.ok
 
     def test_empty_high_part_vacuous(self):
         sys_ = ModalSystem.from_eta([1.0])
-        rep = inverse_inequality_check(sys_, dt=0.1, cutoff=100.0)
+        rep = inverse_inequality_check(sys_, dt=0.01, delta=1.0)
         assert rep.n_high == 0 and rep.ok
         assert math.isinf(rep.min_ratio_h)
 
-    @pytest.mark.parametrize("dt,cutoff,name", [
-        (0.1, math.nan, "cutoff"), (0.1, math.inf, "cutoff"), (0.1, 0.0, "cutoff"),
-        (-0.1, 5.0, "dt"), (math.nan, 5.0, "dt"), (math.inf, 5.0, "dt"),
+    @pytest.mark.parametrize("dt,delta,message", [
+        (0.1, math.nan, "delta must lie in"), (0.1, math.inf, "delta must lie in"),
+        (0.1, 0.0, "delta must lie in"), (-0.1, 0.5, "dt must be positive and finite"),
+        (math.nan, 0.5, "dt must be positive and finite"),
+        (math.inf, 0.5, "dt must be positive and finite"),
     ], ids=["cutoff_nan", "cutoff_inf", "cutoff_zero", "dt_negative", "dt_nan", "dt_inf"])
-    def test_bad_step_or_cutoff_rejected(self, dt, cutoff, name):
+    def test_bad_step_or_cutoff_rejected(self, dt, delta, message):
+        # filtering_cutoff checks both: the cutoff delta / dt has no other source
         sys_ = ModalSystem.from_eta([49.0])
-        with pytest.raises(DomainError, match=f"{name} must be positive and finite"):
-            inverse_inequality_check(sys_, dt=dt, cutoff=cutoff)
+        with pytest.raises(DomainError, match=message):
+            inverse_inequality_check(sys_, dt=dt, delta=delta)
+
+    @pytest.mark.parametrize("beta", [-40.0, 40.0, 80.0])
+    def test_large_beta_weak_ratio_finite(self, beta):
+        # each weight eta^(-2 beta), eta^(-2 beta - 1) alone overflows or
+        # underflows at these beta; the ratio does not depend on beta
+        sys_ = build_coupled_waves(ExampleParams(alpha=0.5, gamma=1.0, k_max=64))
+        rep = inverse_inequality_check(sys_, dt=0.01, delta=1.0, beta=beta)
+        expect = 0.01 * float(np.min(sys_.mu[sys_.mu > 100.0]))
+        assert rep.min_ratio_h == pytest.approx(expect, rel=1e-14)
+        assert rep.min_ratio_weak == pytest.approx(expect, rel=1e-14)
+        assert rep.min_ratio_weak >= rep.delta and rep.ok
 
     def test_mixed_state_rayleigh_bound(self):
         # random high combinations: dt ||A z|| / ||z|| >= dt * min retained mu
@@ -415,8 +429,7 @@ class TestHighFreqContraction:
         mu = 15.0
         sys_ = ModalSystem.from_eta([mu**2])
         u0 = ModalState([1.0], [0.5])
-        cutoff = delta / dt
-        ratios = high_freq_contraction(sys_, u0, 0.0, dt, cutoff, steps=20)
+        ratios = high_freq_contraction(sys_, u0, 0.0, dt, delta, steps=20)
         expect = (1.0 / (1.0 + dt**3 * mu**2)) ** 2
         np.testing.assert_allclose(ratios, expect, rtol=1e-13)
         assert np.all(ratios <= 1.0 / 1.2 + 1e-12)
@@ -430,12 +443,12 @@ class TestHighFreqContraction:
         for _ in range(20):
             a = np.where(high, rng.standard_normal(64), 0.0)
             b = np.where(high, rng.standard_normal(64), 0.0)
-            ratios = high_freq_contraction(sys_, ModalState(a, b), 0.0, dt, cutoff, 50)
+            ratios = high_freq_contraction(sys_, ModalState(a, b), 0.0, dt, delta, 50)
             assert np.all(ratios <= 1.0 / (1.0 + 2.0 * dt * delta**2) + 1e-12)
 
     def test_zero_state_trivial_pass(self):
         sys_ = ModalSystem.from_eta([400.0])
-        out = high_freq_contraction(sys_, ModalState.zero(1), 0.0, 0.1, 10.0, 5)
+        out = high_freq_contraction(sys_, ModalState.zero(1), 0.0, 0.1, 1.0, 5)
         assert out.size == 0
 
     @pytest.mark.parametrize("steps", [0, -3, 2.5, True],
@@ -451,15 +464,15 @@ class TestHighFreqContraction:
 
         monkeypatch.setattr(SchemeSolver, "iterate_raw", counted)
         with pytest.raises(DomainError, match="steps must be a positive integer"):
-            high_freq_contraction(sys_, ModalState([1.0], [0.5]), 0.0, 0.1, 10.0, steps)
+            high_freq_contraction(sys_, ModalState([1.0], [0.5]), 0.0, 0.1, 1.0, steps)
         assert calls == []
 
     def test_numpy_step_count(self):
         sys_ = ModalSystem.from_eta([400.0, 900.0])
         u0 = ModalState([1.0, -0.5], [0.5, 2.0])
-        want = high_freq_contraction(sys_, u0, 0.0, 0.1, 10.0, 5)
+        want = high_freq_contraction(sys_, u0, 0.0, 0.1, 1.0, 5)
         assert want.size == 5
-        assert np.array_equal(high_freq_contraction(sys_, u0, 0.0, 0.1, 10.0, np.int64(5)), want)
+        assert np.array_equal(high_freq_contraction(sys_, u0, 0.0, 0.1, 1.0, np.int64(5)), want)
 
     @pytest.mark.parametrize("extra", [-1, 1], ids=["too_few", "too_many"])
     def test_wrong_size_state_raises_before_stepping(self, monkeypatch, extra):
@@ -469,18 +482,18 @@ class TestHighFreqContraction:
         with pytest.raises(DimensionMismatchError,
                            match=f"state: expected length 2, got {2 + extra}$"):
             high_freq_contraction(sys_, ModalState(np.ones(2 + extra), np.zeros(2 + extra)),
-                                  0.0, 0.1, 10.0, 5)
+                                  0.0, 0.1, 1.0, 5)
         assert calls == []
 
-    @pytest.mark.parametrize("cutoff", [math.nan, -5.0, math.inf], ids=["nan", "negative", "inf"])
-    def test_bad_cutoff_raises_before_stepping(self, monkeypatch, cutoff):
-        # a NaN bound would select no ratio and -5 passes as delta^2 = 0.25:
-        # both used to return five unchecked ratios
+    @pytest.mark.parametrize("delta", [math.nan, -0.5, math.inf], ids=["nan", "negative", "inf"])
+    def test_bad_cutoff_raises_before_stepping(self, monkeypatch, delta):
+        # a NaN bound would select no ratio and -0.5 passes as delta^2 = 0.25:
+        # filtering_cutoff refuses both, and inf, before any step
         sys_ = ModalSystem.from_eta([400.0])
         calls = []
         monkeypatch.setattr(SchemeSolver, "iterate_raw", lambda *args: calls.append(1))
-        with pytest.raises(DomainError, match="cutoff must be positive and finite; got"):
-            high_freq_contraction(sys_, ModalState([1.0], [0.5]), 0.0, 0.1, cutoff, 5)
+        with pytest.raises(DomainError, match=r"delta must lie in \(0, 3.14159\); got"):
+            high_freq_contraction(sys_, ModalState([1.0], [0.5]), 0.0, 0.1, delta, 5)
         assert calls == []
 
     @pytest.mark.parametrize("dt", [math.nan, -1.0, 0.0, math.inf],
@@ -489,19 +502,19 @@ class TestHighFreqContraction:
         # dt is checked before the zero-state early return
         sys_ = ModalSystem.from_eta([400.0])
         with pytest.raises(DomainError, match="dt must be positive and finite; got"):
-            high_freq_contraction(sys_, ModalState.zero(1), 0.0, dt, 10.0, 5)
+            high_freq_contraction(sys_, ModalState.zero(1), 0.0, dt, 1.0, 5)
 
     def test_blocks_match_per_record_ratios(self, monkeypatch):
         # 2500 steps of one column in 5 of 8 groups (B = 1024): full time
         # blocks and a partial last one
         sys_ = build_coupled_waves(ExampleParams(0.5, 1.0, 8))
-        dt, cutoff, steps, beta = 0.1, 10.0, 2500, 0.25
-        high = sys_.mu > cutoff
+        dt, delta, steps, beta = 0.1, 1.0, 2500, 0.25
+        high = sys_.mu > delta / dt
         rng = np.random.default_rng(4)
         u0 = ModalState(np.where(high, rng.standard_normal(16), 0.0),
                         np.where(high, rng.standard_normal(16), 0.0))
         lengths = record_block_lengths(monkeypatch)
-        ratios = high_freq_contraction(sys_, u0, beta, dt, cutoff, steps)
+        ratios = high_freq_contraction(sys_, u0, beta, dt, delta, steps)
         assert lengths == block_schedule(1024, steps) and lengths[-2:] == [1024, 453]
         cfg = SchemeConfig(dt=dt, t_final=steps * dt, viscosity=True, damping=False)
         per_record = [block.weak_sq[row + 1, 0] / block.weak_sq[row, 0] for _, block, row in
@@ -512,7 +525,7 @@ class TestHighFreqContraction:
         sys_ = ModalSystem.from_eta([1.0, 400.0])
         with pytest.raises(DomainError):
             high_freq_contraction(sys_, ModalState([1.0, 1.0], [0.0, 0.0]),
-                                  0.0, 0.1, 10.0, 5)
+                                  0.0, 0.1, 1.0, 5)
 
 
 class TestHighFreqObservability:
@@ -776,9 +789,9 @@ class TestNonFiniteBeta:
             "functional": lambda: observability_functional(sys_, u0, beta, 0.05, 2.0),
             "constant_study": lambda: observability_constant_study(
                 sys_, beta, [0.05], 4, 0, t_star=2.0),
-            "inverse_inequality": lambda: inverse_inequality_check(sys_, 0.1, 10.0, beta),
+            "inverse_inequality": lambda: inverse_inequality_check(sys_, 0.1, 1.0, beta),
             "zero_state_contraction": lambda: high_freq_contraction(
-                sys_, ModalState.zero(8), beta, 0.1, 10.0, 5),
+                sys_, ModalState.zero(8), beta, 0.1, 1.0, 5),
             "decay_study": lambda: uniform_decay_study(sys_, beta, [0.1], T=4.0, t_star=4.0),
             "run": lambda: SchemeSolver(sys_, SchemeConfig(dt=0.1, t_final=1.0)).run(u0, beta),
         }

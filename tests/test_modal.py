@@ -24,7 +24,6 @@ from polystab import (
     energy,
     norm_domain,
     pair_norm_sq,
-    project_filter,
 )
 
 
@@ -137,40 +136,6 @@ class TestEnergy:
             2.0, rel=1e-15
         )
         assert energy(make_system([1.0]), ModalState.zero(1)) == 0.0
-
-
-class TestProjectFilter:
-    def test_trivial_splits(self):
-        sys_ = make_system([1.0, 100.0])
-        st = ModalState([1.0, 1.0], [2.0, 2.0])
-        low, high = project_filter(sys_, st, cutoff=1e3)
-        assert np.array_equal(low.a, st.a) and np.array_equal(low.b, st.b)
-        assert not high.a.any() and not high.b.any()
-        low, high = project_filter(sys_, st, cutoff=0.5)
-        assert not low.a.any()
-        assert np.array_equal(high.a, st.a)
-
-    def test_componentwise_split(self):
-        sys_ = ModalSystem.from_eta([1.0, 100.0])  # mu = 1, 10
-        st = ModalState([1.0, 1.0], [0.0, 0.0])
-        low, high = project_filter(sys_, st, cutoff=5.0)
-        assert np.array_equal(low.a, [1.0, 0.0])
-        assert np.array_equal(high.a, [0.0, 1.0])
-
-    def test_exact_sum_and_orthogonality(self):
-        rng = np.random.default_rng(11)
-        sys_ = random_system(rng, 32, with_damping=False)
-        st = random_state(rng, 32)
-        cutoff = float(np.median(sys_.mu))
-        low, high = project_filter(sys_, st, cutoff)
-        assert np.array_equal(low.a + high.a, st.a)
-        assert np.array_equal(low.b + high.b, st.b)
-        assert inner_h(sys_, low, high) == 0.0
-
-    def test_bad_cutoff(self):
-        sys_ = make_system([1.0])
-        with pytest.raises(DomainError):
-            project_filter(sys_, ModalState.zero(1), 0.0)
 
 
 class TestApplyA:

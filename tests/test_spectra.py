@@ -25,7 +25,7 @@ from polystab import (
     sine_overlap,
     worst_case_family,
 )
-from polystab.config import InitBlock, build_init
+from polystab.config import ExperimentConfig, InitBlock, build_init
 from polystab.spectra import boundary_fixedpoint_residuals
 
 
@@ -202,7 +202,7 @@ class TestTwoClusterRule:
         assert math.isinf(check_gap(sys_).gamma1)
         assert cluster_partition(sys_.mu, check_gap(sys_).gamma1) == ((0,), (1,))
         with pytest.raises(ConfigError, match="no 2-clusters"):
-            build_init(InitBlock(kind="cluster_pair"), sys_)
+            build_init(ExperimentConfig(init=InitBlock(kind="cluster_pair")), sys_)
         assert [label for label, _ in worst_case_family(sys_)] == ["mode[0]", "mode[1]"]
         obs = check_obs_lower_bound(sys_, beta=0.0)
         assert obs.partition == ((0,), (1,)) and obs.degenerate == ()
@@ -211,7 +211,7 @@ class TestTwoClusterRule:
     def test_three_modes_still_pair(self):
         sys_ = ModalSystem.from_eta(np.array([1.0, 1.01, 4.0]) ** 2)
         assert check_obs_lower_bound(sys_, beta=0.0).partition == ((0, 1), (2,))
-        assert build_init(InitBlock(kind="cluster_pair"), sys_).a.tolist() == [1.0, 1.0, 0.0]
+        assert build_init(ExperimentConfig(init=InitBlock(kind="cluster_pair")), sys_).a.tolist() == [1.0, 1.0, 0.0]
 
 
 def dense_with_zero_gap(seed):
@@ -323,6 +323,14 @@ class TestFilteringCutoff:
         fc = filtering_cutoff(sys_, dt=0.1, delta=1.0)
         with pytest.raises(DomainError):
             filtering_cutoff(sys_, dt=0.1, delta=fc.delta0)
+
+    @pytest.mark.parametrize("dt", [math.inf, math.nan, 0.0, -0.1],
+                             ids=["inf", "nan", "zero", "negative"])
+    def test_bad_dt_rejected(self, dt):
+        # dt = inf used to pass the dt > 0 test (cutoff 0, no mode retained)
+        sys_ = build_coupled_waves(ExampleParams(0.5, 1.0, 8))
+        with pytest.raises(DomainError, match="dt must be positive and finite; got"):
+            filtering_cutoff(sys_, dt=dt, delta=1.0)
 
     def test_small_dt_retains_everything(self):
         sys_ = build_coupled_waves(ExampleParams(0.5, 1.0, 8))

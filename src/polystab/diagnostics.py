@@ -341,7 +341,8 @@ def high_freq_contraction(
     with no component in ``filtering_cutoff(sys, dt, delta).retained``.
 
     Every ratio must satisfy ``ratio <= 1 / (1 + 2 dt delta^2) + 1e-12``;
-    a violation raises DiagnosticFailure.  A zero initial state passes
+    a violation, or a ratio that is not a number (the weak norm of a large
+    ``beta`` under- or overflows), raises DiagnosticFailure.  A zero initial state passes
     trivially (empty ratio sequence).  A state not of the system's size
     raises DimensionMismatchError, and a ``steps`` that is no positive
     integer, a ``dt`` or ``delta`` that ``filtering_cutoff`` refuses or a
@@ -361,8 +362,9 @@ def high_freq_contraction(
     ratios = np.empty(steps)
     for b in _blocks_of(factorize(sys, cfg).iterate_raw(x0, steps, beta=beta)):
         w = b.weak_sq[:, 0]
-        ratios[b.k0 : b.k0 + w.size - 1] = w[1:] / w[:-1]
-    if np.any(ratios > bound + 1e-12):
+        with np.errstate(invalid="ignore"):  # 0 / 0: a nan ratio, which fails below
+            ratios[b.k0 : b.k0 + w.size - 1] = w[1:] / w[:-1]
+    if not np.all(ratios <= bound + 1e-12):
         worst = float(np.max(ratios))
         raise DiagnosticFailure(
             f"weak-norm contraction bound violated: max ratio {worst:.16g} > "

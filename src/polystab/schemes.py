@@ -92,31 +92,29 @@ dense group of size n runs with B = 1 at ~5n^2 multiply-adds per column-step.
 
 **Retirement.**  The viscosity stage divides mode ``eta`` by
 ``1 + dt^3 eta`` per step, so a column's top modes fall into subnormal
-numbers and then exact zeros.  After the first full time block whose
-first new state is x_k with k >= B, then the first with k at least twice
-that, and so on (O(log n) checks, at k = B, 2B, 4B, ... while B stays), but
-not after the last block (so ``step`` never retires), each stepped entry --
-a group in one column -- gets its energy ``e`` at the block's first new
-state x_k, and each column the witness
-``W_c = max e sigma_min(P)^(2 steps_left)``, a lower bound of its energy at
-every later step.  An entry retires, is no longer stepped, when
-``f e < RETIRE_RTOL W_c / N``: N counts the entries stepped at the start,
-and ``f e`` bounds what the entry would still add to each term, the weak
-norm of any beta included, at any later step (``_retire_bounds``; ``P`` is a
-contraction).  So each later term of a column moves by at most
-``eps^2 E_c(k)`` (to the rounding of ``e``), 1e16 times below the audit.
-Pairs retire alone; a column-aligned group retires where every column
-qualifies, so rolling the columns still rolls every bit.  A column's only
-entry never retires (its witness is its own energy), so a batch of one entry
-per column is never checked.  No entry's energy falls faster than
-``sigma_min^2`` per step, and t steps on a column's energy, which bounds
-every later witness, is at most ``Lambda_c^t E_c``, with ``Lambda_c`` the
-largest ``lambda_max`` (top eigenvalue of ``P^T P``) of its entries.  So
-the initial state and each check give the first step at which an entry
-could retire, ``log(f e N / (RETIRE_RTOL E_c)) / log(Lambda_c / sigma_min^2)``
-steps on, and the checks before it are skipped: where a column's entries
-decay at nearly one rate (the criterion-7 control family) none is run.
-Retired entries read exact zero in the states after a block.
+numbers and then exact zeros.  Stepped entries -- a group in one column --
+retire, are no longer stepped, on one schedule fixed at x_0
+(``_retire_steps``).  With e an entry's energy at x_0 and N the entries
+stepped at the start, a column's energy stays above its witness
+``W_c = max e sigma_min(P)^(2 n_steps)`` at every step, and
+``f e lambda_max^k`` bounds what an entry would still add to each term at
+step k, the weak norm of any beta included (``_retire_bounds``;
+``sigma_min^2`` and ``lambda_max`` are the extreme eigenvalues of
+``P^T P``).  An entry retires from the first k at which
+``f e lambda_max^k < RETIRE_RTOL W_c / N``; one with ``lambda_max >= 1``
+from step 0 if that holds at k = n_steps, else never.  So each later term
+of a column moves by at most ``RETIRE_RTOL E_c(k)`` (to the rounding of e),
+1e16 times below the audit.  The witness is taken in logarithms, so it
+cannot underflow on long runs.  Entries are dropped after the first full
+time block whose first new state is x_k with k >= B, then the first with k
+at least twice that, and so on (O(log n) drops, at k = B, 2B, 4B, ... while
+B stays), but not after the last block (so ``step`` never retires).  Pairs
+retire alone; a column-aligned group retires at the latest of its columns'
+steps, so rolling the columns still rolls every bit.  A column's only entry
+gets a step beyond the run from the rule itself (its witness is its own
+energy, and ``f >= lambda_max >= sigma_min^2``), and a batch of one entry
+builds no schedule.  Retired entries read exact zero in the states after a
+block.
 
 **Audit.**  The residual of the per-step identity measures how accurately
 ``P``, ``L`` and their doubled powers were built; its tolerance is the
@@ -453,11 +451,11 @@ class SchemeSolver:
         and a column's terms are summed over its pairs in group order.  K
         doubles from 1 to B (``_block_length`` of the entries stepped, at
         least m, and at most ``n_steps``).  After full blocks at
-        geometrically spaced steps but the last, the entries that can no
-        longer show in their column's terms retire (``_retire``); when some
-        do, B follows the entries left (at most the steps left) and K
-        doubles on from the old B.  The per-step identity residual is
-        ``|E(x_{k+1}) + visc1 + visc2 + damp - E(x_k)|``.  A batch of other
+        geometrically spaced steps but the last, the entries whose step of
+        the schedule fixed at x_0 (``_retire_steps``) has come retire
+        (``_retire``); when some do, B follows the entries left (at most the
+        steps left) and K doubles on from the old B.  The per-step identity
+        residual is ``|E(x_{k+1}) + visc1 + visc2 + damp - E(x_k)|``.  A batch of other
         than 2n rows raises DimensionMismatchError before any step, and a
         non-finite state or term NonFiniteStateError.
         """
@@ -505,8 +503,6 @@ class SchemeSolver:
 
         B = min(_block_length(stepped(), self._groups), 1 << (max(n_steps, 1).bit_length() - 1))
         entries = sum(xg.shape[0] for xg in xs)  # at least the entries of any one column
-        per_col = sum(np.full(m, xg.shape[0]) if lay.pair_cols is None else
-                      np.bincount(lay.pair_cols, minlength=m) for lay, xg in zip(lays, xs))
         bufs, xs = known_blocks(xs, 0, [np.empty(0)] * len(xs))
         prev, es = np.zeros((4, 1, m)), []
         for lay, xg in zip(lays, xs):
@@ -515,14 +511,11 @@ class SchemeSolver:
             _add_terms(prev, w4, x2, lay.pair_cols)
             es.append(0.5 * x2[:, :, :lay.mc].sum(axis=1))
         prev = prev[:, 0]
-        # checks follow the full blocks at geometrically spaced steps from
-        # check_at on, and none comes before the first step at which an entry
-        # could retire, next_check: a column's only entry never retires
-        check_at, next_check = B, n_steps
-        if np.max(per_col, initial=0) > 1:
-            waits = self._retire_waits(lays, es, prev[0], beta, entries, n_steps)[1]
-            next_check = min(np.fmin.reduce(wait, initial=np.inf) for wait in waits)
-        K, k0, i, maps_K = 1, 0, 0, 0
+        # the step from which each entry retires; a batch's only entry never does
+        dues = (self._retire_steps(lays, es, m, beta, entries, n_steps) if entries > 1
+                else [np.full(entries, np.inf)] * len(lays))
+        # checks follow the full blocks at geometrically spaced steps from check_at on
+        K, k0, i, maps_K, check_at = 1, 0, 0, 0, B
         while k0 < n_steps:
             nb = min(K, n_steps - k0)
             if K != maps_K:
@@ -555,69 +548,58 @@ class SchemeSolver:
                           T[5]), after)
             prev = T[:4, -1]
             k, k0, K = k0 + 1, k0 + nb, min(2 * K, B)
-            if full and k >= check_at:
-                check_at = 2 * k
-                if next_check <= k and k0 < n_steps:
-                    held = stepped()
-                    lays, maps, xs, bufs, next_check = self._retire(
-                        lays, maps, bufs, i, T[0, 0], k, n_steps, beta, entries)
-                    if stepped() < held:  # B follows the entries left, at most the steps left
-                        grown = min(_block_length(stepped(), [lay.grp for lay in lays]),
-                                    1 << ((n_steps - k0).bit_length() - 1))
-                        if grown > B:  # the known block of the last K states doubles on
-                            B = grown
-                            bufs, xs = known_blocks(
-                                [xg[:, :, :K * lay.mc] for lay, xg in zip(lays, xs)], 1 - i, bufs)
+            if full and k >= check_at and k0 < n_steps:
+                check_at, held = 2 * k, stepped()
+                lays, maps, xs, bufs, dues = self._retire(lays, maps, bufs, dues, i, k)
+                if stepped() < held:  # B follows the entries left, at most the steps left
+                    grown = min(_block_length(stepped(), [lay.grp for lay in lays]),
+                                1 << ((n_steps - k0).bit_length() - 1))
+                    if grown > B:  # the known block of the last K states doubles on
+                        B = grown
+                        bufs, xs = known_blocks(
+                            [xg[:, :, :K * lay.mc] for lay, xg in zip(lays, xs)], 1 - i, bufs)
             i ^= full
 
-    def _retire_waits(self, lays, es, E, beta, entries, left):
-        """Retirement at a state x_k (see the module docstring) with ``left``
-        steps to go, from the energies ``es`` of the stepped entries (per
-        layout, (rows, mc)) and ``E`` of the columns: per layout, which
-        entries stay (``f e >= RETIRE_RTOL W_c / N`` in some column), and the
-        steps before each could first retire (its energy falls at most
-        ``sigma_min^2``-fold per step, and t steps on its column's energy,
-        which bounds every witness, is at most ``Lambda_c^t E_c``, with
-        ``Lambda_c`` the largest ``lambda_max`` of the column's entries);
-        inf or nan where it never can (nan: a zero column)."""
+    def _retire_steps(self, lays, es, m, beta, entries, n_steps):
+        """The retirement schedule of an ``n_steps`` run of m columns (see
+        the module docstring) from the energies ``es`` of the stepped entries
+        at x_0 (per layout, (rows, mc)): per layout, the first step from which
+        each entry may retire, inf where it never does.  The witness is taken
+        in logarithms, so it cannot underflow; a nan (a zero entry of a zero
+        column, or ``RETIRE_RTOL = 0``) never retires."""
         bounds = self._retire_bounds(beta)
-        W, lam = np.zeros(E.size), np.zeros(E.size)  # per column: witness, largest lambda_max
-        for lay, e in zip(lays, es):
-            sig2, lmax, _ = bounds[lay.j][:, lay.sel]
-            if lay.pair_cols is None:
-                np.maximum(W, (e * sig2[:, None] ** left).max(axis=0), out=W)
-                np.maximum(lam, lmax.max(), out=lam)
-            else:
-                np.maximum.at(W, lay.pair_cols, e[:, 0] * sig2 ** left)
-                np.maximum.at(lam, lay.pair_cols, lmax)
-        lim, rel = RETIRE_RTOL * W / entries, RETIRE_RTOL * E / entries
-        keeps, waits = [], []
-        for lay, e in zip(lays, es):
-            sig2, _, f = bounds[lay.j][:, lay.sel]
-            at = np.s_[:] if lay.pair_cols is None else np.s_[lay.pair_cols, None]
-            fe = f[:, None] * e
-            # a group stays while some column needs it, a pair while its column does
-            keeps.append((fe >= lim[at]).any(axis=1))
-            with np.errstate(divide="ignore", invalid="ignore"):
-                waits.append((np.log(fe / rel[at]) / np.log(lam[at] / sig2[:, None])).max(axis=1))
-        return keeps, waits
+        with np.errstate(divide="ignore", invalid="ignore"):
+            logs, W = [np.log(e) for e in es], np.full(m, -np.inf)  # W: log W_c per column
+            for lay, le in zip(lays, logs):
+                w = le + n_steps * np.log(bounds[lay.j][0, lay.sel])[:, None]
+                if lay.pair_cols is None:
+                    np.maximum(W, w.max(axis=0), out=W)
+                else:
+                    np.maximum.at(W, lay.pair_cols, w[:, 0])
+            lim, dues = np.log(RETIRE_RTOL / entries) + W, []
+            for lay, le in zip(lays, logs):
+                _, lmax, f = bounds[lay.j][:, lay.sel]
+                at = np.s_[:] if lay.pair_cols is None else np.s_[lay.pair_cols, None]
+                gap, rate = np.log(f)[:, None] + le - lim[at], -np.log(lmax)[:, None]
+                # f e lambda_max^k < RETIRE_RTOL W_c / N for every k > gap / rate if
+                # lambda_max < 1; else for every k <= n_steps if it holds at n_steps
+                due = np.where(rate > 0, np.maximum(np.floor(gap / rate) + 1.0, 0.0),
+                               np.where(gap < n_steps * rate, 0.0, np.inf))
+                # a group retires at the latest of its columns' steps
+                dues.append(np.where(np.isnan(due), np.inf, due).max(axis=1))
+        return dues
 
-    def _retire(self, lays, maps, bufs, i, E, k, n_steps, beta, entries):
-        """Retirement after a full block (see the module docstring): its
-        states are in ``bufs[j][1 - i]``, the squares of its products in
-        ``bufs[j][i]``, and ``E`` is the columns' energy at its first new
-        state x_k.  Returns the layouts, maps, known blocks and buffers, each
-        layout rebuilt at most once and dropped when nothing of it is left,
-        and the first step at which a kept entry could retire."""
-        es = [0.5 * buf[i, :, :M.shape[2], :lay.mc].sum(axis=1)
-              for lay, M, buf in zip(lays, maps, bufs)]
-        keeps, waits = self._retire_waits(lays, es, E, beta, entries, n_steps - k)
-        out, soon = ([], [], [], []), np.inf
-        for lay, M, buf, keep, wait in zip(lays, maps, bufs, keeps, waits):
+    def _retire(self, lays, maps, bufs, dues, i, k):
+        """Retirement after a full block whose first new state is x_k (see
+        the module docstring): the entries whose step ``dues`` has come are
+        dropped.  The block's states are in ``bufs[j][1 - i]``.  Returns the
+        layouts, maps, known blocks, buffers and steps, each layout rebuilt
+        at most once and dropped when nothing of it is left."""
+        out = ([], [], [], [], [])
+        for lay, M, buf, due in zip(lays, maps, bufs, dues):
+            keep = due > k
             if not keep.any():
                 continue
-            # nan: a zero column, which keeps every entry
-            soon = min(soon, np.fmin.reduce(wait[keep], initial=np.inf))
             if not keep.all():  # the kept states move to the front of their buffer
                 g = int(keep.sum())
                 buf[1 - i, :g] = buf[1 - i][keep]
@@ -627,10 +609,10 @@ class SchemeSolver:
                 pair_cols = None if aligned else np.array(lay.pair_cols)[keep].tolist()
                 lay = _Layout(lay.j, sel, _Groups(*(a[keep] for a in lay.grp)), w, pair_cols,
                               lay.mc)
-                M, buf = M[keep], buf[:, :g]
-            for items, item in zip(out, (lay, M, buf[1 - i][:, :M.shape[2]], buf)):
+                M, buf, due = M[keep], buf[:, :g], due[keep]
+            for items, item in zip(out, (lay, M, buf[1 - i][:, :M.shape[2]], buf, due)):
                 items.append(item)
-        return (*out, k + soon)
+        return out
 
     # -- public one-step API -------------------------------------------
 

@@ -474,6 +474,26 @@ class TestHighFreqContraction:
         assert want.size == 5
         assert np.array_equal(high_freq_contraction(sys_, u0, 0.0, 0.1, 1.0, np.int64(5)), want)
 
+    @staticmethod
+    def high_state(sys_, cutoff):
+        rng = np.random.default_rng(4)
+        high = sys_.mu > cutoff
+        return ModalState(*(np.where(high, rng.standard_normal(sys_.n), 0.0) for _ in "ab"))
+
+    def test_large_beta_within_bound(self):
+        # at beta = 30 every weak norm is finite and nonzero
+        sys_ = build_coupled_waves(ExampleParams(0.5, 1.0, 64))
+        ratios = high_freq_contraction(sys_, self.high_state(sys_, 100.0), 30.0, 0.01, 1.0, 50)
+        assert ratios.size == 50 and np.all(ratios <= 1.0 / 1.02 + 1e-12)
+
+    @pytest.mark.parametrize("beta", [40.0, 80.0])
+    def test_nan_ratio_fails(self, beta):
+        # the weak weight eta^(-2 beta - 1) underflows to 0 for every high
+        # mode, so every ratio is 0 / 0: not a number, which fails the bound
+        sys_ = build_coupled_waves(ExampleParams(0.5, 1.0, 64))
+        with pytest.raises(DiagnosticFailure, match="max ratio nan > 0.98039"):
+            high_freq_contraction(sys_, self.high_state(sys_, 100.0), beta, 0.01, 1.0, 50)
+
     @pytest.mark.parametrize("extra", [-1, 1], ids=["too_few", "too_many"])
     def test_wrong_size_state_raises_before_stepping(self, monkeypatch, extra):
         sys_ = ModalSystem.from_eta([400.0, 900.0])

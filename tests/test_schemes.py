@@ -616,20 +616,23 @@ def stepped_groups(blocks):
 
 
 class TestRetirement:
-    """A (group, column) entry whose energy e, after a full time block of
-    power-of-two index, satisfies ``f e < RETIRE_RTOL W_c / N`` is no longer
-    stepped: what it would still add moves each later term of its column by
-    at most ``RETIRE_RTOL`` times the column's final energy, whatever beta
-    (``f`` carries the weak-norm weights).  The block length is pinned at 4,
-    so a 70-step run may check after steps 4, 8, 16, 32 and 64.
+    """A (group, column) entry of energy e at x_0 is no longer stepped after
+    the first full time block of power-of-two index from whose first new
+    state x_k on ``f e lambda_max^k < RETIRE_RTOL W_c / N``,
+    ``W_c = max e sigma_min^(2 n_steps)``: what it would still add moves
+    each later term of its column by at most ``RETIRE_RTOL`` times the
+    column's final energy, whatever beta (``f`` carries the weak-norm
+    weights).  The block length is pinned at 4, so a 70-step run checks
+    after steps 4, 8, 16, 32 and 64.
 
-    Against the same batch with ``RETIRE_RTOL = 0`` (no entry retires, as
-    ``f e >= 0``), which steps the other entries alike, the gap is that bound
-    plus the rounding of the sums that skip the retired entries, a few eps
-    of each term (of ``E_k`` for the residual, which cancels).  Against the
-    same groups stepped one per column, which never retire, it is that
-    bound plus ``SPARSE_EPS`` eps of E0, as in ``TestOccupiedGroups`` (of
-    ``2 E0 max eta^(-2 beta - 1)``, which bounds it, for ``weak_sq``)."""
+    Against the same batch with ``RETIRE_RTOL = 0`` (no entry retires: the
+    limit is 0, its logarithm -inf), which steps the other entries alike,
+    the gap is that bound plus the rounding of the sums that skip the
+    retired entries, a few eps of each term (of ``E_k`` for the residual,
+    which cancels).  Against the same groups stepped one per column, which
+    never retire, it is that bound plus ``SPARSE_EPS`` eps of E0, as in
+    ``TestOccupiedGroups`` (of ``2 E0 max eta^(-2 beta - 1)``, which bounds
+    it, for ``weak_sq``)."""
 
     SPARSE_EPS = TestOccupiedGroups.SPARSE_EPS
     N_STEPS = 70
@@ -723,14 +726,15 @@ class TestRetirement:
             terms = np.einsum("tgr,grk->tgk", w, y2)
             assert np.all(terms <= f[:, None] * e * (1 + 1e-12))
 
-    def pinned_runs(self, sol, x, beta=0.0):
-        """The stepped groups and terms of ``sol``'s 70-step run from ``x`` at
-        B = 4, and the terms of the same run with no entry retired."""
+    def pinned_runs(self, sol, x, beta=0.0, n_steps=N_STEPS, B=4):
+        """The stepped groups and terms of ``sol``'s ``n_steps`` run from
+        ``x`` at block length B, and the terms of the same run with no entry
+        retired."""
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(schemes, "_block_length", lambda entries, groups: 4)
-            blocks = list(sol._blocks(x, self.N_STEPS, beta))
+            mp.setattr(schemes, "_block_length", lambda entries, groups: B)
+            blocks = list(sol._blocks(x, n_steps, beta))
             mp.setattr(schemes, "RETIRE_RTOL", 0.0)
-            kept = block_terms(sol._blocks(x, self.N_STEPS, beta))[0]
+            kept = block_terms(sol._blocks(x, n_steps, beta))[0]
         return stepped_groups(blocks), blocks[-1][1], block_terms(blocks)[0], kept
 
     def assert_within_bound(self, got, kept, ulps_eps=SPARSE_EPS):
@@ -784,18 +788,24 @@ class TestRetirement:
 
     @staticmethod
     def count_checks(monkeypatch):
-        """The steps x_k of every ``_retire`` call from now on."""
+        """Per ``_retire`` call from now on: its step x_k and the earliest
+        step from which a stepped entry retires (inf when none does)."""
         calls = []
         retire = schemes.SchemeSolver._retire
-        monkeypatch.setattr(schemes.SchemeSolver, "_retire",
-                            lambda self, *args: calls.append(args[5]) or retire(self, *args))
+
+        def spy(self, lays, maps, bufs, dues, i, k):
+            calls.append((k, min((due.min() for due in dues), default=np.inf)))
+            return retire(self, lays, maps, bufs, dues, i, k)
+
+        monkeypatch.setattr(schemes.SchemeSolver, "_retire", spy)
         return calls
 
     def test_checks_skip_what_cannot_retire(self, monkeypatch):
-        # a batch whose columns hold one entry each is never checked; on the
-        # midpoint map, which keeps every group's energy (sigma_min^2 and
-        # lambda_max are 1 to rounding), the initial state shows that no entry
-        # could fall eps^2 below its column before the run ends
+        # a column's only entry gets a step beyond the run from the schedule
+        # itself (its witness is its own energy); on the midpoint map, which
+        # keeps every group's energy (sigma_min^2 and lambda_max are 1 to
+        # rounding), no entry falls eps^2 below its column, so none ever
+        # retires.  The checks at 4, 8, 16, 32 and 64 drop nothing
         calls = self.count_checks(monkeypatch)
         monkeypatch.setattr(schemes, "_block_length", lambda entries, groups: 4)
         sys_ = ModalSystem.from_eta(np.arange(1.0, 10.0))
@@ -803,35 +813,52 @@ class TestRetirement:
         one = np.zeros((18, 3))
         for c in range(3):
             one[[c, 9 + c], c] = rng.standard_normal(2)
-        for cfg, x in [(SchemeConfig(0.5, 100.0), one),
-                       (SchemeConfig(0.1, 10.0, viscosity=False, damping=False),
-                        rng.standard_normal((18, 2)))]:
+        for cfg, x, first in [(SchemeConfig(0.5, 100.0), one, self.N_STEPS),
+                              (SchemeConfig(0.1, 10.0, viscosity=False, damping=False),
+                               rng.standard_normal((18, 2)), np.inf)]:
+            calls.clear()
             counts = stepped_groups(factorize(sys_, cfg)._blocks(x, self.N_STEPS))
-            assert calls == [] and len(set(counts)) == 1
+            assert [k for k, _ in calls] == [4, 8, 16, 32, 64] and len(set(counts)) == 1
+            assert all(due >= first for _, due in calls)
 
-    def test_control_sweep_runs_no_check(self, monkeypatch):
+    def test_control_sweep_retires_nothing(self, monkeypatch):
         # the criterion-7 gamma = 0 control family: 11 pairs in 8 columns,
         # whose entries of one column decay at nearly one rate, so that no
-        # entry could fall eps^2 below its column's energy within T = 200
+        # entry falls eps^2 below its column's energy within T = 200
         calls = self.count_checks(monkeypatch)
         damped = build_coupled_waves(ExampleParams(0.5, 1.0, 32))
         sys_ = build_coupled_waves(ExampleParams(0.5, 0.0, 32))
         x = np.column_stack([z.stacked() for _, z in worst_case_family(sys_)])
         assert x.shape[1] == 8 and stepped_groups(
             factorize(sys_, SchemeConfig(0.01, 1.0))._blocks(x, 1)) == [11]
-        study = uniform_decay_study(sys_, beta=0.0, dt_list=[0.02, 0.01, 0.005], T=200.0,
+        dts = [0.02, 0.01, 0.005]
+        study = uniform_decay_study(sys_, beta=0.0, dt_list=dts, T=200.0,
                                     t_star=observation_time(damped).t_star)
-        assert study.verdict == "non-uniform" and calls == []
+        # in each run, the earliest step from which an entry may retire is beyond its last
+        firsts = list(dict.fromkeys(due for _, due in calls))
+        assert study.verdict == "non-uniform" and len(firsts) == 3
+        assert all(due > substep_count(200.0, dt) + 1 for due, dt in zip(firsts, dts))
 
-    def test_trace_steps_a_quarter_of_the_groups_at_the_end(self):
+    def test_trace_steps_the_scheduled_groups_at_the_end(self, monkeypatch):
         # coupled waves k_max 128 (128 groups of 2 modes) from a random state
         # over 10^4 steps: structure, not timing
+        calls = self.count_checks(monkeypatch)
         sys_ = build_coupled_waves(ExampleParams(0.5, 1.0, 128))
         sol = factorize(sys_, SchemeConfig(dt=0.01, t_final=100.0))
         z0 = ModalState.from_stacked(np.random.default_rng(7).standard_normal(2 * sys_.n))
         blocks = list(sol._blocks(z0.stacked()[:, None], 10001))
         counts, (got, lengths) = stepped_groups(blocks), block_terms(blocks)
-        assert counts[0] == 128 and counts[-1] <= 128 // 4
+        # the schedule from x_0: group g, of energy e, is stepped after the
+        # last check, at x_k, while f e lambda_max^k >= RETIRE_RTOL W / 128,
+        # W = max e sigma_min^(2 * 10001)
+        (grp,), ((sig2, lmax, f),) = sol._groups, sol._retire_bounds(0.0)
+        e = 0.5 * np.sum((z0.stacked()[grp.rows] * grp.scale[:, :, 0]) ** 2, axis=1)
+        log_w = np.max(np.log(e) + 10001 * np.log(sig2))
+        k_last = calls[-1][0]
+        assert np.all(lmax < 1.0)  # f e lambda_max^k falls with k
+        left = (np.log(f * e) + k_last * np.log(lmax)
+                >= np.log(schemes.RETIRE_RTOL / 128) + log_w)
+        assert counts[0] == 128 and counts[-1] == np.count_nonzero(left)
         # once groups retire, B follows the entries left: after the last
         # retirement every block but the partial last one is a power of two
         # above the initial B = 64, and each cached power of P was stepped
@@ -860,6 +887,18 @@ class TestRetirement:
         assert np.count_nonzero(final) == 4 * counts[-1]
         assert abs(energy(sys_, trace.final_state) - trace.e_final) <= tol
 
+    def test_long_trace_retires_groups(self):
+        # the same trace over 10^5 steps: its best group's energy falls
+        # 0.9802-fold per step, so e sigma_min^(2 * 10^5) underflows; in logs
+        # the witness does not, and the decayed groups retire.  B is pinned
+        # at 64: over 10^5 steps the grown blocks' powers of P round apart
+        # from B = 64's by more than GROWN_EPS, which bounds 10^4 steps
+        sys_ = build_coupled_waves(ExampleParams(0.5, 1.0, 128))
+        sol = factorize(sys_, SchemeConfig(dt=0.01, t_final=1000.0))
+        x0 = np.random.default_rng(7).standard_normal((2 * sys_.n, 1))
+        counts, _, got, kept = self.pinned_runs(sol, x0, n_steps=100001, B=64)
+        assert counts[0] == 128 and counts[-1] < 128
+        self.assert_within_bound(got, kept)
 
     def test_grown_blocks_reuse_the_first_allocation(self):
         # the same trace: each growth lays its buffers out in the old ones'

@@ -46,7 +46,7 @@ from operator import itemgetter
 import numpy as np
 
 from .errors import DiagnosticFailure, DomainError, check_finite, check_int, check_positive
-from .modal import ModalState, ModalSystem, _check_conforms, norm_domain
+from .modal import ModalState, ModalSystem, _check_conforms, _pair_weights, norm_domain
 from .schemes import EnergyTrace, SchemeConfig, factorize, substep_count
 from .spectra import FilterCutoff, check_gap, cluster_partition, filtering_cutoff
 
@@ -341,17 +341,18 @@ def high_freq_contraction(
     with no component in ``filtering_cutoff(sys, dt, delta).retained``.
 
     Every ratio must satisfy ``ratio <= 1 / (1 + 2 dt delta^2) + 1e-12``;
-    a violation, or a ratio that is not a number (the weak norm of a large
-    ``beta`` under- or overflows), raises DiagnosticFailure.  A zero initial state passes
+    a violation, or a ratio that is not a number (a weak norm that
+    underflows to 0), raises DiagnosticFailure.  A zero initial state passes
     trivially (empty ratio sequence).  A state not of the system's size
     raises DimensionMismatchError, and a ``steps`` that is no positive
     integer, a ``dt`` or ``delta`` that ``filtering_cutoff`` refuses or a
-    non-finite ``beta`` DomainError, before stepping, for a zero state too.
+    ``beta`` that is not finite or whose pair-norm weights overflow or
+    underflow on the system DomainError, before stepping, for a zero state too.
     """
     _check_conforms(sys, u0_high)
     check_int("steps", steps)
     low = filtering_cutoff(sys, dt, delta).retained
-    check_finite("beta", beta)
+    _pair_weights(sys.eta, beta)
     if np.any(u0_high.a[low]) or np.any(u0_high.b[low]):
         raise DomainError("initial state has components at or below the cutoff")
     x0 = u0_high.stacked()[:, None]

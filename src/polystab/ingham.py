@@ -36,10 +36,13 @@ accurate to about ``eps ||G||`` in absolute terms (times ``||R^-1||^2``,
 negative lower constant is reported as 0.
 
 Seeded draws cross-check each envelope: ``trials`` complex Gaussian
-vectors plus the cancelling pairs ``e_i - e_{i+1}`` of adjacent supported
+vectors plus the cancelling pairs ``e_a - e_b`` of adjacent supported
 frequencies, evaluated as ``x^H G x / d(x)`` with the envelope's
-denominator d.  A ratio outside the envelope by more than the rounding
-slack ``8 n eps ||G||_F ||x||^2 / d(x)`` raises DiagnosticFailure.
+denominator d.  A pair reads four entries of G, ``(G_aa - G_ab) - (G_ba -
+G_bb)``, and its Q from the partition, and Q of a draw is summed cluster by
+cluster, so beyond the draws' ``x^H G x`` the check costs O(n) per draw.
+A ratio outside the envelope by more than the rounding slack
+``8 n eps ||G||_F ||x||^2 / d(x)`` raises DiagnosticFailure.
 """
 
 from __future__ import annotations
@@ -105,12 +108,12 @@ def _support_mask(freqs: np.ndarray, cfg: InghamConfig) -> np.ndarray:
 
 
 def _supported(freqs, cfg: InghamConfig):
-    """Frequencies, supported indices, and the Gram and draws on those modes."""
+    """Frequencies, supported indices, and the Gram on those modes."""
     freqs = np.asarray(freqs, dtype=float)
     active = np.nonzero(_support_mask(freqs, cfg))[0]
     if active.size == 0:
         raise DomainError("no frequencies inside the support window")
-    return freqs, active, _gram(freqs[active], cfg), _draw_coefficients(freqs[active], cfg)
+    return freqs, active, _gram(freqs[active], cfg)
 
 
 def _gram(freqs: np.ndarray, cfg: InghamConfig) -> np.ndarray:
@@ -148,33 +151,42 @@ def ingham_ratio_scalar(freqs, coeffs, cfg: InghamConfig, t: float = 0.0) -> flo
 
 
 def _draw_coefficients(freqs: np.ndarray, cfg: InghamConfig) -> np.ndarray:
-    """Cross-check draws on the supported frequencies ``freqs``.
+    """Gaussian cross-check draws on the supported frequencies ``freqs``.
 
-    Returns a real ``(trials + n - 1, 2, n)`` array: entry ``[d, 0]`` is the
-    real and ``[d, 1]`` the imaginary part of draw d.  Draws 0..trials-1 are
-    complex standard normal, one ``default_rng(cfg.seed)`` block, so draw i
-    does not depend on ``trials``; the remaining draws are the deterministic
-    cancelling pairs ``e_i - e_j`` of modes adjacent in frequency.
+    Returns a real ``(trials, 2, n)`` array: entry ``[d, 0]`` is the real and
+    ``[d, 1]`` the imaginary part of draw d, complex standard normal from one
+    ``default_rng(cfg.seed)`` block, so draw d does not depend on ``trials``.
+    The cancelling pairs follow these draws in the check (``_pairs``).
     """
-    n, m = freqs.size, cfg.trials
-    D = np.zeros((m + n - 1, 2, n))
-    D[:m] = np.random.default_rng(cfg.seed).standard_normal((m, 2, n))
-    eye = np.eye(n)[np.argsort(freqs)]
-    D[m:, 0] = eye[:-1] - eye[1:]
-    return D
+    return np.random.default_rng(cfg.seed).standard_normal((cfg.trials, 2, freqs.size))
 
 
-def _apply(A: np.ndarray, D: np.ndarray) -> np.ndarray:
-    """``A x`` for every draw x of D, as one real product."""
-    return (D.reshape(-1, D.shape[-1]) @ A.T).reshape(*D.shape[:2], -1)
+def _pairs(freqs: np.ndarray):
+    """Modes (a, b) of the cancelling pairs ``e_a - e_b``, adjacent in
+    frequency: ``(k, k + 1)`` on a sorted family."""
+    order = np.argsort(freqs, kind="stable")
+    return order[:-1], order[1:]
 
 
-def _envelope(eigs: np.ndarray, G: np.ndarray, D: np.ndarray, den: np.ndarray) -> InghamEstimate:
-    """Envelope of the ascending ``eigs``, cross-checked by the draws D with
-    denominators ``den`` (module docstring)."""
+def _draw_sums(G: np.ndarray, D: np.ndarray, a: np.ndarray, b: np.ndarray):
+    """``x^H G x`` and ``||x||^2`` of the draws D, then of the pairs ``e_a - e_b``.
+
+    A pair's sums are exactly those of a dense product with ``e_a - e_b``:
+    ``(G_aa - G_ab) - (G_ba - G_bb)`` and 2, as adding zero terms is exact.
+    """
+    GD = (D.reshape(-1, G.shape[0]) @ G.T).reshape(D.shape)
+    pairs = (G[a, a] - G[a, b]) - (G[b, a] - G[b, b])
+    num = np.concatenate([np.einsum("dkn,dkn->d", GD, D), pairs])
+    mass = np.concatenate([np.einsum("dkn,dkn->d", D, D), np.full(a.size, 2.0)])
+    return num, mass
+
+
+def _envelope(eigs: np.ndarray, G: np.ndarray, num: np.ndarray, den: np.ndarray,
+              mass: np.ndarray) -> InghamEstimate:
+    """Envelope of the ascending ``eigs``, cross-checked by the draws'
+    numerators, denominators and masses (module docstring)."""
     lo, hi = max(float(eigs[0]), 0.0), float(eigs[-1])
-    ratios = np.einsum("dkn,dkn->d", _apply(G, D), D) / den
-    mass = np.einsum("dkn,dkn->d", D, D)
+    ratios = num / den
     slack = 8 * G.shape[0] * np.finfo(float).eps * np.linalg.norm(G) * mass / den
     outside = np.nonzero((ratios < lo - slack) | (ratios > hi + slack))[0]
     if outside.size:
@@ -194,8 +206,9 @@ def _envelope(eigs: np.ndarray, G: np.ndarray, D: np.ndarray, den: np.ndarray) -
 
 def estimate_scalar(freqs, cfg: InghamConfig) -> InghamEstimate:
     """Exact envelope of ``S(x, t) / sum |x_k|^2`` (the same for every t)."""
-    _, _, G, D = _supported(freqs, cfg)
-    return _envelope(np.linalg.eigvalsh(G), G, D, np.einsum("dkn,dkn->d", D, D))
+    freqs, active, G = _supported(freqs, cfg)
+    num, mass = _draw_sums(G, _draw_coefficients(freqs[active], cfg), *_pairs(freqs[active]))
+    return _envelope(np.linalg.eigvalsh(G), G, num, mass, mass)
 
 
 def _cluster_matrix(freqs: np.ndarray, partition) -> np.ndarray:
@@ -217,6 +230,46 @@ def _cluster_matrix(freqs: np.ndarray, partition) -> np.ndarray:
     return np.array(rows).reshape(-1, freqs.size)
 
 
+def _cluster_form(freqs: np.ndarray, partition, active: np.ndarray):
+    """Weights (c, v) of Q on the modes ``active`` (by position in it):
+
+        Q(x) = sum_k c_k |x_k + x_{k+1}|^2 + sum_k v_k |x_k|^2.
+
+    ``c_k`` is 1 where k and k + 1 form a 2-cluster of two active modes;
+    ``v_k`` is ``g^2`` on the modes of a 2-cluster of gap g, plus 1 on an
+    isolated mode or a 2-cluster's only active mode (which so gives
+    ``(1 + g^2) |x_k|^2``).  A 2-cluster must pair two neighbouring modes.
+    """
+    two = np.array([c for c in partition if len(c) == 2], dtype=int).reshape(-1, 2)
+    one = np.array([c[0] for c in partition if len(c) == 1], dtype=int)
+    if np.any(two[:, 1] != two[:, 0] + 1):
+        raise DomainError("a 2-cluster must pair two neighbouring modes")
+    gap = freqs[two[:, 1]] - freqs[two[:, 0]]
+    on = np.zeros(freqs.size, dtype=bool)
+    on[active] = True
+    both = on[two].all(axis=1)
+    c, v = np.zeros(freqs.size), np.zeros(freqs.size)
+    c[two[both, 0]] = 1.0
+    v[two] = (gap * gap)[:, None]
+    v[np.concatenate([one, two[~both].ravel()])] += 1.0
+    return c[active[:-1]], v[active]
+
+
+def _q_values(X: np.ndarray, form) -> np.ndarray:
+    """Q of the coefficient vectors ``X[..., 0, :] + i X[..., 1, :]``."""
+    c, v = form
+    common = X[..., :-1] + X[..., 1:]
+    return (np.einsum("...kn,...kn->...n", common, common) @ c
+            + np.einsum("...kn,...kn->...n", X, X) @ v)
+
+
+def _pair_q(form) -> np.ndarray:
+    """Q of the pairs ``e_k - e_{k+1}`` of neighbouring active modes:
+    ``v_k + v_{k+1} + c_{k-1} + c_{k+1}``, as ``x_k + x_{k+1} = 0``."""
+    c, v = form
+    return (v[:-1] + v[1:]) + np.append(0.0, c[:-1]) + np.append(c[1:], 0.0)
+
+
 def q_form(freqs, coeffs, partition) -> float:
     """Cluster-aware coefficient form Q(x) for a sorted frequency family,
     split into isolated modes and 2-clusters by ``partition`` (for example
@@ -225,7 +278,8 @@ def q_form(freqs, coeffs, partition) -> float:
     coeffs = np.asarray(coeffs)
     if coeffs.shape != freqs.shape:
         raise DomainError("coeffs must match freqs in length")
-    return float(np.sum(np.abs(_cluster_matrix(freqs, partition) @ coeffs) ** 2))
+    form = _cluster_form(freqs, partition, np.arange(freqs.size))
+    return float(_q_values(np.stack([coeffs.real, coeffs.imag]), form))
 
 
 def estimate_clustered(freqs, cfg: InghamConfig) -> InghamEstimate:
@@ -237,7 +291,7 @@ def estimate_clustered(freqs, cfg: InghamConfig) -> InghamEstimate:
     2-cluster of two supported modes with zero gap makes Q vanish on a
     nonzero vector and raises DomainError.
     """
-    freqs, active, G, D = _supported(freqs, cfg)
+    freqs, active, G = _supported(freqs, cfg)
     partition = cluster_partition(freqs, cfg.gamma)
     if any(len(c) == 2 and freqs[c[0]] == freqs[c[1]] and np.isin(c, active).all()
            for c in partition):
@@ -245,5 +299,8 @@ def estimate_clustered(freqs, cfg: InghamConfig) -> InghamEstimate:
     M = _cluster_matrix(freqs, partition)[:, active]
     Rt = np.linalg.qr(M, mode="r").T
     C = np.linalg.solve(Rt, np.linalg.solve(Rt, G).T)
-    MD = _apply(M, D)
-    return _envelope(np.linalg.eigvalsh(C), G, D, np.einsum("dkn,dkn->d", MD, MD))
+    D = _draw_coefficients(freqs[active], cfg)
+    num, mass = _draw_sums(G, D, *_pairs(freqs[active]))
+    form = _cluster_form(freqs, partition, active)
+    den = np.concatenate([_q_values(D, form), _pair_q(form)])
+    return _envelope(np.linalg.eigvalsh(C), G, num, den, mass)

@@ -44,7 +44,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DimensionMismatchError, DomainError, NonFiniteStateError
+from .errors import DimensionMismatchError, DomainError, NonFiniteStateError, check_finite
 
 _SYM_RTOL = 1e-14
 _PSD_RTOL = 1e-12
@@ -280,13 +280,27 @@ def _check_conforms(sys: ModalSystem, state: ModalState) -> None:
         raise DimensionMismatchError("state", sys.n, state.n)
 
 
+def _pair_weights(eta: np.ndarray, beta: float):
+    """The pair-norm weights ``eta^(-2 beta)`` of ``a`` and ``eta^(-2 beta - 1)``
+    of ``b``.  A non-finite ``beta``, or one where either weight overflows to
+    inf or underflows to 0 on some entry of ``eta``, raises DomainError."""
+    check_finite("beta", beta)
+    with np.errstate(over="ignore"):
+        wa = eta ** (-2.0 * beta)
+        wb = eta ** (-2.0 * beta - 1.0)
+    if not all(np.all((w > 0.0) & (w < np.inf)) for w in (wa, wb)):
+        raise DomainError(f"beta = {beta!r} is out of range: a pair-norm weight "
+                          f"eta^(-2 beta) or eta^(-2 beta - 1) is inf or 0 on this system")
+    return wa, wb
+
+
 def pair_norm_sq(sys: ModalSystem, a, b, beta: float):
     """Squared pair norm on the ``-beta`` scale; broadcasts over columns.
 
-    ``a`` and ``b`` may be (n,) vectors or (n, m) column batches.
+    ``a`` and ``b`` may be (n,) vectors or (n, m) column batches.  A ``beta``
+    whose weights ``_pair_weights`` refuses raises DomainError.
     """
-    wa = sys.eta ** (-2.0 * beta)
-    wb = sys.eta ** (-2.0 * beta - 1.0)
+    wa, wb = _pair_weights(sys.eta, beta)
     if np.ndim(a) == 2:
         wa = wa[:, None]
         wb = wb[:, None]

@@ -139,8 +139,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import (DiagnosticFailure, DimensionMismatchError, DomainError, NonFiniteStateError,
-                     check_finite, check_int)
-from .modal import ModalState, ModalSystem
+                     check_int)
+from .modal import ModalState, ModalSystem, _pair_weights
 
 # the energy-identity audit: every step's residual is at most AUDIT_RTOL * E0
 AUDIT_RTOL = 1e-12
@@ -392,9 +392,10 @@ class SchemeSolver:
         """Per group size: (5, g, r) weights of the squared map rows for
         E, visc1, visc2 and the weak norm (on the state rows) and the
         observed damping (on the L rows); cached per beta, which must be
-        finite (else DomainError, before any step)."""
-        check_finite("beta", beta)
+        finite and keep the pair-norm weights finite and nonzero on the
+        system's eta (else DomainError, before any step)."""
         if beta not in self._weight_sets:
+            _pair_weights(self.sys.eta, beta)
             out = []
             for grp, M in zip(self._groups, self._doubled(1)):
                 eta = grp.eta

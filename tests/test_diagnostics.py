@@ -487,12 +487,14 @@ class TestHighFreqContraction:
         assert ratios.size == 50 and np.all(ratios <= 1.0 / 1.02 + 1e-12)
 
     @pytest.mark.parametrize("beta", [40.0, 80.0])
-    def test_nan_ratio_fails(self, beta):
-        # the weak weight eta^(-2 beta - 1) underflows to 0 for every high
-        # mode, so every ratio is 0 / 0: not a number, which fails the bound
+    def test_out_of_range_beta_refused(self, beta):
+        # the weak weight eta^(-2 beta - 1) underflows to 0 on the largest
+        # modes, where every ratio would read 0 / 0: refused before stepping
         sys_ = build_coupled_waves(ExampleParams(0.5, 1.0, 64))
-        with pytest.raises(DiagnosticFailure, match="max ratio nan > 0.98039"):
+        with pytest.raises(DomainError, match=f"beta = {beta!r} is out of range"):
             high_freq_contraction(sys_, self.high_state(sys_, 100.0), beta, 0.01, 1.0, 50)
+        with pytest.raises(DomainError, match=f"beta = {beta!r} is out of range"):
+            high_freq_contraction(sys_, ModalState.zero(sys_.n), beta, 0.01, 1.0, 50)
 
     @pytest.mark.parametrize("extra", [-1, 1], ids=["too_few", "too_many"])
     def test_wrong_size_state_raises_before_stepping(self, monkeypatch, extra):

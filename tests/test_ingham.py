@@ -1,5 +1,6 @@
 """Exponential-sum estimates: exact cases, envelopes, draws, cluster forms."""
 
+import json
 import math
 import warnings
 
@@ -19,15 +20,22 @@ from polystab import (
     check_gap,
     estimate_clustered,
     estimate_scalar,
+    filtering_cutoff,
     ingham_ratio_scalar,
+    modal_multiplier,
     q_form,
 )
+from polystab.cli import main
 from polystab.ingham import (
-    _apply,
+    _cluster_form,
     _cluster_matrix,
     _draw_coefficients,
+    _draw_sums,
     _envelope,
     _gram,
+    _pair_q,
+    _pairs,
+    _q_values,
     support_threshold,
 )
 from polystab.spectra import cluster_partition
@@ -45,6 +53,27 @@ def auto_config(freqs, gap, trials=300, seed=7):
     sigma = 0.9 * math.pi / (np.max(np.abs(freqs)) + 0.5 * gap)
     J = int(math.ceil((math.pi / gap) / sigma)) + 1
     return InghamConfig(sigma=sigma, J=J, gamma=gap, trials=trials, seed=seed)
+
+
+def pair_rows(freqs):
+    """The cancelling pairs ``e_a - e_b`` of modes adjacent in frequency, as
+    dense (n - 1, 2, n) draws in the layout of ``_draw_coefficients``."""
+    order = np.argsort(freqs, kind="stable")
+    rows = np.zeros((freqs.size - 1, 2, freqs.size))
+    for d, (a, b) in enumerate(zip(order[:-1], order[1:])):
+        rows[d, 0, a], rows[d, 0, b] = 1.0, -1.0
+    return rows
+
+
+def as_columns(D):
+    """Complex coefficient columns of real (draws, 2, n) draws."""
+    return (D[:, 0] + 1j * D[:, 1]).T
+
+
+def dense_sums(A, D):
+    """``|A x|^2`` for every draw x of D, through the dense product."""
+    AD = (D.reshape(-1, D.shape[-1]) @ A.T).reshape(*D.shape[:2], A.shape[0])
+    return np.einsum("dkn,dkn->d", AD, AD)
 
 
 class TestRatioScalar:
@@ -147,8 +176,8 @@ class TestDirichletGram:
         n = freqs.size
         rng = np.random.default_rng(cfg.seed)
         X = rng.standard_normal((n, 8)) + 1j * rng.standard_normal((n, 8))
-        D = _draw_coefficients(freqs, cfg)
-        X = np.hstack([X, (D[:, 0] + 1j * D[:, 1]).T])
+        D = np.concatenate([_draw_coefficients(freqs, cfg), pair_rows(freqs)])
+        X = np.hstack([X, as_columns(D)])
         mass = np.sum(np.abs(X) ** 2, axis=0)
         slack = 8 * n * np.finfo(float).eps * np.linalg.norm(G) + tol
         sc = estimate_scalar(freqs, cfg)
@@ -174,17 +203,20 @@ class TestDirichletGram:
         freqs = np.array([-5.0, -3.0, -1.0, 1.0, 3.0, 5.0])
         cfg = gapped_config(trials=20)
         G = _gram(freqs, cfg)
-        D = _draw_coefficients(freqs, cfg)
-        mass = np.einsum("dkn,dkn->d", D, D)
+        num, mass = _draw_sums(G, _draw_coefficients(freqs, cfg), *_pairs(freqs))
+        assert num.shape == mass.shape == (cfg.trials + freqs.size - 1,)
         eigs = np.linalg.eigvalsh(G)
-        est = _envelope(eigs, G, D, mass)
+        est = _envelope(eigs, G, num, mass, mass)
         assert (est.c_lo, est.c_hi) == (eigs[0], eigs[-1])
         # a lower constant above the smallest sampled ratio, or an upper one
-        # below the largest, by far more than the rounding slack
+        # below the largest, by far more than the rounding slack; the least
+        # cancelling pair alone fails a lower constant above its ratio
+        pair_lo = float(np.min(num[cfg.trials:] / 2.0))
         for lo, hi in ((est.sampled_lo * (1 + 1e-9), eigs[-1]),
-                       (eigs[0], est.sampled_hi * (1 - 1e-9))):
+                       (eigs[0], est.sampled_hi * (1 - 1e-9)),
+                       (pair_lo * (1 + 1e-9), eigs[-1])):
             with pytest.raises(DiagnosticFailure, match="outside the exact envelope"):
-                _envelope(np.array([lo, hi]), G, D, mass)
+                _envelope(np.array([lo, hi]), G, num, mass, mass)
 
 
 class TestSampledSums:
@@ -214,24 +246,27 @@ class TestSampledSums:
 
     def test_draw_sums_pairs_match_direct_sum_exactly(self):
         # a cancelling pair e_i - e_j sums to 2 (N sigma - G_ij) with a single
-        # rounding, in whatever order the products are added; on a clustered
-        # family its ratio is the lower sampled extreme
+        # rounding, in whatever order the products are added, so its four-entry
+        # sum is the dense product's bit for bit; on a clustered family its
+        # ratio is the lower sampled extreme
         sys_ = build_coupled_waves(ExampleParams(1.0, 1.0, 16))
         freqs = sys_.mu
         cfg = auto_config(freqs, check_gap(sys_).gamma1, trials=30, seed=2)
         G = _gram(freqs, cfg)
-        D = _draw_coefficients(freqs, cfg)
         n, m = freqs.size, cfg.trials
-        assert D.shape == (m + n - 1, 2, n) and m < n
-        sums = np.einsum("dkn,dkn->d", _apply(G, D), D)
+        D = np.concatenate([_draw_coefficients(freqs, cfg), pair_rows(freqs)])
+        sums, mass = _draw_sums(G, D[:m], *_pairs(freqs))
+        assert D.shape == (m + n - 1, 2, n) and sums.shape == (m + n - 1,) and m < n
+        dense = np.einsum("dkn,dkn->d", (D.reshape(-1, n) @ G.T).reshape(D.shape), D)
+        assert np.array_equal(sums[m:], dense[m:])
+        assert np.array_equal(mass, np.einsum("dkn,dkn->d", D, D))
         order = np.argsort(freqs)
         N = 2 * cfg.J + 1
         assert np.array_equal(sums[m:], 2 * (N * cfg.sigma - G[order[:-1], order[1:]]))
 
-        mass = np.einsum("dkn,dkn->d", D, D)
         slack = 8 * n * np.finfo(float).eps * np.linalg.norm(G)
         tol = (oracle_tolerance(freqs, cfg, 0.0) + slack) * mass
-        direct = sampled_sums(freqs, (D[:, 0] + 1j * D[:, 1]).T, cfg)
+        direct = sampled_sums(freqs, as_columns(D), cfg)
         np.testing.assert_array_less(np.abs(sums - direct), tol)
 
         ratios = sums / mass
@@ -254,17 +289,20 @@ class TestDrawCoefficients:
             pair = np.zeros((2, n))
             pair[0, i], pair[0, j] = 1.0, -1.0
             pairs.append(pair)
-        expect = np.concatenate([gauss, np.stack(pairs)])
         D = _draw_coefficients(w, cfg)
-        assert D.dtype == expect.dtype and D.shape == expect.shape == (cfg.trials + n - 1, 2, n)
-        assert np.array_equal(D, expect)
+        assert D.dtype == gauss.dtype and D.shape == gauss.shape == (cfg.trials, 2, n)
+        assert np.array_equal(D, gauss)
+        # the cancelling pairs e_a - e_b that follow the draws in the check
+        a, b = _pairs(w)
+        rows = np.zeros((n - 1, 2, n))
+        rows[np.arange(n - 1), 0, a], rows[np.arange(n - 1), 0, b] = 1.0, -1.0
+        assert np.array_equal(rows, np.stack(pairs))
 
     def test_draws_do_not_depend_on_trials(self):
         freqs = np.array([-5.0, -3.0, -1.0, 1.0, 3.0, 5.0])
         few = _draw_coefficients(freqs, gapped_config(trials=3))
         many = _draw_coefficients(freqs, gapped_config(trials=40))
-        assert np.array_equal(few[:3], many[:3])
-        assert np.array_equal(few[3:], many[40:])  # the cancelling pairs
+        assert np.array_equal(few, many[:3])
 
 
 class TestEstimateScalar:
@@ -395,14 +433,32 @@ class TestClusterMatrix:
         cfg = auto_config(sys_.mu, gamma1, trials=40, seed=9)
         partition = cluster_partition(sys_.mu, gamma1)
         assert support_threshold(cfg) >= np.max(sys_.mu)  # every mode is supported
-        D = _draw_coefficients(sys_.mu, cfg)
-        X = (D[:, 0] + 1j * D[:, 1]).T
+        X = as_columns(np.concatenate([_draw_coefficients(sys_.mu, cfg), pair_rows(sys_.mu)]))
         G = _gram(sys_.mu, cfg)
         num = np.array([np.real(np.vdot(x, G @ x)) for x in X.T])
         q = np.array([q_form(sys_.mu, x, partition=partition) for x in X.T])
         est = estimate_clustered(sys_.mu, cfg)
         assert est.sampled_lo == pytest.approx(float(np.min(num / q)), rel=1e-12)
         assert est.sampled_hi == pytest.approx(float(np.max(num / q)), rel=1e-12)
+
+    def test_pair_q_matches_dense_cluster_matrix(self):
+        # a pair inside a 2-cluster reads 2 g^2, as ||M (e_a - e_b)||^2 does
+        # exactly; across clusters the same terms add in another order
+        sys_ = build_coupled_waves(ExampleParams(1.0, 1.0, 16))
+        freqs = np.concatenate([sys_.mu, [sys_.mu[-1] + 40.0]])  # one isolated mode
+        partition = cluster_partition(freqs, check_gap(sys_).gamma1)
+        active = np.arange(freqs.size)
+        got = _pair_q(_cluster_form(freqs, partition, active))
+        dense = dense_sums(_cluster_matrix(freqs, partition), pair_rows(freqs))
+        inside = np.array([(k, k + 1) in partition for k in range(freqs.size - 1)])
+        assert inside.any() and not inside.all()
+        assert np.array_equal(got[inside], dense[inside])
+        np.testing.assert_allclose(got, dense, rtol=2 * np.finfo(float).eps, atol=0.0)
+
+    def test_two_cluster_of_non_neighbours_refused(self):
+        freqs = np.array([1.0, 1.1, 1.2])
+        with pytest.raises(DomainError, match="neighbouring modes"):
+            q_form(freqs, np.ones(3), ((0, 2), (1,)))
 
     def test_convention_of_q_form(self):
         # q_form charges g^2 (|x_k|^2 + |x_{k+1}|^2) on a 2-cluster; the
@@ -417,6 +473,38 @@ class TestClusterMatrix:
         assert np.array_equal(
             _cluster_matrix(freqs, ((0, 1),)), np.array([[1.0, 1.0], [g, 0.0], [0.0, g]])
         )
+
+
+@st.composite
+def straddled_families(draw):
+    """A sorted family of isolated modes and 2-clusters (gamma1 = 1), and the
+    positions of the modes kept when a window edge cuts one 2-cluster."""
+    units = draw(st.lists(st.one_of(st.none(), st.floats(1e-3, 0.45)), min_size=1, max_size=8))
+    units.insert(draw(st.integers(0, len(units))), draw(st.floats(1e-3, 0.45)))
+    freqs, f = [], draw(st.floats(-5.0, 5.0))
+    for gap in units:
+        freqs += [f] if gap is None else [f, f + gap]
+        f = freqs[-1] + draw(st.floats(1.0, 3.0))
+    freqs = np.array(freqs)
+    partition = cluster_partition(freqs, 1.0)
+    cut = draw(st.sampled_from([c for c in partition if len(c) == 2]))
+    active = np.arange(cut[1]) if draw(st.booleans()) else np.arange(cut[1], freqs.size)
+    return freqs, partition, active, draw(st.integers(0, 2**32 - 1))
+
+
+class TestStructuredQ:
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(family=straddled_families())
+    def test_matches_cluster_matrix(self, family):
+        # the per-cluster sums equal ||M x||^2 on the kept modes, a cut
+        # 2-cluster's kept mode giving (1 + g^2) |x_k|^2
+        freqs, partition, active, seed = family
+        M = _cluster_matrix(freqs, partition)[:, active]
+        form = _cluster_form(freqs, partition, active)
+        D = np.random.default_rng(seed).standard_normal((16, 2, active.size))
+        np.testing.assert_allclose(_q_values(D, form), dense_sums(M, D), rtol=1e-14, atol=0.0)
+        np.testing.assert_allclose(_pair_q(form), dense_sums(M, pair_rows(freqs[active])),
+                                   rtol=1e-14, atol=0.0)
 
 
 class TestEstimateClustered:
@@ -478,3 +566,68 @@ class TestClusterSeminorm:
 
     def test_zero_coefficients(self):
         assert q_form(np.array([1.0, 1.1]), np.zeros(2), ((0, 1),)) == 0.0
+
+
+class TestExactEnvelopePins:
+    """The exact envelopes are the eigen-solves' bits, whatever way the draws
+    are evaluated; the draws' extremes may move by rounding only.  The hex
+    pins hold with OpenBLAS on one or two threads; at n = 252 the pencil's
+    bits depend on the thread count, so that cell is held to the dense
+    QR-pencil evaluation instead."""
+
+    # (c_lo, c_hi) as float.hex, (sampled_lo, sampled_hi); spectral_audit's
+    # instances: trials 1000, seeds 808 (boundary) and 809 (coupled waves)
+    SPECTRAL = {
+        ("boundary", 16, "scalar"): (("0x1.fe329f21d48bcp+7", "0x1.8cb3c7330ff08p+8"),
+                                     (285.36257965651276, 396.68298576339345)),
+        ("coupled", 8, "scalar"): (("0x1.f27dc40604687p-9", "0x1.7b9f5f5262653p+3"),
+                                   (0.005895964334311721, 8.37504491742009)),
+        ("coupled", 8, "clustered"): (("0x1.a836da4f3c5fap+0", "0x1.fc7a0b6498066p+2"),
+                                      (3.6323125372742466, 5.291713769158317)),
+        ("coupled", 64, "scalar"): (("0x1.aaba49e0fbef6p-15", "0x1.7ffad9c47292dp+3"),
+                                    (7.423458270849892e-05, 5.452768782701458)),
+        ("coupled", 64, "clustered"): (("0x1.479017e9ce38cp+0", "0x1.0094a7a7793d1p+3"),
+                                       (2.9357377882634017, 4.425866931150283)),
+    }
+
+    @staticmethod
+    def check(est, exact, sampled):
+        assert (est.c_lo.hex(), est.c_hi.hex()) == exact
+        np.testing.assert_allclose((est.sampled_lo, est.sampled_hi), sampled, rtol=1e-14, atol=0.0)
+
+    @pytest.mark.parametrize("case", list(SPECTRAL), ids=lambda c: "-".join(map(str, c)))
+    def test_spectral_audit_instances(self, case):
+        family, k_max, kind = case
+        if family == "boundary":
+            sys_ = build_boundary_coupled_waves(ExampleParams(0.5, 1.0, k_max))
+            cfg = auto_config(sys_.mu, check_gap(sys_).gamma, trials=1000, seed=808)
+        else:
+            sys_ = build_coupled_waves(ExampleParams(1.0, 1.0, k_max))
+            cfg = auto_config(sys_.mu, check_gap(sys_).gamma1, trials=1000, seed=809)
+        estimate = estimate_scalar if kind == "scalar" else estimate_clustered
+        self.check(estimate(sys_.mu, cfg), *self.SPECTRAL[case])
+
+    def test_cli_ingham_cell(self, tmp_path):
+        # coupled waves k_max 128 at dt 0.005: 252 low-pass frequencies,
+        # whose least pairwise gap is too small for the scalar window
+        cfg_path = tmp_path / "c.json"
+        cfg_path.write_text(json.dumps({
+            "system": {"type": "coupled_waves", "alpha": 1.0, "gamma": 1.0, "k_max": 128},
+            "scheme": {"dt": 0.005, "t_final": 1.0}}))
+        assert main(["ingham", "--config", str(cfg_path), "--out", str(tmp_path)]) == 0
+        (out,) = tmp_path.glob("*_ingham.json")
+        (cell,) = json.loads(out.read_text())["cells"]
+        assert cell["n_freqs"] == 252 and cell["scalar"]["estimate"] is None
+        est = cell["clustered"]["estimate"]
+        np.testing.assert_allclose((est["sampled_lo"], est["sampled_hi"]),
+                                   (7.641968559342498, 22.931341617507858), rtol=1e-14, atol=0.0)
+
+        sys_ = build_coupled_waves(ExampleParams(1.0, 1.0, 128))
+        alpha = modal_multiplier(sys_.mu[filtering_cutoff(sys_, 0.005, 1.0).retained], 0.005)[0]
+        freqs = np.concatenate([-alpha[::-1], alpha])
+        cfg = InghamConfig(0.005, cell["J"], cell["clustered"]["gamma1"], trials=200, seed=0)
+        active = np.abs(freqs) <= support_threshold(cfg)
+        M = _cluster_matrix(freqs, cluster_partition(freqs, cfg.gamma))[:, active]
+        Rt = np.linalg.qr(M, mode="r").T
+        eigs = np.linalg.eigvalsh(np.linalg.solve(Rt, np.linalg.solve(Rt, _gram(freqs[active], cfg)).T))
+        assert (est["c_lo"], est["c_hi"]) == (max(eigs[0], 0.0), eigs[-1])

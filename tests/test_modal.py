@@ -116,6 +116,34 @@ class TestNormPair:
             )
 
 
+class TestPairWeightRange:
+    """A beta whose pair-norm weight overflows or underflows is refused."""
+
+    @staticmethod
+    def high_state():
+        sys_ = build_coupled_waves(ExampleParams(0.5, 1.0, 64))
+        rng = np.random.default_rng(4)
+        high = sys_.mu > 100.0
+        return sys_, *(np.where(high, rng.standard_normal(sys_.n), 0.0) for _ in "ab")
+
+    @pytest.mark.parametrize("beta", [-40.0, 40.0, 80.0])
+    def test_out_of_range_beta_refused(self, beta):
+        # at -40 eta^(-2 beta) overflows, which times a zero mode is nan; at
+        # 40 and 80 eta^(-2 beta - 1) underflows to 0 on the largest modes
+        sys_, a, b = self.high_state()
+        with pytest.raises(DomainError, match=f"beta = {beta!r} is out of range"):
+            pair_norm_sq(sys_, a, b, beta)
+
+    @pytest.mark.parametrize("beta", [-0.25, 0.0, 0.5])
+    def test_in_range_values_unchanged(self, beta):
+        sys_, a, b = self.high_state()
+        eta = sys_.eta
+        want = np.sum(eta ** (-2.0 * beta) * a**2) + np.sum(eta ** (-2.0 * beta - 1.0) * b**2)
+        assert pair_norm_sq(sys_, a, b, beta) == want
+        batch = pair_norm_sq(sys_, np.stack([a, b], axis=1), np.stack([b, a], axis=1), beta)
+        assert batch[0] == pytest.approx(want, rel=1e-14)  # summed down a column
+
+
 class TestNormDomain:
     def test_values(self):
         assert norm_domain(make_system([1.0]), ModalState.zero(1)) == 0.0

@@ -1395,6 +1395,43 @@ class TestRun:
                 sol.step(ModalState([1.0], [0.0]))
 
 
+class TestWeightRange:
+    """``run`` refuses a beta whose pair-norm weight overflows or underflows,
+    once per beta and before any step; other betas run as they did."""
+
+    @staticmethod
+    def high_state(sys_):
+        rng = np.random.default_rng(4)
+        high = sys_.mu > 100.0
+        return ModalState(*(np.where(high, rng.standard_normal(sys_.n), 0.0) for _ in "ab"))
+
+    @pytest.mark.parametrize("beta", [-40.0, 40.0, 80.0])
+    def test_out_of_range_beta_refused(self, monkeypatch, beta):
+        # unchecked, -40 stepped into a NonFiniteStateError and 80 read weak_sq 0
+        sys_ = build_coupled_waves(ExampleParams(0.5, 1.0, 64))
+        calls = []
+        doubled = schemes.SchemeSolver._doubled
+        monkeypatch.setattr(schemes.SchemeSolver, "_doubled",
+                            lambda self, K: calls.append(K) or doubled(self, K))
+        solver = factorize(sys_, SchemeConfig(dt=0.01, t_final=0.5))
+        with pytest.raises(DomainError, match=f"beta = {beta!r} is out of range"):
+            solver.run(self.high_state(sys_), beta)
+        assert calls == []
+
+    @pytest.mark.parametrize("beta", [-0.25, 0.0, 0.5])
+    def test_in_range_results_unchanged(self, monkeypatch, beta):
+        sys_ = build_coupled_waves(ExampleParams(0.5, 1.0, 64))
+        cfg = SchemeConfig(dt=0.01, t_final=0.5)
+        u0 = self.high_state(sys_)
+        trace = factorize(sys_, cfg).run(u0, beta)
+        monkeypatch.setattr(schemes, "_pair_weights", lambda eta, beta: None)
+        unchecked = factorize(sys_, cfg).run(u0, beta)
+        for name in ("energy", "weak_sq", "damp", "visc1", "visc2", "observed_damp"):
+            assert np.array_equal(getattr(trace, name), getattr(unchecked, name))
+        assert trace.weak_sq[0] == pytest.approx(modal.pair_norm_sq(sys_, u0.a, u0.b, beta),
+                                                 rel=1e-14)
+
+
 class TestDiscreteGapLaw:
     @pytest.mark.parametrize("builder,params", [
         (build_coupled_waves, ExampleParams(alpha=0.5, gamma=1.0, k_max=32)),

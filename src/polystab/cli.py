@@ -16,7 +16,9 @@ rename) and every JSON with the config echo, so one that raises writes
 nothing and leaves behind no ``--out`` directory that the run created.
 CSV floats carry 17 significant digits; JSON uses sorted keys and
 shortest round-trip floats, so identical config + seed gives
-byte-identical files.
+byte-identical files, except the last bits of ``ingham``'s ``c_lo``/``c_hi``
+from about 250 frequencies, which follow the BLAS thread count of the
+symmetric eigen-solve.
 """
 
 from __future__ import annotations

@@ -408,24 +408,29 @@ def _decay_rate(beta: float) -> float:
     return 1.0 / (1.0 + 2.0 * beta)
 
 
-def _loglog_fit(x: np.ndarray, y: np.ndarray) -> tuple:
+def _dot(a: np.ndarray, b: np.ndarray) -> float:
+    # einsum's sum does not depend on the BLAS thread count; `@` does
+    return float(np.einsum("i,i->", a, b))
+
+
+def _loglog_fit(xc: np.ndarray, y: np.ndarray) -> tuple:
     """Least-squares slope of y against x and its R^2, in closed form on the
-    centred samples (every sample counts)."""
-    xc, yc = x - x.mean(), y - y.mean()
-    slope = float(xc @ yc) / float(xc @ xc)
-    ss_tot = float(yc @ yc)
+    centred samples, given ``xc = x - mean(x)`` (every sample counts)."""
+    yc = y - y.mean()
+    slope = _dot(xc, yc) / _dot(xc, xc)
+    ss_tot = _dot(yc, yc)
     resid = yc - slope * xc
-    return slope, 1.0 - float(resid @ resid) / ss_tot if ss_tot > 0.0 else 1.0
+    return slope, 1.0 - _dot(resid, resid) / ss_tot if ss_tot > 0.0 else 1.0
 
 
-def _window_fit(x: np.ndarray, w: np.ndarray, e: np.ndarray) -> tuple:
-    """(M_hat = max(w e), exponent, R^2) of window energies ``e`` at
-    ``x = log(1 + t)`` and weights ``w = (1 + t)^p0``; no exponent or R^2
-    unless every energy is strictly positive."""
+def _window_fit(xc: np.ndarray, w: np.ndarray, e: np.ndarray) -> tuple:
+    """(M_hat = max(w e), exponent, R^2) of window energies ``e`` at the
+    centred ``xc`` of ``x = log(1 + t)`` and weights ``w = (1 + t)^p0``; no
+    exponent or R^2 unless every energy is strictly positive."""
     m_hat = float(np.max(w * e))
     if not np.all(e > 0.0):
         return m_hat, None, None
-    slope, r_sq = _loglog_fit(x, np.log(e))
+    slope, r_sq = _loglog_fit(xc, np.log(e))
     return m_hat, -slope, r_sq
 
 
@@ -446,7 +451,8 @@ def decay_fit(trace: EnergyTrace, beta: float, fit_window) -> DecayFit:
         raise DomainError("initial state has zero generator-domain norm")
     p0 = _decay_rate(beta)
     t = trace.t[mask]
-    m_hat, exponent, r_sq = _window_fit(np.log1p(t), (1.0 + t) ** p0, trace.energy[mask])
+    x = np.log1p(t)
+    m_hat, exponent, r_sq = _window_fit(x - x.mean(), (1.0 + t) ** p0, trace.energy[mask])
     if exponent is None:
         raise DomainError("energy must be strictly positive on the fit window")
     return DecayFit(
@@ -598,9 +604,10 @@ def uniform_decay_study(
         E = np.empty((X0.shape[1], t.size))  # member by member: each fit reads one row
         for b in _blocks_of(factorize(sys, cfg).iterate_raw(X0, t.size - 1)):
             E[:, b.k0 : b.k0 + len(b.energy)] = b.energy.T  # column 0 repeats the last block's end
-        # the window abscissa and the (1+t)^p0 weights serve every member;
-        # the window of E is a view (a copy would add ~3 MiB of peak RSS)
+        # the centred window abscissa and the (1+t)^p0 weights serve every
+        # member; the window of E is a view (a copy would add ~3 MiB of peak RSS)
         x, w, Ew = np.log1p(t[win]), (1.0 + t[win]) ** p0, E[:, win]
+        x -= x.mean()
         fits = [MemberFit(label, *_window_fit(x, w, e)) for (label, _), e in zip(family, Ew)]
         m_hat, exponent, r_sq = _window_fit(x, w, Ew.max(axis=0))
         envelope = None if exponent is None else DecayFit(

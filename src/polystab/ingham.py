@@ -29,11 +29,13 @@ Dirichlet-kernel Gram (whatever J is)
 are exact extremes of Rayleigh quotients (Baiocchi-Komornik-Loreti, Acta
 Math. Hungar. 97, 2002): on the supported modes, the extreme eigenvalues of
 G (the scalar envelope, uniform in t since ``|y| = |x|``) and of the pencil
-``(G, M^T M)``, with ``Q(x) = ||M x||^2`` for the real cluster matrix M of
-``_cluster_matrix`` (the clustered envelope).  The eigen-solves are
-accurate to about ``eps ||G||`` in absolute terms (times ``||R^-1||^2``,
-``M = Q_M R``, for the pencil); G is positive semidefinite, so a rounded
-negative lower constant is reported as 0.
+``(G, Q)`` (the clustered envelope).  Q's matrix is block diagonal with
+1 x 1 and 2 x 2 blocks, so a block-diagonal T with ``Q(T y) = ||y||^2``
+is known in closed form and the pencil has the eigenvalues of ``T^T G T``.
+The eigen-solves are accurate to about ``eps ||G||`` in absolute terms,
+divided for the pencil by Q's least eigenvalue ``min(1, g^2)``, g the
+least gap of a 2-cluster of two supported modes; G is positive
+semidefinite, so a rounded negative lower constant is reported as 0.
 
 Seeded draws cross-check each envelope: ``trials`` complex Gaussian
 vectors plus the cancelling pairs ``e_a - e_b`` of adjacent supported
@@ -42,7 +44,8 @@ denominator d.  A pair reads four entries of G, ``(G_aa - G_ab) - (G_ba -
 G_bb)``, and its Q from the partition, and Q of a draw is summed cluster by
 cluster, so beyond the draws' ``x^H G x`` the check costs O(n) per draw.
 A ratio outside the envelope by more than the rounding slack
-``8 n eps ||G||_F ||x||^2 / d(x)`` raises DiagnosticFailure.
+``8 n eps ||G||_F ||x||^2 / d(x)`` raises DiagnosticFailure.  A
+non-finite frequency, coefficient or t raises DomainError.
 """
 
 from __future__ import annotations
@@ -107,9 +110,26 @@ def _support_mask(freqs: np.ndarray, cfg: InghamConfig) -> np.ndarray:
     return np.abs(freqs) <= support_threshold(cfg)
 
 
+def _finite(name: str, x, dtype=None) -> np.ndarray:
+    """``x`` as an array, refused (DomainError) unless every entry is finite."""
+    x = np.asarray(x, dtype=dtype)
+    bad = x[~np.isfinite(x)]
+    if bad.size:
+        raise DomainError(f"{name} must be finite; got {bad[0].item()!r}")
+    return x
+
+
+def _family(freqs, coeffs):
+    """Finite frequencies and coefficients of one shape."""
+    freqs, coeffs = _finite("freqs", freqs, float), _finite("coeffs", coeffs)
+    if coeffs.shape != freqs.shape:
+        raise DomainError("coeffs must match freqs in length")
+    return freqs, coeffs
+
+
 def _supported(freqs, cfg: InghamConfig):
     """Frequencies, supported indices, and the Gram on those modes."""
-    freqs = np.asarray(freqs, dtype=float)
+    freqs = _finite("freqs", freqs, float)
     active = np.nonzero(_support_mask(freqs, cfg))[0]
     if active.size == 0:
         raise DomainError("no frequencies inside the support window")
@@ -133,10 +153,8 @@ def ingham_ratio_scalar(freqs, coeffs, cfg: InghamConfig, t: float = 0.0) -> flo
     Coefficients violating the support condition are zeroed (with a
     warning); the ratio is computed on the survivors.
     """
-    freqs = np.asarray(freqs, dtype=float)
-    coeffs = np.asarray(coeffs)
-    if coeffs.shape != freqs.shape:
-        raise DomainError("coeffs must match freqs in length")
+    freqs, coeffs = _family(freqs, coeffs)
+    _finite("t", t)
     mask = _support_mask(freqs, cfg)
     zeroed = int(np.count_nonzero(coeffs[~mask]))
     if zeroed:
@@ -211,25 +229,6 @@ def estimate_scalar(freqs, cfg: InghamConfig) -> InghamEstimate:
     return _envelope(np.linalg.eigvalsh(G), G, num, mass, mass)
 
 
-def _cluster_matrix(freqs: np.ndarray, partition) -> np.ndarray:
-    """Real matrix M with Q(x) = ||M x||^2 for the given cluster partition.
-
-    An isolated mode k gives the row ``e_k``; a 2-cluster (i, j) with gap
-    ``g = omega_j - omega_i`` gives the rows ``e_i + e_j``, ``g e_i`` and
-    ``g e_j``.
-    """
-    eye = np.eye(freqs.size)
-    rows = []
-    for cluster in partition:
-        if len(cluster) == 1:
-            rows.append(eye[cluster[0]])
-        else:
-            i, j = cluster
-            gap = freqs[j] - freqs[i]
-            rows += [eye[i] + eye[j], gap * eye[i], gap * eye[j]]
-    return np.array(rows).reshape(-1, freqs.size)
-
-
 def _cluster_form(freqs: np.ndarray, partition, active: np.ndarray):
     """Weights (c, v) of Q on the modes ``active`` (by position in it):
 
@@ -274,33 +273,39 @@ def q_form(freqs, coeffs, partition) -> float:
     """Cluster-aware coefficient form Q(x) for a sorted frequency family,
     split into isolated modes and 2-clusters by ``partition`` (for example
     ``cluster_partition(freqs, gamma1)``)."""
-    freqs = np.asarray(freqs, dtype=float)
-    coeffs = np.asarray(coeffs)
-    if coeffs.shape != freqs.shape:
-        raise DomainError("coeffs must match freqs in length")
+    freqs, coeffs = _family(freqs, coeffs)
     form = _cluster_form(freqs, partition, np.arange(freqs.size))
     return float(_q_values(np.stack([coeffs.real, coeffs.imag]), form))
+
+
+def _q_basis(A: np.ndarray, form) -> np.ndarray:
+    """``A T`` for the block-diagonal T with ``Q(T y) = ||y||^2``: on an
+    active 2-cluster of gap g (``v_k = g^2``, Q's block ``[[1 + g^2, 1],
+    [1, 1 + g^2]]``) T holds ``(e_k + e_{k+1}) / sqrt(2 (2 + g^2))`` and
+    ``(e_k - e_{k+1}) / (sqrt(2) g)``, elsewhere ``e_k / sqrt(v_k)``."""
+    c, v = form
+    k = np.flatnonzero(c)
+    out = A / np.sqrt(v)
+    out[:, k] = (A[:, k] + A[:, k + 1]) / np.sqrt(2.0 * (2.0 + v[k]))
+    out[:, k + 1] = (A[:, k] - A[:, k + 1]) / np.sqrt(2.0 * v[k])
+    return out
 
 
 def estimate_clustered(freqs, cfg: InghamConfig) -> InghamEstimate:
     """Exact envelope of ``S(x, 0) / Q(x)``.
 
     ``cfg.gamma`` plays the role of the 2-separated constant and defines
-    the cluster partition.  With ``M = Q_M R`` on the supported modes the
-    pencil ``(G, M^T M)`` has the eigenvalues of ``R^-T G R^-1``.  A
-    2-cluster of two supported modes with zero gap makes Q vanish on a
-    nonzero vector and raises DomainError.
+    the cluster partition.  The pencil ``(G, Q)`` has the eigenvalues of
+    ``T^T G T`` (``_q_basis``), formed in O(n^2).  A 2-cluster of two
+    supported modes whose squared gap is 0 makes Q vanish on a nonzero
+    vector and raises DomainError.
     """
     freqs, active, G = _supported(freqs, cfg)
-    partition = cluster_partition(freqs, cfg.gamma)
-    if any(len(c) == 2 and freqs[c[0]] == freqs[c[1]] and np.isin(c, active).all()
-           for c in partition):
+    form = _cluster_form(freqs, cluster_partition(freqs, cfg.gamma), active)
+    if np.any(form[1] == 0.0):  # v is at least 1 off an active 2-cluster
         raise DomainError("Q(x) vanishes on a supported 2-cluster with zero gap")
-    M = _cluster_matrix(freqs, partition)[:, active]
-    Rt = np.linalg.qr(M, mode="r").T
-    C = np.linalg.solve(Rt, np.linalg.solve(Rt, G).T)
     D = _draw_coefficients(freqs[active], cfg)
     num, mass = _draw_sums(G, D, *_pairs(freqs[active]))
-    form = _cluster_form(freqs, partition, active)
     den = np.concatenate([_q_values(D, form), _pair_q(form)])
+    C = _q_basis(_q_basis(G, form).T, form)
     return _envelope(np.linalg.eigvalsh(C), G, num, den, mass)

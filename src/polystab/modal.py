@@ -75,7 +75,7 @@ class ModalSystem:
     eta : (n,) positive eigenvalues of the spatial operator, nondecreasing.
     blocks : per group size, the ``(idx, gram)`` pair described above.
     labels : per-mode branch tags, e.g. ``("-", 3)``; empty tuple if unused.
-    mu : (n,) frequencies, ``sqrt(eta)`` if None, else checked against it.
+    mu : (n,) positive frequencies, ``sqrt(eta)`` if None, else checked against it.
     bstar_norms : (n,) per-mode observation norms, ``sqrt(diag(damp_gram))``
         (derived, not passed).
     """
@@ -99,6 +99,8 @@ class ModalSystem:
         mu = np.sqrt(eta) if self.mu is None else np.asarray(self.mu, dtype=float)
         if mu.shape != eta.shape:
             raise DimensionMismatchError("mu", eta.size, mu.size)
+        if not np.all(mu > 0.0):
+            raise DomainError("mu must be strictly positive")
         if self.mu is not None and np.max(np.abs(mu**2 - eta)) > 1e-12 * np.max(eta):
             raise DomainError("mu**2 inconsistent with eta")
 

@@ -176,3 +176,29 @@ def sample_matrix(freqs, cfg, t=0.0):
 def sampled_sums(freqs, X, cfg, t=0.0):
     """``sigma ||E x||^2`` per column x of X, summed sample by sample."""
     return cfg.sigma * np.sum(np.abs(sample_matrix(freqs, cfg, t) @ X) ** 2, axis=0)
+
+
+def cluster_matrix(freqs, partition):
+    """Real matrix M with ``Q(x) = ||M x||^2`` for a cluster partition, row
+    by row: an isolated mode k gives ``e_k``; a 2-cluster (i, j) of gap
+    ``g = omega_j - omega_i`` gives ``e_i + e_j``, ``g e_i`` and ``g e_j``."""
+    eye = np.eye(len(freqs))
+    rows = []
+    for cluster in partition:
+        if len(cluster) == 1:
+            rows.append(eye[cluster[0]])
+        else:
+            i, j = cluster
+            gap = freqs[j] - freqs[i]
+            rows += [eye[i] + eye[j], gap * eye[i], gap * eye[j]]
+    return np.array(rows).reshape(-1, len(freqs))
+
+
+def qr_pencil(G, M):
+    """Ascending eigenvalues of the pencil ``(G, M^T M)`` through ``M = Q R``,
+    as those of ``R^-T G R^-1``, and the rounding bound
+    ``n eps ||G||_F ||R^-1||^2`` of an eigenvalue of the pencil."""
+    Rt = np.linalg.qr(M, mode="r").T
+    eigs = np.linalg.eigvalsh(np.linalg.solve(Rt, np.linalg.solve(Rt, G).T))
+    r_inv = np.linalg.norm(np.linalg.inv(Rt), 2)
+    return eigs, G.shape[0] * np.finfo(float).eps * np.linalg.norm(G) * r_inv**2

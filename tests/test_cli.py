@@ -600,6 +600,26 @@ class TestDecayCommand:
         assert len(capsys.readouterr().err.splitlines()) == 1
         assert not (tmp_path / "d_decay.json").exists()
 
+    def test_output_does_not_depend_on_blas_threads(self, tmp_path):
+        # the fits reduce windows of ~4e4 samples, where a threaded BLAS dot
+        # rounds differently on one and on two threads
+        payload = {
+            "system": {"type": "coupled_waves", "alpha": 0.5, "gamma": 1.0, "k_max": 4},
+            "scheme": {"dt": 0.005, "t_final": 200.0},
+            "output": {"prefix": "d"},
+        }
+        p = write_config(tmp_path / "c.json", payload)
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        outs = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=os.pathsep.join(
+                q for q in (src, os.environ.get("PYTHONPATH")) if q))
+            out = tmp_path / f"t{threads}"
+            args = [sys.executable, "-m", "polystab.cli", "decay", "--config", p, "--out", str(out)]
+            assert subprocess.run(args, env=env).returncode == 0
+            outs.append((out / "d_decay.json").read_bytes())
+        assert outs[0] == outs[1]
+
     def test_underflowing_envelope_inconclusive(self, tmp_path):
         payload = {
             "system": {"type": "custom", "eta": [1e4]},

@@ -6,7 +6,7 @@ import warnings
 
 import numpy as np
 import pytest
-from helpers import sample_matrix, sampled_sums
+from helpers import cluster_matrix, qr_pencil, sample_matrix, sampled_sums
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -28,13 +28,13 @@ from polystab import (
 from polystab.cli import main
 from polystab.ingham import (
     _cluster_form,
-    _cluster_matrix,
     _draw_coefficients,
     _draw_sums,
     _envelope,
     _gram,
     _pair_q,
     _pairs,
+    _q_basis,
     _q_values,
     support_threshold,
 )
@@ -129,6 +129,36 @@ class TestRatioScalar:
             InghamConfig(**kwargs)
 
 
+class TestNonFiniteInput:
+    """Every entry point refuses a non-finite frequency, coefficient or t
+    instead of dropping the mode or returning nan."""
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_frequencies(self, bad):
+        freqs, cfg = np.array([1.0, 3.0, bad]), gapped_config(trials=20)
+        for estimate in (estimate_scalar, estimate_clustered):
+            with pytest.raises(DomainError, match="freqs must be finite"):
+                estimate(freqs, cfg)
+        with pytest.raises(DomainError, match="freqs must be finite"):
+            ingham_ratio_scalar(freqs, np.ones(3), cfg)
+        with pytest.raises(DomainError, match="freqs must be finite"):
+            q_form(freqs, np.ones(3), ((0,), (1,), (2,)))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, complex(0.0, math.nan),
+                                     complex(-math.inf, 1.0)])
+    def test_coefficients(self, bad):
+        freqs, x = np.array([1.0, 3.0, 5.0]), np.array([1.0, bad, 1.0j])
+        with pytest.raises(DomainError, match="coeffs must be finite"):
+            ingham_ratio_scalar(freqs, x, gapped_config())
+        with pytest.raises(DomainError, match="coeffs must be finite"):
+            q_form(freqs, x, ((0,), (1,), (2,)))
+
+    @pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])
+    def test_time(self, t):
+        with pytest.raises(DomainError, match="t must be finite"):
+            ingham_ratio_scalar(np.array([1.0, 3.0]), np.ones(2), gapped_config(), t=t)
+
+
 @st.composite
 def sampled_families(draw):
     """A sorted family inside the support window of a valid sampling, with
@@ -194,7 +224,7 @@ class TestDirichletGram:
             return
         cl = estimate_clustered(freqs, cfg)
         assert 0.0 <= cl.c_lo <= cl.c_hi  # 0 when a duplicate straddles two clusters
-        q = np.sum(np.abs(_cluster_matrix(freqs, partition) @ X) ** 2, axis=0)
+        q = np.sum(np.abs(cluster_matrix(freqs, partition) @ X) ** 2, axis=0)
         ratios = sampled_sums(freqs, X, cfg) / q
         slack = slack * mass / q
         assert np.all(ratios >= cl.c_lo - slack) and np.all(ratios <= cl.c_hi + slack)
@@ -421,7 +451,7 @@ class TestClusterMatrix:
         assert {len(c) for c in partition} == {1, 2}
         rng = np.random.default_rng(4)
         X = rng.standard_normal((freqs.size, 25)) + 1j * rng.standard_normal((freqs.size, 25))
-        batched = np.sum(np.abs(_cluster_matrix(freqs, partition) @ X) ** 2, axis=0)
+        batched = np.sum(np.abs(cluster_matrix(freqs, partition) @ X) ** 2, axis=0)
         per_column = np.array([q_form(freqs, X[:, c], partition=partition) for c in range(25)])
         reference = np.array([q_reference(freqs, X[:, c], partition) for c in range(25)])
         np.testing.assert_allclose(batched, per_column, rtol=1e-14, atol=0.0)
@@ -449,7 +479,7 @@ class TestClusterMatrix:
         partition = cluster_partition(freqs, check_gap(sys_).gamma1)
         active = np.arange(freqs.size)
         got = _pair_q(_cluster_form(freqs, partition, active))
-        dense = dense_sums(_cluster_matrix(freqs, partition), pair_rows(freqs))
+        dense = dense_sums(cluster_matrix(freqs, partition), pair_rows(freqs))
         inside = np.array([(k, k + 1) in partition for k in range(freqs.size - 1)])
         assert inside.any() and not inside.all()
         assert np.array_equal(got[inside], dense[inside])
@@ -471,16 +501,18 @@ class TestClusterMatrix:
             common + g**2 * (abs(a) ** 2 + abs(b) ** 2), rel=1e-14
         )
         assert np.array_equal(
-            _cluster_matrix(freqs, ((0, 1),)), np.array([[1.0, 1.0], [g, 0.0], [0.0, g]])
+            cluster_matrix(freqs, ((0, 1),)), np.array([[1.0, 1.0], [g, 0.0], [0.0, g]])
         )
 
 
 @st.composite
 def straddled_families(draw):
-    """A sorted family of isolated modes and 2-clusters (gamma1 = 1), and the
-    positions of the modes kept when a window edge cuts one 2-cluster."""
-    units = draw(st.lists(st.one_of(st.none(), st.floats(1e-3, 0.45)), min_size=1, max_size=8))
-    units.insert(draw(st.integers(0, len(units))), draw(st.floats(1e-3, 0.45)))
+    """A sorted family of isolated modes and 2-clusters (gamma1 = 1, gaps
+    log-uniform over 1e-6..0.45), and the positions of the modes kept when a
+    window edge cuts one 2-cluster."""
+    gaps = st.floats(-6.0, math.log10(0.45)).map(lambda e: 10.0**e)
+    units = draw(st.lists(st.one_of(st.none(), gaps), min_size=1, max_size=8))
+    units.insert(draw(st.integers(0, len(units))), draw(gaps))
     freqs, f = [], draw(st.floats(-5.0, 5.0))
     for gap in units:
         freqs += [f] if gap is None else [f, f + gap]
@@ -499,12 +531,30 @@ class TestStructuredQ:
         # the per-cluster sums equal ||M x||^2 on the kept modes, a cut
         # 2-cluster's kept mode giving (1 + g^2) |x_k|^2
         freqs, partition, active, seed = family
-        M = _cluster_matrix(freqs, partition)[:, active]
+        M = cluster_matrix(freqs, partition)[:, active]
         form = _cluster_form(freqs, partition, active)
         D = np.random.default_rng(seed).standard_normal((16, 2, active.size))
         np.testing.assert_allclose(_q_values(D, form), dense_sums(M, D), rtol=1e-14, atol=0.0)
         np.testing.assert_allclose(_pair_q(form), dense_sums(M, pair_rows(freqs[active])),
                                    rtol=1e-14, atol=0.0)
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(family=straddled_families())
+    def test_q_basis_against_dense_pencil(self, family):
+        # T^T (M^T M) T = I, formed as (M T)^T (M T); the eigenvalues of
+        # T^T G T lie within the pencil's rounding bound of the dense QR route
+        freqs, partition, active, _ = family
+        M = cluster_matrix(freqs, partition)[:, active]
+        form = _cluster_form(freqs, partition, active)
+        MT = _q_basis(M, form)
+        np.testing.assert_allclose(MT.T @ MT, np.eye(active.size), rtol=0.0,
+                                   atol=4 * np.finfo(float).eps)
+        sigma = min(math.pi, 0.9 * math.pi / (np.max(np.abs(freqs)) + 0.5))
+        cfg = InghamConfig(sigma=sigma, J=int(math.ceil(math.pi / sigma)) + 1, gamma=1.0)
+        G = _gram(freqs[active], cfg)
+        eigs, bound = qr_pencil(G, M)
+        np.testing.assert_allclose(np.linalg.eigvalsh(_q_basis(_q_basis(G, form).T, form)), eigs,
+                                   rtol=0.0, atol=bound)
 
 
 class TestEstimateClustered:
@@ -546,6 +596,13 @@ class TestEstimateClustered:
         assert est.c_lo <= num / q <= est.c_hi
         assert est.c_lo > 0.0
 
+    @pytest.mark.parametrize("gap", [0.0, 1e-170], ids=["zero", "square_underflows"])
+    def test_vanishing_q_refused(self, gap):
+        # Q(e_0 - e_1) = 2 g^2 is 0 in floating point for both gaps
+        freqs = np.array([-3.0, 0.0, gap, 3.0])
+        with pytest.raises(DomainError, match="zero gap"):
+            estimate_clustered(freqs, auto_config(freqs, 1.0, trials=5, seed=0))
+
 
 class TestClusterSeminorm:
     """Hand values of the cluster seminorm ``Q(x)`` (``q_form``)."""
@@ -571,9 +628,9 @@ class TestClusterSeminorm:
 class TestExactEnvelopePins:
     """The exact envelopes are the eigen-solves' bits, whatever way the draws
     are evaluated; the draws' extremes may move by rounding only.  The hex
-    pins hold with OpenBLAS on one or two threads; at n = 252 the pencil's
-    bits depend on the thread count, so that cell is held to the dense
-    QR-pencil evaluation instead."""
+    pins hold with OpenBLAS on one or two threads; at n = 252 the bits of
+    ``eigvalsh`` depend on the thread count, so that cell is held to the
+    dense QR pencil within its rounding bound instead."""
 
     # (c_lo, c_hi) as float.hex, (sampled_lo, sampled_hi); spectral_audit's
     # instances: trials 1000, seeds 808 (boundary) and 809 (coupled waves)
@@ -586,7 +643,7 @@ class TestExactEnvelopePins:
                                       (3.6323125372742466, 5.291713769158317)),
         ("coupled", 64, "scalar"): (("0x1.aaba49e0fbef6p-15", "0x1.7ffad9c47292dp+3"),
                                     (7.423458270849892e-05, 5.452768782701458)),
-        ("coupled", 64, "clustered"): (("0x1.479017e9ce38cp+0", "0x1.0094a7a7793d1p+3"),
+        ("coupled", 64, "clustered"): (("0x1.479017e9ce390p+0", "0x1.0094a7a7793cep+3"),
                                        (2.9357377882634017, 4.425866931150283)),
     }
 
@@ -627,7 +684,7 @@ class TestExactEnvelopePins:
         freqs = np.concatenate([-alpha[::-1], alpha])
         cfg = InghamConfig(0.005, cell["J"], cell["clustered"]["gamma1"], trials=200, seed=0)
         active = np.abs(freqs) <= support_threshold(cfg)
-        M = _cluster_matrix(freqs, cluster_partition(freqs, cfg.gamma))[:, active]
-        Rt = np.linalg.qr(M, mode="r").T
-        eigs = np.linalg.eigvalsh(np.linalg.solve(Rt, np.linalg.solve(Rt, _gram(freqs[active], cfg)).T))
-        assert (est["c_lo"], est["c_hi"]) == (max(eigs[0], 0.0), eigs[-1])
+        M = cluster_matrix(freqs, cluster_partition(freqs, cfg.gamma))[:, active]
+        eigs, bound = qr_pencil(_gram(freqs[active], cfg), M)
+        np.testing.assert_allclose((est["c_lo"], est["c_hi"]), (eigs[0], eigs[-1]),
+                                   rtol=0.0, atol=bound)

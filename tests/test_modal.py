@@ -233,6 +233,10 @@ INVALID = {
     "empty_eta": {"eta": []},
     "mu_inconsistent": {"eta": [1.0, 4.0], "mu": [1.0, 2.1]},
     "mu_length": {"eta": [1.0, 4.0], "mu": [1.0]},
+    # mu**2 matches eta whatever the sign of mu
+    "mu_negative": {"eta": [1.0, 4.0, 9.0], "mu": [-1.0, -2.0, -3.0]},
+    "mu_one_negative": {"eta": [1.0, 4.0], "mu": [1.0, -2.0]},
+    "mu_nan": {"eta": [1.0, 4.0], "mu": [1.0, np.nan]},
     "labels_length": {"eta": [1.0, 4.0], "labels": ("a",)},
     "nonfinite_block": {"eta": [1.0, 4.0], "D": [[np.inf, 0.1], [0.1, 1.0]]},
     "asymmetric_block": {"eta": [1.0, 4.0], "D": [[1.0, 0.5], [0.2, 1.0]]},

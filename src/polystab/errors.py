@@ -57,3 +57,12 @@ def check_positive(name: str, value) -> None:
     """Raise DomainError unless ``value`` is positive and finite."""
     if not 0.0 < value < math.inf:
         raise DomainError(f"{name} must be positive and finite; got {value!r}")
+
+
+def finite_array(name: str, x, dtype=None) -> np.ndarray:
+    """``x`` as an array, refused (DomainError) unless every entry is finite."""
+    x = np.asarray(x, dtype=dtype)
+    bad = x[~np.isfinite(x)]
+    if bad.size:
+        raise DomainError(f"{name} must be finite; got {bad[0].item()!r}")
+    return x

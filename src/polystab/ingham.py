@@ -46,6 +46,14 @@ cluster, so beyond the draws' ``x^H G x`` the check costs O(n) per draw.
 A ratio outside the envelope by more than the rounding slack
 ``8 n eps ||G||_F ||x||^2 / d(x)`` raises DiagnosticFailure.  A
 non-finite frequency, coefficient or t raises DomainError.
+
+Both envelopes of one family share its sampled part: G and ``||G||_F``,
+the draws and their ``x^H G x`` and ``||x||^2``, keyed by the supported
+frequencies' bits, sigma, J, trials and seed.  The module holds at most
+one such family, for the envelope that did not build it; the next call
+releases it.  So a scalar/clustered pair builds it once, a repeated call
+of one envelope builds it again, and every result has the bits of a cold
+call.
 """
 
 from __future__ import annotations
@@ -53,10 +61,11 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DiagnosticFailure, DomainError, check_int, check_positive
+from .errors import DiagnosticFailure, DomainError, check_int, check_positive, finite_array
 from .spectra import cluster_partition
 
 
@@ -110,30 +119,21 @@ def _support_mask(freqs: np.ndarray, cfg: InghamConfig) -> np.ndarray:
     return np.abs(freqs) <= support_threshold(cfg)
 
 
-def _finite(name: str, x, dtype=None) -> np.ndarray:
-    """``x`` as an array, refused (DomainError) unless every entry is finite."""
-    x = np.asarray(x, dtype=dtype)
-    bad = x[~np.isfinite(x)]
-    if bad.size:
-        raise DomainError(f"{name} must be finite; got {bad[0].item()!r}")
-    return x
-
-
 def _family(freqs, coeffs):
     """Finite frequencies and coefficients of one shape."""
-    freqs, coeffs = _finite("freqs", freqs, float), _finite("coeffs", coeffs)
+    freqs, coeffs = finite_array("freqs", freqs, float), finite_array("coeffs", coeffs)
     if coeffs.shape != freqs.shape:
         raise DomainError("coeffs must match freqs in length")
     return freqs, coeffs
 
 
 def _supported(freqs, cfg: InghamConfig):
-    """Frequencies, supported indices, and the Gram on those modes."""
-    freqs = _finite("freqs", freqs, float)
+    """Finite frequencies and the indices of the supported ones."""
+    freqs = finite_array("freqs", freqs, float)
     active = np.nonzero(_support_mask(freqs, cfg))[0]
     if active.size == 0:
         raise DomainError("no frequencies inside the support window")
-    return freqs, active, _gram(freqs[active], cfg)
+    return freqs, active
 
 
 def _gram(freqs: np.ndarray, cfg: InghamConfig) -> np.ndarray:
@@ -154,7 +154,7 @@ def ingham_ratio_scalar(freqs, coeffs, cfg: InghamConfig, t: float = 0.0) -> flo
     warning); the ratio is computed on the survivors.
     """
     freqs, coeffs = _family(freqs, coeffs)
-    _finite("t", t)
+    finite_array("t", t)
     mask = _support_mask(freqs, cfg)
     zeroed = int(np.count_nonzero(coeffs[~mask]))
     if zeroed:
@@ -199,13 +199,54 @@ def _draw_sums(G: np.ndarray, D: np.ndarray, a: np.ndarray, b: np.ndarray):
     return num, mass
 
 
-def _envelope(eigs: np.ndarray, G: np.ndarray, num: np.ndarray, den: np.ndarray,
-              mass: np.ndarray) -> InghamEstimate:
-    """Envelope of the ascending ``eigs``, cross-checked by the draws'
-    numerators, denominators and masses (module docstring)."""
+class _Sampled(NamedTuple):
+    """What both envelopes of one family share: the Gram G on the supported
+    frequencies and ``||G||_F``, the draws D and the draws' and pairs'
+    ``x^H G x`` (num) and ``||x||^2`` (mass).  Its arrays are read-only."""
+
+    key: tuple
+    G: np.ndarray
+    norm: float
+    D: np.ndarray
+    num: np.ndarray
+    mass: np.ndarray
+
+
+# (envelope that built it, family) until the next call (module docstring)
+_held: tuple[str, _Sampled] | None = None
+
+
+def _sampled(freqs: np.ndarray, cfg: InghamConfig, envelope: str) -> _Sampled:
+    """The sampled family of the supported frequencies ``freqs`` under cfg.
+
+    Its key is the bits of ``freqs`` and sigma, J, trials and seed; gamma
+    is not part of it, since it acts only through which frequencies are
+    supported (and the clustered partition, which is not shared).  The
+    family held by the other envelope under the same key is taken instead
+    of built; a family built here is held for the other envelope.
+    """
+    global _held
+    key = (freqs.tobytes(), cfg.sigma, cfg.J, cfg.trials, cfg.seed)
+    held, _held = _held, None  # released before another is built
+    if held is not None and held[0] != envelope and held[1].key == key:
+        return held[1]
+    G = _gram(freqs, cfg)
+    D = _draw_coefficients(freqs, cfg)
+    num, mass = _draw_sums(G, D, *_pairs(freqs))
+    for a in (G, D, num, mass):
+        a.flags.writeable = False
+    family = _Sampled(key, G, float(np.linalg.norm(G)), D, num, mass)
+    _held = (envelope, family)
+    return family
+
+
+def _envelope(eigs: np.ndarray, family: _Sampled, den: np.ndarray) -> InghamEstimate:
+    """Envelope of the ascending ``eigs``, cross-checked by the family's
+    draws with the denominators ``den`` (module docstring)."""
+    n, num, mass = family.G.shape[0], family.num, family.mass
     lo, hi = max(float(eigs[0]), 0.0), float(eigs[-1])
     ratios = num / den
-    slack = 8 * G.shape[0] * np.finfo(float).eps * np.linalg.norm(G) * mass / den
+    slack = 8 * n * np.finfo(float).eps * family.norm * mass / den
     outside = np.nonzero((ratios < lo - slack) | (ratios > hi + slack))[0]
     if outside.size:
         i = int(outside[0])
@@ -218,15 +259,20 @@ def _envelope(eigs: np.ndarray, G: np.ndarray, num: np.ndarray, den: np.ndarray,
         c_hi=hi,
         sampled_lo=float(np.min(ratios)),
         sampled_hi=float(np.max(ratios)),
-        n_active=G.shape[0],
+        n_active=n,
     )
 
 
 def estimate_scalar(freqs, cfg: InghamConfig) -> InghamEstimate:
-    """Exact envelope of ``S(x, t) / sum |x_k|^2`` (the same for every t)."""
-    freqs, active, G = _supported(freqs, cfg)
-    num, mass = _draw_sums(G, _draw_coefficients(freqs[active], cfg), *_pairs(freqs[active]))
-    return _envelope(np.linalg.eigvalsh(G), G, num, mass, mass)
+    """Exact envelope of ``S(x, t) / sum |x_k|^2`` (the same for every t).
+
+    Adds ``eigvalsh(G)`` to the sampled family (``_sampled``), which an
+    ``estimate_clustered`` call on the same supported frequencies, sigma,
+    J, trials and seed builds or takes.
+    """
+    freqs, active = _supported(freqs, cfg)
+    family = _sampled(freqs[active], cfg, "scalar")
+    return _envelope(np.linalg.eigvalsh(family.G), family, family.mass)
 
 
 def _cluster_form(freqs: np.ndarray, partition, active: np.ndarray):
@@ -237,10 +283,16 @@ def _cluster_form(freqs: np.ndarray, partition, active: np.ndarray):
     ``c_k`` is 1 where k and k + 1 form a 2-cluster of two active modes;
     ``v_k`` is ``g^2`` on the modes of a 2-cluster of gap g, plus 1 on an
     isolated mode or a 2-cluster's only active mode (which so gives
-    ``(1 + g^2) |x_k|^2``).  A 2-cluster must pair two neighbouring modes.
+    ``(1 + g^2) |x_k|^2``).  The partition must hold each mode exactly once,
+    in clusters of one or two, and a 2-cluster must pair two neighbouring
+    modes.
     """
+    if any(len(c) not in (1, 2) for c in partition):
+        raise DomainError("a cluster must hold one or two modes")
     two = np.array([c for c in partition if len(c) == 2], dtype=int).reshape(-1, 2)
     one = np.array([c[0] for c in partition if len(c) == 1], dtype=int)
+    if not np.array_equal(np.sort(np.concatenate([one, two.ravel()])), np.arange(freqs.size)):
+        raise DomainError(f"partition must hold each of the {freqs.size} modes exactly once")
     if np.any(two[:, 1] != two[:, 0] + 1):
         raise DomainError("a 2-cluster must pair two neighbouring modes")
     gap = freqs[two[:, 1]] - freqs[two[:, 0]]
@@ -298,14 +350,15 @@ def estimate_clustered(freqs, cfg: InghamConfig) -> InghamEstimate:
     the cluster partition.  The pencil ``(G, Q)`` has the eigenvalues of
     ``T^T G T`` (``_q_basis``), formed in O(n^2).  A 2-cluster of two
     supported modes whose squared gap is 0 makes Q vanish on a nonzero
-    vector and raises DomainError.
+    vector and raises DomainError.  The sampled family (``_sampled``) is
+    shared with ``estimate_scalar``; this envelope adds Q's weights, Q of
+    the draws and ``eigvalsh(T^T G T)``.  A refused call draws nothing.
     """
-    freqs, active, G = _supported(freqs, cfg)
+    freqs, active = _supported(freqs, cfg)
     form = _cluster_form(freqs, cluster_partition(freqs, cfg.gamma), active)
     if np.any(form[1] == 0.0):  # v is at least 1 off an active 2-cluster
         raise DomainError("Q(x) vanishes on a supported 2-cluster with zero gap")
-    D = _draw_coefficients(freqs[active], cfg)
-    num, mass = _draw_sums(G, D, *_pairs(freqs[active]))
-    den = np.concatenate([_q_values(D, form), _pair_q(form)])
-    C = _q_basis(_q_basis(G, form).T, form)
-    return _envelope(np.linalg.eigvalsh(C), G, num, den, mass)
+    family = _sampled(freqs[active], cfg, "clustered")
+    den = np.concatenate([_q_values(family.D, form), _pair_q(form)])
+    C = _q_basis(_q_basis(family.G, form).T, form)
+    return _envelope(np.linalg.eigvalsh(C), family, den)

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, check_finite, check_int, check_positive
+from .errors import DomainError, check_finite, check_int, check_positive, finite_array
 from .modal import ModalSystem
 
 
@@ -183,10 +183,13 @@ def cluster_partition(freqs, gamma1: float):
     """Greedy split of sorted frequencies into isolated modes and 2-clusters.
 
     Consecutive frequencies closer than ``gamma1 / 2`` are paired; each
-    frequency belongs to exactly one cluster.  A ``gamma1`` that is not
-    finite (``check_gap`` of fewer than 3 modes) pairs none.
+    frequency belongs to exactly one cluster.  A ``gamma1`` of +-inf
+    (``check_gap`` of fewer than 3 modes) pairs none; a NaN ``gamma1`` or
+    a non-finite frequency raises DomainError.
     """
-    freqs = np.asarray(freqs, dtype=float)
+    freqs = finite_array("frequencies", freqs, float)
+    if math.isnan(gamma1):
+        raise DomainError(f"gamma1 must not be NaN; got {gamma1!r}")
     if np.any(np.diff(freqs) < 0.0):
         raise DomainError("frequencies must be sorted ascending")
     out = []

@@ -5,11 +5,13 @@ simulator works on coupled sine coefficients with its own dense assembly,
 and the scalar stepper solves the defining stage equations directly.
 """
 
+import math
+
 import numpy as np
 import scipy.linalg
 from hypothesis import strategies as st
 
-from polystab import ModalState, ModalSystem
+from polystab import InghamConfig, ModalState, ModalSystem
 
 
 def physical_coupled_waves_energy(alpha, gamma, k_max, a0, b0, dt, t_final,
@@ -202,3 +204,20 @@ def qr_pencil(G, M):
     eigs = np.linalg.eigvalsh(np.linalg.solve(Rt, np.linalg.solve(Rt, G).T))
     r_inv = np.linalg.norm(np.linalg.inv(Rt), 2)
     return eigs, G.shape[0] * np.finfo(float).eps * np.linalg.norm(G) * r_inv**2
+
+
+@st.composite
+def sampled_families(draw):
+    """A sorted family inside the support window of a valid sampling, with
+    duplicated, tightly clustered and well separated neighbours, and a time."""
+    start = draw(st.floats(-6.0, 2.0))
+    gaps = draw(st.lists(st.one_of(st.just(0.0), st.floats(1e-3, 0.1), st.floats(0.5, 3.0)),
+                         max_size=9))
+    freqs = start + np.cumsum([0.0] + gaps)
+    gamma = draw(st.floats(0.5, 2.0))
+    edge = np.max(np.abs(freqs)) + 0.5 * gamma
+    sigma = min(math.pi / gamma, draw(st.floats(0.3, 0.99)) * math.pi / edge)
+    J = int(math.ceil(math.pi / (gamma * sigma))) + 1 + draw(st.integers(0, 40))
+    trials = draw(st.integers(1, 20))
+    cfg = InghamConfig(sigma=sigma, J=J, gamma=gamma, trials=trials, seed=draw(st.integers(0, 99)))
+    return freqs, cfg, draw(st.floats(-20.0, 20.0))

@@ -1,12 +1,14 @@
 """Exponential-sum estimates: exact cases, envelopes, draws, cluster forms."""
 
+import dataclasses
 import json
 import math
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
-from helpers import cluster_matrix, qr_pencil, sample_matrix, sampled_sums
+from helpers import cluster_matrix, qr_pencil, sample_matrix, sampled_families, sampled_sums
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -25,6 +27,7 @@ from polystab import (
     modal_multiplier,
     q_form,
 )
+from polystab import ingham
 from polystab.cli import main
 from polystab.ingham import (
     _cluster_form,
@@ -36,6 +39,7 @@ from polystab.ingham import (
     _pairs,
     _q_basis,
     _q_values,
+    _sampled,
     support_threshold,
 )
 from polystab.spectra import cluster_partition
@@ -159,23 +163,6 @@ class TestNonFiniteInput:
             ingham_ratio_scalar(np.array([1.0, 3.0]), np.ones(2), gapped_config(), t=t)
 
 
-@st.composite
-def sampled_families(draw):
-    """A sorted family inside the support window of a valid sampling, with
-    duplicated, tightly clustered and well separated neighbours, and a time."""
-    start = draw(st.floats(-6.0, 2.0))
-    gaps = draw(st.lists(st.one_of(st.just(0.0), st.floats(1e-3, 0.1), st.floats(0.5, 3.0)),
-                         max_size=9))
-    freqs = start + np.cumsum([0.0] + gaps)
-    gamma = draw(st.floats(0.5, 2.0))
-    edge = np.max(np.abs(freqs)) + 0.5 * gamma
-    sigma = min(math.pi / gamma, draw(st.floats(0.3, 0.99)) * math.pi / edge)
-    J = int(math.ceil(math.pi / (gamma * sigma))) + 1 + draw(st.integers(0, 40))
-    trials = draw(st.integers(1, 20))
-    cfg = InghamConfig(sigma=sigma, J=J, gamma=gamma, trials=trials, seed=draw(st.integers(0, 99)))
-    return freqs, cfg, draw(st.floats(-20.0, 20.0))
-
-
 def oracle_tolerance(freqs, cfg, t):
     """Rounding bound of the sample-matrix sums, relative to sigma N per unit
     mass: each of the N phases ``omega (t + j sigma)`` is rounded to about
@@ -232,11 +219,11 @@ class TestDirichletGram:
     def test_envelope_that_misses_a_draw_fails(self):
         freqs = np.array([-5.0, -3.0, -1.0, 1.0, 3.0, 5.0])
         cfg = gapped_config(trials=20)
-        G = _gram(freqs, cfg)
-        num, mass = _draw_sums(G, _draw_coefficients(freqs, cfg), *_pairs(freqs))
+        family = _sampled(freqs, cfg, "scalar")
+        G, num, mass = family.G, family.num, family.mass
         assert num.shape == mass.shape == (cfg.trials + freqs.size - 1,)
         eigs = np.linalg.eigvalsh(G)
-        est = _envelope(eigs, G, num, mass, mass)
+        est = _envelope(eigs, family, mass)
         assert (est.c_lo, est.c_hi) == (eigs[0], eigs[-1])
         # a lower constant above the smallest sampled ratio, or an upper one
         # below the largest, by far more than the rounding slack; the least
@@ -246,7 +233,7 @@ class TestDirichletGram:
                        (eigs[0], est.sampled_hi * (1 - 1e-9)),
                        (pair_lo * (1 + 1e-9), eigs[-1])):
             with pytest.raises(DiagnosticFailure, match="outside the exact envelope"):
-                _envelope(np.array([lo, hi]), G, num, mass, mass)
+                _envelope(np.array([lo, hi]), family, mass)
 
 
 class TestSampledSums:
@@ -420,6 +407,19 @@ class TestQForm:
     def test_zero(self):
         freqs = np.array([1.0, 1.005])
         assert q_form(freqs, np.zeros(2), cluster_partition(freqs, 1.0)) == 0.0
+
+    @pytest.mark.parametrize("partition, message", [
+        (((0,),), "each of the 3 modes exactly once"),
+        (((0,), (5,)), "each of the 3 modes exactly once"),
+        (((0,), (0,), (1,), (2,)), "each of the 3 modes exactly once"),
+        (((0, 1, 2),), "one or two modes"),
+        (((),), "one or two modes"),
+    ], ids=["misses", "out_of_range", "repeats", "three_cluster", "empty_cluster"])
+    def test_partition_must_cover_each_mode_once(self, partition, message):
+        freqs, x = np.array([1.0, 2.0, 3.0]), np.array([1.0, 5.0, 7.0])
+        assert q_form(freqs, x, ((0,), (1,), (2,))) == 75.0
+        with pytest.raises(DomainError, match=message):
+            q_form(freqs, x, partition)
 
     def test_degeneracy_iff_zero(self):
         # Q(x) = 0 with nonzero cluster gaps forces x = 0
@@ -602,6 +602,142 @@ class TestEstimateClustered:
         freqs = np.array([-3.0, 0.0, gap, 3.0])
         with pytest.raises(DomainError, match="zero gap"):
             estimate_clustered(freqs, auto_config(freqs, 1.0, trials=5, seed=0))
+
+
+def fields(est):
+    """The five fields of an estimate, the floats as float.hex."""
+    return (est.c_lo.hex(), est.c_hi.hex(), est.sampled_lo.hex(), est.sampled_hi.hex(),
+            est.n_active)
+
+
+def cold(estimate, freqs, cfg):
+    """``estimate`` with no family held before or after the call."""
+    ingham._held = None
+    try:
+        return fields(estimate(freqs, cfg))
+    finally:
+        ingham._held = None
+
+
+def counting_draws():
+    """Patch that counts the draw blocks made, that is the families built."""
+    return mock.patch.object(ingham, "_draw_coefficients", wraps=ingham._draw_coefficients)
+
+
+def coupled_family(k_max, seed=9):
+    sys_ = build_coupled_waves(ExampleParams(1.0, 1.0, k_max))
+    return sys_.mu, auto_config(sys_.mu, check_gap(sys_).gamma1, trials=50, seed=seed)
+
+
+class TestSharedFamily:
+    """Both envelopes of one family share one Gram and one draw block; the
+    bits are those of cold calls in every order."""
+
+    def test_pair_orders_match_cold_calls(self):
+        freqs, cfg = coupled_family(8)
+        estimates = (estimate_scalar, estimate_clustered)
+        want = tuple(cold(estimate, freqs, cfg) for estimate in estimates)
+        for first, second in ((0, 1), (1, 0)):
+            with counting_draws() as draws:
+                got = {i: fields(estimates[i](freqs, cfg)) for i in (first, second)}
+            assert draws.call_count == 1
+            assert (got[0], got[1]) == want
+            assert ingham._held is None
+
+    def test_one_envelope_twice_builds_twice(self):
+        freqs, cfg = coupled_family(5)
+        want = cold(estimate_scalar, freqs, cfg)
+        with counting_draws() as draws:
+            assert fields(estimate_scalar(freqs, cfg)) == want
+            assert fields(estimate_scalar(freqs, cfg)) == want
+            estimate_clustered(freqs, cfg)
+        assert draws.call_count == 2 and ingham._held is None
+
+    def test_interleaved_families_match_cold_calls(self):
+        (fa, ca), (fb, cb) = coupled_family(8), coupled_family(5, seed=3)
+        calls = [(estimate_scalar, fa, ca), (estimate_clustered, fb, cb),
+                 (estimate_clustered, fa, ca), (estimate_scalar, fb, cb)]
+        want = [cold(*call) for call in calls]
+        with counting_draws() as draws:
+            assert [fields(f(freqs, cfg)) for f, freqs, cfg in calls] == want
+        assert draws.call_count == 4  # each call replaced the other family
+
+    @pytest.mark.parametrize("change", ["seed", "trials", "J", "sigma", "support", "last_bit"])
+    def test_different_family_never_reused(self, change):
+        freqs, cfg = coupled_family(8)
+        other_freqs, other = freqs, cfg
+        if change in ("seed", "trials", "J"):
+            other = dataclasses.replace(cfg, **{change: getattr(cfg, change) + 1})
+        elif change == "sigma":
+            other = dataclasses.replace(cfg, sigma=np.nextafter(cfg.sigma, 0.0))
+        elif change == "support":  # a wider gap moves the window edge inside the top mode
+            gamma = 2.0 * (math.pi / cfg.sigma - freqs[-1]) * (1 + 1e-9)
+            other = dataclasses.replace(cfg, gamma=gamma)
+            assert estimate_scalar(freqs, other).n_active == freqs.size - 1
+        else:
+            other_freqs = freqs.copy()
+            other_freqs[3] = np.nextafter(freqs[3], math.inf)
+        want = cold(estimate_clustered, other_freqs, other)
+        with counting_draws() as draws:
+            estimate_scalar(freqs, cfg)
+            assert fields(estimate_clustered(other_freqs, other)) == want
+        assert draws.call_count == 2
+
+    def test_gamma_and_unsupported_modes_are_not_part_of_the_key(self):
+        # the same supported frequencies under another gap constant, and with
+        # one more mode outside the window: one family, the bits of cold calls
+        freqs, cfg = coupled_family(8)
+        wider = np.append(freqs, 2 * math.pi / cfg.sigma)
+        other = dataclasses.replace(cfg, gamma=1.01 * cfg.gamma)
+        assert support_threshold(other) >= freqs[-1]
+        want = cold(estimate_clustered, wider, other)
+        with counting_draws() as draws:
+            estimate_scalar(freqs, cfg)
+            assert fields(estimate_clustered(wider, other)) == want
+        assert draws.call_count == 1 and ingham._held is None
+
+    def test_shared_arrays_read_only(self):
+        freqs, cfg = coupled_family(5)
+        estimate_scalar(freqs, cfg)
+        family = ingham._held[1]
+        for a in (family.G, family.D, family.num, family.mass):
+            assert not a.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                a[(0,) * a.ndim] = 0.0
+        estimate_clustered(freqs, cfg)
+        assert ingham._held is None
+
+    def test_refused_call_draws_nothing(self):
+        freqs = np.array([-3.0, 0.0, 0.0, 3.0])
+        cfg = auto_config(freqs, 1.0, trials=5, seed=0)
+        estimate_scalar(np.array([-3.0, 3.0]), cfg)
+        held = ingham._held
+        with counting_draws() as draws:
+            with pytest.raises(DomainError, match="zero gap"):
+                estimate_clustered(freqs, cfg)
+        assert draws.call_count == 0 and ingham._held is held
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(family=sampled_families())
+    def test_every_order_matches_cold_calls(self, family):
+        freqs, cfg, _ = family
+        try:
+            clustered = cold(estimate_clustered, freqs, cfg)
+        except DomainError:  # a supported 2-cluster with zero gap
+            clustered = None
+        want = {estimate_scalar: cold(estimate_scalar, freqs, cfg),
+                estimate_clustered: clustered}
+        for pair in ((estimate_scalar, estimate_clustered), (estimate_clustered, estimate_scalar)):
+            with counting_draws() as draws:
+                for estimate in pair:
+                    if want[estimate] is None:
+                        with pytest.raises(DomainError, match="zero gap"):
+                            estimate(freqs, cfg)
+                    else:
+                        assert fields(estimate(freqs, cfg)) == want[estimate]
+            assert draws.call_count == 1
+            assert (ingham._held is None) == (clustered is not None)
+            ingham._held = None
 
 
 class TestClusterSeminorm:

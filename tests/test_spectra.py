@@ -193,6 +193,17 @@ class TestGapAudit:
         with pytest.raises(DomainError):
             cluster_partition(np.array([2.0, 1.0]), 1.0)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_cluster_partition_refuses_non_finite_frequencies(self, bad):
+        with pytest.raises(DomainError, match="frequencies must be finite"):
+            cluster_partition(np.array([1.0, bad, 3.0]), 1.0)
+
+    def test_cluster_partition_gamma1(self):
+        freqs = np.array([1.0, 1.01, 4.0])
+        with pytest.raises(DomainError, match="gamma1 must not be NaN"):
+            cluster_partition(freqs, math.nan)
+        assert cluster_partition(freqs, math.inf) == ((0,), (1,), (2,))
+
 
 class TestTwoClusterRule:
     """Fewer than 3 modes: ``gamma1`` is inf and no caller forms a 2-cluster."""
